@@ -113,8 +113,9 @@ def cmd_entropy(args) -> int:
     ground = _parse_ground(args.ground)
     probs = _parse_probs(ground, args.p)
     if args.table:
+        table = enumerate_partitions(ground)
         print("partition\tblocks\tlogical\tshannon_bits")
-        for pi in enumerate_partitions(ground):
+        for pi in table:
             h = entropy.logical_entropy(pi, probs)
             bits = entropy.shannon_entropy(pi, probs)
             print(f"{notation(pi)}\t{pi.num_blocks}\t{h}\t{bits:.12g}")
@@ -385,6 +386,8 @@ def cmd_double_slit(args) -> int:
     if args.format == "dot":
         sys.stdout.write(lattice.double_slit_dot())
         return 0
+    if args.trials < 0:
+        raise DitkitError(f"--trials must be non-negative, got {args.trials}")
     dist = z2dyn.double_slit(args.case)
     if args.trials:
         _, dynamics, start = z2dyn.double_slit_setup()

@@ -1,21 +1,23 @@
 """Partition density matrices over an exact square-root-of-rational scalar.
 
 Every matrix entry is a value sqrt(q) for a non-negative rational q (the
-``radicand``), which is closed under the handful of operations measurement
-needs: products, non-negative rational scaling, masking, and sums of terms
-whose ratio is a rational square.  General matrix multiplication is
+``radicand``).  A `DensityMatrix` keeps its radicands on one integer grid,
+integer numerators over a single common denominator, so building rho,
+masking, conditioning and the entropy 1 - tr(rho^2) are integer work.
+`SqrtRational` is the scalar at the API boundary: `entry`, `entries`,
+`to_json` and the public constructor.  General matrix multiplication is
 deliberately not provided; nothing here ever needs a tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from . import entropy as _entropy
-from .errors import GroundMismatch, ZeroProbabilityOutcome
+from .errors import DitkitError, GroundMismatch, ZeroProbabilityOutcome
 from .partitions import (
     GroundSet,
     Partition,
@@ -54,22 +56,6 @@ class SqrtRational:
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
         return SqrtRational(self.radicand * other.radicand)
 
-    def __add__(self, other: "SqrtRational") -> "SqrtRational":
-        """Exact addition, defined only when the result is again the
-        square root of a rational (ratio of radicands a rational square)."""
-        if self.radicand == 0:
-            return other
-        if other.radicand == 0:
-            return self
-        ratio = self.radicand / other.radicand
-        root = _rational_sqrt(ratio)
-        if root is None:
-            raise ArithmeticError(
-                f"sqrt({self.radicand}) + sqrt({other.radicand}) "
-                "is not the square root of a rational"
-            )
-        return SqrtRational((root + 1) ** 2 * other.radicand)
-
     def scaled(self, factor) -> "SqrtRational":
         """Multiply by a non-negative rational factor."""
         c = Fraction(factor)
@@ -100,9 +86,6 @@ class SqrtRational:
         head = "" if coeff.numerator == 1 else str(coeff.numerator)
         tail = "" if coeff.denominator == 1 else f"/{coeff.denominator}"
         return f"{head}√{rest}{tail}"
-
-
-ZERO = SqrtRational(Fraction(0))
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -152,37 +135,86 @@ class ProjectionMask:
         return i in self.members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
-    """Symmetric matrix of SqrtRational entries with exact unit trace."""
+    """Symmetric matrix of SqrtRational entries with exact unit trace.
+
+    `DensityMatrix(ground, entries)` takes a grid of SqrtRational.  The
+    matrix holds the radicand of entry (i, k) as ``_num[i*n + k] / _den``:
+    row-major integer numerators over one denominator, reduced so that no
+    integer above 1 divides the denominator and every numerator.  That
+    form is unique, so equality and hashing compare values.  Diagonal
+    entry i, the square root of its radicand, is ``_roots[i] / _den``."""
 
     ground: GroundSet
-    entries: tuple[tuple[SqrtRational, ...], ...]
+    _num: tuple[int, ...]
+    _den: int
+    _roots: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.ground.n
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+    def __init__(
+        self, ground: GroundSet, entries: tuple[tuple[SqrtRational, ...], ...]
+    ):
+        n = ground.n
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entry grid does not match ground size")
-        for i in range(n):
-            for k in range(i):
-                if self.entries[i][k] != self.entries[k][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{k})")
-        if self.trace() != 1:
-            raise ValueError(f"trace is {self.trace()}, not 1")
+        radicands = [cell.radicand for row in entries for cell in row]
+        den = math.lcm(*(q.denominator for q in radicands))
+        self._fill(
+            ground, tuple(q.numerator * (den // q.denominator) for q in radicands), den
+        )
+
+    @classmethod
+    def _grid(cls, ground: GroundSet, num: tuple[int, ...], den: int) -> "DensityMatrix":
+        """A matrix straight from grid numerators over `den`, validated
+        like one from the public constructor."""
+        mat = cls.__new__(cls)
+        mat._fill(ground, num, den)
+        return mat
+
+    def _fill(self, ground: GroundSet, num: tuple[int, ...], den: int) -> None:
+        common = math.gcd(den, *num)
+        if common > 1:
+            den //= common
+            num = tuple(x // common for x in num)
+        n = ground.n
+        # row i equals column i for every i exactly when the grid is symmetric
+        if any(num[i * n : i * n + n] != num[i::n] for i in range(n)):
+            i, k = next(
+                (i, k)
+                for i in range(n)
+                for k in range(i)
+                if num[i * n + k] != num[k * n + i]
+            )
+            raise ValueError(f"matrix not symmetric at ({i},{k})")
+        # diagonal entry sqrt(x / den) = sqrt(x * den) / den
+        roots = []
+        for x in num[:: n + 1]:
+            square = x * den
+            root = math.isqrt(square)
+            if root * root != square:
+                raise ArithmeticError(f"sqrt({Fraction(x, den)}) is irrational")
+            roots.append(root)
+        if sum(roots) != den:
+            raise ValueError(f"trace is {Fraction(sum(roots), den)}, not 1")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_roots", tuple(roots))
+
+    @property
+    def entries(self) -> tuple[tuple[SqrtRational, ...], ...]:
+        n = self.ground.n
+        cells = [SqrtRational(Fraction(x, self._den)) for x in self._num]
+        return tuple(tuple(cells[i * n : i * n + n]) for i in range(n))
 
     def entry(self, i: int, k: int) -> SqrtRational:
-        return self.entries[i][k]
+        return SqrtRational(Fraction(self._num[i * self.ground.n + k], self._den))
 
     def trace(self) -> Fraction:
-        return sum(
-            (self.entries[i][i].to_rational() for i in range(self.ground.n)),
-            Fraction(0),
-        )
+        return Fraction(sum(self._roots), self._den)
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(
-            self.entries[i][i].to_rational() for i in range(self.ground.n)
-        )
+        return tuple(Fraction(root, self._den) for root in self._roots)
 
     def to_json(self) -> dict:
         return {
@@ -195,62 +227,66 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
-        ground = GroundSet(tuple(data["ground"]))
-        entries = tuple(
-            tuple(SqrtRational(Fraction(cell["radicand"])) for cell in row)
-            for row in data["entries"]
-        )
+        try:
+            ground = GroundSet(tuple(data["ground"]))
+            entries = tuple(
+                tuple(SqrtRational(Fraction(cell["radicand"])) for cell in row)
+                for row in data["entries"]
+            )
+        except KeyError as exc:
+            raise DitkitError(f"density matrix JSON lacks the {exc} field") from None
         return cls(ground, entries)
 
 
 def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     """Density matrix of a partition state: entry (i,k) is
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
-    entries are exactly the indistinctions."""
+    entries are exactly the indistinctions.  On the grid of `probs` its
+    radicand is w_i * w_k / D^2."""
     if pi.ground != probs.ground:
         raise GroundMismatch("partition and probabilities disagree on ground")
     n = pi.ground.n
-    p = probs.p
-    entries = tuple(
-        tuple(
-            SqrtRational(p[i] * p[k]) if pi.same_block(i, k) else ZERO
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    return DensityMatrix(pi.ground, entries)
+    w = probs.weights
+    num = [0] * (n * n)
+    for blk in pi.blocks:
+        for i in blk:
+            row, wi = i * n, w[i]
+            for k in blk:
+                num[row + k] = wi * w[k]
+    return DensityMatrix._grid(pi.ground, tuple(num), probs.denominator**2)
 
 
 def verify_block_eigenvectors(pi: Partition, probs: ProbGroundSet) -> bool:
     """Check, in exact arithmetic, that each block vector (entries
     sqrt(p_i / Pr(B)) on its block) is an eigenvector of rho with
-    eigenvalue Pr(B), and that the block vectors are orthonormal."""
+    eigenvalue Pr(B), and that the block vectors are orthonormal.
+
+    The factor sqrt(p_i / Pr(B)) comes out of (rho v)_i, leaving the
+    rational sum over k in B of sqrt(rho_ik^2 * p_k / p_i); v is an
+    eigenvector when that sum is Pr(B) for i in B and 0 for i outside."""
     mat = rho(pi, probs)
     n = pi.ground.n
-    vectors = []
-    eigenvalues = []
+    w = probs.weights
     for blk in pi.blocks:
-        pr = probs.prob(blk)
-        vec = [
-            SqrtRational(probs.p[i] / pr) if i in blk else ZERO
-            for i in range(n)
-        ]
-        vectors.append(vec)
-        eigenvalues.append(pr)
-    for vec, value in zip(vectors, eigenvalues):
+        mass = probs.weight(blk)
         for i in range(n):
-            got = ZERO
-            for k in range(n):
-                got = got + mat.entry(i, k) * vec[k]
-            if got != vec[i].scaled(value):
+            # sqrt(num/den * w_k/w_i) = sqrt(num * w_k * den * w_i) / (den * w_i)
+            scale = mat._den * w[i]
+            total = 0
+            for k in blk:
+                square = mat._num[i * n + k] * w[k] * scale
+                root = math.isqrt(square)
+                if root * root != square:
+                    return False
+                total += root
+            # total / scale == (mass / D) * [i in blk]
+            if total * probs.denominator != (mass * scale if i in blk else 0):
                 return False
-    for a, va in enumerate(vectors):
-        for b, vb in enumerate(vectors):
-            dot = ZERO
-            for i in range(n):
-                dot = dot + va[i] * vb[i]
-            expected = SqrtRational.from_rational(1 if a == b else 0)
-            if dot != expected:
+    # <v_A, v_B> is the weight of the common members over sqrt(W_A * W_B)
+    for a in pi.blocks:
+        for b in pi.blocks:
+            shared = probs.weight(set(a) & set(b))
+            if shared * shared != (probs.weight(a) * probs.weight(b) if a == b else 0):
                 return False
     return True
 
@@ -262,14 +298,14 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
     if mat.ground != sigma.ground:
         raise GroundMismatch("state and measurement disagree on ground")
     n = mat.ground.n
-    entries = tuple(
-        tuple(
-            mat.entry(i, k) if sigma.same_block(i, k) else ZERO
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    return DensityMatrix(mat.ground, entries)
+    kept = mat._num
+    num = [0] * (n * n)
+    for blk in sigma.blocks:
+        for i in blk:
+            row = i * n
+            for k in blk:
+                num[row + k] = kept[row + k]
+    return DensityMatrix._grid(mat.ground, tuple(num), mat._den)
 
 
 def luders_rule(
@@ -281,22 +317,20 @@ def luders_rule(
         raise GroundMismatch("state and outcome disagree on ground")
     n = mat.ground.n
     members = outcome.members
-    prob = sum(
-        (mat.entry(i, i).to_rational() for i in members), Fraction(0)
-    )
-    if prob == 0:
+    # the outcome probability is mass / den; dividing a radicand x / den
+    # by its square gives x * den / mass^2
+    mass = sum(mat._roots[i] for i in members)
+    if mass == 0:
         raise ZeroProbabilityOutcome(
             f"outcome {sorted(members)} has probability zero"
         )
-    inv = 1 / prob
-    entries = tuple(
-        tuple(
-            mat.entry(i, k).scaled(inv) if (i in members and k in members) else ZERO
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    return DensityMatrix(mat.ground, entries), prob
+    num = [0] * (n * n)
+    for i in members:
+        row = i * n
+        for k in members:
+            num[row + k] = mat._num[row + k] * mat._den
+    post = DensityMatrix._grid(mat.ground, tuple(num), mass * mass)
+    return post, Fraction(mass, mat._den)
 
 
 def luders_outcomes(
@@ -317,10 +351,7 @@ def luders_outcomes(
 def quantum_logical_entropy(mat: DensityMatrix) -> Fraction:
     """1 - tr(rho^2), exact: the diagonal of the square needs only the
     squares of the entries, which are the rational radicands."""
-    return 1 - sum(
-        (cell.squared() for row in mat.entries for cell in row),
-        Fraction(0),
-    )
+    return Fraction(mat._den - sum(mat._num), mat._den)
 
 
 def state_reduction_audit(
@@ -335,7 +366,7 @@ def state_reduction_audit(
         (i, k)
         for i in range(n)
         for k in range(n)
-        if i != k and mat.entry(i, k) and not sigma.same_block(i, k)
+        if i != k and mat._num[i * n + k] and not sigma.same_block(i, k)
     ]
 
 
@@ -353,9 +384,10 @@ def theorem_entropy_increase(
     mat = rho(pi, probs)
     hat = luders_mixture(mat, sigma)
     gained = quantum_logical_entropy(hat) - quantum_logical_entropy(mat)
-    zeroed = sum(
-        (mat.entry(i, k).squared() for (i, k) in state_reduction_audit(mat, sigma)),
-        Fraction(0),
+    n = mat.ground.n
+    zeroed = Fraction(
+        sum(mat._num[i * n + k] for (i, k) in state_reduction_audit(mat, sigma)),
+        mat._den,
     )
     return gained == zeroed
 

@@ -31,9 +31,14 @@ def block_probs(
 
 
 def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
-    """1 - sum of squared block probabilities, exactly."""
+    """1 - sum of squared block probabilities, exactly: on the grid of
+    `probs` that is (D^2 - sum of W_B^2) / D^2, with W_B a block's
+    integer weight and D the common denominator."""
     _require_same_ground(pi, probs)
-    return 1 - sum((probs.prob(blk) ** 2 for blk in pi.blocks), Fraction(0))
+    square = probs.denominator**2
+    return Fraction(
+        square - sum(probs.weight(blk) ** 2 for blk in pi.blocks), square
+    )
 
 
 def logical_entropy_ditsum(pi: Partition, probs: ProbGroundSet) -> Fraction:

@@ -21,6 +21,7 @@ from . import linalg
 from .errors import (
     DegenerateDSD,
     DimensionMismatch,
+    DitkitError,
     DuplicateEigenvalue,
     GroundMismatch,
     NotCommuting,
@@ -66,8 +67,10 @@ class Attribute:
 
     @classmethod
     def from_json(cls, data: dict) -> "Attribute":
-        ground = GroundSet(tuple(data["ground"]))
-        return cls.from_map(ground, data["values"])
+        try:
+            return cls.from_map(GroundSet(tuple(data["ground"])), data["values"])
+        except KeyError as exc:
+            raise DitkitError(f"attribute JSON lacks the {exc} field") from None
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,11 @@ class DSD:
 
     @classmethod
     def from_json(cls, data: dict) -> "DSD":
-        return cls.from_vectors(data["dim"], data["subspaces"])
+        try:
+            dim, groups = data["dim"], data["subspaces"]
+        except KeyError as exc:
+            raise DitkitError(f"DSD JSON lacks the {exc} field") from None
+        return cls.from_vectors(dim, groups)
 
 
 @dataclass(frozen=True)

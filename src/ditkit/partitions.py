@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
+    DitkitError,
     EmptyBlock,
     GroundMismatch,
     NotExhaustive,
@@ -186,18 +187,30 @@ class PairRelation:
 
 @dataclass(frozen=True)
 class ProbGroundSet:
-    """Ground set with exact positive point probabilities summing to 1."""
+    """Ground set with exact positive point probabilities summing to 1.
+
+    Construction also puts the vector on one integer grid: p_i equals
+    ``weights[i] / denominator``, where the denominator is the least
+    common denominator of the p_i.  Block masses and entropies are then
+    integer sums over that grid."""
 
     ground: GroundSet
     p: tuple[Fraction, ...]
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.p) != self.ground.n:
             raise GroundMismatch("probability vector length != ground size")
         if any(q <= 0 for q in self.p):
             raise ValueError("point probabilities must be positive")
-        if sum(self.p) != 1:
+        exact = [Fraction(q) for q in self.p]
+        den = math.lcm(*(q.denominator for q in exact))
+        weights = tuple(q.numerator * (den // q.denominator) for q in exact)
+        if sum(weights) != den:
             raise ValueError(f"point probabilities sum to {sum(self.p)}, not 1")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def uniform(cls, ground: GroundSet) -> "ProbGroundSet":
@@ -209,7 +222,12 @@ class ProbGroundSet:
         return cls(ground, tuple(Fraction(v) for v in values))
 
     def prob(self, indices: Iterable[int]) -> Fraction:
-        return sum((self.p[i] for i in indices), Fraction(0))
+        return Fraction(self.weight(indices), self.denominator)
+
+    def weight(self, indices: Iterable[int]) -> int:
+        """Grid mass of a set of indices: its probability times the
+        denominator."""
+        return sum(map(self.weights.__getitem__, indices))
 
 
 def _require_same_ground(a, b) -> None:
@@ -432,8 +450,11 @@ def partition_to_json(pi: Partition) -> dict:
 
 
 def partition_from_json(data: dict) -> Partition:
-    ground = GroundSet(tuple(data["ground"]))
-    return make_partition(ground, data["blocks"])
+    try:
+        ground, blocks = GroundSet(tuple(data["ground"])), data["blocks"]
+    except KeyError as exc:
+        raise DitkitError(f"partition JSON lacks the {exc} field") from None
+    return make_partition(ground, blocks)
 
 
 def all_pairs(

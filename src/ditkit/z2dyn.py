@@ -221,10 +221,9 @@ class StateMixture:
 
 
 def _weight(members: Iterable[int], p: Optional[ProbGroundSet]) -> Fraction:
-    members = list(members)
     if p is None:
-        return Fraction(len(members))
-    return sum((p.p[i] for i in members), Fraction(0))
+        return Fraction(len(list(members)))
+    return p.prob(members)
 
 
 def reduce(s: SubsetVector, p: Optional[ProbGroundSet] = None) -> StateMixture:

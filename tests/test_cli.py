@@ -112,6 +112,12 @@ def test_entropy_table_has_bell_rows(capsys):
     assert lines[1].startswith("abcd\t1\t0\t0")
 
 
+def test_entropy_table_beyond_bound_prints_nothing(capsys):
+    code, out, err = run(capsys, "entropy", "--ground", "abcdefghijk", "--table")
+    assert (code, out) == (2, "")
+    assert "n <= 10" in err
+
+
 def test_entropy_json(capsys):
     code, out, _ = run(
         capsys, "entropy", "--ground", "abc", "a|bc", "--json"
@@ -329,6 +335,12 @@ def test_double_slit_sampling_deterministic(capsys):
     )
     assert first == second
     assert "exact 1/2, sampled" in first
+
+
+def test_double_slit_negative_trials_exits_2(capsys):
+    code, out, err = run(capsys, "double-slit", "--trials", "-5")
+    assert (code, out) == (2, "")
+    assert "--trials" in err
 
 
 def test_double_slit_sampling_json(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from ditkit.density import (
     verify_block_eigenvectors,
 )
 from ditkit.entropy import logical_entropy
-from ditkit.errors import GroundMismatch, ZeroProbabilityOutcome
+from ditkit.errors import DitkitError, GroundMismatch, ZeroProbabilityOutcome
 from ditkit.partitions import (
     GroundSet,
     ProbGroundSet,
@@ -33,7 +34,14 @@ from ditkit.partitions import (
     parse_partition,
 )
 
-from oracles import random_probs
+from oracles import (
+    block_entropy,
+    conditioned_entries,
+    entries_entropy,
+    masked_entries,
+    random_probs,
+    rho_entries,
+)
 
 ABC = GroundSet(("a", "b", "c"))
 GOLDEN_P = ProbGroundSet.from_values(ABC, ["1/3", "1/4", "5/12"])
@@ -57,17 +65,6 @@ def test_sqrt_rational_products_close():
     assert a * a == SqrtRational(F("25/2304"))
     assert (a * a).to_rational() == F("5/48")
     assert a * SqrtRational(F(0)) == SqrtRational(F(0))
-
-
-def test_sqrt_rational_partial_addition():
-    a = SqrtRational(F("5/48"))
-    assert a + a == SqrtRational(F("5/12"))  # 2*sqrt(5/48) = sqrt(20/48)
-    b = SqrtRational(F("45/48"))  # sqrt ratio 9 -> compatible surds
-    assert a + b == SqrtRational(F("80/48"))
-    with pytest.raises(ArithmeticError):
-        a + SqrtRational(F(2))
-    zero = SqrtRational(F(0))
-    assert zero + a == a and a + zero == a
 
 
 def test_sqrt_rational_scaling_and_embedding():
@@ -143,6 +140,14 @@ def test_density_matrix_validation():
     bad_trace = ((quarter, z), (z, quarter))  # trace 1/2
     with pytest.raises(ValueError):
         DensityMatrix(GroundSet(("a", "b")), bad_trace)
+    # common radicand denominator 180, not a square; trace 1/2 + 1/3
+    third = SqrtRational.from_rational(F("1/3"))
+    coherence = SqrtRational(F("1/5"))
+    with pytest.raises(ValueError, match="trace is 5/6"):
+        DensityMatrix(GroundSet(("a", "b")), ((h, coherence), (coherence, third)))
+    irrational = SqrtRational(F("1/2"))
+    with pytest.raises(ArithmeticError):
+        DensityMatrix(GroundSet(("a", "b")), ((irrational, z), (z, irrational)))
 
 
 def test_density_json_round_trip():
@@ -150,6 +155,37 @@ def test_density_json_round_trip():
     blob = mat.to_json()
     assert blob["entries"][1][2] == {"radicand": "5/48"}
     assert DensityMatrix.from_json(blob) == mat
+
+
+def test_density_json_round_trip_non_square_denominator():
+    half = SqrtRational.from_rational(F("1/2"))
+    third = SqrtRational.from_rational(F("1/3"))
+    grids = [
+        ((half, SqrtRational(F("5/48"))), (SqrtRational(F("5/48")), half)),
+        (
+            (third, SqrtRational(F("2/15")), SqrtRational(F(0))),
+            (SqrtRational(F("2/15")), third, SqrtRational(F("1/27"))),
+            (SqrtRational(F(0)), SqrtRational(F("1/27")), third),
+        ),
+    ]
+    for entries in grids:
+        mat = DensityMatrix(ground(len(entries)), entries)
+        blob = mat.to_json()
+        radicands = [F(cell["radicand"]) for row in blob["entries"] for cell in row]
+        common = math.lcm(*(q.denominator for q in radicands))
+        assert math.isqrt(common) ** 2 != common
+        back = DensityMatrix.from_json(blob)
+        assert back == mat and hash(back) == hash(mat)
+        assert back.entries == entries
+        assert back.trace() == 1
+        assert quantum_logical_entropy(back) == 1 - sum(radicands)
+
+
+def test_density_from_json_missing_field():
+    with pytest.raises(DitkitError, match="entries"):
+        DensityMatrix.from_json({"ground": ["a"]})
+    with pytest.raises(DitkitError, match="radicand"):
+        DensityMatrix.from_json({"ground": ["a"], "entries": [[{}]]})
 
 
 # --- eigenstructure -------------------------------------------------------
@@ -309,3 +345,43 @@ def test_consistency_with_partition_entropy():
             assert quantum_logical_entropy(rho(pi, probs)) == logical_entropy(
                 pi, probs
             )
+
+
+# --- the integer grid against the entry-by-entry oracle -------------------
+
+
+def _vectors(n, rng):
+    """Two probability vectors per weight range: weights in 1..9 and in
+    1..10**6, so both small and large common denominators."""
+    for high in (9, 10**6):
+        for _ in range(2):
+            weights = [rng.randint(1, high) for _ in range(n)]
+            total = sum(weights)
+            yield ProbGroundSet(ground(n), tuple(Fraction(w, total) for w in weights))
+
+
+def test_grid_matches_fraction_oracle_on_every_pair():
+    rng = random.Random(2718)
+    for n in (1, 2, 3, 4):
+        for probs in _vectors(n, rng):
+            for pi, sigma in all_pairs(probs.ground):
+                mat = rho(pi, probs)
+                want = rho_entries(pi, probs)
+                assert mat.entries == want
+                hat = luders_mixture(mat, sigma)
+                want_hat = masked_entries(want, sigma)
+                assert hat.entries == want_hat
+                assert hat == DensityMatrix(probs.ground, want_hat)
+                h, h_hat = quantum_logical_entropy(mat), quantum_logical_entropy(hat)
+                assert type(h) is Fraction and h == entries_entropy(want)
+                assert h_hat == entries_entropy(want_hat)
+                h_pi = logical_entropy(pi, probs)
+                assert type(h_pi) is Fraction and h_pi == block_entropy(pi, probs)
+                for blk in sigma.blocks:
+                    post, prob = luders_rule(
+                        mat, ProjectionMask(probs.ground, frozenset(blk))
+                    )
+                    want_post, want_prob = conditioned_entries(want, blk)
+                    assert type(prob) is Fraction and prob == want_prob
+                    assert post.entries == want_post
+                    assert post == DensityMatrix(probs.ground, want_post)

@@ -12,6 +12,7 @@ from ditkit import (
     Compatibility,
     DegenerateDSD,
     DimensionMismatch,
+    DitkitError,
     DuplicateEigenvalue,
     GroundMismatch,
     GroundSet,
@@ -65,6 +66,8 @@ def test_attribute_basics():
 def test_attribute_json_round_trip():
     f = Attribute.from_values(U3, [1, "1/2", -3])
     assert Attribute.from_json(f.to_json()) == f
+    with pytest.raises(DitkitError, match="values"):
+        Attribute.from_json({"ground": ["a"]})
 
 
 def test_inverse_image_partition():
@@ -123,6 +126,8 @@ def test_dsd_projections_resolve_identity():
 def test_dsd_json_round_trip():
     d = DSD.from_vectors(3, [[[1, 1, 0], [0, 0, 1]], [[1, -1, 0]]])
     assert DSD.from_json(d.to_json()) == d
+    with pytest.raises(DitkitError, match="subspaces"):
+        DSD.from_json({"dim": 1})
 
 
 # --- operators ---

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ditkit.errors import (
     BoundExceeded,
+    DitkitError,
     EmptyBlock,
     GroundMismatch,
     NotExhaustive,
@@ -357,6 +358,8 @@ def test_json_round_trip():
     blob = partition_to_json(pi)
     assert blob == {"ground": ["a", "b", "c", "d"], "blocks": [["a", "b"], ["c", "d"]]}
     assert partition_from_json(blob) == pi
+    with pytest.raises(DitkitError, match="blocks"):
+        partition_from_json({"ground": ["a"]})
 
 
 def test_probs_validation():
