@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import entropy as _entropy
-from .errors import DitkitError, GroundMismatch, ZeroProbabilityOutcome
+from .errors import GroundMismatch, ZeroProbabilityOutcome, json_input
 from .partitions import (
     GroundSet,
     Partition,
@@ -227,14 +227,12 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
-        try:
+        with json_input("density matrix"):
             ground = GroundSet(tuple(data["ground"]))
             entries = tuple(
                 tuple(SqrtRational(Fraction(cell["radicand"])) for cell in row)
                 for row in data["entries"]
             )
-        except KeyError as exc:
-            raise DitkitError(f"density matrix JSON lacks the {exc} field") from None
         return cls(ground, entries)
 
 

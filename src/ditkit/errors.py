@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class DitkitError(Exception):
     """Base class for all errors raised by ditkit."""
@@ -74,3 +76,16 @@ class NotCommuting(DitkitError):
 
 class EmptyState(DitkitError):
     """A subset state with no members cannot be reduced."""
+
+
+@contextmanager
+def json_input(what: str):
+    """Turn the KeyError of a missing field, or the TypeError of a value of
+    the wrong shape, raised while reading `what` from parsed JSON, into a
+    DitkitError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DitkitError(f"{what} JSON lacks the {exc} field") from None
+    except TypeError as exc:
+        raise DitkitError(f"{what} JSON has the wrong shape: {exc}") from None

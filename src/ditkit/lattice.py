@@ -2,8 +2,8 @@
 export, and the two-lattice picture for the double-slit evolution.
 
 In the distinction order a partition covers another exactly when it
-splits one block in two, so covers are found by a block-count filter on
-the refinement test.
+splits one block in two, so covers are generated by splitting each block
+of each partition in every way.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     notation,
-    refines,
+    _canon,
 )
 from .z2dyn import SubsetVector, double_slit_setup, evolve
 
@@ -31,14 +31,25 @@ def lattice_nodes(ground: GroundSet) -> list[Partition]:
 
 def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
     """All (lower, upper) pairs where upper refines lower by splitting
-    exactly one block."""
+    exactly one block, ordered by the lower partition's rank in
+    enumeration order, then by the upper's."""
     nodes = lattice_nodes(ground)
-    return [
-        (sigma, pi)
-        for sigma in nodes
-        for pi in nodes
-        if pi.num_blocks == sigma.num_blocks + 1 and refines(sigma, pi)
-    ]
+    rank = {pi._block_of: r for r, pi in enumerate(nodes)}
+    pairs = []
+    for sigma in nodes:
+        uppers = []
+        for blk in sigma.blocks:
+            # the block's least member stays; a non-empty subset of the
+            # rest moves to a new block: 2**(len(blk) - 1) - 1 splits
+            rest = blk[1:]
+            for mask in range(1, 1 << len(rest)):
+                labels = list(sigma._block_of)
+                for bit, i in enumerate(rest):
+                    if mask >> bit & 1:
+                        labels[i] = -1
+                uppers.append(rank[_canon(labels)])
+        pairs.extend((sigma, nodes[r]) for r in sorted(uppers))
+    return pairs
 
 
 def hasse_json(ground: GroundSet) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import string
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -27,6 +28,11 @@ from .partitions import (
     join,
     meet,
     notation,
+    _from_rgs,
+    _implies_rgs,
+    _iter_rgs,
+    _join_rgs,
+    _meet_rgs,
 )
 
 
@@ -294,9 +300,147 @@ class ValidityReport:
 
 DEFAULT_BUDGET = 1_000_000
 
+# Ground sizes whose lattice and tables are kept between calls.  At n = 7,
+# B = 877 and each operation table holds B**2 int16 entries, about 1.5 MB.
+TABLE_MAX_N = 7
+
+_KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
+
 
 def _ground_for(n: int) -> GroundSet:
     return GroundSet(tuple(string.ascii_lowercase[:n]))
+
+
+class _Ranked:
+    """The partitions of an n-set named by their rank in RGS order: bottom
+    is 0, top is B - 1.  Each operation is a flat B x B table of result
+    ranks, filled on first use from the RGS kernels (-1 marks a gap)."""
+
+    def __init__(self, n: int):
+        self.parts = list(enumerate_partitions(_ground_for(n), max_n=n))
+        self.size = len(self.parts)
+        self.bottom, self.top = 0, self.size - 1
+        self._rgs = [pi._block_of for pi in self.parts]
+        self._rank = {code: r for r, code in enumerate(self._rgs)}
+        self._tables: dict = {}
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def partition(self, x: int) -> Partition:
+        return self.parts[x]
+
+    def op(self, kernel):
+        """`kernel` on ranks, through its table."""
+        if kernel not in self._tables:
+            self._tables[kernel] = array("h", [-1]) * (self.size * self.size)
+        table, size, rgs, rank = self._tables[kernel], self.size, self._rgs, self._rank
+
+        def lookup(a: int, b: int) -> int:
+            at = a * size + b
+            r = table[at]
+            if r < 0:
+                r = table[at] = rank[kernel(rgs[a], rgs[b])]
+            return r
+
+        return lookup
+
+
+class _Unranked:
+    """The partitions of an n-set as bare RGS tuples, for n too large to
+    tabulate: elements are re-enumerated on every pass and operations run
+    the kernels directly, so nothing of size B**2 is built or kept."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ground = _ground_for(n)
+        self.bottom, self.top = (0,) * n, tuple(range(n))
+
+    def elements(self):
+        return _iter_rgs(self.n)
+
+    def partition(self, rgs: tuple[int, ...]) -> Partition:
+        return _from_rgs(self.ground, rgs)
+
+    def op(self, kernel):
+        return kernel
+
+
+_RANKED: dict[int, _Ranked] = {}
+
+
+def _lattice(n: int):
+    if n > TABLE_MAX_N:
+        return _Unranked(n)
+    if n not in _RANKED:
+        _RANKED[n] = _Ranked(n)
+    return _RANKED[n]
+
+
+def _compile(f: Formula, names: tuple[str, ...]):
+    """Slot program for `f`.  Slot i < k holds variable names[i]; every
+    other distinct subformula gets one slot.  Returns the constants as
+    (slot, is_top), the binary steps as (slot, kernel, left, right) grouped
+    by level, the root slot and the slot count.  Level 0 holds the steps
+    that use no variable; level d + 1 those whose last variable is
+    names[d], which therefore run once per value of names[d]."""
+    slots: dict = {Var(name): i for i, name in enumerate(names)}
+    level_of: dict = {Var(name): i + 1 for i, name in enumerate(names)}
+    consts: list[tuple[int, bool]] = []
+    levels: list[list] = [[] for _ in range(len(names) + 1)]
+
+    def visit(node: Formula) -> int:
+        if node in slots:
+            return slots[node]
+        if isinstance(node, (Top, Bottom)):
+            slot = len(slots)
+            consts.append((slot, isinstance(node, Top)))
+            level_of[node] = 0
+        else:
+            left, right = visit(node.left), visit(node.right)
+            slot = len(slots)
+            level = max(level_of[node.left], level_of[node.right])
+            levels[level].append((slot, _KERNELS[type(node)], left, right))
+            level_of[node] = level
+        slots[node] = slot
+        return slot
+
+    root = visit(f)
+    return consts, levels, root, len(slots)
+
+
+def _search(program, lattice):
+    """Run the slot program over every assignment in nested order, first
+    variable outermost, and return the variables' values and the root
+    value at the first assignment whose root is below the top, or None."""
+    consts, levels, root, width = program
+    depth = len(levels) - 1
+    values: list = [None] * width
+    for slot, is_top in consts:
+        values[slot] = lattice.top if is_top else lattice.bottom
+    steps = [
+        [(slot, lattice.op(kernel), left, right) for slot, kernel, left, right in level]
+        for level in levels
+    ]
+    top = lattice.top
+
+    def nested(d: int) -> bool:
+        level, innermost = steps[d + 1], d + 1 == depth
+        for x in lattice.elements():
+            values[d] = x
+            for slot, op, left, right in level:
+                values[slot] = op(values[left], values[right])
+            if innermost:
+                if values[root] != top:
+                    return True
+            elif nested(d + 1):
+                return True
+        return False
+
+    for slot, op, left, right in steps[0]:
+        values[slot] = op(values[left], values[right])
+    found = nested(0) if depth else values[root] != top
+    return (values[:depth], values[root]) if found else None
 
 
 def check_validity(
@@ -304,10 +448,16 @@ def check_validity(
 ) -> ValidityReport:
     """Search all assignments over ground sizes 2..max_n for an
     evaluation below the top.  Deterministic: smallest n first, then
-    enumeration order per variable.  A pass is only a bounded claim."""
+    enumeration order per variable.  A pass is only a bounded claim.
+
+    The search runs on RGS ranks through operation tables filled on demand
+    and kept between calls for n <= TABLE_MAX_N; larger n run the RGS
+    kernels directly.  Each subformula is evaluated once per value of the
+    last variable it uses."""
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     names = variables(f)
+    program = _compile(f, names)
     spent = 0
     for n in range(2, max_n + 1):
         cost = bell_number(n) ** len(names)
@@ -317,25 +467,14 @@ def check_validity(
                 bound_reached=n - 1,
             )
         spent += cost
-        ground = _ground_for(n)
-        top = discrete_partition(ground)
-        parts = list(enumerate_partitions(ground, max_n=max(n, 10)))
-        def search(prefix: dict[str, Partition], rest: tuple[str, ...]):
-            if not rest:
-                value = evaluate(f, prefix, ground)
-                if value != top:
-                    return Counterexample(n, dict(prefix), value)
-                return None
-            name = rest[0]
-            for pi in parts:
-                prefix[name] = pi
-                hit = search(prefix, rest[1:])
-                if hit is not None:
-                    return hit
-            del prefix[name]
-            return None
-
-        witness = search({}, names)
-        if witness is not None:
+        lattice = _lattice(n)
+        hit = _search(program, lattice)
+        if hit is not None:
+            assignment, value = hit
+            witness = Counterexample(
+                n,
+                {name: lattice.partition(x) for name, x in zip(names, assignment)},
+                lattice.partition(value),
+            )
             return ValidityReport("counterexample", n, witness)
     return ValidityReport("valid-up-to-bound", max_n)

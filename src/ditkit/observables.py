@@ -21,10 +21,10 @@ from . import linalg
 from .errors import (
     DegenerateDSD,
     DimensionMismatch,
-    DitkitError,
     DuplicateEigenvalue,
     GroundMismatch,
     NotCommuting,
+    json_input,
 )
 from .linalg import Matrix, Vector
 from .partitions import GroundSet, Partition, join
@@ -67,10 +67,8 @@ class Attribute:
 
     @classmethod
     def from_json(cls, data: dict) -> "Attribute":
-        try:
+        with json_input("attribute"):
             return cls.from_map(GroundSet(tuple(data["ground"])), data["values"])
-        except KeyError as exc:
-            raise DitkitError(f"attribute JSON lacks the {exc} field") from None
 
 
 @dataclass(frozen=True)
@@ -130,11 +128,8 @@ class DSD:
 
     @classmethod
     def from_json(cls, data: dict) -> "DSD":
-        try:
-            dim, groups = data["dim"], data["subspaces"]
-        except KeyError as exc:
-            raise DitkitError(f"DSD JSON lacks the {exc} field") from None
-        return cls.from_vectors(dim, groups)
+        with json_input("DSD"):
+            return cls.from_vectors(data["dim"], data["subspaces"])
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
-    DitkitError,
     EmptyBlock,
     GroundMismatch,
     NotExhaustive,
     OverlappingBlocks,
     UnknownLabel,
+    json_input,
 )
 
 DEFAULT_ENUM_BOUND = 10
@@ -298,34 +298,14 @@ def join(pi: Partition, sigma: Partition) -> Partition:
     """Least upper bound: blocks are the non-empty pairwise block
     intersections, so the joined dit-set is the union of the two."""
     _require_same_ground(pi, sigma)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(pi.ground.n):
-        groups.setdefault((pi.block_index(i), sigma.block_index(i)), []).append(i)
-    return Partition.from_index_blocks(pi.ground, groups.values())
+    return _from_rgs(pi.ground, _join_rgs(pi._block_of, sigma._block_of))
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
     """Greatest lower bound: connected components of the graph whose
     edges are the indits of either partition."""
     _require_same_ground(pi, sigma)
-    n = pi.ground.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (pi, sigma):
-        for blk in part.blocks:
-            root = find(blk[0])
-            for i in blk[1:]:
-                parent[find(i)] = root
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return Partition.from_index_blocks(pi.ground, groups.values())
+    return _from_rgs(pi.ground, _meet_rgs(pi._block_of, sigma._block_of))
 
 
 def implication(sigma: Partition, pi: Partition) -> Partition:
@@ -333,14 +313,90 @@ def implication(sigma: Partition, pi: Partition) -> Partition:
     some block of sigma is discretized into singletons; the rest stay
     whole.  Evaluates to the top exactly when sigma <= pi."""
     _require_same_ground(sigma, pi)
-    out: list[tuple[int, ...]] = []
-    for blk in pi.blocks:
-        home = sigma.block_index(blk[0])
-        if all(sigma.block_index(i) == home for i in blk):
-            out.extend((i,) for i in blk)
+    return _from_rgs(pi.ground, _implies_rgs(sigma._block_of, pi._block_of))
+
+
+# ---------------------------------------------------------------------------
+# Restricted growth strings
+# ---------------------------------------------------------------------------
+#
+# A canonical partition is also its restricted growth string (RGS): the
+# tuple whose i-th entry is the number of the block holding element i, with
+# blocks numbered by least element.  That tuple is `Partition._block_of`.
+# The kernels below take block-label sequences and return canonical RGS
+# tuples; they are the one implementation of the lattice operations, used
+# by `join`/`meet`/`implication` and by the tables of `logic.check_validity`.
+
+
+def _canon(labels: Iterable) -> tuple[int, ...]:
+    """Renumber block labels by first appearance, giving the RGS of the
+    partition whose blocks are the classes of equal labels."""
+    number: dict = {}
+    return tuple([number.setdefault(x, len(number)) for x in labels])
+
+
+def _join_rgs(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Blocks of the join are the classes of equal (a-label, b-label)."""
+    return _canon(zip(a, b))
+
+
+def _meet_rgs(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Blocks of the meet: a's blocks merged, by union-find over a's block
+    labels, whenever one block of b meets both."""
+    parent = list(range(max(a) + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first: dict[int, int] = {}
+    for x, y in zip(a, b):
+        if y in first:
+            parent[find(x)] = find(first[y])
         else:
-            out.append(blk)
-    return Partition.from_index_blocks(pi.ground, out)
+            first[y] = x
+    return _canon([find(x) for x in a])
+
+
+def _implies_rgs(s: Sequence[int], p: Sequence[int]) -> tuple[int, ...]:
+    """s => p: a block of p whose members all share one s-label becomes
+    singletons; the other blocks of p stay whole."""
+    home: dict[int, int] = {}  # p-label -> the s-label of its block, or -1
+    for x, y in zip(s, p):
+        if home.setdefault(y, x) != x:
+            home[y] = -1
+    n = len(p)
+    return _canon([y if home[y] < 0 else n + i for i, y in enumerate(p)])
+
+
+def _from_rgs(ground: GroundSet, rgs: Sequence[int]) -> Partition:
+    """The partition whose restricted growth string is `rgs`; its blocks
+    come out canonical without re-validation."""
+    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+    for i, b in enumerate(rgs):
+        blocks[b].append(i)
+    return Partition(ground, tuple(map(tuple, blocks)))
+
+
+def _iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
+    """Every restricted growth string of length n, in lexicographic order
+    (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H)."""
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        yield tuple(rgs)
+        i = n - 1
+        while i > 0 and rgs[i] > maxes[i - 1]:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for k in range(i + 1, n):
+            rgs[k] = 0
+            maxes[k] = maxes[i]
 
 
 def enumerate_partitions(
@@ -355,25 +411,8 @@ def enumerate_partitions(
 
 
 def _iter_partitions(ground: GroundSet) -> Iterator[Partition]:
-    n = ground.n
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(i)
-        yield Partition(ground, tuple(tuple(blk) for blk in blocks))
-        # advance to the next restricted growth string
-        i = n - 1
-        while i > 0 and rgs[i] > maxes[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for k in range(i + 1, n):
-            rgs[k] = 0
-            maxes[k] = maxes[i]
+    for rgs in _iter_rgs(ground.n):
+        yield _from_rgs(ground, rgs)
 
 
 def bell_number(n: int) -> int:
@@ -450,11 +489,8 @@ def partition_to_json(pi: Partition) -> dict:
 
 
 def partition_from_json(data: dict) -> Partition:
-    try:
-        ground, blocks = GroundSet(tuple(data["ground"])), data["blocks"]
-    except KeyError as exc:
-        raise DitkitError(f"partition JSON lacks the {exc} field") from None
-    return make_partition(ground, blocks)
+    with json_input("partition"):
+        return make_partition(GroundSet(tuple(data["ground"])), data["blocks"])
 
 
 def all_pairs(

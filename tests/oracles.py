@@ -4,17 +4,22 @@ Nothing here imports the enumeration or algebra code paths under test:
 the partition oracle builds partitions by recursive insertion (insert
 element n into every block of every partition of n-1 elements, or as a
 new block), where the library uses restricted growth strings.  The
-density and entropy oracles compute entry by entry in `Fraction` and
+lattice operations work on sets of blocks and pairs, where the library
+relabels restricted growth strings, and the validity search walks every
+assignment of block tuples, where the library looks results up in tables.
+The density and entropy oracles compute entry by entry in `Fraction` and
 `SqrtRational` arithmetic, where the library works on an integer grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from ditkit.density import SqrtRational
 from ditkit.linalg import Matrix, gram_schmidt, rank
+from ditkit.logic import Bottom, Join, Meet, Top, Var, variables
 from ditkit.observables import DSD
 
 
@@ -35,6 +40,95 @@ def insert_enumerate(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 def canonical(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+
+
+def rgs_order(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All partitions of {0..n-1}, sorted by restricted growth string: the
+    string whose i-th entry numbers the block of i, blocks numbered by
+    least element (the position of the block in canonical form)."""
+
+    def rgs(blocks):
+        home = {i: j for j, blk in enumerate(blocks) for i in blk}
+        return [home[i] for i in range(n)]
+
+    return sorted(insert_enumerate(n), key=rgs)
+
+
+# --- lattice operations on sets of blocks ---------------------------------
+
+Blocks = tuple[tuple[int, ...], ...]
+
+
+def set_join(a: Blocks, b: Blocks) -> Blocks:
+    """The non-empty pairwise intersections of blocks."""
+    meets = (set(x) & set(y) for x in a for y in b)
+    return canonical(m for m in meets if m)
+
+
+def set_meet(a: Blocks, b: Blocks) -> Blocks:
+    """Classes of the transitive closure of the union of the two indit
+    relations (pairs of elements sharing a block)."""
+    related = {(i, k) for blocks in (a, b) for blk in blocks for i in blk for k in blk}
+    elements = sorted({i for i, _ in related})
+    for via in elements:
+        related |= {(i, k) for i in elements for k in elements
+                    if (i, via) in related and (via, k) in related}
+    return canonical(
+        {frozenset(k for k in elements if (i, k) in related) for i in elements}
+    )
+
+
+def set_implication(sigma: Blocks, pi: Blocks) -> Blocks:
+    """sigma => pi: every block of pi inside some block of sigma is broken
+    into singletons; the other blocks of pi stay as they are."""
+    out = []
+    for blk in pi:
+        if any(set(blk) <= set(home) for home in sigma):
+            out.extend((i,) for i in blk)
+        else:
+            out.append(blk)
+    return canonical(out)
+
+
+def covers_by_filter(n: int) -> list[tuple[Blocks, Blocks]]:
+    """(lower, upper) pairs where upper has one block more than lower and
+    each of its blocks lies inside a block of lower, both in RGS order."""
+    nodes = rgs_order(n)
+    return [
+        (lower, upper)
+        for lower in nodes
+        for upper in nodes
+        if len(upper) == len(lower) + 1
+        and all(any(set(u) <= set(l) for l in lower) for u in upper)
+    ]
+
+
+def brute_validity(f, max_n: int):
+    """(status, bound, witness) of the bounded validity search by walking
+    every assignment of block tuples in RGS order, first variable
+    outermost; the witness is (n, {name: blocks}, value blocks) or None."""
+    names = variables(f)
+    for n in range(2, max_n + 1):
+        top = tuple((i,) for i in range(n))
+        bottom = (tuple(range(n)),)
+        ops = {Join: set_join, Meet: set_meet}
+
+        def value(node, env):
+            if isinstance(node, Var):
+                return env[node.name]
+            if isinstance(node, Top):
+                return top
+            if isinstance(node, Bottom):
+                return bottom
+            left, right = value(node.left, env), value(node.right, env)
+            return ops.get(type(node), set_implication)(left, right)
+
+        for combo in itertools.product(rgs_order(n), repeat=len(names)):
+            env = dict(zip(names, combo))
+            got = value(f, env)
+            if got != top:
+                return "counterexample", n, (n, env, got)
+    return "valid-up-to-bound", max_n, None
 
 
 def random_probs(n: int, rng: random.Random) -> list[Fraction]:

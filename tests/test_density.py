@@ -186,6 +186,9 @@ def test_density_from_json_missing_field():
         DensityMatrix.from_json({"ground": ["a"]})
     with pytest.raises(DitkitError, match="radicand"):
         DensityMatrix.from_json({"ground": ["a"], "entries": [[{}]]})
+    for wrong in ([], {"ground": "ab", "entries": 5}, {"ground": "a", "entries": [[5]]}):
+        with pytest.raises(DitkitError, match="wrong shape"):
+            DensityMatrix.from_json(wrong)
 
 
 # --- eigenstructure -------------------------------------------------------

@@ -21,6 +21,8 @@ from ditkit import (
     superposition_partition,
 )
 
+from oracles import covers_by_filter
+
 U3 = GroundSet(("a", "b", "c"))
 U4 = GroundSet(("a", "b", "c", "d"))
 
@@ -58,6 +60,12 @@ def test_covering_matches_no_intermediate_definition():
             if not between:
                 covers.add((sigma, pi))
         assert covers == set(covering_pairs(ground))
+
+
+def test_covering_pairs_match_filter_oracle_in_order():
+    for n in range(1, 7):
+        got = covering_pairs(GroundSet(tuple("abcdef"[:n])))
+        assert [(s.blocks, p.blocks) for s, p in got] == covers_by_filter(n)
 
 
 def test_hasse_json_shape():

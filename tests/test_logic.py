@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from ditkit import logic
 from ditkit import (
     Bottom,
     BudgetExceeded,
@@ -31,6 +33,8 @@ from ditkit import (
     refines,
     variables,
 )
+
+from oracles import brute_validity
 
 U2 = GroundSet(("a", "b"))
 U3 = GroundSet(("a", "b", "c"))
@@ -261,3 +265,73 @@ def test_variable_free_formulas():
     report = check_validity(parse("1 => 0"), 3)
     assert report.witness.n == 2
     assert report.witness.assignment == {}
+
+
+# --- table-driven search against the brute-force oracle ---
+
+
+def _as_blocks(report):
+    w = report.witness
+    if w is None:
+        return report.status, report.bound, None
+    assignment = {name: pi.blocks for name, pi in w.assignment.items()}
+    return report.status, report.bound, (w.n, assignment, w.value.blocks)
+
+
+DIFFERENTIAL_FORMULAS = (
+    "1", "0", "0 => 1", "1 => 0", "0 \\/ 1", "p", "p => p",
+    "(p => 0) \\/ ((p => 0) => 0)", "p \\/ (p => 0)", "p /\\ 1 => p /\\ p",
+    "p => (p \\/ q)", "(p => q) \\/ (q => p)", "q => (p => q)",
+    "(p /\\ (p => q)) => q", "((p => q) => p) => p", "(p /\\ q) => (q /\\ 0)",
+    "((p => q) /\\ (q => r)) => (p => r)", "p => (p \\/ (q /\\ r))",
+    "(p => (q \\/ r)) => ((p => q) \\/ (p => r))",
+    "(p /\\ (q \\/ r)) => ((p /\\ q) \\/ (p /\\ r))",
+    "(p \\/ q => r) => r \\/ (q /\\ p) \\/ 1",
+)
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_FORMULAS)
+def test_check_validity_matches_brute_force(text):
+    f = parse(text)
+    for max_n in (2, 3, 4):
+        assert _as_blocks(check_validity(f, max_n)) == brute_validity(f, max_n)
+
+
+def test_check_validity_matches_brute_force_on_random_formulas():
+    rng = random.Random(41)
+    for _ in range(40):
+        f = _random_formula(rng, 3)
+        assert _as_blocks(check_validity(f, 3)) == brute_validity(f, 3)
+
+
+def test_budget_refuses_before_building_tables():
+    logic._RANKED.clear()
+    with pytest.raises(BudgetExceeded) as exc:
+        check_validity(parse("p => (p \\/ s)"), 6, budget=20)
+    assert exc.value.bound_reached == 2
+    assert sorted(logic._RANKED) == [2]
+
+
+def test_large_n_search_keeps_no_table():
+    # n = 8 takes the untabulated path: B_8 = 4140, so one table of that
+    # size would be 4140**2 int16 entries, about 34 MB
+    logic._RANKED.clear()
+    tracemalloc.start()
+    try:
+        report = check_validity(parse("p => p"), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_valid_up_to_bound and report.bound == 8
+    assert sorted(logic._RANKED) == list(range(2, logic.TABLE_MAX_N + 1))
+    assert peak < 8 * 2**20
+
+
+def test_untabulated_search_matches_brute_force(monkeypatch):
+    # the path taken for n > TABLE_MAX_N, run at small n
+    monkeypatch.setattr(logic, "TABLE_MAX_N", 1)
+    logic._RANKED.clear()
+    for text in DIFFERENTIAL_FORMULAS:
+        f = parse(text)
+        assert _as_blocks(check_validity(f, 3)) == brute_validity(f, 3)
+    assert not logic._RANKED

@@ -68,6 +68,9 @@ def test_attribute_json_round_trip():
     assert Attribute.from_json(f.to_json()) == f
     with pytest.raises(DitkitError, match="values"):
         Attribute.from_json({"ground": ["a"]})
+    for wrong in ([], {"ground": ["a"], "values": 5}):
+        with pytest.raises(DitkitError, match="wrong shape"):
+            Attribute.from_json(wrong)
 
 
 def test_inverse_image_partition():
@@ -128,6 +131,9 @@ def test_dsd_json_round_trip():
     assert DSD.from_json(d.to_json()) == d
     with pytest.raises(DitkitError, match="subspaces"):
         DSD.from_json({"dim": 1})
+    for wrong in ([], {"dim": 1, "subspaces": 5}, {"dim": 1, "subspaces": [5]}):
+        with pytest.raises(DitkitError, match="wrong shape"):
+            DSD.from_json(wrong)
 
 
 # --- operators ---

@@ -38,7 +38,13 @@ from ditkit.partitions import (
     refines,
 )
 
-from oracles import canonical, insert_enumerate
+from oracles import (
+    canonical,
+    insert_enumerate,
+    set_implication,
+    set_join,
+    set_meet,
+)
 
 ABC = GroundSet(("a", "b", "c"))
 ABCD = GroundSet(("a", "b", "c", "d"))
@@ -225,6 +231,18 @@ def test_lattice_laws(n):
         assert refines(down, pi) and refines(down, sigma)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operations_match_block_set_oracle(n):
+    for pi, sigma in all_pairs(ground(n)):
+        a, b = pi.blocks, sigma.blocks
+        assert join(pi, sigma).blocks == set_join(a, b)
+        assert meet(pi, sigma).blocks == set_meet(a, b)
+        got = implication(pi, sigma)
+        assert got.blocks == set_implication(a, b)
+        # the result is a valid, canonical partition
+        assert got == Partition.from_index_blocks(got.ground, got.blocks)
+
+
 def test_lattice_associativity_small():
     g = ground(3)
     ps = parts(3)
@@ -360,6 +378,9 @@ def test_json_round_trip():
     assert partition_from_json(blob) == pi
     with pytest.raises(DitkitError, match="blocks"):
         partition_from_json({"ground": ["a"]})
+    for wrong in ([], {"ground": ["a"], "blocks": 5}, {"ground": 5, "blocks": []}):
+        with pytest.raises(DitkitError, match="wrong shape"):
+            partition_from_json(wrong)
 
 
 def test_probs_validation():
