@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import entropy as _entropy
-from .errors import GroundMismatch, ZeroProbabilityOutcome, json_input
+from .errors import ZeroProbabilityOutcome, json_input
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _require_same_ground,
     join,
 )
 
@@ -241,8 +242,7 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
     radicand is w_i * w_k / D^2."""
-    if pi.ground != probs.ground:
-        raise GroundMismatch("partition and probabilities disagree on ground")
+    _require_same_ground(pi, probs)
     n = pi.ground.n
     w = probs.weights
     num = [0] * (n * n)
@@ -293,8 +293,7 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
     """Post-measurement state: sandwiching by the block projections of
     sigma keeps an entry exactly when its pair lies inside one sigma
     block and zeroes the rest."""
-    if mat.ground != sigma.ground:
-        raise GroundMismatch("state and measurement disagree on ground")
+    _require_same_ground(mat, sigma)
     n = mat.ground.n
     kept = mat._num
     num = [0] * (n * n)
@@ -311,8 +310,7 @@ def luders_rule(
 ) -> tuple[DensityMatrix, Fraction]:
     """Condition on one outcome: sandwich by its projection, normalize by
     the trace, and return (post state, outcome probability)."""
-    if mat.ground != outcome.ground:
-        raise GroundMismatch("state and outcome disagree on ground")
+    _require_same_ground(mat, outcome)
     n = mat.ground.n
     members = outcome.members
     # the outcome probability is mass / den; dividing a radicand x / den
@@ -336,8 +334,7 @@ def luders_outcomes(
 ) -> list[tuple[tuple[int, ...], Fraction, DensityMatrix]]:
     """The full outcome table of measuring by sigma: one
     (block, probability, conditioned state) row per block."""
-    if mat.ground != sigma.ground:
-        raise GroundMismatch("state and measurement disagree on ground")
+    _require_same_ground(mat, sigma)
     rows = []
     for blk in sigma.blocks:
         mask = ProjectionMask(mat.ground, frozenset(blk))
@@ -357,8 +354,7 @@ def state_reduction_audit(
 ) -> list[tuple[int, int]]:
     """The off-diagonal non-zero entries whose pair is split by sigma:
     exactly the coherences that measuring by sigma decoheres."""
-    if mat.ground != sigma.ground:
-        raise GroundMismatch("state and measurement disagree on ground")
+    _require_same_ground(mat, sigma)
     n = mat.ground.n
     return [
         (i, k)

@@ -34,7 +34,7 @@ def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
     exactly one block, ordered by the lower partition's rank in
     enumeration order, then by the upper's."""
     nodes = lattice_nodes(ground)
-    rank = {pi._block_of: r for r, pi in enumerate(nodes)}
+    rank = {pi.rgs: r for r, pi in enumerate(nodes)}
     pairs = []
     for sigma in nodes:
         uppers = []
@@ -43,7 +43,7 @@ def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
             # rest moves to a new block: 2**(len(blk) - 1) - 1 splits
             rest = blk[1:]
             for mask in range(1, 1 << len(rest)):
-                labels = list(sigma._block_of)
+                labels = list(sigma.rgs)
                 for bit, i in enumerate(rest):
                     if mask >> bit & 1:
                         labels[i] = -1
@@ -98,10 +98,10 @@ def superposition_partition(s: SubsetVector) -> Partition:
     else a singleton."""
     if not s.members:
         raise EmptyState("empty subset has no superposition partition")
-    blocks = [tuple(sorted(s.members))] + [
+    blocks = [s.members] + [
         (i,) for i in range(s.ground.n) if i not in s.members
     ]
-    return Partition.from_index_blocks(s.ground, blocks)
+    return Partition(s.ground, blocks)
 
 
 def double_slit_dot() -> str:

@@ -320,7 +320,7 @@ class _Ranked:
         self.parts = list(enumerate_partitions(_ground_for(n), max_n=n))
         self.size = len(self.parts)
         self.bottom, self.top = 0, self.size - 1
-        self._rgs = [pi._block_of for pi in self.parts]
+        self._rgs = [pi.rgs for pi in self.parts]
         self._rank = {code: r for r, code in enumerate(self._rgs)}
         self._tables: dict = {}
 

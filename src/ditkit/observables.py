@@ -22,12 +22,11 @@ from .errors import (
     DegenerateDSD,
     DimensionMismatch,
     DuplicateEigenvalue,
-    GroundMismatch,
     NotCommuting,
     json_input,
 )
 from .linalg import Matrix, Vector
-from .partitions import GroundSet, Partition, join
+from .partitions import GroundSet, Partition, _require_same_ground, join
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def inverse_image_partition(f: Attribute) -> Partition:
     blocks: dict[Fraction, list[int]] = {}
     for i, v in enumerate(f.values):
         blocks.setdefault(v, []).append(i)
-    return Partition.from_index_blocks(f.ground, blocks.values())
+    return Partition(f.ground, blocks.values())
 
 
 def set_spectral_check(f: Attribute) -> bool:
@@ -301,8 +300,7 @@ def csca_complete(attrs) -> bool:
         raise ValueError("need at least one attribute")
     ground = attrs[0].ground
     for f in attrs[1:]:
-        if f.ground != ground:
-            raise GroundMismatch("attributes live on different ground sets")
+        _require_same_ground(f, attrs[0])
     joined = reduce(join, (inverse_image_partition(f) for f in attrs))
     tuples = [tuple(f.values[i] for f in attrs) for i in range(ground.n)]
     separates = len(set(tuples)) == ground.n

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
+    DitkitError,
     EmptyBlock,
     GroundMismatch,
     NotExhaustive,
@@ -35,13 +36,24 @@ DEFAULT_ENUM_BOUND = 10
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Ordered set of distinct element labels."""
+    """Ordered set of distinct element labels.  A label is a non-empty
+    string without "|", "," or surrounding whitespace, so that partitions
+    written in `notation` parse back."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.labels) == 0:
             raise EmptyBlock("ground set must have at least one element")
+        for lab in self.labels:
+            if not (
+                isinstance(lab, str) and lab and lab == lab.strip()
+                and "|" not in lab and "," not in lab
+            ):
+                raise DitkitError(
+                    f"label {lab!r} must be a non-empty string without '|',"
+                    " ',' or surrounding whitespace"
+                )
         if len(set(self.labels)) != len(self.labels):
             raise OverlappingBlocks("ground-set labels must be distinct")
         object.__setattr__(
@@ -72,65 +84,60 @@ class GroundSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """A partition of a ground set, held in canonical block form.
+    """A partition of a ground set, identified by its restricted growth
+    string: ``rgs[i]`` numbers the block holding element i, blocks numbered
+    by least element.  ``blocks`` is derived from it in canonical form.
 
-    Use `make_partition` / `parse_partition` / `from_index_blocks` to
-    construct; they validate and canonicalize.
-    """
+    ``Partition(ground, blocks)`` checks that the index blocks are
+    non-empty, disjoint and exhaustive, in any order; `make_partition` and
+    `parse_partition` build from labels."""
 
     ground: GroundSet
-    blocks: tuple[tuple[int, ...], ...]
-    _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rgs: tuple[int, ...] = field(repr=False)
+    blocks: tuple[tuple[int, ...], ...] = field(compare=False)
 
-    def __post_init__(self):
-        lookup = [-1] * self.ground.n
-        for j, blk in enumerate(self.blocks):
+    def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[int]]):
+        try:
+            blocks = [tuple(blk) for blk in blocks]
+        except TypeError:
+            raise DitkitError("blocks must be iterables of indices") from None
+        n = ground.n
+        label = [-1] * n
+        for j, blk in enumerate(blocks):
+            if not blk:
+                raise EmptyBlock("empty block in partition")
             for i in blk:
-                lookup[i] = j
-        object.__setattr__(self, "_block_of", tuple(lookup))
+                if not (isinstance(i, int) and 0 <= i < n):
+                    raise UnknownLabel(f"index {i!r} is not in range({n})")
+                if label[i] >= 0:
+                    raise OverlappingBlocks(f"blocks overlap on index {i}")
+                label[i] = j
+        if -1 in label:
+            missing = [i for i, b in enumerate(label) if b < 0]
+            raise NotExhaustive(f"blocks do not cover indices {missing}")
+        # renumbering the labels gives the canonical RGS; the trusted path
+        # builds the canonical blocks from it
+        self.__dict__.update(_from_rgs(ground, _canon(label)).__dict__)
 
     @classmethod
-    def from_index_blocks(
-        cls, ground: GroundSet, blocks: Iterable[Iterable[int]]
-    ) -> "Partition":
-        """Validate index blocks (non-empty, disjoint, exhaustive) and
-        put them in canonical form."""
-        canon = []
-        seen: set[int] = set()
-        for blk in blocks:
-            indices = sorted(set(blk))
-            if len(indices) != len(tuple(blk)):
-                raise OverlappingBlocks("repeated element inside a block")
-            if not indices:
-                raise EmptyBlock("empty block in partition")
-            if seen.intersection(indices):
-                raise OverlappingBlocks(
-                    f"blocks overlap on index {min(seen.intersection(indices))}"
-                )
-            seen.update(indices)
-            canon.append(tuple(indices))
-        if len(seen) != ground.n:
-            missing = sorted(set(range(ground.n)) - seen)
-            raise NotExhaustive(
-                f"blocks do not cover indices {missing}"
-            )
-        canon.sort(key=lambda blk: blk[0])
-        return cls(ground, tuple(canon))
+    def from_index_blocks(cls, ground: GroundSet, blocks) -> "Partition":
+        """The same as ``Partition(ground, blocks)``."""
+        return cls(ground, blocks)
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
     def block_index(self, i: int) -> int:
-        return self._block_of[i]
+        return self.rgs[i]
 
     def block_containing(self, i: int) -> tuple[int, ...]:
-        return self.blocks[self._block_of[i]]
+        return self.blocks[self.rgs[i]]
 
     def same_block(self, i: int, k: int) -> bool:
-        return self._block_of[i] == self._block_of[k]
+        return self.rgs[i] == self.rgs[k]
 
     def is_discrete(self) -> bool:
         return self.num_blocks == self.ground.n
@@ -241,25 +248,17 @@ def make_partition(
     ground: GroundSet, blocks: Iterable[Iterable[str]]
 ) -> Partition:
     """Build a partition from blocks of labels."""
-    index_blocks = []
-    for blk in blocks:
-        labels = list(blk)
-        if not labels:
-            raise EmptyBlock("empty block in partition")
-        if len(set(labels)) != len(labels):
-            raise OverlappingBlocks("repeated label inside a block")
-        index_blocks.append([ground.index(lab) for lab in labels])
-    return Partition.from_index_blocks(ground, index_blocks)
+    return Partition(ground, [[ground.index(lab) for lab in blk] for blk in blocks])
 
 
 def discrete_partition(ground: GroundSet) -> Partition:
     """The all-singletons top: every possible distinction is made."""
-    return Partition(ground, tuple((i,) for i in range(ground.n)))
+    return _from_rgs(ground, tuple(range(ground.n)))
 
 
 def indiscrete_partition(ground: GroundSet) -> Partition:
     """The one-block bottom: no distinctions at all."""
-    return Partition(ground, (tuple(range(ground.n)),))
+    return _from_rgs(ground, (0,) * ground.n)
 
 
 def inditset(pi: Partition) -> PairRelation:
@@ -285,27 +284,24 @@ def ditset(pi: Partition) -> PairRelation:
 
 def refines(sigma: Partition, pi: Partition) -> bool:
     """Distinction order: True when every dit of sigma is a dit of pi,
-    equivalently when every block of pi sits inside a block of sigma."""
+    equivalently when every block of pi sits inside a block of sigma, that
+    is when the join of the two is pi."""
     _require_same_ground(sigma, pi)
-    for blk in pi.blocks:
-        home = sigma.block_index(blk[0])
-        if any(sigma.block_index(i) != home for i in blk[1:]):
-            return False
-    return True
+    return _join_rgs(sigma.rgs, pi.rgs) == pi.rgs
 
 
 def join(pi: Partition, sigma: Partition) -> Partition:
     """Least upper bound: blocks are the non-empty pairwise block
     intersections, so the joined dit-set is the union of the two."""
     _require_same_ground(pi, sigma)
-    return _from_rgs(pi.ground, _join_rgs(pi._block_of, sigma._block_of))
+    return _from_rgs(pi.ground, _join_rgs(pi.rgs, sigma.rgs))
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
     """Greatest lower bound: connected components of the graph whose
     edges are the indits of either partition."""
     _require_same_ground(pi, sigma)
-    return _from_rgs(pi.ground, _meet_rgs(pi._block_of, sigma._block_of))
+    return _from_rgs(pi.ground, _meet_rgs(pi.rgs, sigma.rgs))
 
 
 def implication(sigma: Partition, pi: Partition) -> Partition:
@@ -313,19 +309,18 @@ def implication(sigma: Partition, pi: Partition) -> Partition:
     some block of sigma is discretized into singletons; the rest stay
     whole.  Evaluates to the top exactly when sigma <= pi."""
     _require_same_ground(sigma, pi)
-    return _from_rgs(pi.ground, _implies_rgs(sigma._block_of, pi._block_of))
+    return _from_rgs(pi.ground, _implies_rgs(sigma.rgs, pi.rgs))
 
 
 # ---------------------------------------------------------------------------
 # Restricted growth strings
 # ---------------------------------------------------------------------------
 #
-# A canonical partition is also its restricted growth string (RGS): the
-# tuple whose i-th entry is the number of the block holding element i, with
-# blocks numbered by least element.  That tuple is `Partition._block_of`.
-# The kernels below take block-label sequences and return canonical RGS
+# A partition is its restricted growth string, `Partition.rgs`.  The
+# kernels below take block-label sequences and return canonical RGS
 # tuples; they are the one implementation of the lattice operations, used
-# by `join`/`meet`/`implication` and by the tables of `logic.check_validity`.
+# by `join`/`meet`/`implication`/`refines` and by the tables of
+# `logic.check_validity`.
 
 
 def _canon(labels: Iterable) -> tuple[int, ...]:
@@ -371,13 +366,16 @@ def _implies_rgs(s: Sequence[int], p: Sequence[int]) -> tuple[int, ...]:
     return _canon([y if home[y] < 0 else n + i for i, y in enumerate(p)])
 
 
-def _from_rgs(ground: GroundSet, rgs: Sequence[int]) -> Partition:
-    """The partition whose restricted growth string is `rgs`; its blocks
-    come out canonical without re-validation."""
+def _from_rgs(ground: GroundSet, rgs: tuple[int, ...]) -> Partition:
+    """The trusted constructor: the partition whose RGS is `rgs`, which
+    must already be canonical and is not checked.  Its blocks are built
+    once, here."""
     blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
     for i, b in enumerate(rgs):
         blocks[b].append(i)
-    return Partition(ground, tuple(map(tuple, blocks)))
+    pi = object.__new__(Partition)
+    pi.__dict__.update(ground=ground, rgs=rgs, blocks=tuple(map(tuple, blocks)))
+    return pi
 
 
 def _iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
@@ -407,12 +405,7 @@ def enumerate_partitions(
     n = ground.n
     if n > max_n:
         raise BoundExceeded(f"enumeration limited to n <= {max_n}, got n = {n}")
-    return _iter_partitions(ground)
-
-
-def _iter_partitions(ground: GroundSet) -> Iterator[Partition]:
-    for rgs in _iter_rgs(ground.n):
-        yield _from_rgs(ground, rgs)
+    return (_from_rgs(ground, rgs) for rgs in _iter_rgs(n))
 
 
 def bell_number(n: int) -> int:

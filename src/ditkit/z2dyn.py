@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, EmptyState, GroundMismatch
+from .errors import DimensionMismatch, EmptyState
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _require_same_ground,
     choice_reduce,
     discrete_partition,
 )
@@ -58,8 +59,7 @@ class SubsetVector:
         )
 
     def __add__(self, other: "SubsetVector") -> "SubsetVector":
-        if self.ground != other.ground:
-            raise GroundMismatch("subset vectors on different ground sets")
+        _require_same_ground(self, other)
         return SubsetVector(self.ground, self.members ^ other.members)
 
     def __len__(self) -> int:
@@ -186,8 +186,7 @@ class StateMixture:
         if sum((q for _, q in self.terms), Fraction(0)) != 1:
             raise ValueError("mixture probabilities must sum to 1")
         for v, _ in self.terms:
-            if v.ground != self.ground:
-                raise GroundMismatch("component on a different ground set")
+            _require_same_ground(v, self)
 
     @classmethod
     def point(cls, s: SubsetVector) -> "StateMixture":
@@ -232,8 +231,8 @@ def reduce(s: SubsetVector, p: Optional[ProbGroundSet] = None) -> StateMixture:
     given)."""
     if not s.members:
         raise EmptyState("cannot reduce the empty state")
-    if p is not None and p.ground != s.ground:
-        raise GroundMismatch("probabilities on a different ground set")
+    if p is not None:
+        _require_same_ground(p, s)
     total = _weight(s.members, p)
     terms = [
         (SubsetVector(s.ground, frozenset({i})), _weight([i], p) / total)
@@ -269,10 +268,10 @@ def run_pipeline(
     Measuring splits each component across the blocks it straddles with
     conditional probabilities; detection reduces to singletons."""
     ground = initial.ground
-    if p is not None and p.ground != ground:
-        raise GroundMismatch("probabilities on a different ground set")
+    if p is not None:
+        _require_same_ground(p, initial)
     mixture = StateMixture.point(initial)
-    for step in steps:
+    for k, step in enumerate(steps):
         terms: list[tuple[SubsetVector, Fraction]] = []
         if isinstance(step, Evolve):
             for vec, q in mixture.terms:
@@ -283,9 +282,10 @@ def run_pipeline(
                 if isinstance(step, Detect)
                 else step.by
             )
-            if sigma.ground != ground:
-                raise GroundMismatch("measurement on a different ground set")
+            _require_same_ground(sigma, initial)
             for vec, q in mixture.terms:
+                if not vec.members:
+                    raise EmptyState(f"step {k} measures the empty state")
                 total = _weight(vec.members, p)
                 for blk in sigma.blocks:
                     piece = vec.members & frozenset(blk)
@@ -319,7 +319,7 @@ def sample_pipeline(
     counts: dict[SubsetVector, int] = {}
     for _ in range(trials):
         vec = initial
-        for step in steps:
+        for k, step in enumerate(steps):
             if isinstance(step, Evolve):
                 vec = evolve(vec, step.map)
                 continue
@@ -328,6 +328,8 @@ def sample_pipeline(
                 if isinstance(step, Detect)
                 else step.by
             )
+            if not vec.members:
+                raise EmptyState(f"step {k} measures the empty state")
             hit = choice_reduce(sorted(vec.members), probs, rng)
             vec = SubsetVector(
                 ground, vec.members & frozenset(sigma.block_containing(hit))

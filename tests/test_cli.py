@@ -61,6 +61,12 @@ def test_partition_bad_input_exits_2(capsys):
     assert "error:" in err
 
 
+def test_partition_empty_label_exits_2(capsys):
+    code, out, err = run(capsys, "partition", "--ground", "a,,b", "a|b|")
+    assert (code, out) == (2, "")
+    assert "label ''" in err
+
+
 # --- entropy ---
 
 

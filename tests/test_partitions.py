@@ -59,19 +59,36 @@ def parts(n: int) -> list[Partition]:
 
 
 @st.composite
-def rgs_partitions(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def rgs_partitions(draw, max_n=6, grounds=None):
+    if grounds is None:
+        g = ground(draw(st.integers(min_value=1, max_value=max_n)))
+    else:
+        g = draw(grounds)
     rgs = [0]
     top = 0
-    for _ in range(n - 1):
+    for _ in range(g.n - 1):
         nxt = draw(st.integers(min_value=0, max_value=top + 1))
         rgs.append(nxt)
         top = max(top, nxt)
-    g = ground(n)
     blocks: list[list[int]] = [[] for _ in range(top + 1)]
     for i, b in enumerate(rgs):
         blocks[b].append(i)
-    return Partition.from_index_blocks(g, blocks)
+    return Partition(g, blocks)
+
+
+def assert_canonical(pi: Partition) -> None:
+    """`pi.rgs` is a restricted growth string, element i lies in block
+    `rgs[i]` of the canonical `pi.blocks`, and the checking constructor
+    gives `pi` back."""
+    rgs = pi.rgs
+    assert len(rgs) == pi.ground.n
+    assert all(0 <= b <= max(rgs[:i], default=-1) + 1 for i, b in enumerate(rgs))
+    assert pi.blocks == canonical(pi.blocks)
+    assert {(i, j) for j, blk in enumerate(pi.blocks) for i in blk} == set(
+        enumerate(rgs)
+    )
+    again = Partition(pi.ground, pi.blocks)
+    assert again == pi and again.blocks == pi.blocks
 
 
 # --- construction ---------------------------------------------------------
@@ -102,6 +119,32 @@ def test_make_partition_validation_errors():
         make_partition(ABC, [["a", "a", "b"], ["c"]])
 
 
+def test_constructor_checks_and_canonicalizes():
+    g = ground(2)
+    swapped = Partition(g, ((1,), (0,)))
+    assert swapped == discrete_partition(g) and swapped.rgs == (0, 1)
+    assert Partition.from_index_blocks(g, [[1, 0]]) == indiscrete_partition(g)
+    with pytest.raises(NotExhaustive):
+        Partition(g, ((0,),))
+    for bad in ([[0], [-1]], [[0], [5]], [[0], [1.0]], [[0], ["b"]], [[0], None], 5):
+        with pytest.raises(DitkitError):
+            Partition(g, bad)
+    with pytest.raises(EmptyBlock):
+        Partition(g, [[0, 1], []])
+    with pytest.raises(OverlappingBlocks):
+        Partition(g, [[0, 1], [1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rgs_partitions(), st.randoms(use_true_random=False))
+def test_block_order_does_not_matter(pi, rng):
+    shuffled = [rng.sample(blk, len(blk)) for blk in pi.blocks]
+    rng.shuffle(shuffled)
+    again = Partition(pi.ground, shuffled)
+    assert again == pi and hash(again) == hash(pi)
+    assert again.blocks == canonical(shuffled)
+
+
 def test_ground_set_validation():
     with pytest.raises(OverlappingBlocks):
         GroundSet(("a", "a"))
@@ -109,6 +152,9 @@ def test_ground_set_validation():
         GroundSet(())
     with pytest.raises(UnknownLabel):
         ABC.index("q")
+    for bad in ("", "a|b", "a,b", " a", "a\n", 1):
+        with pytest.raises(DitkitError):
+            GroundSet(("c", bad))
 
 
 # --- ditsets / inditsets --------------------------------------------------
@@ -233,14 +279,16 @@ def test_lattice_laws(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_operations_match_block_set_oracle(n):
-    for pi, sigma in all_pairs(ground(n)):
+    g = ground(n)
+    for pi in (discrete_partition(g), indiscrete_partition(g), *parts(n)):
+        assert_canonical(pi)
+    for pi, sigma in all_pairs(g):
         a, b = pi.blocks, sigma.blocks
-        assert join(pi, sigma).blocks == set_join(a, b)
-        assert meet(pi, sigma).blocks == set_meet(a, b)
-        got = implication(pi, sigma)
-        assert got.blocks == set_implication(a, b)
-        # the result is a valid, canonical partition
-        assert got == Partition.from_index_blocks(got.ground, got.blocks)
+        results = join(pi, sigma), meet(pi, sigma), implication(pi, sigma)
+        expected = set_join(a, b), set_meet(a, b), set_implication(a, b)
+        for got, want in zip(results, expected):
+            assert got.blocks == want
+            assert_canonical(got)
 
 
 def test_lattice_associativity_small():
@@ -362,6 +410,28 @@ def test_notation_round_trip_all_small():
         g = ground(n)
         for pi in enumerate_partitions(g):
             assert parse_partition(g, notation(pi)) == pi
+
+
+def _valid_label(lab: str) -> bool:
+    return lab == lab.strip() and "|" not in lab and "," not in lab
+
+
+# ground sets of random valid labels: all of one character (compact
+# notation) or up to four (comma notation)
+label_grounds = st.sampled_from([1, 4]).flatmap(
+    lambda size: st.lists(
+        st.text(min_size=1, max_size=size).filter(_valid_label),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    )
+).map(lambda labels: GroundSet(tuple(labels)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rgs_partitions(grounds=label_grounds))
+def test_notation_round_trip_random_labels(pi):
+    assert parse_partition(pi.ground, notation(pi)) == pi
 
 
 def test_notation_multichar_labels_use_commas():

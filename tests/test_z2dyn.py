@@ -227,6 +227,20 @@ def test_mismatched_measurement_ground():
         run_pipeline(vec("a"), [Measure(other)])
 
 
+@pytest.mark.parametrize(
+    "pipeline",
+    [run_pipeline, lambda s, steps: sample_pipeline(s, steps, 5, 0)],
+    ids=["run_pipeline", "sample_pipeline"],
+)
+def test_measuring_after_singular_map_raises_empty_state(pipeline):
+    ab = GroundSet(("a", "b"))
+    singular = Evolve(GF2Map((0b11, 0b11)))  # {a,b} evolves to the empty set
+    start = SubsetVector.from_labels(ab, "ab")
+    for last in (Detect(), Measure(make_partition(ab, [["a"], ["b"]]))):
+        with pytest.raises(EmptyState, match="step 1 "):
+            pipeline(start, [singular, last])
+
+
 # --- the three-point interferometer ---
 
 
