@@ -62,10 +62,6 @@ def scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the pivot column list."""
     rows = [list(row) for row in a]

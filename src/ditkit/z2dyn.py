@@ -8,18 +8,20 @@ j-th singleton), so evolution is an XOR fold and rank is bit fiddling.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, EmptyState
+from .errors import DimensionMismatch, DitkitError, EmptyState
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
     _require_same_ground,
-    choice_reduce,
     discrete_partition,
 )
 
@@ -310,32 +312,79 @@ def sample_pipeline(
     p: Optional[ProbGroundSet] = None,
 ) -> dict[SubsetVector, int]:
     """Monte Carlo counterpart of run_pipeline: one sampled trajectory per
-    trial, outcomes drawn per block via the seeded choice function."""
+    trial.  A Measure or Detect draws member i of the current subset with
+    chance p_i / Pr(subset), as `choice_reduce` does, and keeps the members
+    in i's block; a singleton draws nothing.
+
+    The steps are checked and compiled once per call: a Measure or Detect
+    becomes the mask of the block holding each element.  Each step
+    memoises, per subset mask reached, its image or its draw table: members
+    in ascending order with integer counts W_i // gcd(D, W_members), which
+    is choice_reduce's p_i times the lcm of the denominators.  So each
+    `randrange` gets the same argument, and a seed gives the same counts in
+    the same first-occurrence order."""
+    if not isinstance(trials, int) or trials < 0:
+        raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
+    ground = initial.ground
+    n = ground.n
+    if p is None:
+        p = ProbGroundSet.uniform(ground)
+    else:
+        _require_same_ground(p, initial)
+    # per step: its map, or the mask of the block holding each element
+    plan: list[Union[GF2Map, tuple[int, ...]]] = []
+    for step in steps:
+        if isinstance(step, Evolve):
+            if step.map.n != n:
+                raise DimensionMismatch("map dimension does not match ground set")
+            plan.append(step.map)
+        elif isinstance(step, Detect):
+            plan.append(tuple(1 << i for i in range(n)))
+        elif isinstance(step, Measure):
+            _require_same_ground(step.by, initial)
+            block_masks = [0] * n
+            for i, b in enumerate(step.by.rgs):
+                block_masks[b] |= 1 << i
+            plan.append(tuple(block_masks[b] for b in step.by.rgs))
+        else:
+            raise TypeError(f"unknown pipeline step {step!r}")
+
+    weights, den = p.weights, p.denominator
+
+    def entry(k: int, mask: int):
+        step = plan[k]
+        if isinstance(step, GF2Map):
+            return step.apply_bits(mask)
+        members = [i for i in range(n) if mask >> i & 1]
+        if not members:
+            raise EmptyState(f"step {k} measures the empty state")
+        if len(members) == 1:
+            return mask
+        scale = math.gcd(den, *(weights[i] for i in members))
+        cumulative = list(
+            itertools.accumulate(weights[i] // scale for i in members)
+        )
+        return cumulative[-1], cumulative, [mask & step[i] for i in members]
+
+    memos: list[dict] = [{} for _ in plan]
+    start = initial.bits()
     if isinstance(rng, int):
         rng = random.Random(rng)
-    ground = initial.ground
-    probs = p if p is not None else ProbGroundSet.uniform(ground)
-    steps = list(steps)
-    counts: dict[SubsetVector, int] = {}
+    randrange = rng.randrange
+    tally: dict[int, int] = {}
     for _ in range(trials):
-        vec = initial
-        for k, step in enumerate(steps):
-            if isinstance(step, Evolve):
-                vec = evolve(vec, step.map)
-                continue
-            sigma = (
-                discrete_partition(ground)
-                if isinstance(step, Detect)
-                else step.by
-            )
-            if not vec.members:
-                raise EmptyState(f"step {k} measures the empty state")
-            hit = choice_reduce(sorted(vec.members), probs, rng)
-            vec = SubsetVector(
-                ground, vec.members & frozenset(sigma.block_containing(hit))
-            )
-        counts[vec] = counts.get(vec, 0) + 1
-    return counts
+        mask = start
+        for k, memo in enumerate(memos):
+            step_entry = memo.get(mask)
+            if step_entry is None:
+                step_entry = memo[mask] = entry(k, mask)
+            if type(step_entry) is int:
+                mask = step_entry
+            else:
+                total, cumulative, nexts = step_entry
+                mask = nexts[bisect.bisect_right(cumulative, randrange(total))]
+        tally[mask] = tally.get(mask, 0) + 1
+    return {SubsetVector.from_bits(ground, m): c for m, c in tally.items()}
 
 
 DOUBLE_SLIT_LABELS = ("a", "b", "c")

@@ -9,6 +9,9 @@ relabels restricted growth strings, and the validity search walks every
 assignment of block tuples, where the library looks results up in tables.
 The density and entropy oracles compute entry by entry in `Fraction` and
 `SqrtRational` arithmetic, where the library works on an integer grid.
+The GF(2) sampler draws every measurement through `choice_reduce` and
+evolves `SubsetVector`s step by step, where the library compiles the steps
+and memoises integer draw tables.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import random
 from fractions import Fraction
 
 from ditkit.density import SqrtRational
+from ditkit.errors import EmptyState
 from ditkit.linalg import Matrix, gram_schmidt, rank
 from ditkit.logic import Bottom, Join, Meet, Top, Var, variables
 from ditkit.observables import DSD
+from ditkit.partitions import ProbGroundSet, choice_reduce, discrete_partition
+from ditkit.z2dyn import Detect, Evolve, SubsetVector, evolve
 
 
 def insert_enumerate(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -226,3 +232,37 @@ def block_entropy(pi, probs) -> Fraction:
         (sum((probs.p[i] for i in blk), Fraction(0)) ** 2 for blk in pi.blocks),
         Fraction(0),
     )
+
+
+# --- GF(2) sampling, one choice_reduce draw per measurement ---------------
+
+
+def sample_pipeline(initial, steps, trials, rng, p=None):
+    """One sampled trajectory per trial: evolve the subset vector, and at a
+    Measure or Detect draw one member with `choice_reduce` and keep the
+    members in its block."""
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    ground = initial.ground
+    probs = p if p is not None else ProbGroundSet.uniform(ground)
+    steps = list(steps)
+    counts: dict[SubsetVector, int] = {}
+    for _ in range(trials):
+        vec = initial
+        for k, step in enumerate(steps):
+            if isinstance(step, Evolve):
+                vec = evolve(vec, step.map)
+                continue
+            sigma = (
+                discrete_partition(ground)
+                if isinstance(step, Detect)
+                else step.by
+            )
+            if not vec.members:
+                raise EmptyState(f"step {k} measures the empty state")
+            hit = choice_reduce(sorted(vec.members), probs, rng)
+            vec = SubsetVector(
+                ground, vec.members & frozenset(sigma.block_containing(hit))
+            )
+        counts[vec] = counts.get(vec, 0) + 1
+    return counts

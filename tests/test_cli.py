@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ditkit.cli import main
+from ditkit.cli import _parser, main
 
 
 def run(capsys, *argv):
@@ -284,6 +284,30 @@ def test_observable_json(capsys):
     data = json.loads(out)
     assert data["partitions"] == ["ab|c", "a|bc"]
     assert data["csca_complete"] is True
+
+
+def test_repeated_calls_do_not_share_attr_lists(capsys):
+    _parser.cache_clear()
+    for values, levels in (("1,1,2", "ab|c"), ("1,2,2", "a|bc")):
+        code, out, _ = run(
+            capsys, "observable", "--ground", "abc", "--attr", values, "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["partitions"] == [levels]
+    assert _parser.cache_info().misses == 1
+
+
+def test_usage_and_library_errors_exit_2_with_empty_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--ground"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert "usage:" in out.err
+    code, out, err = run(capsys, "partition", "--ground", "abc", "a|b")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, "partition", "--ground", "abc", "a|bc")
+    assert (code, out.splitlines()[0]) == (0, "partition: a|bc")
 
 
 def test_observable_se_demo_json(capsys):

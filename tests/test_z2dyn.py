@@ -5,16 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ditkit import (
     Detect,
     DimensionMismatch,
+    DitkitError,
     EmptyState,
     Evolve,
     GF2Map,
     GroundMismatch,
     GroundSet,
     Measure,
+    Partition,
     ProbGroundSet,
     StateMixture,
     SubsetVector,
@@ -28,6 +32,8 @@ from ditkit import (
     sample_pipeline,
 )
 from ditkit.z2dyn import add, reduce as collapse
+
+from oracles import sample_pipeline as oracle_sample_pipeline
 
 U3 = GroundSet(("a", "b", "c"))
 F = Fraction
@@ -221,17 +227,54 @@ def test_pipeline_probabilities_always_sum_to_one():
         assert sum(q for _, q in m.terms) == 1
 
 
-def test_mismatched_measurement_ground():
-    other = make_partition(GroundSet(("x", "y")), [["x"], ["y"]])
-    with pytest.raises(GroundMismatch):
-        run_pipeline(vec("a"), [Measure(other)])
-
-
-@pytest.mark.parametrize(
+both_pipelines = pytest.mark.parametrize(
     "pipeline",
-    [run_pipeline, lambda s, steps: sample_pipeline(s, steps, 5, 0)],
+    [run_pipeline, lambda s, steps, p=None: sample_pipeline(s, steps, 5, 0, p)],
     ids=["run_pipeline", "sample_pipeline"],
 )
+
+
+@both_pipelines
+def test_mismatched_measurement_ground(pipeline):
+    start = SubsetVector.from_labels(GroundSet(("a", "b")), "ab")
+    xy = GroundSet(("x", "y"))
+    xyz = GroundSet(("x", "y", "z"))
+    with pytest.raises(GroundMismatch):
+        pipeline(vec("a"), [Measure(make_partition(xy, [["x"], ["y"]]))])
+    with pytest.raises(GroundMismatch):
+        pipeline(start, [Measure(make_partition(xy, [["x"], ["y"]]))])
+    with pytest.raises(GroundMismatch):
+        pipeline(start, [Measure(make_partition(xyz, [["x"], ["y", "z"]]))])
+    with pytest.raises(GroundMismatch):
+        pipeline(start, [Detect()], ProbGroundSet.uniform(xyz))
+
+
+@both_pipelines
+def test_bad_steps_raise(pipeline):
+    start = SubsetVector.from_labels(GroundSet(("a", "b")), "ab")
+    with pytest.raises(DimensionMismatch):
+        pipeline(start, [Evolve(GF2Map.identity(3))])
+    with pytest.raises(TypeError, match="unknown pipeline step"):
+        pipeline(start, [Detect(), "coin flip"])
+
+
+def test_sampler_checks_everything_before_the_first_trial():
+    start = SubsetVector.from_labels(GroundSet(("a", "b")), "ab")
+    for trials in (-1, 2.5):
+        with pytest.raises(DitkitError, match="non-negative integer"):
+            sample_pipeline(start, [], trials, 0)
+    assert sample_pipeline(start, [Detect()], 0, 0) == {}
+    foreign = make_partition(GroundSet(("x", "y")), [["x"], ["y"]])
+    for steps, error in (
+        ([Evolve(GF2Map.identity(3))], DimensionMismatch),
+        ([Detect(), Measure(foreign)], GroundMismatch),
+        (["coin flip"], TypeError),
+    ):
+        with pytest.raises(error):
+            sample_pipeline(start, steps, 0, 0)
+
+
+@both_pipelines
 def test_measuring_after_singular_map_raises_empty_state(pipeline):
     ab = GroundSet(("a", "b"))
     singular = Evolve(GF2Map((0b11, 0b11)))  # {a,b} evolves to the empty set
@@ -313,3 +356,91 @@ def test_sampling_weighted_measurement():
     )
     assert abs(counts.get(vec("ab"), 0) / 6000 - 7 / 12) < 0.02
     assert abs(counts.get(vec("c"), 0) / 6000 - 5 / 12) < 0.02
+
+
+# --- the compiled sampler against the choice_reduce oracle ---
+
+
+class RecordingRandom(random.Random):
+    """A seeded generator that logs the argument of every randrange."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return super().randrange(*args)
+
+
+def sampled(pipeline, start, steps, trials, seed, p):
+    """Counts in dict order (or the EmptyState message), every randrange
+    argument, and the generator state left behind."""
+    rng = RecordingRandom(seed)
+    try:
+        outcome = list(pipeline(start, steps, trials, rng, p).items())
+    except EmptyState as exc:
+        outcome = str(exc)
+    return outcome, rng.calls, rng.getstate()
+
+
+@st.composite
+def gf2_maps(draw, n):
+    """A random column list, or a nonsingular map built from a permutation
+    by random column additions."""
+    if draw(st.booleans()):
+        return GF2Map(tuple(draw(st.lists(
+            st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+    cols = [1 << i for i in draw(st.permutations(range(n)))]
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(pairs.filter(lambda t: t[0] != t[1]), max_size=8)):
+            cols[i] ^= cols[j]
+    return GF2Map(tuple(cols))
+
+
+@st.composite
+def sampler_setups(draw):
+    n = draw(st.integers(1, 6))
+    ground = GroundSet(tuple("abcdef"[:n]))
+    measures = st.builds(
+        lambda labels: Measure(Partition(ground, [
+            [i for i in range(n) if labels[i] == b] for b in sorted(set(labels))
+        ])),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    )
+    steps = draw(st.lists(
+        st.one_of(gf2_maps(n).map(Evolve), st.just(Detect()), measures),
+        min_size=1, max_size=5,
+    ))
+    weights = draw(st.none() | st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    p = None if weights is None else ProbGroundSet(
+        ground, tuple(F(w, sum(weights)) for w in weights))
+    start = SubsetVector.from_bits(ground, draw(st.integers(0, (1 << n) - 1)))
+    return start, steps, p
+
+
+# p = (2/9, 4/9, 3/9): the draw over {a,b} has counts (2, 4), since
+# gcd(D, W_a, W_b) = gcd(9, 2, 4) = 1, not (1, 2) from gcd(W_a, W_b) = 2.
+GCD_CASE = (
+    vec("abc"),
+    [Measure(make_partition(U3, [["a", "b"], ["c"]])), Detect()],
+    ProbGroundSet.from_values(U3, ["2/9", "4/9", "1/3"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_setups(), st.integers(0, 80), st.integers(0, 2**32))
+@example(GCD_CASE, 60, 0)
+def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
+    start, steps, p = setup
+    assert sampled(sample_pipeline, start, steps, trials, seed, p) == sampled(
+        oracle_sample_pipeline, start, steps, trials, seed, p
+    )
+
+
+def test_draw_counts_divide_by_the_gcd_with_the_denominator():
+    start, steps, p = GCD_CASE
+    got = sampled(sample_pipeline, start, steps, 50, 1, p)
+    assert set(got[1]) == {(9,), (6,)}
+    assert got == sampled(oracle_sample_pipeline, start, steps, 50, 1, p)
