@@ -53,14 +53,11 @@ def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
 
 
 def hasse_json(ground: GroundSet) -> dict:
-    nodes = lattice_nodes(ground)
+    name = {pi: notation(pi) for pi in lattice_nodes(ground)}
     return {
         "ground": list(ground.labels),
-        "nodes": [notation(pi) for pi in nodes],
-        "edges": [
-            [notation(sigma), notation(pi)]
-            for sigma, pi in covering_pairs(ground)
-        ],
+        "nodes": list(name.values()),
+        "edges": [[name[sigma], name[pi]] for sigma, pi in covering_pairs(ground)],
     }
 
 
@@ -72,11 +69,12 @@ def _cluster_lines(
     """DOT statements for one lattice; node ids namespaced by prefix,
     ranks grouped by block count so the diagram reads bottom-up."""
     nodes = lattice_nodes(ground)
-    ident = {pi: f'"{prefix}{notation(pi)}"' for pi in nodes}
+    name = {pi: notation(pi) for pi in nodes}
+    ident = {pi: f'"{prefix}{name[pi]}"' for pi in nodes}
     lines = []
     for pi in nodes:
         style = ' style=filled fillcolor="gold"' if pi in highlight else ""
-        lines.append(f'{ident[pi]} [label="{notation(pi)}"{style}];')
+        lines.append(f'{ident[pi]} [label="{name[pi]}"{style}];')
     for count in range(1, ground.n + 1):
         rank = [ident[pi] for pi in nodes if pi.num_blocks == count]
         if len(rank) > 1:

@@ -1,16 +1,24 @@
-"""Small exact linear algebra over Fraction for the observables layer.
+"""Small exact linear algebra for the observables layer.
 
-Matrices are tuples of row tuples.  Everything is dense and exact; sizes
-here are the ground-set size (tiny), so no pivoting strategy is needed.
+Matrices are tuples of row tuples of `Fraction`.  Everything is dense and
+exact; sizes here are the ground-set size (tiny), so no pivoting strategy
+is needed.  Elimination runs on integer rows: each row is cleared of its
+denominators once, and fraction-free Gauss-Jordan divides every row it
+produces by the gcd of its entries, so entries stay small.  `Fraction`
+appears only in the values returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+IntRows = list[list[int]]
+
+_ZERO = Fraction(0)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -62,74 +70,156 @@ def scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    rows = [list(row) for row in a]
+def _int_rows(a: Iterable[Iterable]) -> IntRows:
+    """Each row times the lcm of its denominators: integer rows with the
+    same row space, and so the same RREF and kernel."""
+    out = []
+    for row in a:
+        d = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _echelon(rows: IntRows, ncols: int, reduce: bool = True) -> list[int]:
+    """Fraction-free elimination on the first `ncols` columns of integer
+    rows; returns the pivot columns.
+
+    Works in place on the outer list: rows are swapped and replaced, but no
+    row list is ever mutated, so callers may share row lists.  Row r ends
+    up holding the r-th pivot.  Every row produced is divided by the gcd of
+    its entries, and pivots are made positive.  With `reduce` the entries
+    above each pivot are cleared too (Gauss-Jordan): row r is then the
+    primitive integer multiple of the r-th RREF row, which is canonical
+    for the row space.  Without it only the rows below are cleared, which
+    is all `rank` needs.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), pivots
+        at = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if at is None:
+            continue
+        prow = rows[at]
+        rows[at] = rows[r]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        rows[r] = prow
+        pv = prow[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            x = rows[i][c]
+            if x and i != r:
+                new = [pv * y - x * z for y, z in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [y // g for y in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _over(row: Iterable[int], d: int) -> Vector:
+    """The integer row divided by d, as Fractions."""
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
+def _rational(rows: IntRows) -> Matrix:
+    """Canonical integer rows divided by their pivots: RREF rows."""
+    return tuple(_over(row, next(filter(None, row))) for row in rows)
+
+
+def _width(rows: IntRows) -> int:
+    return len(rows[0]) if rows else 0
+
+
+def _basis(rows: IntRows) -> IntRows:
+    """Canonical integer basis of the row space: the primitive multiples
+    of the non-zero RREF rows, pivots positive."""
+    return rows[: len(_echelon(rows, _width(rows)))]
+
+
+def _kernel(rows: IntRows) -> list[tuple[int, list[int]]]:
+    """Kernel basis of integer rows as (free column f, vector) pairs: the
+    nullspace vector of f, which is 1 at f, scaled by the lcm of the
+    pivots it divides by."""
+    ncols = _width(rows)
+    pivots = _echelon(rows, ncols)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        hits = [(row[f], row[c], c) for row, c in zip(rows, pivots) if row[f]]
+        lead = lcm(*[p for _, p, _ in hits])
+        vec = [0] * ncols
+        vec[f] = lead
+        for x, p, c in hits:
+            vec[c] = -x * (lead // p)
+        out.append((f, vec))
+    return out
+
+
+def _null(a: Matrix) -> IntRows:
+    """Integer kernel basis of a matrix, one vector per row."""
+    return [v for _, v in _kernel(_int_rows(a))]
+
+
+def _meet(
+    null_a: IntRows, null_b: IntRows, ncols: int
+) -> list[tuple[int, list[int]]]:
+    """span(a) ∩ span(b), given integer kernel bases of a and b, in the
+    form `_kernel` returns: the kernel of both sets of constraints, or
+    every unit vector when there are none."""
+    constraints = null_a + null_b
+    if not constraints:
+        return [(i, [int(i == k) for k in range(ncols)]) for i in range(ncols)]
+    return _kernel(constraints)
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the pivot column list."""
+    rows = _int_rows(a)
+    ncols = _width(rows)
+    pivots = _echelon(rows, ncols)
+    reduced = _rational(rows[: len(pivots)])
+    return reduced + zeros(len(rows) - len(pivots), ncols), pivots
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    rows = _int_rows(a)
+    return len(_echelon(rows, _width(rows), reduce=False))
 
 
 def nullspace(a: Matrix) -> Matrix:
     """Basis of the kernel, one vector per row (possibly empty)."""
     if not a:
         return ()
-    reduced, pivots = rref(a)
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(tuple(vec))
-    return tuple(basis)
+    return tuple(_over(v, v[f]) for f, v in _kernel(_int_rows(a)))
 
 
 def invert(a: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ArithmeticError if singular."""
     n = len(a)
-    aug = tuple(
-        tuple(row) + tuple(Fraction(1 if i == k else 0) for k in range(n))
+    rows = _int_rows(
+        tuple(row) + tuple(int(i == k) for k in range(n))
         for i, row in enumerate(a)
     )
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
+    if _echelon(rows, n) != list(range(n)):
         raise ArithmeticError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    return tuple(_over(row[n:], row[r]) for r, row in enumerate(rows))
 
 
 def row_basis(a: Matrix) -> Matrix:
     """The non-zero rows of the rref: a canonical basis of the row space."""
-    reduced, pivots = rref(a)
-    return reduced[: len(pivots)]
+    return _rational(_basis(_int_rows(a)))
 
 
 def spans_equal(a: Matrix, b: Matrix) -> bool:
     """Row spaces are equal iff the canonical bases coincide."""
-    return row_basis(a) == row_basis(b)
+    return _basis(_int_rows(a)) == _basis(_int_rows(b))
 
 
 def projection_onto_span(a: Matrix) -> Matrix:
@@ -147,11 +237,8 @@ def projection_onto_span(a: Matrix) -> Matrix:
 def intersect_rowspaces(a: Matrix, b: Matrix) -> Matrix:
     """Basis of span(a) ∩ span(b): vectors satisfying both spaces'
     complement constraints, i.e. the kernel of the stacked nullspaces."""
-    constraints = tuple(nullspace(a)) + tuple(nullspace(b))
-    if not constraints:
-        ncols = len(a[0]) if a else (len(b[0]) if b else 0)
-        return identity(ncols)
-    return nullspace(constraints)
+    ncols = len(a[0]) if a else (len(b[0]) if b else 0)
+    return tuple(_over(v, v[f]) for f, v in _meet(_null(a), _null(b), ncols))
 
 
 def gram_schmidt(rows: Sequence[Vector]) -> Matrix:

@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
     NotCommuting,
     json_input,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .partitions import GroundSet, Partition, _require_same_ground, join
 
 
@@ -107,12 +109,14 @@ class DSD:
         )
 
     def is_orthogonal(self) -> bool:
-        for a, b in itertools.combinations(self.subspaces, 2):
-            for u in a:
-                for v in b:
-                    if sum((x * y for x, y in zip(u, v)), Fraction(0)) != 0:
-                        return False
-        return True
+        # scaling a row to integers does not change whether a dot product is 0
+        ints = [linalg._int_rows(rows) for rows in self.subspaces]
+        return all(
+            sum(map(mul, u, v)) == 0
+            for a, b in itertools.combinations(ints, 2)
+            for u in a
+            for v in b
+        )
 
     def projections(self) -> tuple[Matrix, ...]:
         return tuple(linalg.projection_onto_span(s) for s in self.subspaces)
@@ -194,8 +198,10 @@ def set_spectral_check(f: Attribute) -> bool:
     return True
 
 
-def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
-    """F = sum of eigenvalue * projection over the decomposition."""
+def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
+    """The eigenvalues as Fractions, once they pass the checks an operator
+    built from a DSD needs: one per subspace, pairwise distinct, and
+    pairwise orthogonal subspaces."""
     values = tuple(Fraction(v) for v in eigenvalues)
     if len(values) != len(dsd.subspaces):
         raise DimensionMismatch(
@@ -205,10 +211,40 @@ def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
         raise DuplicateEigenvalue("eigenvalues must be pairwise distinct")
     if not dsd.is_orthogonal():
         raise DegenerateDSD("operator construction needs orthogonal subspaces")
-    total = linalg.zeros(dsd.dim, dsd.dim)
-    for value, proj in zip(values, dsd.projections()):
-        total = linalg.mat_add(total, linalg.scale(proj, value))
-    return Operator(total)
+    return values
+
+
+def _solve(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
+    """Integer rows [p_r e_r | Y_r] with Y_r / p_r the r-th row of
+    F^T = M^{-1} (Lambda M), where the rows of M are the stacked subspace
+    bases and Lambda gives each its eigenvalue.  F maps every basis vector
+    to its eigenvalue times itself; scaling a row of M leaves F unchanged,
+    so M is cleared of denominators row by row.  For an orthogonal DSD,
+    F = F^T is the sum of eigenvalue times projection."""
+    rows = [
+        [x * value.denominator for x in u] + [x * value.numerator for x in u]
+        for value, basis in zip(values, dsd.subspaces)
+        for u in linalg._int_rows(basis)
+    ]
+    linalg._echelon(rows, dsd.dim)
+    return rows
+
+
+def _grid(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
+    """F^T times the lcm of the pivots of `_solve`: one integer matrix."""
+    rows = _solve(values, dsd)
+    lead = lcm(*[row[r] for r, row in enumerate(rows)])
+    n = dsd.dim
+    return [[x * (lead // row[r]) for x in row[n:]] for r, row in enumerate(rows)]
+
+
+def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
+    """F = sum of eigenvalue * projection over the decomposition, found
+    as the operator with each subspace as its eigenvalue's eigenspace."""
+    rows = _solve(_spectrum(eigenvalues, dsd), dsd)
+    n = dsd.dim
+    ft = [linalg._over(row[n:], row[r]) for r, row in enumerate(rows)]
+    return Operator(tuple(zip(*ft)))
 
 
 def operator_from_attribute(f: Attribute) -> Operator:
@@ -246,18 +282,24 @@ def kernel(m: Matrix) -> Matrix:
     return linalg.nullspace(m)
 
 
+def _se_basis(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
+    """Canonical integer basis of the span of the pairwise subspace
+    intersections."""
+    if dsd_f.dim != dsd_g.dim:
+        raise DimensionMismatch("decompositions of different spaces")
+    null_g = [linalg._null(b) for b in dsd_g.subspaces]
+    pieces = []
+    for a in dsd_f.subspaces:
+        null_a = linalg._null(a)
+        for null_b in null_g:
+            pieces.extend(v for _, v in linalg._meet(null_a, null_b, dsd_f.dim))
+    return linalg._basis(pieces)
+
+
 def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
     """Canonical basis of the span of all pairwise subspace intersections:
     the space spanned by simultaneous eigenvectors."""
-    if dsd_f.dim != dsd_g.dim:
-        raise DimensionMismatch("decompositions of different spaces")
-    pieces: list[Vector] = []
-    for a in dsd_f.subspaces:
-        for b in dsd_g.subspaces:
-            pieces.extend(linalg.intersect_rowspaces(a, b))
-    if not pieces:
-        return ()
-    return linalg.row_basis(tuple(pieces))
+    return linalg._rational(_se_basis(dsd_f, dsd_g))
 
 
 def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
@@ -267,23 +309,27 @@ def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
     >= 3 the kernel can be strictly larger: F=diag(1,2,3) against the
     all-ones-off-diagonal operator leaves (1,-2,1) in the kernel although
     it is an eigenvector of neither."""
-    f = operator_from_dsd(ev_f, dsd_f)
-    g = operator_from_dsd(ev_g, dsd_g)
-    se = simultaneous_eigenspace(dsd_f, dsd_g)
-    ker = kernel(commutator(f, g))
-    if not se and not ker:
-        return True
-    if not se or not ker:
-        return False
-    return linalg.spans_equal(se, ker)
+    values_f = _spectrum(ev_f, dsd_f)
+    values_g = _spectrum(ev_g, dsd_g)
+    se = _se_basis(dsd_f, dsd_g)
+    # F and G are symmetric, so these grids are multiples of F and G, and
+    # their commutator is a multiple of [F, G] with the same kernel
+    f, g = _grid(values_f, dsd_f), _grid(values_g, dsd_g)
+    cols = tuple(zip(zip(*g), zip(*f)))
+    comm = [
+        [sum(map(mul, fr, gc)) - sum(map(mul, gr, fc)) for gc, fc in cols]
+        for fr, gr in zip(f, g)
+    ]
+    ker = [v for _, v in linalg._kernel(comm)]
+    return se == linalg._basis(ker)
 
 
 def classify(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> Compatibility:
     """Commuting, Incompatible, or Conjugate by the dimension of the
     simultaneous-eigenvector span (full, intermediate, zero)."""
-    operator_from_dsd(ev_f, dsd_f)
-    operator_from_dsd(ev_g, dsd_g)
-    d = len(simultaneous_eigenspace(dsd_f, dsd_g))
+    _spectrum(ev_f, dsd_f)
+    _spectrum(ev_g, dsd_g)
+    d = len(_se_basis(dsd_f, dsd_g))
     if d == dsd_f.dim:
         return Compatibility.COMMUTING
     if d == 0:

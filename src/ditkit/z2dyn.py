@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, DitkitError, EmptyState
+from .errors import DimensionMismatch, DitkitError, EmptyState, UnknownLabel
 from .partitions import (
     GroundSet,
     Partition,
@@ -34,8 +34,10 @@ class SubsetVector:
     members: frozenset[int]
 
     def __post_init__(self):
-        if not all(0 <= i < self.ground.n for i in self.members):
-            raise ValueError("member index out of range")
+        n = self.ground.n
+        for i in self.members:
+            if not (isinstance(i, int) and 0 <= i < n):
+                raise UnknownLabel(f"index {i!r} is not in range({n})")
 
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "SubsetVector":

@@ -11,7 +11,10 @@ The density and entropy oracles compute entry by entry in `Fraction` and
 `SqrtRational` arithmetic, where the library works on an integer grid.
 The GF(2) sampler draws every measurement through `choice_reduce` and
 evolves `SubsetVector`s step by step, where the library compiles the steps
-and memoises integer draw tables.
+and memoises integer draw tables.  The linear algebra eliminates on
+`Fraction` rows, where the library works on integer rows, and builds
+operators as sums of eigenvalue times projection, where the library
+solves one integer system per operator.
 """
 
 from __future__ import annotations
@@ -21,10 +24,15 @@ import random
 from fractions import Fraction
 
 from ditkit.density import SqrtRational
-from ditkit.errors import EmptyState
+from ditkit.errors import (
+    DegenerateDSD,
+    DimensionMismatch,
+    DuplicateEigenvalue,
+    EmptyState,
+)
 from ditkit.linalg import Matrix, gram_schmidt, rank
 from ditkit.logic import Bottom, Join, Meet, Top, Var, variables
-from ditkit.observables import DSD
+from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import ProbGroundSet, choice_reduce, discrete_partition
 from ditkit.z2dyn import Detect, Evolve, SubsetVector, evolve
 
@@ -266,3 +274,147 @@ def sample_pipeline(initial, steps, trials, rng, p=None):
             )
         counts[vec] = counts.get(vec, 0) + 1
     return counts
+
+
+# --- exact linear algebra by Gauss-Jordan on Fraction rows ----------------
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the pivot column list."""
+    rows = [list(row) for row in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), pivots
+
+
+def nullspace(a: Matrix) -> Matrix:
+    """Basis of the kernel, one vector per row (possibly empty)."""
+    if not a:
+        return ()
+    reduced, pivots = rref(a)
+    ncols = len(a[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def invert(a: Matrix) -> Matrix:
+    """Inverse of a square matrix; raises ArithmeticError if singular."""
+    n = len(a)
+    aug = tuple(
+        tuple(row) + tuple(Fraction(1 if i == k else 0) for k in range(n))
+        for i, row in enumerate(a)
+    )
+    reduced, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ArithmeticError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def row_basis(a: Matrix) -> Matrix:
+    reduced, pivots = rref(a)
+    return reduced[: len(pivots)]
+
+
+def intersect_rowspaces(a: Matrix, b: Matrix) -> Matrix:
+    constraints = tuple(nullspace(a)) + tuple(nullspace(b))
+    if not constraints:
+        ncols = len(a[0]) if a else len(b[0])
+        return tuple(
+            tuple(Fraction(int(i == k)) for k in range(ncols))
+            for i in range(ncols)
+        )
+    return nullspace(constraints)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
+        for row in a
+    )
+
+
+def projection(a: Matrix) -> Matrix:
+    """P = B^T (B B^T)^{-1} B for the RREF row basis B of `a`."""
+    basis = row_basis(a)
+    bt = tuple(zip(*basis))
+    return mat_mul(bt, mat_mul(invert(mat_mul(basis, bt)), basis))
+
+
+def operator_from_dsd(eigenvalues, dsd: DSD) -> Matrix:
+    """F = sum of eigenvalue * projection over the decomposition."""
+    values = tuple(Fraction(v) for v in eigenvalues)
+    if len(values) != len(dsd.subspaces):
+        raise DimensionMismatch(
+            f"{len(values)} eigenvalues for {len(dsd.subspaces)} subspaces"
+        )
+    if len(set(values)) != len(values):
+        raise DuplicateEigenvalue("eigenvalues must be pairwise distinct")
+    for a, b in itertools.combinations(dsd.subspaces, 2):
+        if any(sum((x * y for x, y in zip(u, v)), Fraction(0)) for u in a for v in b):
+            raise DegenerateDSD("operator construction needs orthogonal subspaces")
+    total = [[Fraction(0)] * dsd.dim for _ in range(dsd.dim)]
+    for value, rows in zip(values, dsd.subspaces):
+        for i, prow in enumerate(projection(rows)):
+            for k, x in enumerate(prow):
+                total[i][k] += value * x
+    return tuple(tuple(row) for row in total)
+
+
+def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
+    if dsd_f.dim != dsd_g.dim:
+        raise DimensionMismatch("decompositions of different spaces")
+    pieces = [
+        v
+        for a in dsd_f.subspaces
+        for b in dsd_g.subspaces
+        for v in intersect_rowspaces(a, b)
+    ]
+    return row_basis(tuple(pieces)) if pieces else ()
+
+
+def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
+    """Whether the simultaneous-eigenvector span equals the kernel of the
+    commutator of the two projection-sum operators."""
+    f = operator_from_dsd(ev_f, dsd_f)
+    g = operator_from_dsd(ev_g, dsd_g)
+    se = simultaneous_eigenspace(dsd_f, dsd_g)
+    fg, gf = mat_mul(f, g), mat_mul(g, f)
+    ker = nullspace(tuple(
+        tuple(x - y for x, y in zip(r, s)) for r, s in zip(fg, gf)
+    ))
+    return row_basis(se) == row_basis(ker)
+
+
+def classify(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> Compatibility:
+    operator_from_dsd(ev_f, dsd_f)
+    operator_from_dsd(ev_g, dsd_g)
+    d = len(simultaneous_eigenspace(dsd_f, dsd_g))
+    if d == dsd_f.dim:
+        return Compatibility.COMMUTING
+    if d == 0:
+        return Compatibility.CONJUGATE
+    return Compatibility.INCOMPATIBLE

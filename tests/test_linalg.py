@@ -25,6 +25,8 @@ from ditkit.linalg import (
     zeros,
 )
 
+import oracles
+
 
 def F(x):
     return Fraction(x)
@@ -138,3 +140,101 @@ def test_gram_schmidt_orthogonalizes_and_spans():
     dot = sum((x * y for x, y in zip(ortho[0], ortho[1])), F(0))
     assert dot == 0
     assert spans_equal(ortho, rows[:2])
+
+
+# --- differential tests against the Fraction Gauss-Jordan oracle ---
+
+
+@st.composite
+def matrices(draw, shape=None):
+    """1-9 rows and columns of mixed-denominator entries, some columns
+    zeroed and some rows replaced by multiples of earlier ones; half of
+    them built as products with a small inner dimension, so the rank is
+    low and kernels are large.  Entries come from a drawn seeded
+    generator, which keeps each example cheap to draw."""
+    nrows, ncols = shape or (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    low_rank = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        kind = rng.randrange(3)
+        return Fraction(0 if kind == 0 else rng.randint(-9, 9),
+                        rng.randint(1, 12) if kind == 2 else 1)
+
+    def block(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    if low_rank:
+        k = rng.randint(0, min(nrows, ncols))
+        right = block(k, ncols)
+        rows = [
+            [sum((x * r[j] for x, r in zip(row, right)), F(0)) for j in range(ncols)]
+            for row in block(nrows, k)
+        ]
+    else:
+        rows = block(nrows, ncols)
+    for j in range(ncols):
+        if rng.randrange(4) == 0:
+            for row in rows:
+                row[j] = F(0)
+    for i in range(1, nrows):
+        if rng.randrange(4) == 0:
+            c = rng.choice([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
+            rows[i] = [c * x for x in rows[rng.randrange(i)]]
+    return mat(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_rref_rank_and_nullspace_match_the_fraction_oracle(a):
+    reduced, pivots = oracles.rref(a)
+    assert rref(a) == (reduced, pivots)
+    assert rank(a) == len(pivots)
+    assert nullspace(a) == oracles.nullspace(a)
+    assert row_basis(a) == oracles.row_basis(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(matrices(shape=(n, n)), st.booleans())
+))
+def test_invert_matches_the_fraction_oracle(case):
+    a, make_singular = case
+    if make_singular and len(a) > 1:
+        a = a[:-1] + (tuple(x + y for x, y in zip(a[0], a[-2])),)
+    try:
+        expected = oracles.invert(a)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match="singular"):
+            invert(a)
+    else:
+        assert invert(a) == expected
+
+
+@st.composite
+def matrix_pairs(draw):
+    ncols = draw(st.integers(1, 9))
+    a = draw(matrices(shape=(draw(st.integers(1, 9)), ncols)))
+    b = draw(matrices(shape=(draw(st.integers(1, 9)), ncols)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs(), st.sampled_from([1, -1, 3, Fraction(2, 7)]))
+def test_row_space_operations_match_the_fraction_oracle(pair, c):
+    a, b = pair
+    assert spans_equal(a, b) == (oracles.row_basis(a) == oracles.row_basis(b))
+    assert intersect_rowspaces(a, b) == oracles.intersect_rowspaces(a, b)
+    # the same span from other rows: scaled, each plus the one before
+    other = tuple(
+        tuple(c * x + y for x, y in zip(row, prev))
+        for row, prev in zip(a, ((F(0),) * len(a[0]),) + a)
+    )
+    assert spans_equal(a, other)
+
+
+def test_spans_equal_ignores_row_scaling():
+    # canonical integer bases must be primitive with positive pivots
+    assert spans_equal(mat([[2, 2], [0, 3]]), mat([[1, 1], [0, -1]]))
+    assert spans_equal(mat([[-4, 6, 0]]), mat([["2/3", -1, 0]]))
+    assert not spans_equal(mat([[1, 2]]), mat([[2, 1]]))

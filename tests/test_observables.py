@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditkit import (
     DSD,
@@ -43,6 +45,7 @@ from ditkit.linalg import (
     zeros,
 )
 
+import oracles
 from oracles import distinct_eigenvalues, random_orthogonal_dsd
 
 U3 = GroundSet(("a", "b", "c"))
@@ -153,15 +156,45 @@ def test_operator_from_dsd_golden():
     assert g.mat == mat([[0, 1], [1, 0]])
 
 
-def test_operator_from_dsd_errors():
-    d = DSD.from_vectors(2, [[[1, 1]], [[1, -1]]])
-    with pytest.raises(DimensionMismatch):
-        operator_from_dsd([1], d)
-    with pytest.raises(DuplicateEigenvalue):
-        operator_from_dsd([2, 2], d)
-    skew = DSD.from_vectors(2, [[[1, 0]], [[1, 1]]])
-    with pytest.raises(DegenerateDSD):
-        operator_from_dsd([1, 2], skew)
+GOOD2 = DSD.from_vectors(2, [[[1, 1]], [[1, -1]]])
+SKEW2 = DSD.from_vectors(2, [[[1, 0]], [[1, 1]]])
+# valid, and of another dimension: its own checks pass, so any error it
+# draws out is the dimension mismatch, raised after both spectra
+GOOD3 = ((1, 2, 3), DSD.standard(3))
+# invalid as well, with a message of its own
+BAD3 = ((1,), DSD.standard(3))
+
+BAD_SPECTRA = [
+    (([1], GOOD2), DimensionMismatch, "^1 eigenvalues for 2 subspaces$"),
+    (([2, 2], GOOD2), DuplicateEigenvalue, "pairwise distinct"),
+    (([1, 2], SKEW2), DegenerateDSD, "orthogonal subspaces"),
+]
+
+ROUTES = {
+    "operator_from_dsd": lambda bad: operator_from_dsd(*bad),
+    "classify-first": lambda bad: classify(*bad, *GOOD3),
+    "classify-second": lambda bad: classify(*GOOD3, *bad),
+    "classify-both": lambda bad: classify(*bad, *BAD3),
+    "theorem-first": lambda bad: theorem_se_equals_kernel(*bad, *GOOD3),
+    "theorem-second": lambda bad: theorem_se_equals_kernel(*GOOD3, *bad),
+    "theorem-both": lambda bad: theorem_se_equals_kernel(*bad, *BAD3),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_operator_from_dsd_errors(route):
+    """Each spectrum is checked (count, distinctness, orthogonality, in that
+    order), the first operand's before the second's, and both before the
+    dimensions are compared."""
+    for bad, error, message in BAD_SPECTRA:
+        with pytest.raises(error, match=message):
+            ROUTES[route](bad)
+
+
+@pytest.mark.parametrize("route", [classify, theorem_se_equals_kernel])
+def test_decompositions_of_different_dimension(route):
+    with pytest.raises(DimensionMismatch, match="decompositions of different spaces"):
+        route([1, -1], GOOD2, *GOOD3)
 
 
 def test_operator_reconstructs_from_random_dsd():
@@ -424,3 +457,59 @@ def test_product_attribute_partition_is_product_of_partitions():
         for bg in pg.blocks
     ]
     assert got == make_partition(ground, expected_blocks)
+
+
+# --- differential tests against the projection-sum oracle ---
+
+
+def _rebased(dsd: DSD, rng: random.Random) -> DSD:
+    """The same decomposition from other bases of its subspaces: each row
+    scaled, plus the row before it, so bases are no longer orthogonal
+    within a subspace."""
+    groups = []
+    for rows in dsd.subspaces:
+        prev = (F(0),) * dsd.dim
+        new = []
+        for v in rows:
+            c = F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5]))
+            new.append(tuple(c * x + y for x, y in zip(v, prev)))
+            prev = v
+        groups.append(tuple(new))
+    return DSD(dsd.dim, tuple(groups))
+
+
+def _coarsened(dsd: DSD, rng: random.Random) -> DSD:
+    """Neighbouring subspaces merged at random: a DSD commuting with dsd."""
+    groups = [dsd.subspaces[0]]
+    for rows in dsd.subspaces[1:]:
+        if rng.random() < 0.5:
+            groups[-1] = groups[-1] + rows
+        else:
+            groups.append(rows)
+    return DSD(dsd.dim, tuple(groups))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from(["independent", "coarsened", "same"]),
+    st.integers(0, 2**32),
+)
+def test_operators_and_verdicts_match_the_projection_oracle(n, relation, seed):
+    rng = random.Random(seed)
+    f = random_orthogonal_dsd(n, rng)
+    g = {
+        "independent": lambda: random_orthogonal_dsd(n, rng),
+        "coarsened": lambda: _coarsened(f, rng),
+        "same": lambda: f,
+    }[relation]()
+    f, g = _rebased(f, rng), _rebased(g, rng)
+    ev_f = distinct_eigenvalues(len(f.subspaces), rng)
+    ev_g = distinct_eigenvalues(len(g.subspaces), rng)
+    assert operator_from_dsd(ev_f, f).mat == oracles.operator_from_dsd(ev_f, f)
+    assert operator_from_dsd(ev_g, g).mat == oracles.operator_from_dsd(ev_g, g)
+    assert simultaneous_eigenspace(f, g) == oracles.simultaneous_eigenspace(f, g)
+    assert classify(ev_f, f, ev_g, g) == oracles.classify(ev_f, f, ev_g, g)
+    assert theorem_se_equals_kernel(ev_f, f, ev_g, g) == (
+        oracles.theorem_se_equals_kernel(ev_f, f, ev_g, g)
+    )

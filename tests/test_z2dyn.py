@@ -22,6 +22,7 @@ from ditkit import (
     ProbGroundSet,
     StateMixture,
     SubsetVector,
+    UnknownLabel,
     double_slit,
     double_slit_setup,
     double_slit_steps,
@@ -61,8 +62,14 @@ def test_vector_presentation():
     assert str(SubsetVector.empty(U3)) == "{}"
     assert vec("ac").labels() == ("a", "c")
     assert len(vec("ab")) == 2
-    with pytest.raises(ValueError):
-        SubsetVector(U3, frozenset({5}))
+
+
+@pytest.mark.parametrize(
+    "member, shown", [(5, "5"), (-1, "-1"), (0.5, "0.5"), ("a", "'a'")]
+)
+def test_members_must_be_indices_in_range(member, shown):
+    with pytest.raises(UnknownLabel, match=rf"index {shown} is not in range\(3\)"):
+        SubsetVector(U3, frozenset({member}))
 
 
 def test_bits_round_trip():
