@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import entropy as _entropy
-from .errors import ZeroProbabilityOutcome, json_input
+from .errors import InvalidValue, ZeroProbabilityOutcome, json_input
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _check_index,
     _require_same_ground,
     join,
 )
@@ -36,7 +37,7 @@ class SqrtRational:
 
     def __post_init__(self):
         if self.radicand < 0:
-            raise ValueError("radicand must be non-negative")
+            raise InvalidValue("radicand must be non-negative")
 
     @classmethod
     def of(cls, value) -> "SqrtRational":
@@ -48,7 +49,7 @@ class SqrtRational:
         """Embed a non-negative rational exactly (radicand value**2)."""
         q = Fraction(value)
         if q < 0:
-            raise ValueError("cannot embed a negative rational")
+            raise InvalidValue("cannot embed a negative rational")
         return cls(q * q)
 
     def __bool__(self) -> bool:
@@ -61,7 +62,7 @@ class SqrtRational:
         """Multiply by a non-negative rational factor."""
         c = Fraction(factor)
         if c < 0:
-            raise ValueError("scaling factor must be non-negative")
+            raise InvalidValue("scaling factor must be non-negative")
         return SqrtRational(c * c * self.radicand)
 
     def squared(self) -> Fraction:
@@ -123,6 +124,10 @@ class ProjectionMask:
     ground: GroundSet
     members: frozenset[int]
 
+    def __post_init__(self):
+        for i in self.members:
+            _check_index(i, self.ground.n)
+
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "ProjectionMask":
         return cls(ground, frozenset(ground.index(lab) for lab in labels))
@@ -157,7 +162,7 @@ class DensityMatrix:
     ):
         n = ground.n
         if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValueError("entry grid does not match ground size")
+            raise InvalidValue("entry grid does not match ground size")
         radicands = [cell.radicand for row in entries for cell in row]
         den = math.lcm(*(q.denominator for q in radicands))
         self._fill(
@@ -186,7 +191,7 @@ class DensityMatrix:
                 for k in range(i)
                 if num[i * n + k] != num[k * n + i]
             )
-            raise ValueError(f"matrix not symmetric at ({i},{k})")
+            raise InvalidValue(f"matrix not symmetric at ({i},{k})")
         # diagonal entry sqrt(x / den) = sqrt(x * den) / den
         roots = []
         for x in num[:: n + 1]:
@@ -196,7 +201,7 @@ class DensityMatrix:
                 raise ArithmeticError(f"sqrt({Fraction(x, den)}) is irrational")
             roots.append(root)
         if sum(roots) != den:
-            raise ValueError(f"trace is {Fraction(sum(roots), den)}, not 1")
+            raise InvalidValue(f"trace is {Fraction(sum(roots), den)}, not 1")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)

@@ -78,6 +78,12 @@ class EmptyState(DitkitError):
     """A subset state with no members cannot be reduced."""
 
 
+class InvalidValue(DitkitError, ValueError):
+    """An argument has the right type but an unusable value (a negative
+    probability, an asymmetric matrix, an empty list).  It is also a
+    ValueError, so callers that catch ValueError still see it."""
+
+
 @contextmanager
 def json_input(what: str):
     """Turn the KeyError of a missing field, or the TypeError of a value of

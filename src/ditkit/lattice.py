@@ -33,7 +33,11 @@ def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
     """All (lower, upper) pairs where upper refines lower by splitting
     exactly one block, ordered by the lower partition's rank in
     enumeration order, then by the upper's."""
-    nodes = lattice_nodes(ground)
+    return _covering_pairs(lattice_nodes(ground))
+
+
+def _covering_pairs(nodes: list[Partition]) -> list[tuple[Partition, Partition]]:
+    """`covering_pairs` over an already enumerated lattice."""
     rank = {pi.rgs: r for r, pi in enumerate(nodes)}
     pairs = []
     for sigma in nodes:
@@ -53,11 +57,12 @@ def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
 
 
 def hasse_json(ground: GroundSet) -> dict:
-    name = {pi: notation(pi) for pi in lattice_nodes(ground)}
+    nodes = lattice_nodes(ground)
+    name = {pi: notation(pi) for pi in nodes}
     return {
         "ground": list(ground.labels),
         "nodes": list(name.values()),
-        "edges": [[name[sigma], name[pi]] for sigma, pi in covering_pairs(ground)],
+        "edges": [[name[sigma], name[pi]] for sigma, pi in _covering_pairs(nodes)],
     }
 
 
@@ -79,7 +84,7 @@ def _cluster_lines(
         rank = [ident[pi] for pi in nodes if pi.num_blocks == count]
         if len(rank) > 1:
             lines.append(f'{{rank=same; {" ".join(rank)}}}')
-    for sigma, pi in covering_pairs(ground):
+    for sigma, pi in _covering_pairs(nodes):
         lines.append(f"{ident[sigma]} -> {ident[pi]} [dir=none];")
     return lines
 

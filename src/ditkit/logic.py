@@ -16,7 +16,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import BudgetExceeded, FormulaSyntaxError, GroundMismatch, UnboundVariable
+from .errors import (
+    BudgetExceeded,
+    FormulaSyntaxError,
+    GroundMismatch,
+    InvalidValue,
+    UnboundVariable,
+)
 from .partitions import (
     GroundSet,
     Partition,
@@ -455,7 +461,7 @@ def check_validity(
     kernels directly.  Each subformula is evaluated once per value of the
     last variable it uses."""
     if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+        raise InvalidValue("max_n must be at least 2")
     names = variables(f)
     program = _compile(f, names)
     spent = 0

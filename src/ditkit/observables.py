@@ -24,6 +24,7 @@ from .errors import (
     DegenerateDSD,
     DimensionMismatch,
     DuplicateEigenvalue,
+    InvalidValue,
     NotCommuting,
     json_input,
 )
@@ -40,7 +41,7 @@ class Attribute:
 
     def __post_init__(self):
         if len(self.values) != self.ground.n:
-            raise ValueError("attribute must assign a value to every element")
+            raise InvalidValue("attribute must assign a value to every element")
 
     @classmethod
     def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
@@ -146,7 +147,7 @@ class Operator:
         if any(len(row) != n for row in self.mat):
             raise DimensionMismatch("operator matrix must be square")
         if self.mat != linalg.transpose(self.mat):
-            raise ValueError("operator matrix must be symmetric")
+            raise InvalidValue("operator matrix must be symmetric")
 
     @property
     def dim(self) -> int:
@@ -343,7 +344,7 @@ def csca_complete(attrs) -> bool:
     (f(u), g(u), ...) separate the elements."""
     attrs = list(attrs)
     if not attrs:
-        raise ValueError("need at least one attribute")
+        raise InvalidValue("need at least one attribute")
     ground = attrs[0].ground
     for f in attrs[1:]:
         _require_same_ground(f, attrs[0])
@@ -358,7 +359,7 @@ def csco_complete(dsds) -> bool:
     non-zero intersections are all one-dimensional (and hence span)."""
     dsds = list(dsds)
     if not dsds:
-        raise ValueError("need at least one decomposition")
+        raise InvalidValue("need at least one decomposition")
     n = dsds[0].dim
     for d in dsds[1:]:
         if d.dim != n:

@@ -25,6 +25,7 @@ from .errors import (
     DitkitError,
     EmptyBlock,
     GroundMismatch,
+    InvalidValue,
     NotExhaustive,
     OverlappingBlocks,
     UnknownLabel,
@@ -109,8 +110,7 @@ class Partition:
             if not blk:
                 raise EmptyBlock("empty block in partition")
             for i in blk:
-                if not (isinstance(i, int) and 0 <= i < n):
-                    raise UnknownLabel(f"index {i!r} is not in range({n})")
+                _check_index(i, n)
                 if label[i] >= 0:
                     raise OverlappingBlocks(f"blocks overlap on index {i}")
                 label[i] = j
@@ -210,12 +210,12 @@ class ProbGroundSet:
         if len(self.p) != self.ground.n:
             raise GroundMismatch("probability vector length != ground size")
         if any(q <= 0 for q in self.p):
-            raise ValueError("point probabilities must be positive")
+            raise InvalidValue("point probabilities must be positive")
         exact = [Fraction(q) for q in self.p]
         den = math.lcm(*(q.denominator for q in exact))
         weights = tuple(q.numerator * (den // q.denominator) for q in exact)
         if sum(weights) != den:
-            raise ValueError(f"point probabilities sum to {sum(self.p)}, not 1")
+            raise InvalidValue(f"point probabilities sum to {sum(self.p)}, not 1")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "denominator", den)
 
@@ -235,6 +235,13 @@ class ProbGroundSet:
         """Grid mass of a set of indices: its probability times the
         denominator."""
         return sum(map(self.weights.__getitem__, indices))
+
+
+def _check_index(i, n: int) -> None:
+    """Reject anything but an int index into range(n); a bool is not an
+    index, although it is an int."""
+    if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n):
+        raise UnknownLabel(f"index {i!r} is not in range({n})")
 
 
 def _require_same_ground(a, b) -> None:

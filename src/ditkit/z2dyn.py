@@ -2,8 +2,10 @@
 space under symmetric difference, nonsingular linear evolution, and the
 two-case double-slit computation on three points.
 
-Maps are stored column-wise as int bitmasks (column j = image of the
-j-th singleton), so evolution is an XOR fold and rank is bit fiddling.
+Subsets are int bitmasks (bit i set when element i is a member), and maps
+are stored column-wise as bitmasks (column j = image of the j-th
+singleton), so addition is XOR, evolution is an XOR fold and rank is bit
+fiddling.
 """
 
 from __future__ import annotations
@@ -16,63 +18,72 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, DitkitError, EmptyState, UnknownLabel
+from .errors import DimensionMismatch, DitkitError, EmptyState, InvalidValue
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _check_index,
     _require_same_ground,
-    discrete_partition,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubsetVector:
-    """A subset of the ground set, viewed as a GF(2) vector."""
+    """A subset of the ground set, viewed as a GF(2) vector: bit i of
+    ``mask`` is set when element i is a member.
+
+    ``SubsetVector(ground, members)`` checks that the members are indices
+    in range(n); `from_bits` is the one trusted path.  ``members`` is the
+    index set derived from the mask."""
 
     ground: GroundSet
-    members: frozenset[int]
+    mask: int
 
-    def __post_init__(self):
-        n = self.ground.n
-        for i in self.members:
-            if not (isinstance(i, int) and 0 <= i < n):
-                raise UnknownLabel(f"index {i!r} is not in range({n})")
+    def __init__(self, ground: GroundSet, members: Iterable[int]):
+        mask = 0
+        for i in members:
+            _check_index(i, ground.n)
+            mask |= 1 << i
+        self.__dict__.update(ground=ground, mask=mask)
+
+    @classmethod
+    def from_bits(cls, ground: GroundSet, mask: int) -> "SubsetVector":
+        """The subset with bitmask `mask`; bits at or above n are dropped."""
+        vec = object.__new__(cls)
+        vec.__dict__.update(ground=ground, mask=mask & ~(-1 << ground.n))
+        return vec
 
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "SubsetVector":
-        return cls(ground, frozenset(ground.index(lab) for lab in labels))
+        return cls(ground, (ground.index(lab) for lab in labels))
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubsetVector":
-        return cls(ground, frozenset())
+        return cls.from_bits(ground, 0)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(i for i in range(self.ground.n) if self.mask >> i & 1)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ground.label(i) for i in sorted(self.members))
 
     def bits(self) -> int:
-        mask = 0
-        for i in self.members:
-            mask |= 1 << i
-        return mask
-
-    @classmethod
-    def from_bits(cls, ground: GroundSet, mask: int) -> "SubsetVector":
-        return cls(
-            ground, frozenset(i for i in range(ground.n) if mask >> i & 1)
-        )
+        return self.mask
 
     def __add__(self, other: "SubsetVector") -> "SubsetVector":
         _require_same_ground(self, other)
-        return SubsetVector(self.ground, self.members ^ other.members)
+        return SubsetVector.from_bits(self.ground, self.mask ^ other.mask)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __str__(self) -> str:
-        if not self.members:
-            return "{}"
         return "{" + ",".join(self.labels()) + "}"
+
+    def __repr__(self) -> str:
+        return f"SubsetVector(ground={self.ground!r}, members={self.members!r})"
 
 
 def add(s: SubsetVector, t: SubsetVector) -> SubsetVector:
@@ -171,7 +182,7 @@ def is_nonsingular(m: GF2Map) -> bool:
 def evolve(s: SubsetVector, m: GF2Map) -> SubsetVector:
     if s.ground.n != m.n:
         raise DimensionMismatch("map dimension does not match ground set")
-    return SubsetVector.from_bits(s.ground, m.apply_bits(s.bits()))
+    return SubsetVector.from_bits(s.ground, m.apply_bits(s.mask))
 
 
 @dataclass(frozen=True)
@@ -184,11 +195,11 @@ class StateMixture:
     def __post_init__(self):
         vecs = [v for v, _ in self.terms]
         if len(set(vecs)) != len(vecs):
-            raise ValueError("mixture components must be distinct")
+            raise InvalidValue("mixture components must be distinct")
         if any(q <= 0 for _, q in self.terms):
-            raise ValueError("mixture probabilities must be positive")
+            raise InvalidValue("mixture probabilities must be positive")
         if sum((q for _, q in self.terms), Fraction(0)) != 1:
-            raise ValueError("mixture probabilities must sum to 1")
+            raise InvalidValue("mixture probabilities must sum to 1")
         for v, _ in self.terms:
             _require_same_ground(v, self)
 
@@ -218,31 +229,18 @@ class StateMixture:
         out = {lab: Fraction(0) for lab in self.ground.labels}
         for vec, q in self.terms:
             if len(vec) != 1:
-                raise ValueError(f"component {vec} is not a singleton")
+                raise InvalidValue(f"component {vec} is not a singleton")
             out[vec.labels()[0]] = q
         return out
-
-
-def _weight(members: Iterable[int], p: Optional[ProbGroundSet]) -> Fraction:
-    if p is None:
-        return Fraction(len(list(members)))
-    return p.prob(members)
 
 
 def reduce(s: SubsetVector, p: Optional[ProbGroundSet] = None) -> StateMixture:
     """Collapse a subset state to a mixture of its singletons with
     conditional probabilities (uniform when no point probabilities are
     given)."""
-    if not s.members:
+    if not s.mask:
         raise EmptyState("cannot reduce the empty state")
-    if p is not None:
-        _require_same_ground(p, s)
-    total = _weight(s.members, p)
-    terms = [
-        (SubsetVector(s.ground, frozenset({i})), _weight([i], p) / total)
-        for i in sorted(s.members)
-    ]
-    return StateMixture.from_terms(s.ground, terms)
+    return run_pipeline(s, [Detect()], p)
 
 
 @dataclass(frozen=True)
@@ -263,77 +261,20 @@ class Detect:
 Step = Union[Evolve, Measure, Detect]
 
 
-def run_pipeline(
-    initial: SubsetVector,
-    steps: Iterable[Step],
-    p: Optional[ProbGroundSet] = None,
-) -> StateMixture:
-    """Propagate an exact mixture through evolve / measure / detect steps.
-    Measuring splits each component across the blocks it straddles with
-    conditional probabilities; detection reduces to singletons."""
-    ground = initial.ground
-    if p is not None:
-        _require_same_ground(p, initial)
-    mixture = StateMixture.point(initial)
-    for k, step in enumerate(steps):
-        terms: list[tuple[SubsetVector, Fraction]] = []
-        if isinstance(step, Evolve):
-            for vec, q in mixture.terms:
-                terms.append((evolve(vec, step.map), q))
-        elif isinstance(step, (Measure, Detect)):
-            sigma = (
-                discrete_partition(ground)
-                if isinstance(step, Detect)
-                else step.by
-            )
-            _require_same_ground(sigma, initial)
-            for vec, q in mixture.terms:
-                if not vec.members:
-                    raise EmptyState(f"step {k} measures the empty state")
-                total = _weight(vec.members, p)
-                for blk in sigma.blocks:
-                    piece = vec.members & frozenset(blk)
-                    if piece:
-                        terms.append(
-                            (
-                                SubsetVector(ground, piece),
-                                q * _weight(piece, p) / total,
-                            )
-                        )
-        else:
-            raise TypeError(f"unknown pipeline step {step!r}")
-        mixture = StateMixture.from_terms(ground, terms)
-    return mixture
-
-
-def sample_pipeline(
-    initial: SubsetVector,
-    steps: Iterable[Step],
-    trials: int,
-    rng: Union[int, random.Random],
-    p: Optional[ProbGroundSet] = None,
-) -> dict[SubsetVector, int]:
-    """Monte Carlo counterpart of run_pipeline: one sampled trajectory per
-    trial.  A Measure or Detect draws member i of the current subset with
-    chance p_i / Pr(subset), as `choice_reduce` does, and keeps the members
-    in i's block; a singleton draws nothing.
-
-    The steps are checked and compiled once per call: a Measure or Detect
-    becomes the mask of the block holding each element.  Each step
-    memoises, per subset mask reached, its image or its draw table: members
-    in ascending order with integer counts W_i // gcd(D, W_members), which
-    is choice_reduce's p_i times the lcm of the denominators.  So each
-    `randrange` gets the same argument, and a seed gives the same counts in
-    the same first-occurrence order."""
-    if not isinstance(trials, int) or trials < 0:
-        raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
+def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroundSet]):
+    """Check every input, then compile the steps: an Evolve keeps its map,
+    a Measure or Detect becomes the mask of the block holding each element.
+    Returns the step count and `entry(k, mask)`: step k's image of mask, or
+    its draw table (total, cumulative, nexts) over the members of mask in
+    ascending order, with integer counts W_i // gcd(D, W_members) for the
+    weights W over denominator D of p, each member leading to the members
+    in its block.  A singleton maps to itself; the empty mask raises."""
     ground = initial.ground
     n = ground.n
     if p is None:
         p = ProbGroundSet.uniform(ground)
     else:
         _require_same_ground(p, initial)
-    # per step: its map, or the mask of the block holding each element
     plan: list[Union[GF2Map, tuple[int, ...]]] = []
     for step in steps:
         if isinstance(step, Evolve):
@@ -368,8 +309,66 @@ def sample_pipeline(
         )
         return cumulative[-1], cumulative, [mask & step[i] for i in members]
 
-    memos: list[dict] = [{} for _ in plan]
-    start = initial.bits()
+    return len(plan), entry
+
+
+def run_pipeline(
+    initial: SubsetVector,
+    steps: Iterable[Step],
+    p: Optional[ProbGroundSet] = None,
+) -> StateMixture:
+    """Propagate an exact mixture through evolve / measure / detect steps.
+    Measuring splits each component across the blocks it straddles with
+    conditional probabilities; detection reduces to singletons.
+
+    This is the exact sum over every branch of `sample_pipeline`'s draw
+    tables.  The mixture is kept as mask -> integer weight over one
+    denominator, which a measuring step multiplies by the lcm of its
+    tables' totals."""
+    count, entry = _compile(initial, steps, p)
+    mixture, den = {initial.mask: 1}, 1
+    for k in range(count):
+        entries = [(entry(k, mask), w) for mask, w in mixture.items()]
+        lcm = math.lcm(*(e[0] for e, _ in entries if type(e) is not int))
+        den *= lcm
+        mixture = {}
+        for e, w in entries:
+            if type(e) is int:
+                mixture[e] = mixture.get(e, 0) + w * lcm
+                continue
+            total, cumulative, nexts = e
+            w *= lcm // total
+            for c, prev, nxt in zip(cumulative, [0, *cumulative], nexts):
+                mixture[nxt] = mixture.get(nxt, 0) + w * (c - prev)
+    ground = initial.ground
+    return StateMixture.from_terms(ground, [
+        (SubsetVector.from_bits(ground, mask), Fraction(w, den))
+        for mask, w in mixture.items()
+    ])
+
+
+def sample_pipeline(
+    initial: SubsetVector,
+    steps: Iterable[Step],
+    trials: int,
+    rng: Union[int, random.Random],
+    p: Optional[ProbGroundSet] = None,
+) -> dict[SubsetVector, int]:
+    """Monte Carlo counterpart of run_pipeline: one sampled trajectory per
+    trial.  A Measure or Detect draws member i of the current subset with
+    chance p_i / Pr(subset), as `choice_reduce` does, and keeps the members
+    in i's block; a singleton draws nothing.
+
+    The steps are checked and compiled once per call, as in run_pipeline.
+    Each step memoises, per subset mask reached, its image or its draw
+    table, whose integer counts are choice_reduce's p_i times the lcm of
+    the denominators.  So each `randrange` gets the same argument, and a
+    seed gives the same counts in the same first-occurrence order."""
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+        raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
+    count, entry = _compile(initial, steps, p)
+    memos: list[dict] = [{} for _ in range(count)]
+    start = initial.mask
     if isinstance(rng, int):
         rng = random.Random(rng)
     randrange = rng.randrange
@@ -386,7 +385,7 @@ def sample_pipeline(
                 total, cumulative, nexts = step_entry
                 mask = nexts[bisect.bisect_right(cumulative, randrange(total))]
         tally[mask] = tally.get(mask, 0) + 1
-    return {SubsetVector.from_bits(ground, m): c for m, c in tally.items()}
+    return {SubsetVector.from_bits(initial.ground, m): c for m, c in tally.items()}
 
 
 DOUBLE_SLIT_LABELS = ("a", "b", "c")
@@ -409,7 +408,7 @@ def double_slit_steps(case: int) -> list[Step]:
         return [Detect(), Evolve(dynamics), Detect()]
     if case == 2:
         return [Evolve(dynamics), Detect()]
-    raise ValueError("case must be 1 or 2")
+    raise InvalidValue("case must be 1 or 2")
 
 
 def double_slit(case: int) -> dict[str, Fraction]:

@@ -10,8 +10,9 @@ assignment of block tuples, where the library looks results up in tables.
 The density and entropy oracles compute entry by entry in `Fraction` and
 `SqrtRational` arithmetic, where the library works on an integer grid.
 The GF(2) sampler draws every measurement through `choice_reduce` and
-evolves `SubsetVector`s step by step, where the library compiles the steps
-and memoises integer draw tables.  The linear algebra eliminates on
+evolves `SubsetVector`s step by step, and the exact GF(2) pipeline splits
+`frozenset` members with `Fraction` weights, where the library compiles the
+steps into integer draw tables over bitmasks.  The linear algebra eliminates on
 `Fraction` rows, where the library works on integer rows, and builds
 operators as sums of eigenvalue times projection, where the library
 solves one integer system per operator.
@@ -33,8 +34,13 @@ from ditkit.errors import (
 from ditkit.linalg import Matrix, gram_schmidt, rank
 from ditkit.logic import Bottom, Join, Meet, Top, Var, variables
 from ditkit.observables import DSD, Compatibility
-from ditkit.partitions import ProbGroundSet, choice_reduce, discrete_partition
-from ditkit.z2dyn import Detect, Evolve, SubsetVector, evolve
+from ditkit.partitions import (
+    ProbGroundSet,
+    _require_same_ground,
+    choice_reduce,
+    discrete_partition,
+)
+from ditkit.z2dyn import Detect, Evolve, Measure, StateMixture, SubsetVector, evolve
 
 
 def insert_enumerate(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -274,6 +280,78 @@ def sample_pipeline(initial, steps, trials, rng, p=None):
             )
         counts[vec] = counts.get(vec, 0) + 1
     return counts
+
+
+# --- the exact GF(2) pipeline on frozensets and Fractions ----------------
+
+
+def _weight(members, p) -> Fraction:
+    if p is None:
+        return Fraction(len(list(members)))
+    return p.prob(members)
+
+
+def _mixture(ground, terms) -> StateMixture:
+    """Merge equal components and order them by their sorted members."""
+    merged: dict[SubsetVector, Fraction] = {}
+    for vec, q in terms:
+        merged[vec] = merged.get(vec, Fraction(0)) + q
+    return StateMixture(
+        ground, tuple(sorted(merged.items(), key=lambda t: sorted(t[0].members)))
+    )
+
+
+def reduce(s, p=None) -> StateMixture:
+    """Collapse to singletons with conditional probabilities."""
+    if not s.members:
+        raise EmptyState("cannot reduce the empty state")
+    if p is not None:
+        _require_same_ground(p, s)
+    total = _weight(s.members, p)
+    terms = [
+        (SubsetVector(s.ground, frozenset({i})), _weight([i], p) / total)
+        for i in sorted(s.members)
+    ]
+    return _mixture(s.ground, terms)
+
+
+def run_pipeline(initial, steps, p=None) -> StateMixture:
+    """Propagate an exact mixture step by step: split each component's
+    members across the blocks of a Measure or Detect, weighting each piece
+    by its conditional probability.  A step is checked when it is reached."""
+    ground = initial.ground
+    if p is not None:
+        _require_same_ground(p, initial)
+    mixture = StateMixture.point(initial)
+    for k, step in enumerate(steps):
+        terms: list[tuple[SubsetVector, Fraction]] = []
+        if isinstance(step, Evolve):
+            for vec, q in mixture.terms:
+                terms.append((evolve(vec, step.map), q))
+        elif isinstance(step, (Measure, Detect)):
+            sigma = (
+                discrete_partition(ground)
+                if isinstance(step, Detect)
+                else step.by
+            )
+            _require_same_ground(sigma, initial)
+            for vec, q in mixture.terms:
+                if not vec.members:
+                    raise EmptyState(f"step {k} measures the empty state")
+                total = _weight(vec.members, p)
+                for blk in sigma.blocks:
+                    piece = vec.members & frozenset(blk)
+                    if piece:
+                        terms.append(
+                            (
+                                SubsetVector(ground, piece),
+                                q * _weight(piece, p) / total,
+                            )
+                        )
+        else:
+            raise TypeError(f"unknown pipeline step {step!r}")
+        mixture = _mixture(ground, terms)
+    return mixture
 
 
 # --- exact linear algebra by Gauss-Jordan on Fraction rows ----------------

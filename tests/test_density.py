@@ -22,7 +22,12 @@ from ditkit.density import (
     verify_block_eigenvectors,
 )
 from ditkit.entropy import logical_entropy
-from ditkit.errors import DitkitError, GroundMismatch, ZeroProbabilityOutcome
+from ditkit.errors import (
+    DitkitError,
+    GroundMismatch,
+    UnknownLabel,
+    ZeroProbabilityOutcome,
+)
 from ditkit.partitions import (
     GroundSet,
     ProbGroundSet,
@@ -263,6 +268,14 @@ def test_luders_rule_full_mask_is_identity():
     post, prob = luders_rule(mat, ProjectionMask.from_labels(ABC, "abc"))
     assert prob == 1
     assert post == mat
+
+
+@pytest.mark.parametrize(
+    "member, shown", [(5, "5"), (-1, "-1"), (0.5, "0.5"), (True, "True")]
+)
+def test_projection_mask_members_must_be_indices_in_range(member, shown):
+    with pytest.raises(UnknownLabel, match=rf"index {shown} is not in range\(3\)"):
+        luders_rule(rho(PI, GOLDEN_P), ProjectionMask(ABC, frozenset({member})))
 
 
 def test_luders_rule_zero_probability_outcome():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ditkit
 from ditkit.errors import (
     BoundExceeded,
     DitkitError,
     EmptyBlock,
     GroundMismatch,
+    InvalidValue,
     NotExhaustive,
     OverlappingBlocks,
     UnknownLabel,
@@ -126,7 +128,8 @@ def test_constructor_checks_and_canonicalizes():
     assert Partition.from_index_blocks(g, [[1, 0]]) == indiscrete_partition(g)
     with pytest.raises(NotExhaustive):
         Partition(g, ((0,),))
-    for bad in ([[0], [-1]], [[0], [5]], [[0], [1.0]], [[0], ["b"]], [[0], None], 5):
+    bad_blocks = ([[0], [-1]], [[0], [5]], [[0], [1.0]], [[0], [True]], [[0], ["b"]])
+    for bad in (*bad_blocks, [[0], None], 5):
         with pytest.raises(DitkitError):
             Partition(g, bad)
     with pytest.raises(EmptyBlock):
@@ -451,6 +454,24 @@ def test_json_round_trip():
     for wrong in ([], {"ground": ["a"], "blocks": 5}, {"ground": 5, "blocks": []}):
         with pytest.raises(DitkitError, match="wrong shape"):
             partition_from_json(wrong)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProbGroundSet.from_values(ABC, ["1/2", "1/2", "0"]),
+        lambda: ditkit.SqrtRational(Fraction(-1)),
+        lambda: ditkit.Attribute(ABC, (Fraction(1),)),
+        lambda: ditkit.csca_complete([]),
+        lambda: ditkit.StateMixture(ABC, ()),
+        lambda: ditkit.check_validity(ditkit.parse("p"), max_n=1),
+    ],
+    ids=["probs", "radicand", "attribute", "csca", "mixture", "max_n"],
+)
+def test_bad_values_raise_invalid_value(make):
+    with pytest.raises(InvalidValue) as info:
+        make()
+    assert isinstance(info.value, DitkitError) and isinstance(info.value, ValueError)
 
 
 def test_probs_validation():

@@ -34,6 +34,8 @@ from ditkit import (
 )
 from ditkit.z2dyn import add, reduce as collapse
 
+from oracles import reduce as oracle_reduce
+from oracles import run_pipeline as oracle_run_pipeline
 from oracles import sample_pipeline as oracle_sample_pipeline
 
 U3 = GroundSet(("a", "b", "c"))
@@ -65,11 +67,26 @@ def test_vector_presentation():
 
 
 @pytest.mark.parametrize(
-    "member, shown", [(5, "5"), (-1, "-1"), (0.5, "0.5"), ("a", "'a'")]
+    "member, shown",
+    [(5, "5"), (-1, "-1"), (0.5, "0.5"), ("a", "'a'"), (True, "True")],
 )
 def test_members_must_be_indices_in_range(member, shown):
     with pytest.raises(UnknownLabel, match=rf"index {shown} is not in range\(3\)"):
         SubsetVector(U3, frozenset({member}))
+
+
+def test_mask_is_the_stored_form():
+    s = vec("ca")
+    assert s.mask == s.bits() == 0b101
+    assert s.members == frozenset({0, 2})
+    assert repr(s) == (
+        "SubsetVector(ground=GroundSet(labels=('a', 'b', 'c')),"
+        " members=frozenset({0, 2}))"
+    )
+    assert SubsetVector.from_bits(U3, 0b11101) == s  # bits >= n are dropped
+    assert hash(SubsetVector.from_bits(U3, 0b101)) == hash(s)
+    with pytest.raises(AttributeError):
+        s.members = frozenset()
 
 
 def test_bits_round_trip():
@@ -254,6 +271,12 @@ def test_mismatched_measurement_ground(pipeline):
         pipeline(start, [Measure(make_partition(xyz, [["x"], ["y", "z"]]))])
     with pytest.raises(GroundMismatch):
         pipeline(start, [Detect()], ProbGroundSet.uniform(xyz))
+    # every step is checked before the first runs, so a later foreign
+    # Measure wins over the EmptyState the singular map would cause
+    singular = Evolve(GF2Map((0b11, 0b11)))
+    foreign = Measure(make_partition(xy, [["x"], ["y"]]))
+    with pytest.raises(GroundMismatch):
+        pipeline(start, [singular, Detect(), foreign])
 
 
 @both_pipelines
@@ -267,7 +290,7 @@ def test_bad_steps_raise(pipeline):
 
 def test_sampler_checks_everything_before_the_first_trial():
     start = SubsetVector.from_labels(GroundSet(("a", "b")), "ab")
-    for trials in (-1, 2.5):
+    for trials in (-1, 2.5, True):
         with pytest.raises(DitkitError, match="non-negative integer"):
             sample_pipeline(start, [], trials, 0)
     assert sample_pipeline(start, [Detect()], 0, 0) == {}
@@ -451,3 +474,43 @@ def test_draw_counts_divide_by_the_gcd_with_the_denominator():
     got = sampled(sample_pipeline, start, steps, 50, 1, p)
     assert set(got[1]) == {(9,), (6,)}
     assert got == sampled(oracle_sample_pipeline, start, steps, 50, 1, p)
+
+
+# --- the exact pipeline against the frozenset / Fraction oracle ---
+
+
+def exact(pipeline, *args):
+    """Terms in order with the type of each weight, or the EmptyState
+    message."""
+    try:
+        mixture = pipeline(*args)
+    except EmptyState as exc:
+        return str(exc)
+    return [(vec, type(q), q) for vec, q in mixture.terms]
+
+
+U5 = GroundSet(tuple("abcde"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampler_setups())
+@example(GCD_CASE)
+@example((
+    SubsetVector.from_labels(GroundSet(("a", "b")), "ab"),
+    [Evolve(GF2Map((0b11, 0b11))), Detect()],
+    None,
+))
+# {a,c} (mask 5) comes before {b} (mask 2): terms sort by member list
+@example((vec("abc"), [Measure(make_partition(U3, [["a", "c"], ["b"]]))], None))
+# tables of totals 2 and 3 at the Detect: the denominator grows by lcm 6
+@example((
+    SubsetVector.from_labels(U5, "abcde"),
+    [Measure(make_partition(U5, [["a", "b"], ["c", "d", "e"]])), Detect()],
+    None,
+))
+def test_run_pipeline_matches_fraction_oracle(setup):
+    start, steps, p = setup
+    assert exact(run_pipeline, start, steps, p) == exact(
+        oracle_run_pipeline, start, steps, p
+    )
+    assert exact(collapse, start, p) == exact(oracle_reduce, start, p)
