@@ -5,8 +5,10 @@ Every matrix entry is a value sqrt(q) for a non-negative rational q (the
 integer numerators over a single common denominator, so building rho,
 masking, conditioning and the entropy 1 - tr(rho^2) are integer work.
 `SqrtRational` is the scalar at the API boundary: `entry`, `entries`,
-`to_json` and the public constructor.  General matrix multiplication is
-deliberately not provided; nothing here ever needs a tolerance.
+`to_json` and the public constructor, the only one that checks a matrix;
+`rho` and the Lüders maps build theirs on the unchecked trusted path.
+General matrix multiplication is deliberately not provided; nothing here
+ever needs a tolerance.
 """
 
 from __future__ import annotations
@@ -145,12 +147,14 @@ class ProjectionMask:
 class DensityMatrix:
     """Symmetric matrix of SqrtRational entries with exact unit trace.
 
-    `DensityMatrix(ground, entries)` takes a grid of SqrtRational.  The
-    matrix holds the radicand of entry (i, k) as ``_num[i*n + k] / _den``:
-    row-major integer numerators over one denominator, reduced so that no
-    integer above 1 divides the denominator and every numerator.  That
-    form is unique, so equality and hashing compare values.  Diagonal
-    entry i, the square root of its radicand, is ``_roots[i] / _den``."""
+    `DensityMatrix(ground, entries)` is the one checking constructor: it
+    checks a SqrtRational grid's shape, symmetry, rational diagonal and
+    unit trace.  `_grid` is the trusted path.  The matrix holds the
+    radicand of entry (i, k) as ``_num[i*n + k] / _den``: row-major integer
+    numerators over one denominator, reduced so that no integer above 1
+    divides the denominator and every numerator.  That form is unique, so
+    equality and hashing compare values.  Diagonal entry i, the square root
+    of its radicand, is ``_roots[i] / _den``."""
 
     ground: GroundSet
     _num: tuple[int, ...]
@@ -165,33 +169,11 @@ class DensityMatrix:
             raise InvalidValue("entry grid does not match ground size")
         radicands = [cell.radicand for row in entries for cell in row]
         den = math.lcm(*(q.denominator for q in radicands))
-        self._fill(
-            ground, tuple(q.numerator * (den // q.denominator) for q in radicands), den
-        )
-
-    @classmethod
-    def _grid(cls, ground: GroundSet, num: tuple[int, ...], den: int) -> "DensityMatrix":
-        """A matrix straight from grid numerators over `den`, validated
-        like one from the public constructor."""
-        mat = cls.__new__(cls)
-        mat._fill(ground, num, den)
-        return mat
-
-    def _fill(self, ground: GroundSet, num: tuple[int, ...], den: int) -> None:
-        common = math.gcd(den, *num)
-        if common > 1:
-            den //= common
-            num = tuple(x // common for x in num)
-        n = ground.n
-        # row i equals column i for every i exactly when the grid is symmetric
-        if any(num[i * n : i * n + n] != num[i::n] for i in range(n)):
-            i, k = next(
-                (i, k)
-                for i in range(n)
-                for k in range(i)
-                if num[i * n + k] != num[k * n + i]
-            )
-            raise InvalidValue(f"matrix not symmetric at ({i},{k})")
+        num = tuple(q.numerator * (den // q.denominator) for q in radicands)
+        for i in range(n):
+            for k in range(i):
+                if num[i * n + k] != num[k * n + i]:
+                    raise InvalidValue(f"matrix not symmetric at ({i},{k})")
         # diagonal entry sqrt(x / den) = sqrt(x * den) / den
         roots = []
         for x in num[:: n + 1]:
@@ -202,10 +184,24 @@ class DensityMatrix:
             roots.append(root)
         if sum(roots) != den:
             raise InvalidValue(f"trace is {Fraction(sum(roots), den)}, not 1")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_roots", tuple(roots))
+        self.__dict__.update(self._grid(ground, num, den, tuple(roots)).__dict__)
+
+    @classmethod
+    def _grid(
+        cls, ground: GroundSet, num: tuple[int, ...], den: int, roots: tuple[int, ...]
+    ) -> "DensityMatrix":
+        """The trusted constructor: radicands `num` over `den` and diagonal
+        roots `roots` over `den`, none of it checked.  Reducing by the
+        common factor divides each root exactly, because a rational square
+        root of an integer is an integer."""
+        common = math.gcd(den, *num)
+        if common > 1:
+            den //= common
+            num = tuple(x // common for x in num)
+            roots = tuple(r // common for r in roots)
+        mat = object.__new__(cls)
+        mat.__dict__.update(ground=ground, _num=num, _den=den, _roots=roots)
+        return mat
 
     @property
     def entries(self) -> tuple[tuple[SqrtRational, ...], ...]:
@@ -246,17 +242,17 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     """Density matrix of a partition state: entry (i,k) is
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
-    radicand is w_i * w_k / D^2."""
+    radicand is w_i * w_k / D^2 and diagonal entry i is w_i * D / D^2."""
     _require_same_ground(pi, probs)
     n = pi.ground.n
-    w = probs.weights
+    w, d = probs.weights, probs.denominator
     num = [0] * (n * n)
     for blk in pi.blocks:
         for i in blk:
             row, wi = i * n, w[i]
             for k in blk:
                 num[row + k] = wi * w[k]
-    return DensityMatrix._grid(pi.ground, tuple(num), probs.denominator**2)
+    return DensityMatrix._grid(pi.ground, tuple(num), d * d, tuple(x * d for x in w))
 
 
 def verify_block_eigenvectors(pi: Partition, probs: ProbGroundSet) -> bool:
@@ -297,7 +293,7 @@ def verify_block_eigenvectors(pi: Partition, probs: ProbGroundSet) -> bool:
 def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
     """Post-measurement state: sandwiching by the block projections of
     sigma keeps an entry exactly when its pair lies inside one sigma
-    block and zeroes the rest."""
+    block and zeroes the rest, so the diagonal is kept whole."""
     _require_same_ground(mat, sigma)
     n = mat.ground.n
     kept = mat._num
@@ -307,7 +303,7 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
             row = i * n
             for k in blk:
                 num[row + k] = kept[row + k]
-    return DensityMatrix._grid(mat.ground, tuple(num), mat._den)
+    return DensityMatrix._grid(mat.ground, tuple(num), mat._den, mat._roots)
 
 
 def luders_rule(
@@ -318,19 +314,21 @@ def luders_rule(
     _require_same_ground(mat, outcome)
     n = mat.ground.n
     members = outcome.members
-    # the outcome probability is mass / den; dividing a radicand x / den
-    # by its square gives x * den / mass^2
+    # the outcome probability is mass / den; dividing the state by it takes a
+    # root r / den to r * mass / mass^2 and a radicand x / den to x * den / mass^2
     mass = sum(mat._roots[i] for i in members)
     if mass == 0:
         raise ZeroProbabilityOutcome(
             f"outcome {sorted(members)} has probability zero"
         )
     num = [0] * (n * n)
+    roots = [0] * n
     for i in members:
         row = i * n
         for k in members:
             num[row + k] = mat._num[row + k] * mat._den
-    post = DensityMatrix._grid(mat.ground, tuple(num), mass * mass)
+        roots[i] = mat._roots[i] * mass
+    post = DensityMatrix._grid(mat.ground, tuple(num), mass * mass, tuple(roots))
     return post, Fraction(mass, mat._den)
 
 

@@ -86,12 +86,17 @@ class InvalidValue(DitkitError, ValueError):
 
 @contextmanager
 def json_input(what: str):
-    """Turn the KeyError of a missing field, or the TypeError of a value of
-    the wrong shape, raised while reading `what` from parsed JSON, into a
-    DitkitError."""
+    """Turn the KeyError of a missing field, the TypeError of a value of
+    the wrong shape, or the ValueError of a malformed value, raised while
+    reading `what` from parsed JSON, into a DitkitError.  A DitkitError
+    (such as an InvalidValue, which is also a ValueError) passes as is."""
     try:
         yield
+    except DitkitError:
+        raise
     except KeyError as exc:
         raise DitkitError(f"{what} JSON lacks the {exc} field") from None
     except TypeError as exc:
         raise DitkitError(f"{what} JSON has the wrong shape: {exc}") from None
+    except ValueError as exc:
+        raise DitkitError(f"{what} JSON has a malformed value: {exc}") from None

@@ -460,6 +460,9 @@ def check_validity(
     and kept between calls for n <= TABLE_MAX_N; larger n run the RGS
     kernels directly.  Each subformula is evaluated once per value of the
     last variable it uses."""
+    for name, value in (("max_n", max_n), ("budget", budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")
     names = variables(f)

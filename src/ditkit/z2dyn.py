@@ -117,6 +117,9 @@ class GF2Map:
 
     def __post_init__(self):
         n = len(self.cols)
+        for c in self.cols:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise InvalidValue(f"column {c!r} is not an int bitmask")
         if any(c >> n for c in self.cols):
             raise DimensionMismatch("column has bits beyond the dimension")
         rows = [
@@ -135,6 +138,8 @@ class GF2Map:
         ground element."""
         cols = []
         for lab in ground.labels:
+            if lab not in images:
+                raise InvalidValue(f"label {lab!r} has no image")
             mask = 0
             for out in images[lab]:
                 mask |= 1 << ground.index(out)
@@ -290,7 +295,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
                 block_masks[b] |= 1 << i
             plan.append(tuple(block_masks[b] for b in step.by.rgs))
         else:
-            raise TypeError(f"unknown pipeline step {step!r}")
+            raise DitkitError(f"unknown pipeline step {step!r}")
 
     weights, den = p.weights, p.denominator
 

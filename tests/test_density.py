@@ -376,6 +376,17 @@ def _vectors(n, rng):
             yield ProbGroundSet(ground(n), tuple(Fraction(w, total) for w in weights))
 
 
+def _check_trusted_diagonal(mat, want):
+    """The builders hand their diagonal roots to the unchecked `_grid`,
+    and `==` does not compare `_roots`: check the diagonal against the
+    oracle's square roots, the trace, and the roots the checking
+    constructor computes from the same entries."""
+    n = len(want)
+    assert mat.diagonal() == tuple(want[i][i].to_rational() for i in range(n))
+    assert mat.trace() == 1
+    assert mat._roots == DensityMatrix(mat.ground, mat.entries)._roots
+
+
 def test_grid_matches_fraction_oracle_on_every_pair():
     rng = random.Random(2718)
     for n in (1, 2, 3, 4):
@@ -384,10 +395,12 @@ def test_grid_matches_fraction_oracle_on_every_pair():
                 mat = rho(pi, probs)
                 want = rho_entries(pi, probs)
                 assert mat.entries == want
+                _check_trusted_diagonal(mat, want)
                 hat = luders_mixture(mat, sigma)
                 want_hat = masked_entries(want, sigma)
                 assert hat.entries == want_hat
                 assert hat == DensityMatrix(probs.ground, want_hat)
+                _check_trusted_diagonal(hat, want_hat)
                 h, h_hat = quantum_logical_entropy(mat), quantum_logical_entropy(hat)
                 assert type(h) is Fraction and h == entries_entropy(want)
                 assert h_hat == entries_entropy(want_hat)
@@ -401,3 +414,4 @@ def test_grid_matches_fraction_oracle_on_every_pair():
                     assert type(prob) is Fraction and prob == want_prob
                     assert post.entries == want_post
                     assert post == DensityMatrix(probs.ground, want_post)
+                    _check_trusted_diagonal(post, want_post)

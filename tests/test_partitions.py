@@ -465,13 +465,53 @@ def test_json_round_trip():
         lambda: ditkit.csca_complete([]),
         lambda: ditkit.StateMixture(ABC, ()),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=1),
+        lambda: ditkit.check_validity(ditkit.parse("p"), max_n=2.5),
+        lambda: ditkit.check_validity(ditkit.parse("p"), max_n=True),
+        lambda: ditkit.check_validity(ditkit.parse("p"), max_n=3, budget="x"),
+        lambda: ditkit.DensityMatrix.from_json(
+            {"ground": ["a"], "entries": [[{"radicand": "-1"}]]}
+        ),
     ],
-    ids=["probs", "radicand", "attribute", "csca", "mixture", "max_n"],
+    ids=[
+        "probs",
+        "radicand",
+        "attribute",
+        "csca",
+        "mixture",
+        "max_n",
+        "max_n-float",
+        "max_n-bool",
+        "budget-str",
+        "radicand-json",
+    ],
 )
 def test_bad_values_raise_invalid_value(make):
     with pytest.raises(InvalidValue) as info:
         make()
     assert isinstance(info.value, DitkitError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "read, blob, what",
+    [
+        (
+            ditkit.DensityMatrix.from_json,
+            {"ground": ["a"], "entries": [[{"radicand": "abc"}]]},
+            "density matrix",
+        ),
+        (ditkit.DSD.from_json, {"dim": 1, "subspaces": [[["x"]]]}, "DSD"),
+        (
+            ditkit.Attribute.from_json,
+            {"ground": ["a"], "values": {"a": "zz"}},
+            "attribute",
+        ),
+    ],
+    ids=["density", "dsd", "attribute"],
+)
+def test_malformed_json_number_raises_ditkit_error(read, blob, what):
+    with pytest.raises(DitkitError, match=f"^{what} JSON has a malformed value") as e:
+        read(blob)
+    assert not isinstance(e.value, ValueError)
 
 
 def test_probs_validation():

@@ -17,6 +17,7 @@ from ditkit import (
     GF2Map,
     GroundMismatch,
     GroundSet,
+    InvalidValue,
     Measure,
     Partition,
     ProbGroundSet,
@@ -284,8 +285,22 @@ def test_bad_steps_raise(pipeline):
     start = SubsetVector.from_labels(GroundSet(("a", "b")), "ab")
     with pytest.raises(DimensionMismatch):
         pipeline(start, [Evolve(GF2Map.identity(3))])
-    with pytest.raises(TypeError, match="unknown pipeline step"):
+    with pytest.raises(DitkitError, match="unknown pipeline step"):
         pipeline(start, [Detect(), "coin flip"])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GF2Map((0.5,)), "column 0.5 is not an int bitmask"),
+        (lambda: GF2Map((True,)), "column True is not an int bitmask"),
+        (lambda: GF2Map.from_images(GroundSet(("a",)), {}), "label 'a' has no image"),
+    ],
+    ids=["float-column", "bool-column", "missing-image"],
+)
+def test_bad_maps_raise_invalid_value(make, message):
+    with pytest.raises(InvalidValue, match=message):
+        make()
 
 
 def test_sampler_checks_everything_before_the_first_trial():
@@ -298,7 +313,7 @@ def test_sampler_checks_everything_before_the_first_trial():
     for steps, error in (
         ([Evolve(GF2Map.identity(3))], DimensionMismatch),
         ([Detect(), Measure(foreign)], GroundMismatch),
-        (["coin flip"], TypeError),
+        (["coin flip"], DitkitError),
     ):
         with pytest.raises(error):
             sample_pipeline(start, steps, 0, 0)
