@@ -7,6 +7,9 @@ masking, conditioning and the entropy 1 - tr(rho^2) are integer work.
 `SqrtRational` is the scalar at the API boundary: `entry`, `entries`,
 `to_json` and the public constructor, the only one that checks a matrix;
 `rho` and the Lüders maps build theirs on the unchecked trusted path.
+A `ProjectionMask`, the outcome `luders_rule` conditions on, is a
+`SubsetVector` bitmask, since at the set level a projection is the
+subset it keeps.
 General matrix multiplication is deliberately not provided; nothing here
 ever needs a tolerance.
 """
@@ -16,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from . import entropy as _entropy
 from .errors import InvalidValue, ZeroProbabilityOutcome, json_input
@@ -24,10 +26,10 @@ from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
-    _check_index,
     _require_same_ground,
     join,
 )
+from .z2dyn import SubsetVector
 
 
 @dataclass(frozen=True)
@@ -119,25 +121,12 @@ def _split_square(n: int) -> tuple[int, int]:
     return square, rest * n
 
 
-@dataclass(frozen=True)
-class ProjectionMask:
-    """Diagonal 0/1 projection onto a subset of the ground set."""
-
-    ground: GroundSet
-    members: frozenset[int]
-
-    def __post_init__(self):
-        for i in self.members:
-            _check_index(i, self.ground.n)
-
-    @classmethod
-    def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "ProjectionMask":
-        return cls(ground, frozenset(ground.index(lab) for lab in labels))
+class ProjectionMask(SubsetVector):
+    """Diagonal 0/1 projection onto a subset of the ground set; it never
+    equals a `SubsetVector` with the same members."""
 
     def complement(self) -> "ProjectionMask":
-        return ProjectionMask(
-            self.ground, frozenset(range(self.ground.n)) - self.members
-        )
+        return self.from_bits(self.ground, ~self.mask)
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
@@ -340,8 +329,7 @@ def luders_outcomes(
     _require_same_ground(mat, sigma)
     rows = []
     for blk in sigma.blocks:
-        mask = ProjectionMask(mat.ground, frozenset(blk))
-        state, prob = luders_rule(mat, mask)
+        state, prob = luders_rule(mat, ProjectionMask(mat.ground, blk))
         rows.append((blk, prob, state))
     return rows
 

@@ -87,9 +87,10 @@ class InvalidValue(DitkitError, ValueError):
 @contextmanager
 def json_input(what: str):
     """Turn the KeyError of a missing field, the TypeError of a value of
-    the wrong shape, or the ValueError of a malformed value, raised while
-    reading `what` from parsed JSON, into a DitkitError.  A DitkitError
-    (such as an InvalidValue, which is also a ValueError) passes as is."""
+    the wrong shape, or the ValueError or ZeroDivisionError of a malformed
+    value, raised while reading `what` from parsed JSON, into a
+    DitkitError.  A DitkitError (such as an InvalidValue, which is also a
+    ValueError) passes as is."""
     try:
         yield
     except DitkitError:
@@ -98,5 +99,5 @@ def json_input(what: str):
         raise DitkitError(f"{what} JSON lacks the {exc} field") from None
     except TypeError as exc:
         raise DitkitError(f"{what} JSON has the wrong shape: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DitkitError(f"{what} JSON has a malformed value: {exc}") from None

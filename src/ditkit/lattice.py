@@ -15,6 +15,7 @@ from .partitions import (
     enumerate_partitions,
     notation,
     _canon,
+    _from_rgs,
 )
 from .z2dyn import SubsetVector, double_slit_setup, evolve
 
@@ -99,12 +100,10 @@ def hasse_dot(ground: GroundSet, highlight=()) -> str:
 def superposition_partition(s: SubsetVector) -> Partition:
     """Skeleton of a superposition: its support as one block, everything
     else a singleton."""
-    if not s.members:
+    if not s.mask:
         raise EmptyState("empty subset has no superposition partition")
-    blocks = [s.members] + [
-        (i,) for i in range(s.ground.n) if i not in s.members
-    ]
-    return Partition(s.ground, blocks)
+    rgs = _canon(-1 if s.mask >> i & 1 else i for i in range(s.ground.n))
+    return _from_rgs(s.ground, rgs)
 
 
 def double_slit_dot() -> str:
@@ -114,7 +113,7 @@ def double_slit_dot() -> str:
     ground, dynamics, start = double_slit_setup()
     primed = GroundSet(tuple(lab + "'" for lab in ground.labels))
     # in the evolved basis the superposition keeps its support pattern
-    image = SubsetVector(primed, start.members)
+    image = SubsetVector.from_bits(primed, start.mask)
     before = superposition_partition(start)
     after = superposition_partition(image)
     evolved_subset = evolve(start, dynamics)

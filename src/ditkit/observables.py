@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import mul
+from operator import mul, or_
 
 from . import linalg
 from .errors import (
@@ -29,7 +29,15 @@ from .errors import (
     json_input,
 )
 from .linalg import Matrix
-from .partitions import GroundSet, Partition, _require_same_ground, join
+from .partitions import (
+    GroundSet,
+    Partition,
+    _canon,
+    _fraction,
+    _from_rgs,
+    _require_same_ground,
+    join,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class Attribute:
 
     @classmethod
     def from_values(cls, ground: GroundSet, values) -> "Attribute":
-        return cls(ground, tuple(Fraction(v) for v in values))
+        return cls(ground, tuple(map(_fraction, values)))
 
     def __call__(self, label: str) -> Fraction:
         return self.values[self.ground.index(label)]
@@ -162,10 +170,7 @@ class Compatibility(enum.Enum):
 
 def inverse_image_partition(f: Attribute) -> Partition:
     """Partition of the ground set by the level sets of the attribute."""
-    blocks: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(f.values):
-        blocks.setdefault(v, []).append(i)
-    return Partition(f.ground, blocks.values())
+    return _from_rgs(f.ground, _canon(f.values))
 
 
 def set_spectral_check(f: Attribute) -> bool:
@@ -173,28 +178,19 @@ def set_spectral_check(f: Attribute) -> bool:
     r-level set, pointwise, and that the level sets resolve every subset
     into disjoint pieces (set-level resolution of identity)."""
     pi = inverse_image_partition(f)
-    level = {blk: f.values[blk[0]] for blk in pi.blocks}
-    for i in range(f.ground.n):
-        total = sum(
-            (r for blk, r in level.items() if i in blk), Fraction(0)
-        )
+    n = f.ground.n
+    masks = [sum(1 << i for i in blk) for blk in pi.blocks]
+    level = [f.values[blk[0]] for blk in pi.blocks]
+    for i in range(n):
+        total = sum((r for m, r in zip(masks, level) if m >> i & 1), Fraction(0))
         if total != f.values[i]:
             return False
     # resolution of identity on subsets; sweep them all while 2^n is small
-    n = f.ground.n
-    universe = frozenset(range(n))
-    subsets: list[frozenset[int]] = [universe]
-    if n <= 10:
-        subsets = [
-            frozenset(s)
-            for k in range(n + 1)
-            for s in itertools.combinations(range(n), k)
-        ]
-    for s in subsets:
-        pieces = [s & frozenset(blk) for blk in pi.blocks]
-        if sum(len(piece) for piece in pieces) != len(s):
+    for s in range(1 << n) if n <= 10 else ((1 << n) - 1,):
+        pieces = [s & m for m in masks]
+        if sum(piece.bit_count() for piece in pieces) != s.bit_count():
             return False
-        if frozenset().union(*pieces) != s:
+        if reduce(or_, pieces) != s:
             return False
     return True
 

@@ -226,7 +226,7 @@ class ProbGroundSet:
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Sequence) -> "ProbGroundSet":
-        return cls(ground, tuple(Fraction(v) for v in values))
+        return cls(ground, tuple(map(_fraction, values)))
 
     def prob(self, indices: Iterable[int]) -> Fraction:
         return Fraction(self.weight(indices), self.denominator)
@@ -235,6 +235,15 @@ class ProbGroundSet:
         """Grid mass of a set of indices: its probability times the
         denominator."""
         return sum(map(self.weights.__getitem__, indices))
+
+
+def _fraction(value) -> Fraction:
+    """`Fraction(value)`, with a malformed number or a zero denominator
+    raised as InvalidValue."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidValue(f"{value!r} is not a rational number") from None
 
 
 def _check_index(i, n: int) -> None:
@@ -255,7 +264,8 @@ def make_partition(
     ground: GroundSet, blocks: Iterable[Iterable[str]]
 ) -> Partition:
     """Build a partition from blocks of labels."""
-    return Partition(ground, [[ground.index(lab) for lab in blk] for blk in blocks])
+    # chain defers iter(blocks), so the constructor also rejects a non-iterable
+    return Partition(ground, (map(ground.index, b) for b in itertools.chain(blocks)))
 
 
 def discrete_partition(ground: GroundSet) -> Partition:
@@ -489,8 +499,11 @@ def partition_to_json(pi: Partition) -> dict:
 
 
 def partition_from_json(data: dict) -> Partition:
+    # not make_partition, whose error for a non-iterable hides the JSON context
     with json_input("partition"):
-        return make_partition(GroundSet(tuple(data["ground"])), data["blocks"])
+        ground = GroundSet(tuple(data["ground"]))
+        blocks = [[ground.index(lab) for lab in blk] for blk in data["blocks"]]
+    return Partition(ground, blocks)
 
 
 def all_pairs(

@@ -42,9 +42,12 @@ class SubsetVector:
 
     def __init__(self, ground: GroundSet, members: Iterable[int]):
         mask = 0
-        for i in members:
-            _check_index(i, ground.n)
-            mask |= 1 << i
+        try:
+            for i in members:
+                _check_index(i, ground.n)
+                mask |= 1 << i
+        except TypeError:
+            raise DitkitError("members must be an iterable") from None
         self.__dict__.update(ground=ground, mask=mask)
 
     @classmethod
@@ -56,7 +59,8 @@ class SubsetVector:
 
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "SubsetVector":
-        return cls(ground, (ground.index(lab) for lab in labels))
+        # chain defers iter(labels), so the constructor also rejects a non-iterable
+        return cls(ground, map(ground.index, itertools.chain(labels)))
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubsetVector":
@@ -83,7 +87,8 @@ class SubsetVector:
         return "{" + ",".join(self.labels()) + "}"
 
     def __repr__(self) -> str:
-        return f"SubsetVector(ground={self.ground!r}, members={self.members!r})"
+        name = type(self).__name__
+        return f"{name}(ground={self.ground!r}, members={self.members!r})"
 
 
 def add(s: SubsetVector, t: SubsetVector) -> SubsetVector:
@@ -122,11 +127,8 @@ class GF2Map:
                 raise InvalidValue(f"column {c!r} is not an int bitmask")
         if any(c >> n for c in self.cols):
             raise DimensionMismatch("column has bits beyond the dimension")
-        rows = [
-            sum(((self.cols[j] >> i & 1) << j) for j in range(n))
-            for i in range(n)
-        ]
-        object.__setattr__(self, "nonsingular", _gf2_rank(rows, n) == n)
+        # a matrix and its transpose have the same rank
+        object.__setattr__(self, "nonsingular", _gf2_rank(list(self.cols), n) == n)
 
     @property
     def n(self) -> int:
@@ -140,10 +142,7 @@ class GF2Map:
         for lab in ground.labels:
             if lab not in images:
                 raise InvalidValue(f"label {lab!r} has no image")
-            mask = 0
-            for out in images[lab]:
-                mask |= 1 << ground.index(out)
-            cols.append(mask)
+            cols.append(SubsetVector.from_labels(ground, images[lab]).mask)
         return cls(tuple(cols))
 
     @classmethod
@@ -164,20 +163,15 @@ class GF2Map:
         return out
 
     def inverse(self) -> "GF2Map":
-        """Inverse map by GF(2) Gauss-Jordan elimination."""
+        """Inverse map by GF(2) Gauss-Jordan elimination.  The columns of
+        M are the rows of its transpose, so reducing [M^T | I] leaves
+        [I | (M^T)^-1], whose rows are the columns of M^-1."""
         n = self.n
         if not self.nonsingular:
             raise ArithmeticError("map is singular over GF(2)")
-        rows = [
-            sum(((self.cols[j] >> i & 1) << j) for j in range(n)) | 1 << (n + i)
-            for i in range(n)
-        ]
+        rows = [c | 1 << (n + j) for j, c in enumerate(self.cols)]
         _gf2_rank(rows, n)
-        inv_cols = [
-            sum(((rows[i] >> (n + j) & 1) << i) for i in range(n))
-            for j in range(n)
-        ]
-        return GF2Map(tuple(inv_cols))
+        return GF2Map(tuple(row >> n for row in rows))
 
 
 def is_nonsingular(m: GF2Map) -> bool:
@@ -201,9 +195,13 @@ class StateMixture:
         vecs = [v for v, _ in self.terms]
         if len(set(vecs)) != len(vecs):
             raise InvalidValue("mixture components must be distinct")
-        if any(q <= 0 for _, q in self.terms):
-            raise InvalidValue("mixture probabilities must be positive")
-        if sum((q for _, q in self.terms), Fraction(0)) != 1:
+        try:
+            if any(q <= 0 for _, q in self.terms):
+                raise InvalidValue("mixture probabilities must be positive")
+            total = sum((q for _, q in self.terms), Fraction(0))
+        except TypeError:
+            raise InvalidValue("mixture probabilities must be numbers") from None
+        if total != 1:
             raise InvalidValue("mixture probabilities must sum to 1")
         for v, _ in self.terms:
             _require_same_ground(v, self)

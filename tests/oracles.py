@@ -15,7 +15,10 @@ evolves `SubsetVector`s step by step, and the exact GF(2) pipeline splits
 steps into integer draw tables over bitmasks.  The linear algebra eliminates on
 `Fraction` rows, where the library works on integer rows, and builds
 operators as sums of eigenvalue times projection, where the library
-solves one integer system per operator.
+solves one integer system per operator.  GF(2) maps are reduced on their
+transposed rows, where the library reduces their columns, and level-set
+partitions go through the checking `Partition` constructor, where the
+library builds them from a restricted growth string.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ditkit.linalg import Matrix, gram_schmidt, rank
 from ditkit.logic import Bottom, Join, Meet, Top, Var, variables
 from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import (
+    Partition,
     ProbGroundSet,
     _require_same_ground,
     choice_reduce,
@@ -352,6 +356,59 @@ def run_pipeline(initial, steps, p=None) -> StateMixture:
             raise TypeError(f"unknown pipeline step {step!r}")
         mixture = _mixture(ground, terms)
     return mixture
+
+
+# --- GF(2) maps on transposed rows ----------------------------------------
+
+
+def _gf2_rows(cols: tuple[int, ...]) -> list[int]:
+    """The rows of the matrix whose columns are the bitmasks `cols`."""
+    n = len(cols)
+    return [sum(((cols[j] >> i & 1) << j) for j in range(n)) for i in range(n)]
+
+
+def _gf2_reduce(rows: list[int], width: int) -> int:
+    """Gauss-Jordan on the low `width` bits of `rows`, in place; the rank."""
+    rank = 0
+    for c in range(width):
+        for i in range(rank, len(rows)):
+            if rows[i] >> c & 1:
+                rows[rank], rows[i] = rows[i], rows[rank]
+                break
+        else:
+            continue
+        for i in range(len(rows)):
+            if i != rank and rows[i] >> c & 1:
+                rows[i] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+def gf2_nonsingular(cols: tuple[int, ...]) -> bool:
+    return _gf2_reduce(_gf2_rows(cols), len(cols)) == len(cols)
+
+
+def gf2_inverse(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """Columns of the inverse: reduce [M | I] by rows to [I | M^-1], then
+    read M^-1 column by column."""
+    n = len(cols)
+    rows = [row | 1 << (n + i) for i, row in enumerate(_gf2_rows(cols))]
+    _gf2_reduce(rows, n)
+    return tuple(
+        sum(((rows[i] >> (n + j) & 1) << i) for i in range(n)) for j in range(n)
+    )
+
+
+# --- partitions by level sets ----------------------------------------------
+
+
+def level_partition(f) -> Partition:
+    """The level-set partition of an attribute, through the checking
+    constructor."""
+    blocks: dict[Fraction, list[int]] = {}
+    for i, v in enumerate(f.values):
+        blocks.setdefault(v, []).append(i)
+    return Partition(f.ground, blocks.values())
 
 
 # --- exact linear algebra by Gauss-Jordan on Fraction rows ----------------

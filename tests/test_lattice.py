@@ -8,6 +8,7 @@ from ditkit import (
     BoundExceeded,
     EmptyState,
     GroundSet,
+    Partition,
     SubsetVector,
     covering_pairs,
     double_slit_dot,
@@ -105,6 +106,13 @@ def test_superposition_partition():
     assert superposition_partition(single).is_discrete()
     with pytest.raises(EmptyState):
         superposition_partition(SubsetVector.empty(U3))
+    for n in range(1, 6):
+        ground = GroundSet(tuple("abcde"[:n]))
+        for mask in range(1, 1 << n):
+            s = SubsetVector.from_bits(ground, mask)
+            rest = [(i,) for i in range(n) if i not in s.members]
+            expected = Partition(ground, [s.members, *rest])
+            assert superposition_partition(s) == expected
 
 
 def test_double_slit_dot_structure():

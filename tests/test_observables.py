@@ -83,14 +83,23 @@ def test_inverse_image_partition():
     assert inverse_image_partition(g).num_blocks == 1
     h = Attribute.from_values(U3, [1, 2, 3])
     assert inverse_image_partition(h).is_discrete()
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        ground = GroundSet(tuple(f"u{i}" for i in range(n)))
+        f = Attribute.from_values(
+            ground, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        )
+        got, expected = inverse_image_partition(f), oracles.level_partition(f)
+        assert got == expected and got.blocks == expected.blocks
 
 
 def test_set_spectral_check_examples_and_random():
     assert set_spectral_check(Attribute.from_values(U3, [1, 2, 1]))
     assert set_spectral_check(Attribute.from_values(U4, [7, 7, 7, 7]))
     rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randint(1, 6)
+    # n = 11 checks only the universe, smaller n every subset
+    for n in [rng.randint(1, 6) for _ in range(30)] + [10, 11]:
         ground = GroundSet(tuple(f"u{i}" for i in range(n)))
         f = Attribute.from_values(
             ground, [rng.randint(-3, 3) for _ in range(n)]

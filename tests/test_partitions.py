@@ -132,6 +132,9 @@ def test_constructor_checks_and_canonicalizes():
     for bad in (*bad_blocks, [[0], None], 5):
         with pytest.raises(DitkitError):
             Partition(g, bad)
+    for bad in (5, [["a"], 5]):
+        with pytest.raises(DitkitError, match="blocks must be iterables of indices"):
+            make_partition(g, bad)
     with pytest.raises(EmptyBlock):
         Partition(g, [[0, 1], []])
     with pytest.raises(OverlappingBlocks):
@@ -464,6 +467,9 @@ def test_json_round_trip():
         lambda: ditkit.Attribute(ABC, (Fraction(1),)),
         lambda: ditkit.csca_complete([]),
         lambda: ditkit.StateMixture(ABC, ()),
+        lambda: ditkit.StateMixture(
+            ABC, ((ditkit.SubsetVector(ABC, [0]), "x"),)
+        ),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=1),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=2.5),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=True),
@@ -478,6 +484,7 @@ def test_json_round_trip():
         "attribute",
         "csca",
         "mixture",
+        "mixture-weight",
         "max_n",
         "max_n-float",
         "max_n-bool",
@@ -505,13 +512,35 @@ def test_bad_values_raise_invalid_value(make):
             {"ground": ["a"], "values": {"a": "zz"}},
             "attribute",
         ),
+        (
+            ditkit.DensityMatrix.from_json,
+            {"ground": ["a"], "entries": [[{"radicand": "1/0"}]]},
+            "density matrix",
+        ),
+        (ditkit.DSD.from_json, {"dim": 1, "subspaces": [[["1/0"]]]}, "DSD"),
+        (
+            ditkit.Attribute.from_json,
+            {"ground": ["a"], "values": {"a": "1/0"}},
+            "attribute",
+        ),
     ],
-    ids=["density", "dsd", "attribute"],
+    ids=["density", "dsd", "attribute", "density-zero", "dsd-zero", "attribute-zero"],
 )
 def test_malformed_json_number_raises_ditkit_error(read, blob, what):
     with pytest.raises(DitkitError, match=f"^{what} JSON has a malformed value") as e:
         read(blob)
     assert not isinstance(e.value, ValueError)
+
+
+@pytest.mark.parametrize("text", ["x", "1/0"])
+@pytest.mark.parametrize(
+    "read",
+    [ProbGroundSet.from_values, ditkit.Attribute.from_values],
+    ids=["probs", "attribute"],
+)
+def test_malformed_numbers_raise_invalid_value(read, text):
+    with pytest.raises(InvalidValue, match=f"^'{text}' is not a rational number$"):
+        read(GroundSet(("a", "b")), [text, "1"])
 
 
 def test_probs_validation():

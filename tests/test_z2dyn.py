@@ -33,8 +33,10 @@ from ditkit import (
     run_pipeline,
     sample_pipeline,
 )
+from ditkit.density import ProjectionMask
 from ditkit.z2dyn import add, reduce as collapse
 
+from oracles import gf2_inverse, gf2_nonsingular
 from oracles import reduce as oracle_reduce
 from oracles import run_pipeline as oracle_run_pipeline
 from oracles import sample_pipeline as oracle_sample_pipeline
@@ -72,8 +74,25 @@ def test_vector_presentation():
     [(5, "5"), (-1, "-1"), (0.5, "0.5"), ("a", "'a'"), (True, "True")],
 )
 def test_members_must_be_indices_in_range(member, shown):
-    with pytest.raises(UnknownLabel, match=rf"index {shown} is not in range\(3\)"):
-        SubsetVector(U3, frozenset({member}))
+    for cls in (SubsetVector, ProjectionMask):
+        with pytest.raises(UnknownLabel, match=rf"index {shown} is not in range\(3\)"):
+            cls(U3, frozenset({member}))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SubsetVector(U3, 5),
+        lambda: SubsetVector.from_labels(U3, 5),
+        lambda: ProjectionMask(U3, 5),
+        lambda: ProjectionMask.from_labels(U3, 5),
+        lambda: GF2Map.from_images(U3, {"a": 5, "b": [], "c": []}),
+    ],
+    ids=["subset", "subset-labels", "mask", "mask-labels", "map-image"],
+)
+def test_non_iterable_members_raise_ditkit_error(make):
+    with pytest.raises(DitkitError, match="^members must be an iterable$"):
+        make()
 
 
 def test_mask_is_the_stored_form():
@@ -88,6 +107,18 @@ def test_mask_is_the_stored_form():
     assert hash(SubsetVector.from_bits(U3, 0b101)) == hash(s)
     with pytest.raises(AttributeError):
         s.members = frozenset()
+    # a projection is the same bitmask, but never equal to a SubsetVector
+    m = ProjectionMask.from_labels(U3, "ca")
+    assert m.mask == 0b101 and m.members == frozenset({0, 2})
+    assert repr(m) == (
+        "ProjectionMask(ground=GroundSet(labels=('a', 'b', 'c')),"
+        " members=frozenset({0, 2}))"
+    )
+    assert m.complement() == ProjectionMask(U3, [1])
+    assert type(m.complement()) is ProjectionMask
+    assert 0 in m and 2 in m and 1 not in m and 5 not in m
+    assert hash(ProjectionMask.from_bits(U3, 0b11101)) == hash(m)
+    assert m != s and s != m
 
 
 def test_bits_round_trip():
@@ -152,17 +183,20 @@ def test_inverse_round_trip():
 def test_random_nonsingular_maps_have_inverses():
     rng = random.Random(3)
     found = 0
-    while found < 20:
-        n = rng.randint(1, 6)
+    for _ in range(300):
+        n = rng.randint(1, 12)
         m = GF2Map(tuple(rng.randrange(1 << n) for _ in range(n)))
+        assert m.nonsingular == gf2_nonsingular(m.cols)
         if not m.nonsingular:
             with pytest.raises(ArithmeticError):
                 m.inverse()
             continue
         inv = m.inverse()
+        assert inv.cols == gf2_inverse(m.cols)
         for j in range(n):
             assert inv.apply_bits(m.cols[j]) == 1 << j
         found += 1
+    assert found >= 20
 
 
 # --- mixtures and reduction ---
