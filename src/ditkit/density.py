@@ -26,6 +26,7 @@ from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _fraction,
     _require_same_ground,
     join,
 )
@@ -46,12 +47,12 @@ class SqrtRational:
     @classmethod
     def of(cls, value) -> "SqrtRational":
         """The square root of `value`."""
-        return cls(Fraction(value))
+        return cls(_fraction(value))
 
     @classmethod
     def from_rational(cls, value) -> "SqrtRational":
         """Embed a non-negative rational exactly (radicand value**2)."""
-        q = Fraction(value)
+        q = _fraction(value)
         if q < 0:
             raise InvalidValue("cannot embed a negative rational")
         return cls(q * q)
@@ -64,7 +65,7 @@ class SqrtRational:
 
     def scaled(self, factor) -> "SqrtRational":
         """Multiply by a non-negative rational factor."""
-        c = Fraction(factor)
+        c = _fraction(factor)
         if c < 0:
             raise InvalidValue("scaling factor must be non-negative")
         return SqrtRational(c * c * self.radicand)

@@ -328,6 +328,7 @@ class _Ranked:
         self.bottom, self.top = 0, self.size - 1
         self._rgs = [pi.rgs for pi in self.parts]
         self._rank = {code: r for r, code in enumerate(self._rgs)}
+        self._shapes = [tuple(sorted(map(len, pi.blocks))) for pi in self.parts]
         self._tables: dict = {}
 
     def elements(self) -> range:
@@ -335,6 +336,11 @@ class _Ranked:
 
     def partition(self, x: int) -> Partition:
         return self.parts[x]
+
+    def shape(self, x: int) -> tuple[int, ...]:
+        """The sorted block sizes of `x`, which name its orbit under
+        relabelling the ground set."""
+        return self._shapes[x]
 
     def op(self, kernel):
         """`kernel` on ranks, through its table."""
@@ -367,6 +373,9 @@ class _Unranked:
 
     def partition(self, rgs: tuple[int, ...]) -> Partition:
         return _from_rgs(self.ground, rgs)
+
+    def shape(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(map(rgs.count, range(max(rgs) + 1))))
 
     def op(self, kernel):
         return kernel
@@ -415,10 +424,46 @@ def _compile(f: Formula, names: tuple[str, ...]):
     return consts, levels, root, len(slots)
 
 
-def _search(program, lattice):
-    """Run the slot program over every assignment in nested order, first
+def _polarity(f: Formula, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Per variable of `names`: 1 if every occurrence in `f` is positive,
+    -1 if every one is negative, 0 if both.  The sign flips on the left
+    of `=>`, the one argument in which an operation is antitone."""
+    signs: dict[str, set[int]] = {name: set() for name in names}
+
+    def walk(node: Formula, sign: int):
+        if isinstance(node, Var):
+            signs[node.name].add(sign)
+        elif isinstance(node, (Join, Meet, Implies)):
+            walk(node.left, -sign if isinstance(node, Implies) else sign)
+            walk(node.right, sign)
+
+    walk(f, 1)
+    return tuple(sum(signs[name]) for name in names)
+
+
+def _representatives(lattice):
+    """The first element of each shape, in element order."""
+    seen: set = set()
+    for x in lattice.elements():
+        shape = lattice.shape(x)
+        if shape not in seen:
+            seen.add(shape)
+            yield x
+
+
+def _search(program, polarity, lattice):
+    """Run the slot program over the assignments in nested order, first
     variable outermost, and return the variables' values and the root
-    value at the first assignment whose root is below the top, or None."""
+    value at the first assignment whose root is below the top, or None.
+
+    Three kinds of assignment are skipped, none of which can hold the
+    first hit.  Relabelling the ground set fixes the constants and commutes
+    with every operation, so a first value whose shape was already searched
+    clean has no hit: only the first value of each shape is tried.  The
+    root is monotone in a variable of polarity 1, so if its first value,
+    the bottom, leaves the rest clean, every value does.  It is antitone in
+    one of polarity -1, so if the top leaves the rest clean, every value
+    does; only if it does not is the variable searched in order."""
     consts, levels, root, width = program
     depth = len(levels) - 1
     values: list = [None] * width
@@ -430,22 +475,29 @@ def _search(program, lattice):
     ]
     top = lattice.top
 
-    def nested(d: int) -> bool:
+    def nested(d: int, xs) -> bool:
         level, innermost = steps[d + 1], d + 1 == depth
-        for x in lattice.elements():
+        for x in xs:
             values[d] = x
             for slot, op, left, right in level:
                 values[slot] = op(values[left], values[right])
             if innermost:
                 if values[root] != top:
                     return True
-            elif nested(d + 1):
+            elif search(d + 1):
                 return True
         return False
 
+    def search(d: int) -> bool:
+        if polarity[d] > 0:
+            return nested(d, (lattice.bottom,))
+        if polarity[d] < 0 and not nested(d, (top,)):
+            return False
+        return nested(d, _representatives(lattice) if d == 0 else lattice.elements())
+
     for slot, op, left, right in steps[0]:
         values[slot] = op(values[left], values[right])
-    found = nested(0) if depth else values[root] != top
+    found = search(0) if depth else values[root] != top
     return (values[:depth], values[root]) if found else None
 
 
@@ -459,14 +511,19 @@ def check_validity(
     The search runs on RGS ranks through operation tables filled on demand
     and kept between calls for n <= TABLE_MAX_N; larger n run the RGS
     kernels directly.  Each subformula is evaluated once per value of the
-    last variable it uses."""
+    last variable it uses.  Two reductions skip assignments that cannot
+    hold the first counterexample: the first variable takes only the first
+    value of each block-size shape, and a variable of one polarity is
+    settled by the bottom (positive) or first probed at the top
+    (negative).  The witness is still the least one, and the budget still
+    charges Bell(n) ** k assignments per n for k variables."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")
     names = variables(f)
-    program = _compile(f, names)
+    program, polarity = _compile(f, names), _polarity(f, names)
     spent = 0
     for n in range(2, max_n + 1):
         cost = bell_number(n) ** len(names)
@@ -477,7 +534,7 @@ def check_validity(
             )
         spent += cost
         lattice = _lattice(n)
-        hit = _search(program, lattice)
+        hit = _search(program, polarity, lattice)
         if hit is not None:
             assignment, value = hit
             witness = Counterexample(

@@ -53,8 +53,10 @@ class Attribute:
 
     @classmethod
     def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
-        values = tuple(Fraction(mapping[lab]) for lab in ground.labels)
-        return cls(ground, values)
+        for lab in ground.labels:
+            if lab not in mapping:
+                raise InvalidValue(f"no value for label {lab!r}")
+        return cls.from_values(ground, [mapping[lab] for lab in ground.labels])
 
     @classmethod
     def from_values(cls, ground: GroundSet, values) -> "Attribute":
@@ -78,7 +80,8 @@ class Attribute:
     @classmethod
     def from_json(cls, data: dict) -> "Attribute":
         with json_input("attribute"):
-            return cls.from_map(GroundSet(tuple(data["ground"])), data["values"])
+            ground, values = GroundSet(tuple(data["ground"])), data["values"]
+            return cls(ground, tuple(Fraction(values[lab]) for lab in ground.labels))
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,7 @@ class DSD:
 
     @classmethod
     def from_vectors(cls, n: int, groups) -> "DSD":
-        return cls(
-            n,
-            tuple(
-                tuple(tuple(Fraction(x) for x in v) for v in group)
-                for group in groups
-            ),
-        )
+        return cls(n, tuple(tuple(tuple(map(_fraction, v)) for v in g) for g in groups))
 
     def is_orthogonal(self) -> bool:
         # scaling a row to integers does not change whether a dot product is 0
@@ -141,7 +138,9 @@ class DSD:
     @classmethod
     def from_json(cls, data: dict) -> "DSD":
         with json_input("DSD"):
-            return cls.from_vectors(data["dim"], data["subspaces"])
+            groups = data["subspaces"]
+            rows = tuple(tuple(tuple(map(Fraction, v)) for v in g) for g in groups)
+            return cls(data["dim"], rows)
 
 
 @dataclass(frozen=True)

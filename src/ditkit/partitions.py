@@ -2,8 +2,10 @@
 
 A partition chops a ground set into disjoint non-empty blocks.  Everything
 here is exact and immutable: blocks are index tuples in canonical form
-(sorted by least element, sorted within), probabilities are `Fraction`s,
-and the only randomness is the seeded draw in `choice_reduce`.
+(sorted by least element, sorted within) and probabilities are
+`Fraction`s.  The one random draw here is `choice_reduce`, from the
+caller's seed or generator; `z2dyn.sample_pipeline` makes its own draws
+from its generator and does not call it.
 
 The lattice order used throughout is the distinction order: sigma <= pi
 when every distinction (ordered pair split apart) made by sigma is also
@@ -238,11 +240,11 @@ class ProbGroundSet:
 
 
 def _fraction(value) -> Fraction:
-    """`Fraction(value)`, with a malformed number or a zero denominator
-    raised as InvalidValue."""
+    """`Fraction(value)`, with a malformed number, a zero denominator, a
+    non-number or an infinity raised as InvalidValue."""
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise InvalidValue(f"{value!r} is not a rational number") from None
 
 

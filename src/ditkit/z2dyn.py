@@ -193,6 +193,9 @@ class StateMixture:
 
     def __post_init__(self):
         vecs = [v for v, _ in self.terms]
+        for v in vecs:
+            if not isinstance(v, SubsetVector):
+                raise DitkitError(f"mixture component {v!r} is not a SubsetVector")
         if len(set(vecs)) != len(vecs):
             raise InvalidValue("mixture components must be distinct")
         try:

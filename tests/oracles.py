@@ -7,6 +7,9 @@ new block), where the library uses restricted growth strings.  The
 lattice operations work on sets of blocks and pairs, where the library
 relabels restricted growth strings, and the validity search walks every
 assignment of block tuples, where the library looks results up in tables.
+The unreduced validity search runs the library's tables over every
+assignment, where the library skips the first variable's repeated shapes
+and the values a monotone variable cannot need.
 The density and entropy oracles compute entry by entry in `Fraction` and
 `SqrtRational` arithmetic, where the library works on an integer grid.
 The GF(2) sampler draws every measurement through `choice_reduce` and
@@ -35,7 +38,18 @@ from ditkit.errors import (
     EmptyState,
 )
 from ditkit.linalg import Matrix, gram_schmidt, rank
-from ditkit.logic import Bottom, Join, Meet, Top, Var, variables
+from ditkit.logic import (
+    Bottom,
+    Counterexample,
+    Join,
+    Meet,
+    Top,
+    ValidityReport,
+    Var,
+    _compile,
+    _lattice,
+    variables,
+)
 from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import (
     Partition,
@@ -153,6 +167,59 @@ def brute_validity(f, max_n: int):
             if got != top:
                 return "counterexample", n, (n, env, got)
     return "valid-up-to-bound", max_n, None
+
+
+def unreduced_search(program, lattice):
+    """Run the slot program over every assignment in nested order, first
+    variable outermost, and return the variables' values and the root
+    value at the first assignment whose root is below the top, or None."""
+    consts, levels, root, width = program
+    depth = len(levels) - 1
+    values: list = [None] * width
+    for slot, is_top in consts:
+        values[slot] = lattice.top if is_top else lattice.bottom
+    steps = [
+        [(slot, lattice.op(kernel), left, right) for slot, kernel, left, right in level]
+        for level in levels
+    ]
+    top = lattice.top
+
+    def nested(d: int) -> bool:
+        level, innermost = steps[d + 1], d + 1 == depth
+        for x in lattice.elements():
+            values[d] = x
+            for slot, op, left, right in level:
+                values[slot] = op(values[left], values[right])
+            if innermost:
+                if values[root] != top:
+                    return True
+            elif nested(d + 1):
+                return True
+        return False
+
+    for slot, op, left, right in steps[0]:
+        values[slot] = op(values[left], values[right])
+    found = nested(0) if depth else values[root] != top
+    return (values[:depth], values[root]) if found else None
+
+
+def unreduced_validity(f, max_n: int) -> ValidityReport:
+    """The `check_validity` report, without a budget, from
+    `unreduced_search` on the library's lattices."""
+    names = variables(f)
+    program = _compile(f, names)
+    for n in range(2, max_n + 1):
+        lattice = _lattice(n)
+        hit = unreduced_search(program, lattice)
+        if hit is not None:
+            assignment, value = hit
+            witness = Counterexample(
+                n,
+                {name: lattice.partition(x) for name, x in zip(names, assignment)},
+                lattice.partition(value),
+            )
+            return ValidityReport("counterexample", n, witness)
+    return ValidityReport("valid-up-to-bound", max_n)
 
 
 def random_probs(n: int, rng: random.Random) -> list[Fraction]:

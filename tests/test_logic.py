@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ditkit import logic
 from ditkit import (
@@ -20,6 +23,7 @@ from ditkit import (
     Top,
     UnboundVariable,
     Var,
+    bell_number,
     boolean_tautology,
     check_validity,
     discrete_partition,
@@ -34,7 +38,7 @@ from ditkit import (
     variables,
 )
 
-from oracles import brute_validity
+from oracles import brute_validity, unreduced_validity
 
 U2 = GroundSet(("a", "b"))
 U3 = GroundSet(("a", "b", "c"))
@@ -335,3 +339,80 @@ def test_untabulated_search_matches_brute_force(monkeypatch):
         f = parse(text)
         assert _as_blocks(check_validity(f, 3)) == brute_validity(f, 3)
     assert not logic._RANKED
+
+
+# --- reduced search against the unreduced one ---
+
+_LEAVES = st.sampled_from([Var("p"), Var("q"), Var("r"), Top(), Bottom()])
+_FORMULAS = st.recursive(
+    _LEAVES,
+    lambda sub: st.builds(
+        lambda op, left, right: op(left, right),
+        st.sampled_from([Join, Meet, Implies]), sub, sub,
+    ),
+    max_leaves=8,
+)
+
+# one formula per polarity mix, each with its signs in variable order:
+# positive-only, negative-only, mixed, and only under nested `=>`
+POLARITY_CASES = (
+    ("p => (p \\/ q)", (0, 1)),
+    ("(p /\\ q) => p", (0, -1)),
+    ("((p \\/ q) => r) => (p => r)", (0, 1, 0)),
+    ("(p => q) => q", (1, 0)),
+    ("((p => q) => r) => r", (-1, 1, 0)),
+    ("(r => 0) => (p \\/ q)", (1, 1, 1)),
+    ("(q => p) => 0", (-1, 1)),
+)
+
+
+@pytest.mark.parametrize("text, signs", POLARITY_CASES)
+def test_polarity_flips_left_of_implication(text, signs):
+    f = parse(text)
+    assert logic._polarity(f, variables(f)) == signs
+
+
+@pytest.mark.parametrize(
+    "table_max_n", [logic.TABLE_MAX_N, 1], ids=["ranked", "unranked"]
+)
+@settings(max_examples=120, deadline=None)
+@given(f=_FORMULAS)
+@example(f=parse("(p => q) \\/ (q => p)"))
+@example(f=parse("(p /\\ (q \\/ r)) => ((p /\\ q) \\/ (p /\\ r))"))
+@example(f=parse("((p => q) => r) => ((p => r) => r)"))
+@example(f=parse("(p => (q \\/ r)) => ((p => q) \\/ (p => r))"))
+def test_reduced_search_matches_unreduced_and_brute_force(table_max_n, f):
+    # the search skips the first variable's repeated shapes and the values
+    # a monotone variable cannot need; the report must not change
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "TABLE_MAX_N", table_max_n)
+        report, oracle = check_validity(f, 4), unreduced_validity(f, 4)
+        assert report == oracle and report.to_json() == oracle.to_json()
+        assert _as_blocks(check_validity(f, 3)) == brute_validity(f, 3)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in POLARITY_CASES])
+def test_reduced_search_matches_unreduced_on_each_polarity_mix(text):
+    f = parse(text)
+    assert check_validity(f, 5) == unreduced_validity(f, 5)
+
+
+def test_ranked_and_unranked_shapes_agree():
+    for n in range(1, 7):
+        ranked, unranked = logic._Ranked(n), logic._Unranked(n)
+        pairs = list(zip(ranked.elements(), unranked.elements(), strict=True))
+        assert len(pairs) == bell_number(n)
+        for r, rgs in pairs:
+            assert ranked.partition(r).rgs == rgs
+            assert ranked.shape(r) == unranked.shape(rgs)
+            assert sum(ranked.shape(r)) == n
+
+
+def test_untabulated_reach_with_both_reductions():
+    # q occurs only left of `=>` and p is the first variable; at n = 8 the
+    # search runs on bare RGS tuples and probes 22 shapes, not 4140**2 pairs
+    start = time.perf_counter()
+    f, budget = parse("(p /\\ q) => p"), bell_number(8) ** 2 * 2
+    report = check_validity(f, 8, budget=budget)
+    assert time.perf_counter() - start < 20
+    assert report.status == "valid-up-to-bound" and report.bound == 8

@@ -48,6 +48,7 @@ from oracles import (
     set_meet,
 )
 
+AB = GroundSet(("a", "b"))
 ABC = GroundSet(("a", "b", "c"))
 ABCD = GroundSet(("a", "b", "c", "d"))
 
@@ -541,6 +542,28 @@ def test_malformed_json_number_raises_ditkit_error(read, blob, what):
 def test_malformed_numbers_raise_invalid_value(read, text):
     with pytest.raises(InvalidValue, match=f"^'{text}' is not a rational number$"):
         read(GroundSet(("a", "b")), [text, "1"])
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: ditkit.Attribute.from_map(AB, {"a": 1}), "no value for label 'b'"),
+        (lambda: ditkit.Attribute.from_map(AB, {"a": "x", "b": 1}), "'x' is not"),
+        (lambda: ditkit.DSD.from_vectors(2, [[["x", 0]]]), "'x' is not"),
+        (lambda: ditkit.SqrtRational.of("1/0"), "'1/0' is not"),
+        (lambda: ditkit.SqrtRational.from_rational("x"), "'x' is not"),
+        (lambda: ditkit.SqrtRational.of(1).scaled("1/0"), "'1/0' is not"),
+        (lambda: ProbGroundSet.from_values(AB, [None, 1]), "None is not"),
+        (lambda: ProbGroundSet.from_values(AB, [float("inf"), 1]), "inf is not"),
+    ],
+    ids=[
+        "map-missing", "map-malformed", "dsd", "sqrt-zero", "sqrt-embed",
+        "sqrt-scale", "probs-none", "probs-inf",
+    ],
+)
+def test_number_readers_raise_invalid_value(read, message):
+    with pytest.raises(InvalidValue, match=f"^{message}"):
+        read()
 
 
 def test_probs_validation():

@@ -216,6 +216,18 @@ def test_mixture_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "component, shown",
+    [([0], r"\[0\]"), ((0,), r"\(0,\)"), ("a", "'a'")],
+    ids=["list", "tuple", "label"],
+)
+def test_mixture_components_must_be_subset_vectors(component, shown):
+    with pytest.raises(DitkitError, match=f"^mixture component {shown} is not"):
+        StateMixture(U3, ((component, F(1)),))
+    with pytest.raises(DitkitError, match=f"^mixture component {shown} is not"):
+        StateMixture(U3, ((vec("a"), F(1, 2)), (component, F(1, 2))))
+
+
 def test_from_terms_merges_duplicates():
     m = StateMixture.from_terms(
         U3, [(vec("a"), F(1, 4)), (vec("a"), F(1, 4)), (vec("b"), F(1, 2))]
