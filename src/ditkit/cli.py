@@ -1,8 +1,11 @@
 """Command-line front end: exact-fraction reports over every module.
 
-Numbers print as exact fractions unless --decimal is given.  The logic
-subcommand exits 0 for valid-up-to-bound, 1 for a counterexample, 2 for
-errors; other subcommands exit 0 on success, 2 on bad input.
+Each subcommand builds one report dict.  --json prints it as one JSON
+line, exact numbers as strings; otherwise the text lines are read from
+the same report.  Text numbers print as exact fractions unless --decimal
+is given, which does not apply to --json.  The logic subcommand exits 0
+for valid-up-to-bound, 1 for a counterexample, 2 for errors; other
+subcommands exit 0 on success, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -43,14 +46,23 @@ def _parse_ground(text: str) -> GroundSet:
 def _parse_probs(ground: GroundSet, text: str | None) -> ProbGroundSet:
     if text is None:
         return ProbGroundSet.uniform(ground)
-    values = [Fraction(part.strip()) for part in text.split(",")]
-    return ProbGroundSet(ground, tuple(values))
+    return ProbGroundSet.from_values(ground, text.split(","))
 
 
-def _fmt(x: Fraction, decimal: bool) -> str:
-    if decimal:
+def _fmt(x, decimal: bool) -> str:
+    """A Fraction exactly, or as a decimal with --decimal; a float always
+    as a decimal."""
+    if decimal or isinstance(x, float):
         return f"{float(x):.12g}"
     return str(x)
+
+
+def _emit(args, report: dict) -> bool:
+    """Print the report as one JSON line under --json, exact numbers as
+    their strings; return whether it did."""
+    if args.json:
+        print(json.dumps(report, default=str))
+    return args.json
 
 
 def _print_matrix(mat: density.DensityMatrix, indent: str = "  ") -> None:
@@ -68,40 +80,26 @@ def _print_matrix(mat: density.DensityMatrix, indent: str = "  ") -> None:
 # partition
 # ---------------------------------------------------------------------------
 
+# the first flag with a non-empty value wins, in this order
+_OPS = {"join": join, "meet": meet, "implies": implication, "refines": refines}
+
 
 def cmd_partition(args) -> int:
     ground = _parse_ground(args.ground)
     pi = parse_partition(ground, args.partition)
-    if args.join or args.meet or args.implies or args.refines:
-        other_text = args.join or args.meet or args.implies or args.refines
-        sigma = parse_partition(ground, other_text)
-        if args.join:
-            result = join(pi, sigma)
-            op = "join"
-        elif args.meet:
-            result = meet(pi, sigma)
-            op = "meet"
-        elif args.implies:
-            result = implication(pi, sigma)
-            op = "implies"
-        else:
-            verdict = refines(pi, sigma)
-            if args.json:
-                print(json.dumps({"refines": verdict}))
-            else:
-                print(f"refines({notation(pi)}, {notation(sigma)}) = {verdict}")
-            return 0
-        if args.json:
-            print(json.dumps(partition_to_json(result)))
-        else:
-            print(f"{op}({notation(pi)}, {notation(sigma)}) = {notation(result)}")
+    op = next((name for name in _OPS if getattr(args, name)), None)
+    if op is None:
+        if not _emit(args, partition_to_json(pi)):
+            print(f"partition: {notation(pi)}")
+            print(f"blocks:    {pi.num_blocks}")
+            print(f"dits:      {len(ditset(pi))} of {ground.n * ground.n}")
         return 0
-    if args.json:
-        print(json.dumps(partition_to_json(pi)))
-        return 0
-    print(f"partition: {notation(pi)}")
-    print(f"blocks:    {pi.num_blocks}")
-    print(f"dits:      {len(ditset(pi))} of {ground.n * ground.n}")
+    sigma = parse_partition(ground, getattr(args, op))
+    result = _OPS[op](pi, sigma)
+    verdict = isinstance(result, bool)
+    if not _emit(args, {op: result} if verdict else partition_to_json(result)):
+        shown = result if verdict else notation(result)
+        print(f"{op}({notation(pi)}, {notation(sigma)}) = {shown}")
     return 0
 
 
@@ -109,12 +107,17 @@ def cmd_partition(args) -> int:
 # entropy
 # ---------------------------------------------------------------------------
 
+_COMPOUND_NAMES = (
+    "h(pi)", "h(sigma)", "h(pi v sigma)", "h(pi|sigma)", "h(sigma|pi)",
+    "m(pi;sigma)", "H joint bits", "I(pi;sigma)",
+)
+
 
 def cmd_entropy(args) -> int:
     ground = _parse_ground(args.ground)
     probs = _parse_probs(ground, args.p)
     if args.table:
-        table = enumerate_partitions(ground)
+        table = enumerate_partitions(ground)  # raises before any output
         print("partition\tblocks\tlogical\tshannon_bits")
         for pi in table:
             h = entropy.logical_entropy(pi, probs)
@@ -125,74 +128,38 @@ def cmd_entropy(args) -> int:
         raise DitkitError("a partition argument is required without --table")
     pi = parse_partition(ground, args.partition)
     h = entropy.logical_entropy(pi, probs)
-    bits = entropy.shannon_entropy(pi, probs)
     if args.with_ is not None:
         sigma = parse_partition(ground, args.with_)
-        comp = entropy.compound_logical(pi, sigma, probs)
-        scomp = entropy.compound_shannon(pi, sigma, probs)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "logical": {
-                            "h_pi": str(h),
-                            "h_sigma": str(entropy.logical_entropy(sigma, probs)),
-                            "joint": str(comp.joint),
-                            "conditional_pi_given_sigma": str(
-                                comp.conditional_pi_given_sigma
-                            ),
-                            "conditional_sigma_given_pi": str(
-                                comp.conditional_sigma_given_pi
-                            ),
-                            "mutual": str(comp.mutual),
-                        },
-                        "shannon_bits": {
-                            "joint": scomp.joint,
-                            "conditional_pi_given_sigma": scomp.conditional_pi_given_sigma,
-                            "conditional_sigma_given_pi": scomp.conditional_sigma_given_pi,
-                            "mutual": scomp.mutual,
-                        },
-                    }
-                )
-            )
-            return 0
-        print(f"pi:     {notation(pi)}")
-        print(f"sigma:  {notation(sigma)}")
-        print(f"h(pi)          = {_fmt(h, args.decimal)}")
-        print(
-            f"h(sigma)       = "
-            f"{_fmt(entropy.logical_entropy(sigma, probs), args.decimal)}"
-        )
-        print(f"h(pi v sigma)  = {_fmt(comp.joint, args.decimal)}")
-        print(
-            f"h(pi|sigma)    = {_fmt(comp.conditional_pi_given_sigma, args.decimal)}"
-        )
-        print(
-            f"h(sigma|pi)    = {_fmt(comp.conditional_sigma_given_pi, args.decimal)}"
-        )
-        print(f"m(pi;sigma)    = {_fmt(comp.mutual, args.decimal)}")
-        print(f"H joint bits   = {scomp.joint:.12g}")
-        print(f"I(pi;sigma)    = {scomp.mutual:.12g}")
+        report = {
+            "logical": {
+                "h_pi": h,
+                "h_sigma": entropy.logical_entropy(sigma, probs),
+                **entropy.compound_logical(pi, sigma, probs)._asdict(),
+            },
+            "shannon_bits": entropy.compound_shannon(pi, sigma, probs)._asdict(),
+        }
+        if not _emit(args, report):
+            print(f"pi:     {notation(pi)}")
+            print(f"sigma:  {notation(sigma)}")
+            bits = report["shannon_bits"]
+            values = [*report["logical"].values(), bits["joint"], bits["mutual"]]
+            for name, x in zip(_COMPOUND_NAMES, values):
+                print(f"{name:<15}= {_fmt(x, args.decimal)}")
         return 0
-    if args.json:
-        blocks = entropy.block_probs(pi, probs)
-        print(
-            json.dumps(
-                {
-                    "partition": notation(pi),
-                    "block_probs": [str(pr) for _, pr in blocks],
-                    "logical": str(h),
-                    "shannon_bits": bits,
-                }
-            )
-        )
-        return 0
-    print(f"partition: {notation(pi)}")
-    for blk, pr in entropy.block_probs(pi, probs):
-        labels = "".join(ground.label(i) for i in blk)
-        print(f"  Pr({labels}) = {_fmt(pr, args.decimal)}")
-    print(f"logical entropy h = {_fmt(h, args.decimal)}")
-    print(f"shannon entropy H = {bits:.12g} bits")
+    blocks = entropy.block_probs(pi, probs)
+    report = {
+        "partition": notation(pi),
+        "block_probs": [pr for _, pr in blocks],
+        "logical": h,
+        "shannon_bits": entropy.shannon_entropy(pi, probs),
+    }
+    if not _emit(args, report):
+        print(f"partition: {report['partition']}")
+        for blk, pr in blocks:
+            labels = "".join(ground.label(i) for i in blk)
+            print(f"  Pr({labels}) = {_fmt(pr, args.decimal)}")
+        print(f"logical entropy h = {_fmt(report['logical'], args.decimal)}")
+        print(f"shannon entropy H = {report['shannon_bits']:.12g} bits")
     return 0
 
 
@@ -220,60 +187,51 @@ def cmd_measure(args) -> int:
     joined = join(pi, sigma)
     h_before = density.quantum_logical_entropy(mat)
     h_after = density.quantum_logical_entropy(hat)
-    zeroed = density.state_reduction_audit(mat, sigma)
-    outcomes = density.luders_outcomes(hat, sigma)
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "state": notation(pi),
-                    "measured_by": notation(sigma),
-                    "rho": density.DensityMatrix.to_json(mat),
-                    "rho_hat": density.DensityMatrix.to_json(hat),
-                    "join": notation(joined),
-                    "join_matches": hat == density.rho(joined, probs),
-                    "zeroed": [
-                        [ground.label(i), ground.label(k)] for i, k in zeroed
-                    ],
-                    "h_before": str(h_before),
-                    "h_after": str(h_after),
-                    "h_gain": str(h_after - h_before),
-                    "outcomes": [
-                        {
-                            "block": [ground.label(i) for i in blk],
-                            "probability": str(pr),
-                            "state_diagonal": [str(d) for d in post.diagonal()],
-                        }
-                        for blk, pr, post in outcomes
-                    ],
-                }
-            )
-        )
+    report = {
+        "state": notation(pi),
+        "measured_by": notation(sigma),
+        "rho": mat.to_json(),
+        "rho_hat": hat.to_json(),
+        "join": notation(joined),
+        "join_matches": hat == density.rho(joined, probs),
+        "zeroed": [
+            [ground.label(i), ground.label(k)]
+            for i, k in density.state_reduction_audit(mat, sigma)
+        ],
+        "h_before": h_before,
+        "h_after": h_after,
+        "h_gain": h_after - h_before,
+        "outcomes": [
+            {
+                "block": [ground.label(i) for i in blk],
+                "probability": pr,
+                "state_diagonal": post.diagonal(),
+            }
+            for blk, pr, post in density.luders_outcomes(hat, sigma)
+        ],
+    }
+    if _emit(args, report):
         return 0
 
     dec = args.decimal
-    print(f"state pi      = {notation(pi)}   p = ({', '.join(map(str, probs.p))})")
-    print(f"measured by   = {notation(sigma)}")
+    print(f"state pi      = {report['state']}   p = ({', '.join(map(str, probs.p))})")
+    print(f"measured by   = {report['measured_by']}")
     print("rho(pi):")
     _print_matrix(mat)
     print("rho_hat = sum_r P_r rho P_r:")
     _print_matrix(hat)
-    print(f"join pi v sigma       = {notation(joined)}")
-    print(f"rho_hat == rho(join)  = {hat == density.rho(joined, probs)}")
-    pretty_zeroed = (
-        ", ".join(f"({ground.label(i)},{ground.label(k)})" for i, k in zeroed)
-        or "none"
-    )
-    print(f"zeroed coherences     = {pretty_zeroed}")
-    print(f"h(rho)     = {_fmt(h_before, dec)}")
-    print(f"h(rho_hat) = {_fmt(h_after, dec)}")
-    print(f"gain       = {_fmt(h_after - h_before, dec)}")
+    print(f"join pi v sigma       = {report['join']}")
+    print(f"rho_hat == rho(join)  = {report['join_matches']}")
+    zeroed = ", ".join(f"({i},{k})" for i, k in report["zeroed"]) or "none"
+    print(f"zeroed coherences     = {zeroed}")
+    print(f"h(rho)     = {_fmt(report['h_before'], dec)}")
+    print(f"h(rho_hat) = {_fmt(report['h_after'], dec)}")
+    print(f"gain       = {_fmt(report['h_gain'], dec)}")
     print("outcomes (Luders rule on rho_hat):")
-    for blk, pr, post in outcomes:
-        labels = "".join(ground.label(i) for i in blk)
-        diag = ", ".join(_fmt(d, dec) for d in post.diagonal())
-        print(f"  {labels}: probability {_fmt(pr, dec)}, state diag({diag})")
+    for row in report["outcomes"]:
+        diag = ", ".join(_fmt(d, dec) for d in row["state_diagonal"])
+        pr = _fmt(row["probability"], dec)
+        print(f"  {''.join(row['block'])}: probability {pr}, state diag({diag})")
     return 0
 
 
@@ -285,17 +243,16 @@ def cmd_measure(args) -> int:
 def cmd_logic(args) -> int:
     formula = logic.parse(args.formula)
     report = logic.check_validity(formula, args.max_n, budget=args.budget)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    elif report.is_valid_up_to_bound:
-        print(f"valid up to n={report.bound}: {logic.pretty_print(formula)}")
-    else:
-        w = report.witness
-        assign = ", ".join(
-            f"{name}={notation(pi)}" for name, pi in sorted(w.assignment.items())
-        )
-        print(f"counterexample at n={w.n}: {assign}")
-        print(f"evaluates to {notation(w.value)} (not the top)")
+    if not _emit(args, report.to_json()):
+        if report.is_valid_up_to_bound:
+            print(f"valid up to n={report.bound}: {logic.pretty_print(formula)}")
+        else:
+            w = report.witness
+            assign = ", ".join(
+                f"{name}={notation(pi)}" for name, pi in sorted(w.assignment.items())
+            )
+            print(f"counterexample at n={w.n}: {assign}")
+            print(f"evaluates to {notation(w.value)} (not the top)")
     return 0 if report.is_valid_up_to_bound else 1
 
 
@@ -309,67 +266,50 @@ def cmd_observable(args) -> int:
         dsd_f = observables.DSD.standard(2)
         dsd_g = observables.DSD.from_vectors(2, [[(1, 1)], [(1, -1)]])
         ev = (Fraction(1), Fraction(-1))
-        f = observables.operator_from_dsd(ev, dsd_f)
         g = observables.operator_from_dsd(ev, dsd_g)
-        comm = observables.commutator(f, g)
-        se = observables.simultaneous_eigenspace(dsd_f, dsd_g)
-        kind = observables.classify(ev, dsd_f, ev, dsd_g)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "g_rows": [[str(x) for x in row] for row in g.mat],
-                        "commutator_rows": [
-                            [str(x) for x in row] for row in comm
-                        ],
-                        "dim_se": len(se),
-                        "classification": kind.value,
-                        "se_equals_kernel": observables.theorem_se_equals_kernel(
-                            ev, dsd_f, ev, dsd_g
-                        ),
-                    }
-                )
-            )
-            return 0
-        print("F = diag(1, -1); G = eigenvalues (1, -1) on (1,1)/(1,-1)")
-        print(f"G matrix rows: {[[str(x) for x in row] for row in g.mat]}")
-        print(f"[F,G] rows:    {[[str(x) for x in row] for row in comm]}")
-        print(f"dim SE = {len(se)}  ->  {kind.value}")
-        print(
-            "SE == ker[F,G]: "
-            f"{observables.theorem_se_equals_kernel(ev, dsd_f, ev, dsd_g)}"
-        )
+        report = {
+            "g_rows": g.mat,
+            "commutator_rows": observables.commutator(
+                observables.operator_from_dsd(ev, dsd_f), g
+            ),
+            "dim_se": len(observables.simultaneous_eigenspace(dsd_f, dsd_g)),
+            "classification": observables.classify(ev, dsd_f, ev, dsd_g).value,
+            "se_equals_kernel": observables.theorem_se_equals_kernel(
+                ev, dsd_f, ev, dsd_g
+            ),
+        }
+        if not _emit(args, report):
+            g_rows = [[str(x) for x in row] for row in report["g_rows"]]
+            comm_rows = [[str(x) for x in row] for row in report["commutator_rows"]]
+            print("F = diag(1, -1); G = eigenvalues (1, -1) on (1,1)/(1,-1)")
+            print(f"G matrix rows: {g_rows}")
+            print(f"[F,G] rows:    {comm_rows}")
+            print(f"dim SE = {report['dim_se']}  ->  {report['classification']}")
+            print(f"SE == ker[F,G]: {report['se_equals_kernel']}")
         return 0
     if not args.attr:
         raise DitkitError("give at least one --attr (or --se-demo)")
     if args.ground is None:
         raise DitkitError("--ground is required with --attr")
     ground = _parse_ground(args.ground)
-    attrs = []
-    for text in args.attr:
-        values = [Fraction(part.strip()) for part in text.split(",")]
-        attrs.append(observables.Attribute.from_values(ground, values))
+    attrs = [
+        observables.Attribute.from_values(ground, text.split(","))
+        for text in args.attr
+    ]
     parts = [observables.inverse_image_partition(f) for f in attrs]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "attributes": [f.to_json() for f in attrs],
-                    "partitions": [notation(pi) for pi in parts],
-                    "csca_complete": observables.csca_complete(attrs),
-                }
-            )
-        )
+    report = {
+        "attributes": [f.to_json() for f in attrs],
+        "partitions": [notation(pi) for pi in parts],
+        "csca_complete": observables.csca_complete(attrs),
+    }
+    if _emit(args, report):
         return 0
-    for f, pi in zip(attrs, parts):
+    for f, levels in zip(attrs, report["partitions"]):
         values = ", ".join(str(v) for v in f.values)
-        print(f"attribute ({values}): levels {notation(pi)}, "
+        print(f"attribute ({values}): levels {levels}, "
               f"spectral check {observables.set_spectral_check(f)}")
-    joined = parts[0]
-    for pi in parts[1:]:
-        joined = join(joined, pi)
-    print(f"join of level partitions: {notation(joined)}")
-    complete = observables.csca_complete(attrs)
+    print(f"join of level partitions: {notation(functools.reduce(join, parts))}")
+    complete = report["csca_complete"]
     print(f"complete set of compatible attributes: {complete}")
     if complete:
         for i in range(ground.n):
@@ -390,47 +330,31 @@ def cmd_double_slit(args) -> int:
     if args.trials < 0:
         raise DitkitError(f"--trials must be non-negative, got {args.trials}")
     dist = z2dyn.double_slit(args.case)
-    if args.trials:
-        _, dynamics, start = z2dyn.double_slit_setup()
-        steps = z2dyn.double_slit_steps(args.case)
-        counts = z2dyn.sample_pipeline(
-            start, steps, trials=args.trials, rng=args.seed
-        )
-        by_label = {
-            vec.labels()[0]: hits for vec, hits in counts.items()
-        }
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "case": args.case,
-                        "exact": {lab: str(q) for lab, q in dist.items()},
-                        "trials": args.trials,
-                        "seed": args.seed,
-                        "counts": by_label,
-                    }
-                )
-            )
-            return 0
+    if not args.trials:
+        if not _emit(args, {"case": args.case, "wall": dist}):
+            print(f"case {args.case} wall distribution:")
+            for lab, q in dist.items():
+                print(f"  {lab}  {str(q):>4}  {'#' * int(q * 40)}")
+        return 0
+    start = z2dyn.double_slit_setup()[2]
+    counts = z2dyn.sample_pipeline(
+        start, z2dyn.double_slit_steps(args.case), trials=args.trials, rng=args.seed
+    )
+    report = {
+        "case": args.case,
+        "exact": dist,
+        "trials": args.trials,
+        "seed": args.seed,
+        "counts": {vec.labels()[0]: hits for vec, hits in counts.items()},
+    }
+    if not _emit(args, report):
         print(f"case {args.case}, {args.trials} samples (seed {args.seed}):")
         for lab, q in dist.items():
-            hits = by_label.get(lab, 0)
+            hits = report["counts"].get(lab, 0)
             print(
                 f"  {lab}: exact {q}, sampled {hits}/{args.trials}"
                 f" = {hits / args.trials:.4f}"
             )
-        return 0
-    if args.json:
-        print(
-            json.dumps(
-                {"case": args.case, "wall": {lab: str(q) for lab, q in dist.items()}}
-            )
-        )
-        return 0
-    print(f"case {args.case} wall distribution:")
-    for lab, q in dist.items():
-        bar = "#" * int(q * 40)
-        print(f"  {lab}  {str(q):>4}  {bar}")
     return 0
 
 

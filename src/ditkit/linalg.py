@@ -1,6 +1,9 @@
 """Small exact linear algebra for the observables layer.
 
-Matrices are tuples of row tuples of `Fraction`.  Everything is dense and
+Matrices are tuples of row tuples of `Fraction`.  The module holds only
+what the library calls: products and differences, rank, kernels, and
+row spaces (canonical basis, intersection, orthogonal projection), with
+the inverse the projection needs.  Everything is dense and
 exact; sizes here are the ground-set size (tiny), so no pivoting strategy
 is needed.  Elimination runs on integer rows: each row is cleared of its
 denominators once, and fraction-free Gauss-Jordan divides every row it
@@ -12,17 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 IntRows = list[list[int]]
 
 _ZERO = Fraction(0)
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -39,12 +38,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
@@ -57,17 +50,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
         for row in a
     )
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(
-        sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a
-    )
-
-
-def scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def _int_rows(a: Iterable[Iterable]) -> IntRows:
@@ -179,15 +161,6 @@ def _meet(
     return _kernel(constraints)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    rows = _int_rows(a)
-    ncols = _width(rows)
-    pivots = _echelon(rows, ncols)
-    reduced = _rational(rows[: len(pivots)])
-    return reduced + zeros(len(rows) - len(pivots), ncols), pivots
-
-
 def rank(a: Matrix) -> int:
     rows = _int_rows(a)
     return len(_echelon(rows, _width(rows), reduce=False))
@@ -217,11 +190,6 @@ def row_basis(a: Matrix) -> Matrix:
     return _rational(_basis(_int_rows(a)))
 
 
-def spans_equal(a: Matrix, b: Matrix) -> bool:
-    """Row spaces are equal iff the canonical bases coincide."""
-    return _basis(_int_rows(a)) == _basis(_int_rows(b))
-
-
 def projection_onto_span(a: Matrix) -> Matrix:
     """Orthogonal projection onto the row space of `a` (rows need not be
     independent): P = B^T (B B^T)^{-1} B for any row basis B."""
@@ -239,19 +207,3 @@ def intersect_rowspaces(a: Matrix, b: Matrix) -> Matrix:
     complement constraints, i.e. the kernel of the stacked nullspaces."""
     ncols = len(a[0]) if a else (len(b[0]) if b else 0)
     return tuple(_over(v, v[f]) for f, v in _meet(_null(a), _null(b), ncols))
-
-
-def gram_schmidt(rows: Sequence[Vector]) -> Matrix:
-    """Orthogonalize (not normalize) the rows, dropping dependents.
-    Stays in Fraction: classical Gram-Schmidt without square roots."""
-    ortho: list[Vector] = []
-    for v in rows:
-        w = list(v)
-        for u in ortho:
-            uu = sum((x * x for x in u), Fraction(0))
-            uv = sum((x * y for x, y in zip(u, v)), Fraction(0))
-            coef = uv / uu
-            w = [x - coef * y for x, y in zip(w, u)]
-        if any(x != 0 for x in w):
-            ortho.append(tuple(w))
-    return tuple(ortho)

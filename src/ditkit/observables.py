@@ -23,6 +23,7 @@ from . import linalg
 from .errors import (
     DegenerateDSD,
     DimensionMismatch,
+    DitkitError,
     DuplicateEigenvalue,
     InvalidValue,
     NotCommuting,
@@ -53,14 +54,22 @@ class Attribute:
 
     @classmethod
     def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
-        for lab in ground.labels:
-            if lab not in mapping:
-                raise InvalidValue(f"no value for label {lab!r}")
-        return cls.from_values(ground, [mapping[lab] for lab in ground.labels])
+        try:
+            for lab in ground.labels:
+                if lab not in mapping:
+                    raise InvalidValue(f"no value for label {lab!r}")
+            values = [mapping[lab] for lab in ground.labels]
+        except TypeError:
+            raise DitkitError("mapping must map labels to values") from None
+        return cls.from_values(ground, values)
 
     @classmethod
     def from_values(cls, ground: GroundSet, values) -> "Attribute":
-        return cls(ground, tuple(map(_fraction, values)))
+        try:
+            values = tuple(map(_fraction, values))
+        except TypeError:
+            raise DitkitError("values must be an iterable") from None
+        return cls(ground, values)
 
     def __call__(self, label: str) -> Fraction:
         return self.values[self.ground.index(label)]
@@ -112,7 +121,11 @@ class DSD:
 
     @classmethod
     def from_vectors(cls, n: int, groups) -> "DSD":
-        return cls(n, tuple(tuple(tuple(map(_fraction, v)) for v in g) for g in groups))
+        try:
+            rows = tuple(tuple(tuple(map(_fraction, v)) for v in g) for g in groups)
+        except TypeError:
+            raise DitkitError("groups must be iterables of vectors") from None
+        return cls(n, rows)
 
     def is_orthogonal(self) -> bool:
         # scaling a row to integers does not change whether a dot product is 0

@@ -37,7 +37,7 @@ from ditkit.errors import (
     DuplicateEigenvalue,
     EmptyState,
 )
-from ditkit.linalg import Matrix, gram_schmidt, rank
+from ditkit.linalg import Matrix, Vector, rank
 from ditkit.logic import (
     Bottom,
     Counterexample,
@@ -557,6 +557,41 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
         for row in a
     )
+
+
+# matrix builders the tests need and the library does not
+
+
+def mat(rows) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return tuple(
+        sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a
+    )
+
+
+def gram_schmidt(rows) -> Matrix:
+    """Orthogonalize (not normalize) the rows, dropping dependents.
+    Stays in Fraction: classical Gram-Schmidt without square roots."""
+    ortho: list[Vector] = []
+    for v in rows:
+        w = list(v)
+        for u in ortho:
+            uu = sum((x * x for x in u), Fraction(0))
+            uv = sum((x * y for x, y in zip(u, v)), Fraction(0))
+            coef = uv / uu
+            w = [x - coef * y for x, y in zip(w, u)]
+        if any(x != 0 for x in w):
+            ortho.append(tuple(w))
+    return tuple(ortho)
 
 
 def projection(a: Matrix) -> Matrix:

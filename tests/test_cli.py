@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ditkit.cli import _parser, main
+from ditkit.cli import GOLDEN_P, _parser, main
 
 
 def run(capsys, *argv):
@@ -65,6 +65,27 @@ def test_partition_empty_label_exits_2(capsys):
     code, out, err = run(capsys, "partition", "--ground", "a,,b", "a|b|")
     assert (code, out) == (2, "")
     assert "label ''" in err
+
+
+def test_partition_empty_flag_falls_through_to_the_next(capsys):
+    code, out, _ = run(
+        capsys, "partition", "--ground", "abc", "a|bc", "--join", "", "--meet", "ab|c"
+    )
+    assert (code, out) == (0, "meet(a|bc, ab|c) = abc\n")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("join", "meet"), ("join", "implies"), ("join", "refines"),
+     ("meet", "implies"), ("meet", "refines"), ("implies", "refines")],
+)
+def test_partition_first_flag_wins(capsys, first, second):
+    code, out, _ = run(
+        capsys, "partition", "--ground", "abc", "a|bc",
+        f"--{second}", "ab|c", f"--{first}", "a|b|c",
+    )
+    assert code == 0
+    assert out.startswith(f"{first}(a|bc, a|b|c) = ")
 
 
 # --- entropy ---
@@ -429,3 +450,60 @@ def test_lattice_bound_and_missing_args(capsys):
     code, _, err = run(capsys, "lattice")
     assert code == 2
     assert "--n or --ground" in err
+
+
+# --- the --json report ---
+
+JSON_RUNS = {
+    "partition": ["partition", "--ground", "abc", "a|bc", "--json"],
+    "join": ["partition", "--ground", "abc", "a|bc", "--join", "ab|c", "--json"],
+    "refines": ["partition", "--ground", "abc", "a|bc", "--refines", "abc", "--json"],
+    "entropy": ["entropy", "--ground", "abc", "--p", GOLDEN_P, "a|bc", "--json"],
+    "entropy-with": ["entropy", "--ground", "abc", "--p", GOLDEN_P, "a|bc",
+                     "--with", "ab|c", "--json"],
+    "measure": ["measure", "--golden", "--json"],
+    "logic": ["logic", r"p => (p /\ s)", "--json"],
+    "se-demo": ["observable", "--se-demo", "--json"],
+    "observable": ["observable", "--ground", "abc", "--attr", "1/2,1,1", "--json"],
+    "double-slit": ["double-slit", "--json"],
+    "double-slit-trials": ["double-slit", "--trials", "20", "--json"],
+    "lattice": ["lattice", "--n", "3", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS.values(), ids=list(JSON_RUNS))
+def test_json_output_is_one_parsable_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert isinstance(json.loads(out), dict)
+
+
+DECIMAL_RUNS = ("entropy", "entropy-with", "measure")
+
+
+@pytest.mark.parametrize(
+    "argv", [JSON_RUNS[name] for name in DECIMAL_RUNS], ids=DECIMAL_RUNS
+)
+def test_decimal_does_not_apply_to_json(capsys, argv):
+    _, plain, _ = run(capsys, *argv)
+    _, decimal, _ = run(capsys, *argv, "--decimal")
+    assert decimal == plain
+    assert '"4/9"' in plain
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["entropy", "--ground", "abc", "--p", "1/0,1,1", "a|bc"], "1/0"),
+        (["entropy", "--ground", "abc", "--p", "x,1,1", "a|bc"], "x"),
+        (["measure", "--state", "abc", "--by", "a|bc", "--p", "1,x,1"], "x"),
+        (["observable", "--ground", "abc", "--attr", "1,1/0,2"], "1/0"),
+        (["observable", "--ground", "abc", "--attr", "x,1,2", "--json"], "x"),
+    ],
+    ids=["p-zero", "p-literal", "measure-p", "attr-zero", "attr-literal"],
+)
+def test_bad_numbers_exit_2_through_the_library_reader(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: '{text}' is not a rational number\n"

@@ -36,17 +36,10 @@ from ditkit import (
     simultaneous_eigenspace,
     theorem_se_equals_kernel,
 )
-from ditkit.linalg import (
-    identity,
-    mat,
-    mat_add,
-    rank,
-    spans_equal,
-    zeros,
-)
+from ditkit.linalg import identity, rank, row_basis, zeros
 
 import oracles
-from oracles import distinct_eigenvalues, random_orthogonal_dsd
+from oracles import distinct_eigenvalues, mat, mat_add, random_orthogonal_dsd
 
 U3 = GroundSet(("a", "b", "c"))
 U4 = GroundSet(("a", "b", "c", "d"))
@@ -284,7 +277,7 @@ def test_classify_incompatible_middle_ground():
         3, [[[1, 1, 0]], [[1, -1, 0]], [[0, 0, 1]]]
     )
     se = simultaneous_eigenspace(f_dsd, g_dsd)
-    assert spans_equal(se, mat([[0, 0, 1]]))
+    assert row_basis(se) == row_basis(mat([[0, 0, 1]]))
     assert classify([1, 2, 3], f_dsd, [4, 5, 6], g_dsd) is Compatibility.INCOMPATIBLE
     assert theorem_se_equals_kernel([1, 2, 3], f_dsd, [4, 5, 6], g_dsd)
 
@@ -358,7 +351,7 @@ def test_kernel_can_strictly_exceed_se_in_dimension_three():
     f = operator_from_dsd(ev_f, dsd_f)
     g = operator_from_dsd(ev_g, dsd_g)
     ker = kernel(commutator(f, g))
-    assert spans_equal(ker, mat([[1, -2, 1]]))
+    assert row_basis(ker) == row_basis(mat([[1, -2, 1]]))
     assert not theorem_se_equals_kernel(ev_f, dsd_f, ev_g, dsd_g)
     assert classify(ev_f, dsd_f, ev_g, dsd_g) is Compatibility.CONJUGATE
 

@@ -566,6 +566,23 @@ def test_number_readers_raise_invalid_value(read, message):
         read()
 
 
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: ditkit.DSD.from_vectors(2, [5]), "groups must be"),
+        (lambda: ditkit.DSD.from_vectors(2, 5), "groups must be"),
+        (lambda: ditkit.DSD.from_vectors(2, [[5]]), "groups must be"),
+        (lambda: ditkit.Attribute.from_map(AB, 5), "mapping must"),
+        (lambda: ditkit.Attribute.from_map(AB, ["a", "b"]), "mapping must"),
+        (lambda: ditkit.Attribute.from_values(AB, 5), "values must be"),
+    ],
+    ids=["dsd-group", "dsd-groups", "dsd-vector", "map-int", "map-list", "values"],
+)
+def test_non_iterable_containers_raise_ditkit_error(read, message):
+    with pytest.raises(DitkitError, match=f"^{message}"):
+        read()
+
+
 def test_probs_validation():
     with pytest.raises(ValueError):
         ProbGroundSet.from_values(ABC, ["1/2", "1/2", "0"])
