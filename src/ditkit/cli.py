@@ -117,12 +117,21 @@ def cmd_entropy(args) -> int:
     ground = _parse_ground(args.ground)
     probs = _parse_probs(ground, args.p)
     if args.table:
-        table = enumerate_partitions(ground)  # raises before any output
-        print("partition\tblocks\tlogical\tshannon_bits")
-        for pi in table:
-            h = entropy.logical_entropy(pi, probs)
-            bits = entropy.shannon_entropy(pi, probs)
-            print(f"{notation(pi)}\t{pi.num_blocks}\t{h}\t{bits:.12g}")
+        rows = [
+            {
+                "partition": notation(pi),
+                "blocks": pi.num_blocks,
+                "logical": entropy.logical_entropy(pi, probs),
+                "shannon_bits": entropy.shannon_entropy(pi, probs),
+            }
+            for pi in enumerate_partitions(ground)
+        ]
+        if not _emit(args, {"table": rows}):
+            print("\t".join(rows[0]))  # the column names are the keys
+            for row in rows:
+                h = _fmt(row["logical"], args.decimal)
+                bits = _fmt(row["shannon_bits"], args.decimal)
+                print(f"{row['partition']}\t{row['blocks']}\t{h}\t{bits}")
         return 0
     if args.partition is None:
         raise DitkitError("a partition argument is required without --table")
@@ -325,6 +334,8 @@ def cmd_observable(args) -> int:
 
 def cmd_double_slit(args) -> int:
     if args.format == "dot":
+        if args.json:
+            raise DitkitError("--json does not apply to --format dot")
         sys.stdout.write(lattice.double_slit_dot())
         return 0
     if args.trials < 0:

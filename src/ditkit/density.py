@@ -107,10 +107,13 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _split_square(n: int) -> tuple[int, int]:
-    """n = square**2 * rest with rest squarefree (n >= 1)."""
+    """n = square**2 * rest (n >= 1).  Trial division stops below 2**16,
+    and the cofactor left then moves into `square` only if it is a perfect
+    square, so `rest` is squarefree whenever that cofactor has at most two
+    prime factors, as it has for every n < 2**48."""
     square, rest = 1, 1
     d = 2
-    while d * d <= n:
+    while d < 1 << 16 and d * d <= n:
         exp = 0
         while n % d == 0:
             n //= d
@@ -119,6 +122,9 @@ def _split_square(n: int) -> tuple[int, int]:
         if exp % 2:
             rest *= d
         d += 1
+    root = math.isqrt(n)
+    if root * root == n:
+        return square * root, rest
     return square, rest * n
 
 

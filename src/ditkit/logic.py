@@ -28,7 +28,6 @@ from .partitions import (
     Partition,
     bell_number,
     discrete_partition,
-    enumerate_partitions,
     implication,
     indiscrete_partition,
     join,
@@ -244,32 +243,6 @@ def evaluate(
     return walk(f)
 
 
-def boolean_tautology(f: Formula) -> bool:
-    """Evaluate over the two-element Boolean algebra instead; partition
-    validity implies this, so a failure here is a cheap classical
-    counterexample certificate."""
-    names = variables(f)
-
-    def walk(node: Formula, env: dict[str, bool]) -> bool:
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, Top):
-            return True
-        if isinstance(node, Bottom):
-            return False
-        if isinstance(node, Join):
-            return walk(node.left, env) or walk(node.right, env)
-        if isinstance(node, Meet):
-            return walk(node.left, env) and walk(node.right, env)
-        return (not walk(node.left, env)) or walk(node.right, env)
-
-    for mask in range(1 << len(names)):
-        env = {name: bool(mask >> i & 1) for i, name in enumerate(names)}
-        if not walk(f, env):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Counterexample:
     n: int
@@ -323,24 +296,19 @@ class _Ranked:
     ranks, filled on first use from the RGS kernels (-1 marks a gap)."""
 
     def __init__(self, n: int):
-        self.parts = list(enumerate_partitions(_ground_for(n), max_n=n))
-        self.size = len(self.parts)
+        self.n, self.ground = n, _ground_for(n)
+        self._rgs = list(_iter_rgs(n))
+        self.size = len(self._rgs)
         self.bottom, self.top = 0, self.size - 1
-        self._rgs = [pi.rgs for pi in self.parts]
         self._rank = {code: r for r, code in enumerate(self._rgs)}
-        self._shapes = [tuple(sorted(map(len, pi.blocks))) for pi in self.parts]
+        self.element = self._rank.__getitem__  # the rank of an RGS
         self._tables: dict = {}
 
     def elements(self) -> range:
         return range(self.size)
 
     def partition(self, x: int) -> Partition:
-        return self.parts[x]
-
-    def shape(self, x: int) -> tuple[int, ...]:
-        """The sorted block sizes of `x`, which name its orbit under
-        relabelling the ground set."""
-        return self._shapes[x]
+        return _from_rgs(self.ground, self._rgs[x])
 
     def op(self, kernel):
         """`kernel` on ranks, through its table."""
@@ -371,11 +339,11 @@ class _Unranked:
     def elements(self):
         return _iter_rgs(self.n)
 
+    def element(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
+        return rgs
+
     def partition(self, rgs: tuple[int, ...]) -> Partition:
         return _from_rgs(self.ground, rgs)
-
-    def shape(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(map(rgs.count, range(max(rgs) + 1))))
 
     def op(self, kernel):
         return kernel
@@ -441,14 +409,24 @@ def _polarity(f: Formula, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(sum(signs[name]) for name in names)
 
 
-def _representatives(lattice):
-    """The first element of each shape, in element order."""
-    seen: set = set()
-    for x in lattice.elements():
-        shape = lattice.shape(x)
-        if shape not in seen:
-            seen.add(shape)
-            yield x
+def _representatives(n: int) -> list[tuple[int, ...]]:
+    """The first RGS of each shape (multiset of block sizes), in RGS order.
+    Its blocks are consecutive runs of non-increasing size, and a longer
+    leading run comes first."""
+    firsts: list[tuple[int, ...]] = []
+
+    def runs(prefix: tuple[int, ...], block: int, left: int, most: int):
+        # `left` more elements in runs of at most `most`, numbered from
+        # `block`: one run first, all singletons last
+        if left <= most:
+            firsts.append(prefix + (block,) * left)
+        for size in range(min(left - 1, most), 1, -1):
+            runs(prefix + (block,) * size, block + 1, left - size, size)
+        if left > 1:
+            firsts.append(prefix + tuple(range(block, block + left)))
+
+    runs((), 0, n, n)
+    return firsts
 
 
 def _search(program, polarity, lattice):
@@ -493,7 +471,9 @@ def _search(program, polarity, lattice):
             return nested(d, (lattice.bottom,))
         if polarity[d] < 0 and not nested(d, (top,)):
             return False
-        return nested(d, _representatives(lattice) if d == 0 else lattice.elements())
+        if d == 0:
+            return nested(d, map(lattice.element, _representatives(lattice.n)))
+        return nested(d, lattice.elements())
 
     for slot, op, left, right in steps[0]:
         values[slot] = op(values[left], values[right])
@@ -544,3 +524,11 @@ def check_validity(
             )
             return ValidityReport("counterexample", n, witness)
     return ValidityReport("valid-up-to-bound", max_n)
+
+
+def boolean_tautology(f: Formula) -> bool:
+    """Whether `f` holds in the two-element Boolean algebra, which is the
+    partition lattice of a two-element ground set; partition validity
+    implies this, so a failure here is a cheap classical counterexample
+    certificate."""
+    return check_validity(f, 2, budget=2 ** len(variables(f))).is_valid_up_to_bound

@@ -33,6 +33,7 @@ from .linalg import Matrix
 from .partitions import (
     GroundSet,
     Partition,
+    _as_tuple,
     _canon,
     _fraction,
     _from_rgs,
@@ -49,6 +50,7 @@ class Attribute:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", _as_tuple(self.values, "values"))
         if len(self.values) != self.ground.n:
             raise InvalidValue("attribute must assign a value to every element")
 
@@ -102,6 +104,9 @@ class DSD:
     subspaces: tuple[Matrix, ...]
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "subspaces", _as_tuple(self.subspaces, "subspace bases", 3)
+        )
         stacked = []
         for rows in self.subspaces:
             if not rows:
@@ -163,6 +168,7 @@ class Operator:
     mat: Matrix
 
     def __post_init__(self):
+        object.__setattr__(self, "mat", _as_tuple(self.mat, "operator rows", 2))
         n = len(self.mat)
         if any(len(row) != n for row in self.mat):
             raise DimensionMismatch("operator matrix must be square")
@@ -197,14 +203,9 @@ def set_spectral_check(f: Attribute) -> bool:
         total = sum((r for m, r in zip(masks, level) if m >> i & 1), Fraction(0))
         if total != f.values[i]:
             return False
-    # resolution of identity on subsets; sweep them all while 2^n is small
-    for s in range(1 << n) if n <= 10 else ((1 << n) - 1,):
-        pieces = [s & m for m in masks]
-        if sum(piece.bit_count() for piece in pieces) != s.bit_count():
-            return False
-        if reduce(or_, pieces) != s:
-            return False
-    return True
+    # resolution of identity: pieces that are disjoint and cover the
+    # universe cut every subset s into the disjoint pieces s & m covering s
+    return sum(m.bit_count() for m in masks) == n and reduce(or_, masks) == (1 << n) - 1
 
 
 def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:

@@ -46,6 +46,7 @@ class GroundSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", _as_tuple(self.labels, "labels"))
         if len(self.labels) == 0:
             raise EmptyBlock("ground set must have at least one element")
         for lab in self.labels:
@@ -65,7 +66,7 @@ class GroundSet:
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "GroundSet":
-        return cls(tuple(labels))
+        return cls(labels)
 
     @property
     def n(self) -> int:
@@ -209,6 +210,7 @@ class ProbGroundSet:
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _as_tuple(self.p, "point probabilities"))
         if len(self.p) != self.ground.n:
             raise GroundMismatch("probability vector length != ground size")
         if any(q <= 0 for q in self.p):
@@ -246,6 +248,18 @@ def _fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise InvalidValue(f"{value!r} is not a rational number") from None
+
+
+def _as_tuple(items, what: str, depth: int = 1) -> tuple:
+    """`items` as tuples nested `depth` deep, the form a value type stores
+    so that it compares and hashes by value; a non-iterable at any depth is
+    raised as DitkitError."""
+    try:
+        if depth == 1:
+            return tuple(items)
+        return tuple(_as_tuple(x, what, depth - 1) for x in items)
+    except TypeError:
+        raise DitkitError(f"{what} must be an iterable") from None
 
 
 def _check_index(i, n: int) -> None:

@@ -23,6 +23,7 @@ from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _as_tuple,
     _check_index,
     _require_same_ground,
 )
@@ -121,6 +122,7 @@ class GF2Map:
     nonsingular: bool = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "cols", _as_tuple(self.cols, "columns"))
         n = len(self.cols)
         for c in self.cols:
             if not isinstance(c, int) or isinstance(c, bool):
@@ -192,6 +194,7 @@ class StateMixture:
     terms: tuple[tuple[SubsetVector, Fraction], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", _as_tuple(self.terms, "mixture terms", 2))
         vecs = [v for v, _ in self.terms]
         for v in vecs:
             if not isinstance(v, SubsetVector):

@@ -9,9 +9,14 @@ relabels restricted growth strings, and the validity search walks every
 assignment of block tuples, where the library looks results up in tables.
 The unreduced validity search runs the library's tables over every
 assignment, where the library skips the first variable's repeated shapes
-and the values a monotone variable cannot need.
+and the values a monotone variable cannot need; the shape representatives
+are found by scanning every RGS, where the library generates them.  The
+Boolean oracle evaluates over {False, True}, where the library searches
+the two-element partition lattice.
 The density and entropy oracles compute entry by entry in `Fraction` and
-`SqrtRational` arithmetic, where the library works on an integer grid.
+`SqrtRational` arithmetic, where the library works on an integer grid, and
+the square part of a radicand is found by trial division up to its square
+root, where the library stops below 2**16 and tests the rest with `isqrt`.
 The GF(2) sampler draws every measurement through `choice_reduce` and
 evolves `SubsetVector`s step by step, and the exact GF(2) pipeline splits
 `frozenset` members with `Fraction` weights, where the library compiles the
@@ -54,6 +59,7 @@ from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import (
     Partition,
     ProbGroundSet,
+    _iter_rgs,
     _require_same_ground,
     choice_reduce,
     discrete_partition,
@@ -169,6 +175,43 @@ def brute_validity(f, max_n: int):
     return "valid-up-to-bound", max_n, None
 
 
+def boolean_tautology(f) -> bool:
+    """Whether `f` evaluates to True under every assignment of
+    {False, True} to its variables."""
+    names = variables(f)
+
+    def walk(node, env: dict[str, bool]) -> bool:
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Top):
+            return True
+        if isinstance(node, Bottom):
+            return False
+        if isinstance(node, Join):
+            return walk(node.left, env) or walk(node.right, env)
+        if isinstance(node, Meet):
+            return walk(node.left, env) and walk(node.right, env)
+        return (not walk(node.left, env)) or walk(node.right, env)
+
+    for mask in range(1 << len(names)):
+        env = {name: bool(mask >> i & 1) for i, name in enumerate(names)}
+        if not walk(f, env):
+            return False
+    return True
+
+
+def first_of_each_shape(n: int) -> list[tuple[int, ...]]:
+    """The first RGS of each shape (sorted block sizes), scanning every
+    RGS of length n in order."""
+    seen, firsts = set(), []
+    for rgs in _iter_rgs(n):
+        shape = tuple(sorted(map(rgs.count, range(max(rgs) + 1))))
+        if shape not in seen:
+            seen.add(shape)
+            firsts.append(rgs)
+    return firsts
+
+
 def unreduced_search(program, lattice):
     """Run the slot program over every assignment in nested order, first
     variable outermost, and return the variables' values and the root
@@ -257,6 +300,25 @@ def distinct_eigenvalues(k: int, rng: random.Random) -> tuple[Fraction, ...]:
 # --- density matrices and logical entropy, entry by entry -----------------
 
 Grid = tuple[tuple[SqrtRational, ...], ...]
+
+
+def split_square(n: int) -> tuple[int, int]:
+    """n = square**2 * rest with rest squarefree (n >= 1), by trial
+    division up to the square root of what is left."""
+    square, rest = 1, 1
+    d = 2
+    while d * d <= n:
+        exp = 0
+        while n % d == 0:
+            n //= d
+            exp += 1
+        square *= d ** (exp // 2)
+        if exp % 2:
+            rest *= d
+        d += 1
+    return square, rest * n
+
+
 _ZERO = SqrtRational(Fraction(0))
 
 

@@ -139,6 +139,12 @@ def test_entropy_table_has_bell_rows(capsys):
     assert lines[1].startswith("abcd\t1\t0\t0")
 
 
+def test_entropy_table_decimal(capsys):
+    code, out, _ = run(capsys, "entropy", "--ground", "abc", "--table", "--decimal")
+    assert code == 0
+    assert out.splitlines()[3] == "ac|b\t2\t0.444444444444\t0.918295834054"
+
+
 def test_entropy_table_beyond_bound_prints_nothing(capsys):
     code, out, err = run(capsys, "entropy", "--ground", "abcdefghijk", "--table")
     assert (code, out) == (2, "")
@@ -203,6 +209,16 @@ def test_measure_json(capsys):
         "state_diagonal": ["4/7", "3/7", "0"],
     }
     assert data["rho"]["entries"][1][2] == {"radicand": "5/48"}
+
+
+def test_measure_prints_large_radicands(capsys):
+    code, out, _ = run(
+        capsys, "measure", "--ground", "ab",
+        "--p", "1000000007/2000000016,1000000009/2000000016",
+        "--state", "ab", "--by", "a|b",
+    )
+    assert code == 0
+    assert "√1000000016000000063/2000000016 ]" in out
 
 
 def test_measure_requires_state_and_by(capsys):
@@ -419,6 +435,12 @@ def test_double_slit_dot(capsys):
     assert "style=dashed" in out
 
 
+def test_double_slit_dot_refuses_json(capsys):
+    code, out, err = run(capsys, "double-slit", "--format", "dot", "--json")
+    assert (code, out) == (2, "")
+    assert "--json" in err
+
+
 # --- lattice ---
 
 
@@ -461,6 +483,8 @@ JSON_RUNS = {
     "entropy": ["entropy", "--ground", "abc", "--p", GOLDEN_P, "a|bc", "--json"],
     "entropy-with": ["entropy", "--ground", "abc", "--p", GOLDEN_P, "a|bc",
                      "--with", "ab|c", "--json"],
+    "entropy-table": ["entropy", "--ground", "abc", "--p", GOLDEN_P, "--table",
+                      "--json"],
     "measure": ["measure", "--golden", "--json"],
     "logic": ["logic", r"p => (p /\ s)", "--json"],
     "se-demo": ["observable", "--se-demo", "--json"],
@@ -479,7 +503,7 @@ def test_json_output_is_one_parsable_line(capsys, argv):
     assert isinstance(json.loads(out), dict)
 
 
-DECIMAL_RUNS = ("entropy", "entropy-with", "measure")
+DECIMAL_RUNS = ("entropy", "entropy-with", "entropy-table", "measure")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ditkit import density
 from ditkit.density import (
     DensityMatrix,
     ProjectionMask,
@@ -46,6 +47,7 @@ from oracles import (
     masked_entries,
     random_probs,
     rho_entries,
+    split_square,
 )
 
 ABC = GroundSet(("a", "b", "c"))
@@ -97,6 +99,22 @@ def test_sqrt_rational_rendering():
     assert str(SqrtRational(F("4/9"))) == "2/3"
     assert str(SqrtRational(F(0))) == "0"
     assert str(SqrtRational(F("50/9"))) == "5√2/3"
+
+
+def test_sqrt_rational_rendering_matches_full_trial_division(monkeypatch):
+    # a prime square beyond the trial bound of 2**16 still leaves the root
+    assert str(SqrtRational(F(1_000_000_007**2 * 3))) == "1000000007√3"
+    q = Fraction(1_000_000_007 * 1_000_000_009, 4)
+    assert str(SqrtRational(q)) == "√1000000016000000063/2"
+    # below 2**32 the bound changes no string
+    rng = random.Random(41)
+    values = [Fraction(rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16))
+              for _ in range(400)]
+    values += [F(65521**2 * 3), F(65521 * 65519), F(2**32 - 1), 1 / F(2**31 - 1)]
+    radicands = [SqrtRational(q) for q in values]
+    fast = [str(x) for x in radicands]
+    monkeypatch.setattr(density, "_split_square", split_square)
+    assert [str(x) for x in radicands] == fast
 
 
 # --- construction ---------------------------------------------------------

@@ -37,7 +37,9 @@ from ditkit import (
     refines,
     variables,
 )
+from ditkit.partitions import _iter_rgs
 
+import oracles
 from oracles import brute_validity, unreduced_validity
 
 U2 = GroundSet(("a", "b"))
@@ -192,13 +194,12 @@ def test_boolean_tautology_examples():
 
 
 def test_boolean_tautology_matches_two_element_search():
-    # the two-element lattice is the Boolean algebra, so a boolean failure
-    # is exactly a counterexample on a two-element ground set
+    # the two-element lattice is the Boolean algebra, so the search at
+    # n = 2 fails exactly where a two-valued assignment does
     rng = random.Random(29)
-    for _ in range(60):
+    for _ in range(200):
         f = _random_formula(rng, 3)
-        report = check_validity(f, 2)
-        assert boolean_tautology(f) == report.is_valid_up_to_bound
+        assert boolean_tautology(f) == oracles.boolean_tautology(f)
 
 
 # --- bounded validity search ---
@@ -403,9 +404,30 @@ def test_ranked_and_unranked_shapes_agree():
         pairs = list(zip(ranked.elements(), unranked.elements(), strict=True))
         assert len(pairs) == bell_number(n)
         for r, rgs in pairs:
+            assert ranked.partition(r) == unranked.partition(rgs)
             assert ranked.partition(r).rgs == rgs
-            assert ranked.shape(r) == unranked.shape(rgs)
-            assert sum(ranked.shape(r)) == n
+    for n in range(1, 10):
+        firsts = oracles.first_of_each_shape(n)
+        assert list(logic._representatives(n)) == firsts
+        for lattice in (logic._Ranked(n), logic._Unranked(n)):
+            reps = map(lattice.element, logic._representatives(n))
+            assert [lattice.partition(x).rgs for x in reps] == firsts
+
+
+def test_one_variable_search_enumerates_no_large_lattice(monkeypatch):
+    # p occurs with both signs, so it runs over one value per shape; above
+    # TABLE_MAX_N those are generated, not found by scanning every RGS
+    lengths = []
+
+    def counted(n):
+        lengths.append(n)
+        return _iter_rgs(n)
+
+    monkeypatch.setattr(logic, "_iter_rgs", counted)
+    f = parse("(p => 0) \\/ ((p => 0) => 0)")
+    assert logic._polarity(f, variables(f)) == (0,)
+    assert check_validity(f, 9).is_valid_up_to_bound
+    assert max(lengths, default=0) <= logic.TABLE_MAX_N
 
 
 def test_untabulated_reach_with_both_reductions():

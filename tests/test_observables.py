@@ -91,7 +91,6 @@ def test_set_spectral_check_examples_and_random():
     assert set_spectral_check(Attribute.from_values(U3, [1, 2, 1]))
     assert set_spectral_check(Attribute.from_values(U4, [7, 7, 7, 7]))
     rng = random.Random(11)
-    # n = 11 checks only the universe, smaller n every subset
     for n in [rng.randint(1, 6) for _ in range(30)] + [10, 11]:
         ground = GroundSet(tuple(f"u{i}" for i in range(n)))
         f = Attribute.from_values(

@@ -40,6 +40,9 @@ from ditkit.partitions import (
     refines,
 )
 
+from ditkit.observables import DSD, Attribute, Operator
+from ditkit.z2dyn import GF2Map, StateMixture, SubsetVector
+
 from oracles import (
     canonical,
     insert_enumerate,
@@ -162,6 +165,35 @@ def test_ground_set_validation():
     for bad in ("", "a|b", "a,b", " a", "a\n", 1):
         with pytest.raises(DitkitError):
             GroundSet(("c", bad))
+
+
+_AB = GroundSet(("a", "b"))
+_HALF = Fraction(1, 2)
+_POINT = SubsetVector(_AB, [0])
+
+# (constructor of one argument, the argument in a list form, its tuple twin)
+CONTAINER_TWINS = {
+    "ground-str": (GroundSet, "abc", ("a", "b", "c")),
+    "ground-list": (GroundSet, ["a", "b"], ("a", "b")),
+    "prob": (lambda p: ProbGroundSet(_AB, p), [_HALF, _HALF], (_HALF, _HALF)),
+    "attribute": (lambda v: Attribute(_AB, v), [Fraction(1), _HALF], (1, _HALF)),
+    "gf2map": (GF2Map, [1, 2], (1, 2)),
+    "mixture": (
+        lambda t: StateMixture(_AB, t), [(_POINT, 1)], ((_POINT, Fraction(1)),)
+    ),
+    "dsd": (lambda s: DSD(2, s), [[[1, 0]], [[0, 1]]], DSD.standard(2).subspaces),
+    "operator": (Operator, [[1, 0], [0, 1]], ((1, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize(
+    "make, given, twin", CONTAINER_TWINS.values(), ids=list(CONTAINER_TWINS)
+)
+def test_value_types_store_tuples(make, given, twin):
+    value = make(given)
+    assert value == make(twin) and hash(value) == hash(make(twin))
+    with pytest.raises(DitkitError):
+        make(5)
 
 
 # --- ditsets / inditsets --------------------------------------------------
