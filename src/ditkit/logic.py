@@ -293,7 +293,8 @@ def _ground_for(n: int) -> GroundSet:
 class _Ranked:
     """The partitions of an n-set named by their rank in RGS order: bottom
     is 0, top is B - 1.  Each operation is a flat B x B table of result
-    ranks, filled on first use from the RGS kernels (-1 marks a gap)."""
+    ranks, filled on first use from the RGS kernels (-1 marks a gap), and
+    the orbit minima of each partition are kept once found."""
 
     def __init__(self, n: int):
         self.n, self.ground = n, _ground_for(n)
@@ -303,6 +304,7 @@ class _Ranked:
         self._rank = {code: r for r, code in enumerate(self._rgs)}
         self.element = self._rank.__getitem__  # the rank of an RGS
         self._tables: dict = {}
+        self._minima: dict[int, array] = {}
 
     def elements(self) -> range:
         return range(self.size)
@@ -325,11 +327,18 @@ class _Ranked:
 
         return lookup
 
+    def minima(self, c: int) -> array:
+        """The ranks of `_minima` of partition c, kept per c."""
+        if c not in self._minima:
+            self._minima[c] = array("h", map(self.element, _minima(self._rgs[c])))
+        return self._minima[c]
+
 
 class _Unranked:
     """The partitions of an n-set as bare RGS tuples, for n too large to
-    tabulate: elements are re-enumerated on every pass and operations run
-    the kernels directly, so nothing of size B**2 is built or kept."""
+    tabulate: elements and orbit minima are re-enumerated on every pass and
+    operations run the kernels directly, so nothing of size B**2 is built
+    and nothing is kept between passes."""
 
     def __init__(self, n: int):
         self.n = n
@@ -347,6 +356,9 @@ class _Unranked:
 
     def op(self, kernel):
         return kernel
+
+    def minima(self, c: tuple[int, ...]):
+        return _minima(c)
 
 
 _RANKED: dict[int, _Ranked] = {}
@@ -429,19 +441,64 @@ def _representatives(n: int) -> list[tuple[int, ...]]:
     return firsts
 
 
+def _minima(c: tuple[int, ...]):
+    """The least RGS of each orbit of the permutations that keep every
+    block of partition c, in RGS order.  At c = bottom the orbits are the
+    shapes, whose least members are generated outright; any other c is
+    scanned."""
+    return _scan_minima(c) if any(c) else _representatives(len(c))
+
+
+def _scan_minima(c: tuple[int, ...]):
+    """`_minima(c)` by scanning.  A permutation that keeps every block C_a
+    of c maps a partition's blocks X_j to blocks with the same counts
+    |X_j & C_a| in each C_a, and any two partitions with the same multiset
+    of count vectors are so mapped, so that multiset is the orbit's key.
+    The least member of an orbit labels the elements of each C_a in
+    non-decreasing order, since swapping two that are not gives a smaller
+    RGS.  Only those RGS are scanned, and the first of each key is
+    yielded."""
+    n = len(c)
+    weights = [(n + 1) ** a for a in c]  # a count vector as one integer
+    before, last = [], {}  # the previous element in the same block of c
+    for i, a in enumerate(c):
+        before.append(last.get(a))
+        last[a] = i
+    labels, codes, seen = [0] * n, [0] * n, set()
+
+    def grow(i: int, used: int):
+        if i == n:
+            key = tuple(sorted(codes[:used]))
+            if key not in seen:
+                seen.add(key)
+                yield tuple(labels)
+            return
+        low = 0 if before[i] is None else labels[before[i]]
+        for b in range(low, used + 1):
+            labels[i] = b
+            codes[b] += weights[i]
+            yield from grow(i + 1, max(used, b + 1))
+            codes[b] -= weights[i]
+
+    return grow(0, 0)
+
+
 def _search(program, polarity, lattice):
     """Run the slot program over the assignments in nested order, first
     variable outermost, and return the variables' values and the root
     value at the first assignment whose root is below the top, or None.
 
-    Three kinds of assignment are skipped, none of which can hold the
-    first hit.  Relabelling the ground set fixes the constants and commutes
-    with every operation, so a first value whose shape was already searched
-    clean has no hit: only the first value of each shape is tried.  The
-    root is monotone in a variable of polarity 1, so if its first value,
-    the bottom, leaves the rest clean, every value does.  It is antitone in
-    one of polarity -1, so if the top leaves the rest clean, every value
-    does; only if it does not is the variable searched in order."""
+    Two kinds of assignment are skipped, neither of which can hold the
+    first hit.  Orbits: let c be the join of the values already chosen,
+    bottom for the first variable.  A permutation of the ground set that
+    keeps every block of c fixes those values and the constants and
+    commutes with every operation, so it maps a hit to a hit with the
+    same earlier values.  The first hit therefore takes, at every depth,
+    the least value of its orbit, and only `lattice.minima(c)` are tried.
+    Polarity: the root is monotone in a variable of polarity 1, so if its
+    least value, the bottom, leaves the rest clean, every value does.  It
+    is antitone in one of polarity -1, so if the top leaves the rest
+    clean, every value does; only if it does not are the minima tried."""
     consts, levels, root, width = program
     depth = len(levels) - 1
     values: list = [None] * width
@@ -452,8 +509,11 @@ def _search(program, polarity, lattice):
         for level in levels
     ]
     top = lattice.top
+    # c is only needed below the first variable, so one variable builds no
+    # join table
+    join = lattice.op(_join_rgs) if depth > 1 else None
 
-    def nested(d: int, xs) -> bool:
+    def nested(d: int, c, xs) -> bool:
         level, innermost = steps[d + 1], d + 1 == depth
         for x in xs:
             values[d] = x
@@ -462,22 +522,20 @@ def _search(program, polarity, lattice):
             if innermost:
                 if values[root] != top:
                     return True
-            elif search(d + 1):
+            elif search(d + 1, join(c, x)):
                 return True
         return False
 
-    def search(d: int) -> bool:
+    def search(d: int, c) -> bool:
         if polarity[d] > 0:
-            return nested(d, (lattice.bottom,))
-        if polarity[d] < 0 and not nested(d, (top,)):
+            return nested(d, c, (lattice.bottom,))
+        if polarity[d] < 0 and not nested(d, c, (top,)):
             return False
-        if d == 0:
-            return nested(d, map(lattice.element, _representatives(lattice.n)))
-        return nested(d, lattice.elements())
+        return nested(d, c, lattice.minima(c))
 
     for slot, op, left, right in steps[0]:
         values[slot] = op(values[left], values[right])
-    found = search(0) if depth else values[root] != top
+    found = search(0, lattice.bottom) if depth else values[root] != top
     return (values[:depth], values[root]) if found else None
 
 
@@ -491,12 +549,14 @@ def check_validity(
     The search runs on RGS ranks through operation tables filled on demand
     and kept between calls for n <= TABLE_MAX_N; larger n run the RGS
     kernels directly.  Each subformula is evaluated once per value of the
-    last variable it uses.  Two reductions skip assignments that cannot
-    hold the first counterexample: the first variable takes only the first
-    value of each block-size shape, and a variable of one polarity is
-    settled by the bottom (positive) or first probed at the top
-    (negative).  The witness is still the least one, and the budget still
-    charges Bell(n) ** k assignments per n for k variables."""
+    last variable it uses.  Two rules skip assignments that cannot hold
+    the first counterexample.  Orbits: each variable takes only the least
+    value of each orbit of the permutations that keep every block of the
+    join of the earlier variables' values (for the first variable, the
+    first value of each block-size shape).  Polarity: a variable of one
+    polarity is settled by the bottom (positive) or first probed at the
+    top (negative).  The witness is still the least one, and the budget
+    still charges Bell(n) ** k assignments per n for k variables."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")

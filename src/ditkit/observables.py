@@ -37,6 +37,7 @@ from .partitions import (
     _canon,
     _fraction,
     _from_rgs,
+    _require_exact,
     _require_same_ground,
     join,
 )
@@ -53,6 +54,7 @@ class Attribute:
         object.__setattr__(self, "values", _as_tuple(self.values, "values"))
         if len(self.values) != self.ground.n:
             raise InvalidValue("attribute must assign a value to every element")
+        _require_exact(self.values, "attribute values")
 
     @classmethod
     def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
@@ -106,6 +108,9 @@ class DSD:
     def __post_init__(self):
         object.__setattr__(
             self, "subspaces", _as_tuple(self.subspaces, "subspace bases", 3)
+        )
+        _require_exact(
+            (x for rows in self.subspaces for v in rows for x in v), "basis entries"
         )
         stacked = []
         for rows in self.subspaces:
@@ -172,6 +177,7 @@ class Operator:
         n = len(self.mat)
         if any(len(row) != n for row in self.mat):
             raise DimensionMismatch("operator matrix must be square")
+        _require_exact((x for row in self.mat for x in row), "operator entries")
         if self.mat != linalg.transpose(self.mat):
             raise InvalidValue("operator matrix must be symmetric")
 

@@ -213,6 +213,7 @@ class ProbGroundSet:
         object.__setattr__(self, "p", _as_tuple(self.p, "point probabilities"))
         if len(self.p) != self.ground.n:
             raise GroundMismatch("probability vector length != ground size")
+        _require_exact(self.p, "point probabilities")
         if any(q <= 0 for q in self.p):
             raise InvalidValue("point probabilities must be positive")
         exact = [Fraction(q) for q in self.p]
@@ -248,6 +249,14 @@ def _fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise InvalidValue(f"{value!r} is not a rational number") from None
+
+
+def _require_exact(values: Iterable, what: str) -> None:
+    """Raise InvalidValue unless every value is an exact number: an `int`
+    that is not a `bool`, or a `Fraction`."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise InvalidValue(f"{what} must be int or Fraction, got {value!r}")
 
 
 def _as_tuple(items, what: str, depth: int = 1) -> tuple:

@@ -25,6 +25,7 @@ from .partitions import (
     ProbGroundSet,
     _as_tuple,
     _check_index,
+    _require_exact,
     _require_same_ground,
 )
 
@@ -195,18 +196,22 @@ class StateMixture:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _as_tuple(self.terms, "mixture terms", 2))
+        for term in self.terms:
+            if len(term) != 2:
+                raise DitkitError(
+                    f"mixture term of length {len(term)} is not a "
+                    "(vector, probability) pair"
+                )
         vecs = [v for v, _ in self.terms]
         for v in vecs:
             if not isinstance(v, SubsetVector):
                 raise DitkitError(f"mixture component {v!r} is not a SubsetVector")
         if len(set(vecs)) != len(vecs):
             raise InvalidValue("mixture components must be distinct")
-        try:
-            if any(q <= 0 for _, q in self.terms):
-                raise InvalidValue("mixture probabilities must be positive")
-            total = sum((q for _, q in self.terms), Fraction(0))
-        except TypeError:
-            raise InvalidValue("mixture probabilities must be numbers") from None
+        _require_exact((q for _, q in self.terms), "mixture probabilities")
+        if any(q <= 0 for _, q in self.terms):
+            raise InvalidValue("mixture probabilities must be positive")
+        total = sum((q for _, q in self.terms), Fraction(0))
         if total != 1:
             raise InvalidValue("mixture probabilities must sum to 1")
         for v, _ in self.terms:

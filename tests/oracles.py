@@ -8,8 +8,11 @@ lattice operations work on sets of blocks and pairs, where the library
 relabels restricted growth strings, and the validity search walks every
 assignment of block tuples, where the library looks results up in tables.
 The unreduced validity search runs the library's tables over every
-assignment, where the library skips the first variable's repeated shapes
-and the values a monotone variable cannot need; the shape representatives
+assignment, where the library tries only the least value of each orbit
+that fixes the earlier variables, and skips the values a monotone
+variable cannot need.  Those orbit minima are found by applying every
+permutation that keeps each block of the earlier variables' join, where
+the library compares block-intersection counts; the shape representatives
 are found by scanning every RGS, where the library generates them.  The
 Boolean oracle evaluates over {False, True}, where the library searches
 the two-element partition lattice.
@@ -86,16 +89,17 @@ def canonical(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
+def rgs_of(blocks) -> tuple[int, ...]:
+    """The restricted growth string of canonical blocks: its i-th entry
+    numbers the block of i, blocks numbered by least element (the
+    position of the block in canonical form)."""
+    home = {i: j for j, blk in enumerate(blocks) for i in blk}
+    return tuple(home[i] for i in range(len(home)))
+
+
 def rgs_order(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All partitions of {0..n-1}, sorted by restricted growth string: the
-    string whose i-th entry numbers the block of i, blocks numbered by
-    least element (the position of the block in canonical form)."""
-
-    def rgs(blocks):
-        home = {i: j for j, blk in enumerate(blocks) for i in blk}
-        return [home[i] for i in range(n)]
-
-    return sorted(insert_enumerate(n), key=rgs)
+    """All partitions of {0..n-1}, sorted by restricted growth string."""
+    return sorted(insert_enumerate(n), key=rgs_of)
 
 
 # --- lattice operations on sets of blocks ---------------------------------
@@ -210,6 +214,20 @@ def first_of_each_shape(n: int) -> list[tuple[int, ...]]:
             seen.add(shape)
             firsts.append(rgs)
     return firsts
+
+
+def orbit_minima(n: int, c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The least RGS of each orbit of the permutations of {0..n-1} that
+    keep every block of the partition with RGS c, in RGS order: every
+    such permutation is applied to the blocks of every partition."""
+    keeping = [
+        g for g in itertools.permutations(range(n))
+        if all(c[g[i]] == c[i] for i in range(n))
+    ]
+    return sorted({
+        min(rgs_of(canonical([g[i] for i in blk] for blk in blocks)) for g in keeping)
+        for blocks in insert_enumerate(n)
+    })
 
 
 def unreduced_search(program, lattice):

@@ -332,6 +332,26 @@ def test_large_n_search_keeps_no_table():
     assert peak < 8 * 2**20
 
 
+def test_untabulated_orbit_minima_keep_no_list():
+    # at n = 8 the second variable of a mixed-polarity pair runs over the
+    # orbit minima of each of the 22 first values, which the untabulated
+    # path yields one at a time (about 1 MB at peak, the keys of one scan);
+    # keeping all 16,010 of them would add about 3 MB.  The tables for
+    # n <= TABLE_MAX_N are built before tracing starts.
+    f = parse("(p /\\ q) => (q /\\ p)")
+    budget = 2 * bell_number(8) ** 2
+    assert logic._polarity(f, variables(f)) == (0, 0)
+    check_validity(f, logic.TABLE_MAX_N, budget=budget)
+    tracemalloc.start()
+    try:
+        report = check_validity(f, 8, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_valid_up_to_bound and report.bound == 8
+    assert peak < 2 * 2**20
+
+
 def test_untabulated_search_matches_brute_force(monkeypatch):
     # the path taken for n > TABLE_MAX_N, run at small n
     monkeypatch.setattr(logic, "TABLE_MAX_N", 1)
@@ -345,12 +365,10 @@ def test_untabulated_search_matches_brute_force(monkeypatch):
 # --- reduced search against the unreduced one ---
 
 _LEAVES = st.sampled_from([Var("p"), Var("q"), Var("r"), Top(), Bottom()])
+_OPS = st.sampled_from([Join, Meet, Implies])
 _FORMULAS = st.recursive(
     _LEAVES,
-    lambda sub: st.builds(
-        lambda op, left, right: op(left, right),
-        st.sampled_from([Join, Meet, Implies]), sub, sub,
-    ),
+    lambda sub: st.builds(lambda op, left, right: op(left, right), _OPS, sub, sub),
     max_leaves=8,
 )
 
@@ -392,6 +410,35 @@ def test_reduced_search_matches_unreduced_and_brute_force(table_max_n, f):
         assert _as_blocks(check_validity(f, 3)) == brute_validity(f, 3)
 
 
+# a random formula and one in p, q and r under random operations, so that
+# every formula has three variables and the orbit rule reaches depth 2
+_THREE_VARIABLES = st.builds(
+    lambda op, f, g, flip: op(g, f) if flip else op(f, g),
+    _OPS,
+    _FORMULAS,
+    st.builds(
+        lambda outer, inner, xs: outer(xs[0], inner(xs[1], xs[2])),
+        _OPS, _OPS, st.permutations([Var("p"), Var("q"), Var("r")]),
+    ),
+    st.booleans(),
+)
+
+
+@pytest.mark.parametrize(
+    "table_max_n", [logic.TABLE_MAX_N, 1], ids=["ranked", "unranked"]
+)
+@settings(max_examples=30, deadline=None)
+@given(f=_THREE_VARIABLES)
+@example(f=parse("((p => q) /\\ (q => r)) => (p => r)"))
+@example(f=parse("(p => q) => ((r \\/ p) => (r \\/ q))"))
+def test_three_variable_search_matches_unreduced(table_max_n, f):
+    oracle = unreduced_validity(f, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "TABLE_MAX_N", table_max_n)
+        report = check_validity(f, 5)
+    assert report == oracle and report.to_json() == oracle.to_json()
+
+
 @pytest.mark.parametrize("text", [text for text, _ in POLARITY_CASES])
 def test_reduced_search_matches_unreduced_on_each_polarity_mix(text):
     f = parse(text)
@@ -406,12 +453,25 @@ def test_ranked_and_unranked_shapes_agree():
         for r, rgs in pairs:
             assert ranked.partition(r) == unranked.partition(rgs)
             assert ranked.partition(r).rgs == rgs
+            minima = [ranked.partition(x).rgs for x in ranked.minima(r)]
+            assert minima == list(unranked.minima(rgs))
     for n in range(1, 10):
         firsts = oracles.first_of_each_shape(n)
         assert list(logic._representatives(n)) == firsts
         for lattice in (logic._Ranked(n), logic._Unranked(n)):
             reps = map(lattice.element, logic._representatives(n))
             assert [lattice.partition(x).rgs for x in reps] == firsts
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_minima_match_every_permutation(n):
+    for c in _iter_rgs(n):
+        assert list(logic._minima(c)) == oracles.orbit_minima(n, c)
+
+
+def test_orbit_scan_at_bottom_finds_the_shape_representatives():
+    for n in range(1, 10):
+        assert list(logic._scan_minima((0,) * n)) == logic._representatives(n)
 
 
 def test_one_variable_search_enumerates_no_large_lattice(monkeypatch):

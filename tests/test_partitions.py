@@ -503,6 +503,7 @@ def test_json_round_trip():
         lambda: ditkit.StateMixture(
             ABC, ((ditkit.SubsetVector(ABC, [0]), "x"),)
         ),
+        lambda: ditkit.StateMixture(ABC, ((ditkit.SubsetVector(ABC, [0]), 1.0),)),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=1),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=2.5),
         lambda: ditkit.check_validity(ditkit.parse("p"), max_n=True),
@@ -518,6 +519,7 @@ def test_json_round_trip():
         "csca",
         "mixture",
         "mixture-weight",
+        "mixture-float",
         "max_n",
         "max_n-float",
         "max_n-bool",
@@ -596,6 +598,22 @@ def test_malformed_numbers_raise_invalid_value(read, text):
 def test_number_readers_raise_invalid_value(read, message):
     with pytest.raises(InvalidValue, match=f"^{message}"):
         read()
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", None, True], ids=repr)
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda x: ProbGroundSet(AB, [x, Fraction(1, 2)]), "point probabilities"),
+        (lambda x: ditkit.Attribute(AB, [x, 1]), "attribute values"),
+        (lambda x: ditkit.Operator([[x, 0], [0, 1]]), "operator entries"),
+        (lambda x: ditkit.DSD(2, [[(x, 0)], [(0, 1)]]), "basis entries"),
+    ],
+    ids=["probs", "attribute", "operator", "dsd"],
+)
+def test_checking_constructors_take_only_exact_numbers(make, what, bad):
+    with pytest.raises(InvalidValue, match=f"^{what} must be int or Fraction, got "):
+        make(bad)
 
 
 @pytest.mark.parametrize(

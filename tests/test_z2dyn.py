@@ -228,6 +228,12 @@ def test_mixture_components_must_be_subset_vectors(component, shown):
         StateMixture(U3, ((vec("a"), F(1, 2)), (component, F(1, 2))))
 
 
+@pytest.mark.parametrize("rest", [(F(1), 2), ()], ids=["triple", "single"])
+def test_mixture_terms_must_be_pairs(rest):
+    with pytest.raises(DitkitError, match="^mixture term of length [13] is not a"):
+        StateMixture(U3, ((vec("a"), *rest),))
+
+
 def test_from_terms_merges_duplicates():
     m = StateMixture.from_terms(
         U3, [(vec("a"), F(1, 4)), (vec("a"), F(1, 4)), (vec("b"), F(1, 2))]
