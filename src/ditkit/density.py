@@ -336,7 +336,8 @@ def luders_outcomes(
     _require_same_ground(mat, sigma)
     rows = []
     for blk in sigma.blocks:
-        state, prob = luders_rule(mat, ProjectionMask(mat.ground, blk))
+        mask = ProjectionMask.from_bits(mat.ground, sum(1 << i for i in blk))
+        state, prob = luders_rule(mat, mask)
         rows.append((blk, prob, state))
     return rows
 
@@ -353,12 +354,12 @@ def state_reduction_audit(
     """The off-diagonal non-zero entries whose pair is split by sigma:
     exactly the coherences that measuring by sigma decoheres."""
     _require_same_ground(mat, sigma)
-    n = mat.ground.n
+    n, num, label = mat.ground.n, mat._num, sigma.rgs
     return [
         (i, k)
         for i in range(n)
         for k in range(n)
-        if i != k and mat._num[i * n + k] and not sigma.same_block(i, k)
+        if label[i] != label[k] and num[i * n + k]
     ]
 
 
@@ -372,21 +373,21 @@ def theorem_entropy_increase(
     pi: Partition, sigma: Partition, probs: ProbGroundSet
 ) -> bool:
     """The entropy gained by measuring equals the total squared mass of
-    the zeroed coherences, exactly."""
+    the zeroed coherences, exactly.  With S the radicand sum of a state,
+    1 - tr(rho^2) is 1 - S / den, so the gain is S / den - S_hat / den_hat
+    and the check cross-multiplies it against the zeroed mass Z / den."""
     mat = rho(pi, probs)
     hat = luders_mixture(mat, sigma)
-    gained = quantum_logical_entropy(hat) - quantum_logical_entropy(mat)
-    n = mat.ground.n
-    zeroed = Fraction(
-        sum(mat._num[i * n + k] for (i, k) in state_reduction_audit(mat, sigma)),
-        mat._den,
-    )
-    return gained == zeroed
+    n, num = mat.ground.n, mat._num
+    zeroed = sum(num[i * n + k] for (i, k) in state_reduction_audit(mat, sigma))
+    return (sum(num) - zeroed) * hat._den == sum(hat._num) * mat._den
 
 
 def consistency_h(pi: Partition, probs: ProbGroundSet) -> bool:
     """The matrix entropy 1 - tr(rho^2) agrees exactly with the
-    partition's logical entropy."""
-    return quantum_logical_entropy(rho(pi, probs)) == _entropy.logical_entropy(
-        pi, probs
-    )
+    partition's logical entropy: (den - S) / den against
+    (D^2 - sum of W_B^2) / D^2, cross-multiplied."""
+    mat = rho(pi, probs)
+    square = probs.denominator**2
+    blocks = _entropy._square_mass(pi.rgs, probs.weights)
+    return (mat._den - sum(mat._num)) * square == (square - blocks) * mat._den

@@ -1,8 +1,11 @@
 """Logical and Shannon entropy of partitions.
 
-Logical entropy is the two-draw probability of drawing a distinction and
-stays an exact `Fraction` end to end.  Shannon entropy needs logarithms,
-so it lives in floats; comparisons against it use `FLOAT_TOL`.
+Logical entropy is the two-draw probability of drawing a distinction.
+It is exact: summed in integers on the grid of the `ProbGroundSet`
+(weights over a common denominator D), from each partition's restricted
+growth string, and returned as a `Fraction` over D².  Shannon entropy
+needs logarithms, so it lives in floats; comparisons against it use
+`FLOAT_TOL`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import NamedTuple
 from .partitions import (
     Partition,
     ProbGroundSet,
+    _join_rgs,
     _require_same_ground,
     ditset,
     join,
@@ -30,15 +34,22 @@ def block_probs(
     return [(blk, probs.prob(blk)) for blk in pi.blocks]
 
 
+def _square_mass(rgs: tuple[int, ...], weights: tuple[int, ...]) -> int:
+    """Sum of W_B^2 over the blocks B of the partition with RGS `rgs`,
+    where W_B sums `weights` over B."""
+    mass = [0] * (max(rgs) + 1)
+    for b, w in zip(rgs, weights):
+        mass[b] += w
+    return sum(m * m for m in mass)
+
+
 def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
     """1 - sum of squared block probabilities, exactly: on the grid of
     `probs` that is (D^2 - sum of W_B^2) / D^2, with W_B a block's
     integer weight and D the common denominator."""
     _require_same_ground(pi, probs)
     square = probs.denominator**2
-    return Fraction(
-        square - sum(probs.weight(blk) ** 2 for blk in pi.blocks), square
-    )
+    return Fraction(square - _square_mass(pi.rgs, probs.weights), square)
 
 
 def logical_entropy_ditsum(pi: Partition, probs: ProbGroundSet) -> Fraction:
@@ -63,16 +74,21 @@ def compound_logical(
 ) -> CompoundLogical:
     """Joint, conditional, and mutual logical entropy.  These satisfy the
     Venn relations exactly: the joint is the entropy of the join, and the
-    mutual information is the p x p mass of the common dits."""
+    mutual information is the p x p mass of the common dits.  With S the
+    squared-mass sum of a partition, each entropy is (D^2 - S) / D^2, so
+    all four are integer differences over D^2."""
     _require_same_ground(pi, sigma)
-    h_pi = logical_entropy(pi, probs)
-    h_sigma = logical_entropy(sigma, probs)
-    h_join = logical_entropy(join(pi, sigma), probs)
+    _require_same_ground(pi, probs)
+    w = probs.weights
+    s_pi = _square_mass(pi.rgs, w)
+    s_sigma = _square_mass(sigma.rgs, w)
+    s_join = _square_mass(_join_rgs(pi.rgs, sigma.rgs), w)
+    square = probs.denominator**2
     return CompoundLogical(
-        joint=h_join,
-        conditional_pi_given_sigma=h_join - h_sigma,
-        conditional_sigma_given_pi=h_join - h_pi,
-        mutual=h_pi + h_sigma - h_join,
+        joint=Fraction(square - s_join, square),
+        conditional_pi_given_sigma=Fraction(s_sigma - s_join, square),
+        conditional_sigma_given_pi=Fraction(s_pi - s_join, square),
+        mutual=Fraction(square - s_pi - s_sigma + s_join, square),
     )
 
 

@@ -243,8 +243,14 @@ class ProbGroundSet:
 
 
 def _fraction(value) -> Fraction:
-    """`Fraction(value)`, with a malformed number, a zero denominator, a
-    non-number or an infinity raised as InvalidValue."""
+    """`Fraction(value)`, with a float, a bool, a malformed number, a zero
+    denominator or a non-number raised as InvalidValue.  A float is
+    refused because its binary expansion is not the decimal it was
+    written as: 0.1 would become 3602879701896397/36028797018963968."""
+    if isinstance(value, (float, bool)):
+        raise InvalidValue(
+            f"{value!r} is not exact; give an int, a Fraction or a string"
+        )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
@@ -279,7 +285,8 @@ def _check_index(i, n: int) -> None:
 
 
 def _require_same_ground(a, b) -> None:
-    if a.ground != b.ground:
+    # identity first: values built from one ground set share the object
+    if a.ground is not b.ground and a.ground != b.ground:
         raise GroundMismatch(
             f"ground sets differ: {a.ground.labels} vs {b.ground.labels}"
         )

@@ -16,10 +16,12 @@ the library compares block-intersection counts; the shape representatives
 are found by scanning every RGS, where the library generates them.  The
 Boolean oracle evaluates over {False, True}, where the library searches
 the two-element partition lattice.
-The density and entropy oracles compute entry by entry in `Fraction` and
-`SqrtRational` arithmetic, where the library works on an integer grid, and
-the square part of a radicand is found by trial division up to its square
-root, where the library stops below 2**16 and tests the rest with `isqrt`.
+The density and entropy oracles compute entry by entry and block by block
+in `Fraction` and `SqrtRational` arithmetic, the compound entropies from
+the blocks of a set join, where the library works on an integer grid and
+sums block weights from restricted growth strings, and the square part
+of a radicand is found by trial division up to its square root, where the
+library stops below 2**16 and tests the rest with `isqrt`.
 The GF(2) sampler draws every measurement through `choice_reduce` and
 evolves `SubsetVector`s step by step, and the exact GF(2) pipeline splits
 `frozenset` members with `Fraction` weights, where the library compiles the
@@ -391,12 +393,22 @@ def entries_entropy(entries: Grid) -> Fraction:
     )
 
 
-def block_entropy(pi, probs) -> Fraction:
+def block_entropy(blocks: Blocks, probs) -> Fraction:
     """1 - sum over blocks of the squared block probability."""
     return 1 - sum(
-        (sum((probs.p[i] for i in blk), Fraction(0)) ** 2 for blk in pi.blocks),
+        (sum((probs.p[i] for i in blk), Fraction(0)) ** 2 for blk in blocks),
         Fraction(0),
     )
+
+
+def compound_logical(pi, sigma, probs) -> tuple[Fraction, ...]:
+    """(joint, h(pi | sigma), h(sigma | pi), mutual) as `Fraction`
+    differences of the block entropies of pi, sigma and their join, the
+    join found by intersecting blocks."""
+    h_pi = block_entropy(pi.blocks, probs)
+    h_sigma = block_entropy(sigma.blocks, probs)
+    h_join = block_entropy(set_join(pi.blocks, sigma.blocks), probs)
+    return (h_join, h_join - h_sigma, h_join - h_pi, h_pi + h_sigma - h_join)
 
 
 # --- GF(2) sampling, one choice_reduce draw per measurement ---------------

@@ -22,7 +22,7 @@ from ditkit.density import (
     theorem_join,
     verify_block_eigenvectors,
 )
-from ditkit.entropy import logical_entropy
+from ditkit.entropy import compound_logical, logical_entropy
 from ditkit.errors import (
     DitkitError,
     GroundMismatch,
@@ -31,6 +31,7 @@ from ditkit.errors import (
 )
 from ditkit.partitions import (
     GroundSet,
+    Partition,
     ProbGroundSet,
     all_pairs,
     discrete_partition,
@@ -151,6 +152,39 @@ def test_rho_indiscrete_is_full():
 def test_rho_ground_mismatch():
     with pytest.raises(GroundMismatch):
         rho(discrete_partition(ground(4)), GOLDEN_P)
+
+
+def _on(g):
+    """SIGMA and GOLDEN_P rebuilt over the ground set `g`."""
+    probs = ProbGroundSet.from_values(g, ["1/3", "1/4", "5/12"])
+    return Partition(g, [[0, 1], [2]]), probs
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, p: join(PI, s),
+        lambda s, p: logical_entropy(PI, p),
+        lambda s, p: compound_logical(PI, s, GOLDEN_P),
+        lambda s, p: compound_logical(PI, SIGMA, p),
+        lambda s, p: rho(PI, p),
+        lambda s, p: theorem_join(PI, s, GOLDEN_P),
+        lambda s, p: theorem_join(PI, SIGMA, p),
+        lambda s, p: theorem_entropy_increase(PI, s, GOLDEN_P),
+        lambda s, p: theorem_entropy_increase(PI, SIGMA, p),
+    ],
+    ids=[
+        "join", "entropy", "compound-sigma", "compound-probs", "rho",
+        "theorem-join-sigma", "theorem-join-probs", "increase-sigma",
+        "increase-probs",
+    ],
+)
+def test_ground_check_compares_ground_sets_by_value(call):
+    twin = GroundSet(("a", "b", "c"))
+    assert twin == ABC and twin is not ABC
+    assert call(*_on(twin)) == call(SIGMA, GOLDEN_P)
+    with pytest.raises(GroundMismatch):
+        call(*_on(GroundSet(("a", "b", "x"))))
 
 
 def test_density_matrix_validation():
@@ -423,7 +457,8 @@ def test_grid_matches_fraction_oracle_on_every_pair():
                 assert type(h) is Fraction and h == entries_entropy(want)
                 assert h_hat == entries_entropy(want_hat)
                 h_pi = logical_entropy(pi, probs)
-                assert type(h_pi) is Fraction and h_pi == block_entropy(pi, probs)
+                assert type(h_pi) is Fraction
+                assert h_pi == block_entropy(pi.blocks, probs)
                 for blk in sigma.blocks:
                     post, prob = luders_rule(
                         mat, ProjectionMask(probs.ground, frozenset(blk))

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditkit.entropy import (
     block_probs,
@@ -18,6 +20,7 @@ from ditkit.entropy import (
 from ditkit.errors import GroundMismatch
 from ditkit.partitions import (
     GroundSet,
+    Partition,
     ProbGroundSet,
     all_pairs,
     discrete_partition,
@@ -27,6 +30,7 @@ from ditkit.partitions import (
     parse_partition,
 )
 
+import oracles
 from oracles import random_probs
 
 ABC = GroundSet(("a", "b", "c"))
@@ -142,6 +146,35 @@ def test_mutual_is_measure_of_common_dits(n):
         assert comp.joint == logical_entropy(pi, probs) + logical_entropy(
             sigma, probs
         ) - comp.mutual
+
+
+@st.composite
+def triples(draw):
+    """(pi, sigma, probs) on up to six elements, with integer weights up
+    to 10**6, so that the common denominator D and D**2 are large."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    g = ground(n)
+
+    def partition():
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = [[i for i in range(n) if labels[i] == b] for b in set(labels)]
+        return Partition(g, blocks)
+
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    total = sum(weights)
+    probs = ProbGroundSet(g, tuple(Fraction(w, total) for w in weights))
+    return partition(), partition(), probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples())
+def test_integer_kernel_matches_block_oracles(triple):
+    pi, sigma, probs = triple
+    h = logical_entropy(pi, probs)
+    assert type(h) is Fraction and h == oracles.block_entropy(pi.blocks, probs)
+    comp = compound_logical(pi, sigma, probs)
+    assert all(type(x) is Fraction for x in comp)
+    assert comp == oracles.compound_logical(pi, sigma, probs)
 
 
 def test_shannon_golden_values():

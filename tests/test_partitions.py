@@ -589,10 +589,16 @@ def test_malformed_numbers_raise_invalid_value(read, text):
         (lambda: ditkit.SqrtRational.of(1).scaled("1/0"), "'1/0' is not"),
         (lambda: ProbGroundSet.from_values(AB, [None, 1]), "None is not"),
         (lambda: ProbGroundSet.from_values(AB, [float("inf"), 1]), "inf is not"),
+        (lambda: ProbGroundSet.from_values(AB, [0.1, 0.9]), "0.1 is not"),
+        (lambda: ditkit.Attribute.from_values(AB, [0.1, 1]), "0.1 is not"),
+        (lambda: ditkit.DSD.from_vectors(2, [[(0.1, 0)], [(0, 1)]]), "0.1 is not"),
+        (lambda: ditkit.SqrtRational.of(0.1), "0.1 is not"),
+        (lambda: ditkit.Attribute.from_values(AB, [True, 1]), "True is not"),
     ],
     ids=[
         "map-missing", "map-malformed", "dsd", "sqrt-zero", "sqrt-embed",
-        "sqrt-scale", "probs-none", "probs-inf",
+        "sqrt-scale", "probs-none", "probs-inf", "probs-float",
+        "attribute-float", "dsd-float", "sqrt-float", "attribute-bool",
     ],
 )
 def test_number_readers_raise_invalid_value(read, message):
