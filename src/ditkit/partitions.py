@@ -31,7 +31,6 @@ from .errors import (
     NotExhaustive,
     OverlappingBlocks,
     UnknownLabel,
-    json_input,
 )
 
 DEFAULT_ENUM_BOUND = 10
@@ -529,18 +528,3 @@ def partition_to_json(pi: Partition) -> dict:
         "blocks": [list(blk) for blk in pi.label_blocks()],
     }
 
-
-def partition_from_json(data: dict) -> Partition:
-    # not make_partition, whose error for a non-iterable hides the JSON context
-    with json_input("partition"):
-        ground = GroundSet(tuple(data["ground"]))
-        blocks = [[ground.index(lab) for lab in blk] for blk in data["blocks"]]
-    return Partition(ground, blocks)
-
-
-def all_pairs(
-    ground: GroundSet, max_n: int = DEFAULT_ENUM_BOUND
-) -> Iterator[tuple[Partition, Partition]]:
-    """Every ordered pair of partitions of the ground set."""
-    parts = list(enumerate_partitions(ground, max_n))
-    return itertools.product(parts, parts)

@@ -93,11 +93,6 @@ class SubsetVector:
         return f"{name}(ground={self.ground!r}, members={self.members!r})"
 
 
-def add(s: SubsetVector, t: SubsetVector) -> SubsetVector:
-    """Symmetric difference: GF(2) vector addition."""
-    return s + t
-
-
 def _gf2_rank(rows: list[int], width: int) -> int:
     rank = 0
     for c in range(width):
@@ -248,15 +243,6 @@ class StateMixture:
         return out
 
 
-def reduce(s: SubsetVector, p: Optional[ProbGroundSet] = None) -> StateMixture:
-    """Collapse a subset state to a mixture of its singletons with
-    conditional probabilities (uniform when no point probabilities are
-    given)."""
-    if not s.mask:
-        raise EmptyState("cannot reduce the empty state")
-    return run_pipeline(s, [Detect()], p)
-
-
 @dataclass(frozen=True)
 class Evolve:
     map: GF2Map
@@ -374,31 +360,64 @@ def sample_pipeline(
     in i's block; a singleton draws nothing.
 
     The steps are checked and compiled once per call, as in run_pipeline.
-    Each step memoises, per subset mask reached, its image or its draw
-    table, whose integer counts are choice_reduce's p_i times the lcm of
-    the denominators.  So each `randrange` gets the same argument, and a
-    seed gives the same counts in the same first-occurrence order."""
+    One jump memo, keyed ``(k << n) | mask``, holds for step k reached at
+    subset mask either the next draw table found by running the
+    deterministic steps (an Evolve, or a measurement of a singleton), its
+    targets keyed the same way at the step after it, or the final mask.
+    An entry is built the first time a trial reaches its key, so a trial
+    makes one lookup per draw, and an EmptyState is raised where the first
+    trial to measure the empty state reaches it.  A table's integer counts
+    are choice_reduce's p_i times the lcm of the denominators.
+
+    A draw below a table's total t is ``rng.getrandbits(t.bit_length())``,
+    repeated while it is not below t, which is how `random.Random.randrange`
+    draws.  A generator whose class draws integers another way, as one that
+    overrides only ``random()`` does, is asked for ``rng.randrange(t)``;
+    otherwise a subclass's own ``randrange`` is not called.  So a seed
+    gives the same draws, counts in the same first-occurrence order and
+    generator state as one `choice_reduce` per measurement."""
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
     count, entry = _compile(initial, steps, p)
-    memos: list[dict] = [{} for _ in range(count)]
-    start = initial.mask
+    n = initial.ground.n
+
+    def jump(key: int):
+        k, mask = key >> n, key & ~(-1 << n)
+        while k < count:
+            step_entry = entry(k, mask)
+            k += 1
+            if type(step_entry) is not int:
+                total, cumulative, nexts = step_entry
+                keys = [k << n | m for m in nexts]
+                return total, total.bit_length(), cumulative, keys
+            mask = step_entry
+        return mask
+
     if isinstance(rng, int):
         rng = random.Random(rng)
-    randrange = rng.randrange
+    # Random.randrange(t) returns _randbelow(t), and this one draws bits
+    bits = (getattr(type(rng), "_randbelow", None)
+            is random.Random._randbelow_with_getrandbits)
+    draw = rng.getrandbits if bits else rng.randrange
+    bisect_right = bisect.bisect_right
+    memo: dict = {}
     tally: dict[int, int] = {}
+    root = jump(initial.mask) if trials else None
     for _ in range(trials):
-        mask = start
-        for k, memo in enumerate(memos):
-            step_entry = memo.get(mask)
-            if step_entry is None:
-                step_entry = memo[mask] = entry(k, mask)
-            if type(step_entry) is int:
-                mask = step_entry
+        found = root
+        while type(found) is not int:
+            total, width, cumulative, keys = found
+            if bits:
+                r = draw(width)
+                while r >= total:
+                    r = draw(width)
             else:
-                total, cumulative, nexts = step_entry
-                mask = nexts[bisect.bisect_right(cumulative, randrange(total))]
-        tally[mask] = tally.get(mask, 0) + 1
+                r = draw(total)
+            key = keys[bisect_right(cumulative, r)]
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = jump(key)
+        tally[found] = tally.get(found, 0) + 1
     return {SubsetVector.from_bits(initial.ground, m): c for m, c in tally.items()}
 
 

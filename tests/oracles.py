@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from ditkit.density import SqrtRational
 from ditkit.errors import (
@@ -102,6 +103,13 @@ def rgs_of(blocks) -> tuple[int, ...]:
 def rgs_order(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All partitions of {0..n-1}, sorted by restricted growth string."""
     return sorted(insert_enumerate(n), key=rgs_of)
+
+
+def all_pairs(ground) -> Iterator[tuple[Partition, Partition]]:
+    """Every ordered pair of partitions of the ground set, each built by
+    the checking constructor, in restricted growth string order."""
+    parts = [Partition(ground, blocks) for blocks in rgs_order(ground.n)]
+    return itertools.product(parts, parts)
 
 
 # --- lattice operations on sets of blocks ---------------------------------

@@ -33,7 +33,6 @@ from ditkit.partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
-    all_pairs,
     discrete_partition,
     enumerate_partitions,
     indiscrete_partition,
@@ -42,6 +41,7 @@ from ditkit.partitions import (
 )
 
 from oracles import (
+    all_pairs,
     block_entropy,
     conditioned_entries,
     entries_entropy,

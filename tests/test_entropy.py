@@ -22,7 +22,6 @@ from ditkit.partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
-    all_pairs,
     discrete_partition,
     ditset,
     enumerate_partitions,
@@ -31,7 +30,7 @@ from ditkit.partitions import (
 )
 
 import oracles
-from oracles import random_probs
+from oracles import all_pairs, random_probs
 
 ABC = GroundSet(("a", "b", "c"))
 GOLDEN_P = ProbGroundSet.from_values(ABC, ["1/3", "1/4", "5/12"])

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import ast
-import pathlib
 import random
 from fractions import Fraction
 
@@ -22,7 +20,6 @@ from ditkit.linalg import (
     zeros,
 )
 
-import ditkit.linalg
 import oracles
 from oracles import gram_schmidt, mat, mat_vec
 
@@ -245,31 +242,3 @@ def test_spans_equal_ignores_row_scaling():
     assert row_basis(mat([[-4, 6, 0]])) == row_basis(mat([["2/3", -1, 0]]))
     assert row_basis(mat([[1, 2]])) != row_basis(mat([[2, 1]]))
 
-
-def test_every_public_linalg_function_has_a_library_caller():
-    """ditkit.linalg is not re-exported from ditkit, so a public function
-    that no other module of the library reaches, directly or through
-    another linalg function it reaches, is dead code."""
-    src = pathlib.Path(ditkit.linalg.__file__).parent
-    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
-    defs = {
-        node.name: node
-        for node in trees.pop("linalg").body
-        if isinstance(node, ast.FunctionDef)
-    }
-    live = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
-                live.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id == "linalg":
-                    live.add(node.attr)
-    todo = list(live & defs.keys())
-    while todo:
-        for node in ast.walk(defs[todo.pop()]):
-            if isinstance(node, ast.Name) and node.id in defs and node.id not in live:
-                live.add(node.id)
-                todo.append(node.id)
-    public = {name for name in defs if not name.startswith("_")}
-    assert public - live == set()

@@ -22,7 +22,6 @@ from ditkit.partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
-    all_pairs,
     choice_reduce,
     discrete_partition,
     ditset,
@@ -35,7 +34,6 @@ from ditkit.partitions import (
     meet,
     notation,
     parse_partition,
-    partition_from_json,
     partition_to_json,
     refines,
 )
@@ -44,6 +42,7 @@ from ditkit.observables import DSD, Attribute, Operator
 from ditkit.z2dyn import GF2Map, StateMixture, SubsetVector
 
 from oracles import (
+    all_pairs,
     canonical,
     insert_enumerate,
     set_implication,
@@ -484,12 +483,7 @@ def test_json_round_trip():
     pi = parse_partition(ABCD, "ab|cd")
     blob = partition_to_json(pi)
     assert blob == {"ground": ["a", "b", "c", "d"], "blocks": [["a", "b"], ["c", "d"]]}
-    assert partition_from_json(blob) == pi
-    with pytest.raises(DitkitError, match="blocks"):
-        partition_from_json({"ground": ["a"]})
-    for wrong in ([], {"ground": ["a"], "blocks": 5}, {"ground": 5, "blocks": []}):
-        with pytest.raises(DitkitError, match="wrong shape"):
-            partition_from_json(wrong)
+    assert make_partition(GroundSet(tuple(blob["ground"])), blob["blocks"]) == pi
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from ditkit import (
     sample_pipeline,
 )
 from ditkit.density import ProjectionMask
-from ditkit.z2dyn import add, reduce as collapse
 
 from oracles import gf2_inverse, gf2_nonsingular
 from oracles import reduce as oracle_reduce
@@ -54,7 +53,6 @@ def vec(labels: str) -> SubsetVector:
 
 def test_symmetric_difference_examples():
     assert vec("ab") + vec("bc") == vec("ac")
-    assert add(vec("ab"), vec("bc")) == vec("ac")
     s = vec("ab")
     assert s + s == SubsetVector.empty(U3)
     assert s + SubsetVector.empty(U3) == s
@@ -240,6 +238,11 @@ def test_from_terms_merges_duplicates():
     )
     assert m.probability(vec("a")) == F(1, 2)
     assert m.probability(vec("c")) == 0
+
+
+def collapse(s, p=None):
+    """Detection alone: a subset state reduced to its singletons."""
+    return run_pipeline(s, [Detect()], p)
 
 
 def test_reduce_uniform_and_weighted():
@@ -459,21 +462,37 @@ def test_sampling_weighted_measurement():
 
 
 class RecordingRandom(random.Random):
-    """A seeded generator that logs the argument of every randrange."""
+    """A seeded generator that logs the width and the result of every
+    getrandbits, the one source `randrange` draws integers from."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = []
 
-    def randrange(self, *args):
-        self.calls.append(args)
-        return super().randrange(*args)
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.calls.append((k, r))
+        return r
 
 
-def sampled(pipeline, start, steps, trials, seed, p):
-    """Counts in dict order (or the EmptyState message), every randrange
-    argument, and the generator state left behind."""
-    rng = RecordingRandom(seed)
+class FloatRandom(random.Random):
+    """Overrides only random(), so `randrange` draws through random() and
+    the sampler must fall back to it.  Logs every random() result."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def random(self):
+        x = super().random()
+        self.calls.append(x)
+        return x
+
+
+def sampled(pipeline, start, steps, trials, seed, p, generator=RecordingRandom):
+    """Counts in dict order (or the EmptyState message), every logged
+    draw, and the generator state left behind."""
+    rng = generator(seed)
     try:
         outcome = list(pipeline(start, steps, trials, rng, p).items())
     except EmptyState as exc:
@@ -510,7 +529,7 @@ def sampler_setups(draw):
         st.one_of(gf2_maps(n).map(Evolve), st.just(Detect()), measures),
         min_size=1, max_size=5,
     ))
-    weights = draw(st.none() | st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
     p = None if weights is None else ProbGroundSet(
         ground, tuple(F(w, sum(weights)) for w in weights))
     start = SubsetVector.from_bits(ground, draw(st.integers(0, (1 << n) - 1)))
@@ -536,11 +555,33 @@ def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(sampler_setups(), st.integers(0, 40), st.integers(0, 2**32))
+@example(GCD_CASE, 60, 0)
+def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, seed):
+    start, steps, p = setup
+    assert sampled(sample_pipeline, start, steps, trials, seed, p, FloatRandom) == (
+        sampled(oracle_sample_pipeline, start, steps, trials, seed, p, FloatRandom)
+    )
+
+
 def test_draw_counts_divide_by_the_gcd_with_the_denominator():
     start, steps, p = GCD_CASE
     got = sampled(sample_pipeline, start, steps, 50, 1, p)
-    assert set(got[1]) == {(9,), (6,)}
+    # totals 9 and 6 draw 4 and 3 bits; a total of 3, from gcd(W_a, W_b),
+    # would draw 2
+    assert {width for width, _ in got[1]} == {4, 3}
     assert got == sampled(oracle_sample_pipeline, start, steps, 50, 1, p)
+
+
+def test_empty_start_raises_only_when_a_trial_measures_it():
+    empty = SubsetVector.empty(U3)
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert sample_pipeline(empty, [Detect()], 0, rng) == {}
+    with pytest.raises(EmptyState, match="^step 0 measures the empty state$"):
+        sample_pipeline(empty, [Detect()], 1, rng)
+    assert rng.getstate() == state
 
 
 # --- the exact pipeline against the frozenset / Fraction oracle ---
@@ -580,4 +621,5 @@ def test_run_pipeline_matches_fraction_oracle(setup):
     assert exact(run_pipeline, start, steps, p) == exact(
         oracle_run_pipeline, start, steps, p
     )
-    assert exact(collapse, start, p) == exact(oracle_reduce, start, p)
+    if start.mask:
+        assert exact(collapse, start, p) == exact(oracle_reduce, start, p)
