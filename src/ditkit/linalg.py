@@ -1,8 +1,8 @@
 """Small exact linear algebra for the observables layer.
 
 Matrices are tuples of row tuples of `Fraction`.  The module holds only
-what the library calls: products and differences, rank, kernels, and
-row spaces (canonical basis, intersection, orthogonal projection), with
+what the library calls: products and differences, kernels, and row
+spaces (canonical basis, intersection, orthogonal projection), with
 the inverse the projection needs.  Everything is dense and
 exact; sizes here are the ground-set size (tiny), so no pivoting strategy
 is needed.  Elimination runs on integer rows: each row is cleared of its
@@ -73,7 +73,7 @@ def _echelon(rows: IntRows, ncols: int, reduce: bool = True) -> list[int]:
     above each pivot are cleared too (Gauss-Jordan): row r is then the
     primitive integer multiple of the r-th RREF row, which is canonical
     for the row space.  Without it only the rows below are cleared, which
-    is all `rank` needs.
+    is all a count of the pivots (the rank) needs.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -159,11 +159,6 @@ def _meet(
     if not constraints:
         return [(i, [int(i == k) for k in range(ncols)]) for i in range(ncols)]
     return _kernel(constraints)
-
-
-def rank(a: Matrix) -> int:
-    rows = _int_rows(a)
-    return len(_echelon(rows, _width(rows), reduce=False))
 
 
 def nullspace(a: Matrix) -> Matrix:

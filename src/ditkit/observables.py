@@ -7,13 +7,20 @@ two operators is decided by the span of their simultaneous eigenvectors.
 That span always sits inside the kernel of the commutator, and fills it
 for commuting pairs and in dimension <= 2; theorem_se_equals_kernel
 checks whether the two spaces coincide for a given pair.
+
+A DSD keeps the integer form its constructor checks: each subspace's
+rows A cleared of denominators, and an integer basis N_A of the vectors
+orthogonal to it.  Operators, orthogonality and the simultaneous
+eigenspace read these and never eliminate a subspace again.  The span is
+found pair by pair: span(A) ∩ span(B) is x A for x in the kernel of the
+small matrix N_B A^T, and the pieces of all pairs form a direct sum.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -100,10 +107,22 @@ class Attribute:
 @dataclass(frozen=True)
 class DSD:
     """Direct-sum decomposition of Q^n: subspaces given by row bases whose
-    concatenation is a basis of the whole space."""
+    concatenation is a basis of the whole space.
+
+    Construction keeps what checking the subspaces yields: each basis
+    cleared of denominators row by row (`int_bases`), and an integer basis
+    of its annihilator, the n - dim vectors orthogonal to it
+    (`annihilators`).  Both are derived, so they take no part in
+    equality, hashing or the repr."""
 
     dim: int
     subspaces: tuple[Matrix, ...]
+    int_bases: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    annihilators: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
@@ -112,17 +131,32 @@ class DSD:
         _require_exact(
             (x for rows in self.subspaces for v in rows for x in v), "basis entries"
         )
-        stacked = []
+        n = self.dim
+        bases, annihilators, stacked = [], [], []
         for rows in self.subspaces:
             if not rows:
                 raise DegenerateDSD("zero subspace in decomposition")
-            if any(len(v) != self.dim for v in rows):
+            if any(len(v) != n for v in rows):
                 raise DimensionMismatch("basis vector of wrong length")
-            if linalg.rank(rows) != len(rows):
+            ints = linalg._int_rows(rows)
+            # _kernel reorders the list it is given, never the rows in it
+            null = [tuple(v) for _, v in linalg._kernel(list(ints))]
+            if len(null) != n - len(rows):
                 raise DegenerateDSD("subspace basis rows are dependent")
-            stacked.extend(rows)
-        if len(stacked) != self.dim or linalg.rank(tuple(stacked)) != self.dim:
+            bases.append(tuple(map(tuple, ints)))
+            annihilators.append(tuple(null))
+            stacked.extend(ints)
+        # the rows are n long; their count stands in for n as the column
+        # count, since n is checked to be an int only below
+        if len(stacked) != n or len(
+            linalg._echelon(stacked, len(stacked), reduce=False)
+        ) != n:
             raise DegenerateDSD("subspaces do not give a direct sum of the space")
+        # last, so that every input refused by a check above keeps its error
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InvalidValue(f"dimension must be a non-negative int, got {n!r}")
+        object.__setattr__(self, "int_bases", tuple(bases))
+        object.__setattr__(self, "annihilators", tuple(annihilators))
 
     @classmethod
     def standard(cls, n: int) -> "DSD":
@@ -139,10 +173,9 @@ class DSD:
 
     def is_orthogonal(self) -> bool:
         # scaling a row to integers does not change whether a dot product is 0
-        ints = [linalg._int_rows(rows) for rows in self.subspaces]
         return all(
             sum(map(mul, u, v)) == 0
-            for a, b in itertools.combinations(ints, 2)
+            for a, b in itertools.combinations(self.int_bases, 2)
             for u in a
             for v in b
         )
@@ -245,8 +278,8 @@ def _solve(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
     F = F^T is the sum of eigenvalue times projection."""
     rows = [
         [x * value.denominator for x in u] + [x * value.numerator for x in u]
-        for value, basis in zip(values, dsd.subspaces)
-        for u in linalg._int_rows(basis)
+        for value, basis in zip(values, dsd.int_bases)
+        for u in basis
     ]
     linalg._echelon(rows, dsd.dim)
     return rows
@@ -304,18 +337,33 @@ def kernel(m: Matrix) -> Matrix:
     return linalg.nullspace(m)
 
 
+def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
+    """Integer bases of the pairwise subspace intersections, concatenated.
+    For A of F and B of G, x A lies in B exactly when N_B (x A)^T = 0, so
+    the intersection is x A for x in the kernel of the small matrix
+    N_B A^T, and A itself when B is the whole space (N_B empty).  The rows
+    of A are independent, so these x A are too.  The pieces of all pairs
+    are independent together: each lies in one subspace of F and one of G,
+    and both families form direct sums."""
+    if dsd_f.dim != dsd_g.dim:
+        raise DimensionMismatch("decompositions of different spaces")
+    pieces = []
+    for a in dsd_f.int_bases:
+        cols = tuple(zip(*a))
+        for null_b in dsd_g.annihilators:
+            if not null_b:
+                pieces.extend(map(list, a))
+                continue
+            constraints = [[sum(map(mul, y, u)) for u in a] for y in null_b]
+            for _, x in linalg._kernel(constraints):
+                pieces.append([sum(map(mul, x, col)) for col in cols])
+    return pieces
+
+
 def _se_basis(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
     """Canonical integer basis of the span of the pairwise subspace
     intersections."""
-    if dsd_f.dim != dsd_g.dim:
-        raise DimensionMismatch("decompositions of different spaces")
-    null_g = [linalg._null(b) for b in dsd_g.subspaces]
-    pieces = []
-    for a in dsd_f.subspaces:
-        null_a = linalg._null(a)
-        for null_b in null_g:
-            pieces.extend(v for _, v in linalg._meet(null_a, null_b, dsd_f.dim))
-    return linalg._basis(pieces)
+    return linalg._basis(_se_pieces(dsd_f, dsd_g))
 
 
 def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
@@ -348,10 +396,11 @@ def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
 
 def classify(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> Compatibility:
     """Commuting, Incompatible, or Conjugate by the dimension of the
-    simultaneous-eigenvector span (full, intermediate, zero)."""
+    simultaneous-eigenvector span (full, intermediate, zero).  The pieces
+    are independent, so the dimension is their count."""
     _spectrum(ev_f, dsd_f)
     _spectrum(ev_g, dsd_g)
-    d = len(_se_basis(dsd_f, dsd_g))
+    d = len(_se_pieces(dsd_f, dsd_g))
     if d == dsd_f.dim:
         return Compatibility.COMMUTING
     if d == 0:

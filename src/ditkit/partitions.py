@@ -467,6 +467,17 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
+def _as_rng(rng) -> random.Random:
+    """A generator for `rng`: an int seed that is not a bool seeds a new
+    `random.Random`, a `random.Random` (or subclass) instance is used as
+    given, and anything else is refused before any draw."""
+    if isinstance(rng, random.Random):
+        return rng
+    if isinstance(rng, int) and not isinstance(rng, bool):
+        return random.Random(rng)
+    raise InvalidValue(f"rng must be an int seed or a random.Random, got {rng!r}")
+
+
 def choice_reduce(
     block: Iterable[int],
     probs: ProbGroundSet,
@@ -475,13 +486,15 @@ def choice_reduce(
     """Draw one member of a block, each member i with conditional chance
     p_i / Pr(block).  Deterministic for a fixed seed.  A singleton block
     returns its member with probability one without consuming randomness.
+    `rng` is an int seed or a `random.Random`; anything else raises
+    InvalidValue, for a singleton block too.
     """
     members = sorted(set(block))
     if not members:
         raise EmptyBlock("cannot reduce an empty block")
+    r = _as_rng(rng)
     if len(members) == 1:
         return members[0]
-    r = random.Random(rng) if isinstance(rng, int) else rng
     weights = [probs.p[i] for i in members]
     scale = math.lcm(*(w.denominator for w in weights))
     counts = [int(w * scale) for w in weights]

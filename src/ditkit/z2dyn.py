@@ -23,6 +23,7 @@ from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _as_rng,
     _as_tuple,
     _check_index,
     _require_exact,
@@ -213,6 +214,17 @@ class StateMixture:
             _require_same_ground(v, self)
 
     @classmethod
+    def _trusted(
+        cls, ground: GroundSet, terms: tuple[tuple[SubsetVector, Fraction], ...]
+    ) -> "StateMixture":
+        """The trusted constructor: `terms` must already be distinct
+        vectors on `ground` with positive probabilities summing to 1, in
+        the order `from_terms` gives; none of it is checked."""
+        mixture = object.__new__(cls)
+        mixture.__dict__.update(ground=ground, terms=terms)
+        return mixture
+
+    @classmethod
     def point(cls, s: SubsetVector) -> "StateMixture":
         return cls(s.ground, ((s, Fraction(1)),))
 
@@ -340,11 +352,13 @@ def run_pipeline(
             w *= lcm // total
             for c, prev, nxt in zip(cumulative, [0, *cumulative], nexts):
                 mixture[nxt] = mixture.get(nxt, 0) + w * (c - prev)
-    ground = initial.ground
-    return StateMixture.from_terms(ground, [
-        (SubsetVector.from_bits(ground, mask), Fraction(w, den))
-        for mask, w in mixture.items()
-    ])
+    # the masks are distinct and the weights positive integers summing to
+    # den; the order is from_terms', by the ascending member lists
+    ground, n = initial.ground, initial.ground.n
+    return StateMixture._trusted(ground, tuple(
+        (SubsetVector.from_bits(ground, m), Fraction(mixture[m], den))
+        for m in sorted(mixture, key=lambda m: [i for i in range(n) if m >> i & 1])
+    ))
 
 
 def sample_pipeline(
@@ -375,7 +389,8 @@ def sample_pipeline(
     overrides only ``random()`` does, is asked for ``rng.randrange(t)``;
     otherwise a subclass's own ``randrange`` is not called.  So a seed
     gives the same draws, counts in the same first-occurrence order and
-    generator state as one `choice_reduce` per measurement."""
+    generator state as one `choice_reduce` per measurement.  `rng` is an
+    int seed or a `random.Random`; anything else raises InvalidValue."""
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
     count, entry = _compile(initial, steps, p)
@@ -393,8 +408,7 @@ def sample_pipeline(
             mask = step_entry
         return mask
 
-    if isinstance(rng, int):
-        rng = random.Random(rng)
+    rng = _as_rng(rng)
     # Random.randrange(t) returns _randbelow(t), and this one draws bits
     bits = (getattr(type(rng), "_randbelow", None)
             is random.Random._randbelow_with_getrandbits)

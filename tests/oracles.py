@@ -28,10 +28,12 @@ evolves `SubsetVector`s step by step, and the exact GF(2) pipeline splits
 steps into integer draw tables over bitmasks.  The linear algebra eliminates on
 `Fraction` rows, where the library works on integer rows, and builds
 operators as sums of eigenvalue times projection, where the library
-solves one integer system per operator.  GF(2) maps are reduced on their
-transposed rows, where the library reduces their columns, and level-set
-partitions go through the checking `Partition` constructor, where the
-library builds them from a restricted growth string.
+solves one integer system per operator.  Two subspaces are intersected
+as the kernel of both annihilators stacked, where the library solves the
+small system N_B A^T on the bases a DSD keeps.  GF(2) maps are reduced
+on their transposed rows, where the library reduces their columns, and
+level-set partitions go through the checking `Partition` constructor,
+where the library builds them from a restricted growth string.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from ditkit.errors import (
     DimensionMismatch,
     DuplicateEigenvalue,
     EmptyState,
+    NotCommuting,
 )
-from ditkit.linalg import Matrix, Vector, rank
+from ditkit.linalg import Matrix, Vector
 from ditkit.logic import (
     Bottom,
     Counterexample,
@@ -300,6 +303,17 @@ def random_probs(n: int, rng: random.Random) -> list[Fraction]:
     return [Fraction(w, total) for w in weights]
 
 
+def _grouped(n: int, rows, rng: random.Random) -> DSD:
+    """The DSD of Q^n whose subspaces are runs of `rows`, cut at random."""
+    groups = []
+    at = 0
+    while at < n:
+        size = rng.randint(1, n - at)
+        groups.append(tuple(rows[at : at + size]))
+        at += size
+    return DSD(n, tuple(groups))
+
+
 def random_orthogonal_dsd(n: int, rng: random.Random) -> DSD:
     """Random DSD with pairwise orthogonal subspaces: orthogonalize a
     random invertible rational matrix and group its rows."""
@@ -310,14 +324,19 @@ def random_orthogonal_dsd(n: int, rng: random.Random) -> DSD:
         )
         if rank(rows) == n:
             break
-    ortho = list(gram_schmidt(rows))
-    groups = []
-    at = 0
-    while at < n:
-        size = rng.randint(1, n - at)
-        groups.append(tuple(ortho[at : at + size]))
-        at += size
-    return DSD(n, tuple(groups))
+    return _grouped(n, gram_schmidt(rows), rng)
+
+
+def random_dsd(n: int, rng: random.Random) -> DSD:
+    """Random DSD in general position: the rows of a random invertible
+    rational matrix, grouped at random cut points."""
+    while True:
+        rows: Matrix = tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+            for _ in range(n)
+        )
+        if rank(rows) == n:
+            return _grouped(n, rows, rng)
 
 
 def distinct_eigenvalues(k: int, rng: random.Random) -> tuple[Fraction, ...]:
@@ -606,6 +625,11 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return tuple(tuple(row) for row in rows), pivots
 
 
+def rank(a: Matrix) -> int:
+    """The number of pivots of the RREF."""
+    return len(rref(a)[1])
+
+
 def nullspace(a: Matrix) -> Matrix:
     """Basis of the kernel, one vector per row (possibly empty)."""
     if not a:
@@ -755,3 +779,19 @@ def classify(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> Compatibility:
     if d == 0:
         return Compatibility.CONJUGATE
     return Compatibility.INCOMPATIBLE
+
+
+def csco_complete(dsds) -> bool:
+    """Pairwise commuting (the simultaneous eigenvectors span), then the
+    iterated non-zero intersections all one-dimensional and spanning."""
+    n = dsds[0].dim
+    for a, b in itertools.combinations(dsds, 2):
+        if len(simultaneous_eigenspace(a, b)) != n:
+            raise NotCommuting("decompositions are not pairwise commuting")
+    pieces = list(dsds[0].subspaces)
+    for d in dsds[1:]:
+        pieces = [
+            cut for piece in pieces for s in d.subspaces
+            if (cut := intersect_rowspaces(piece, s))
+        ]
+    return all(len(piece) == 1 for piece in pieces) and len(pieces) == n

@@ -18,6 +18,7 @@ from ditkit import (
     DuplicateEigenvalue,
     GroundMismatch,
     GroundSet,
+    InvalidValue,
     NotCommuting,
     Operator,
     classify,
@@ -36,10 +37,18 @@ from ditkit import (
     simultaneous_eigenspace,
     theorem_se_equals_kernel,
 )
-from ditkit.linalg import identity, rank, row_basis, zeros
+from ditkit import observables
+from ditkit.linalg import identity, row_basis, zeros
 
 import oracles
-from oracles import distinct_eigenvalues, mat, mat_add, random_orthogonal_dsd
+from oracles import (
+    distinct_eigenvalues,
+    mat,
+    mat_add,
+    random_dsd,
+    random_orthogonal_dsd,
+    rank,
+)
 
 U3 = GroundSet(("a", "b", "c"))
 U4 = GroundSet(("a", "b", "c", "d"))
@@ -113,6 +122,57 @@ def test_dsd_validation():
         DSD.from_vectors(2, [[[1, 0, 0]], [[0, 1]]])
     with pytest.raises(DegenerateDSD):
         DSD(2, (((F(0), F(0)),), ((F(0), F(1)),)))
+
+
+@pytest.mark.parametrize("dim, groups", [
+    (2.0, [[[1, 0]], [[0, 1]]]),
+    (1.0, [[[1]]]),
+    (True, [[[1]]]),
+    (False, []),
+    (F(2), [[[1, 0]], [[0, 1]]]),
+])
+def test_dsd_dimension_must_be_an_int(dim, groups):
+    with pytest.raises(InvalidValue, match="dimension must be a non-negative int"):
+        DSD.from_vectors(dim, groups)
+    with pytest.raises(InvalidValue, match="dimension must be a non-negative int"):
+        DSD.from_json({"dim": dim, "subspaces": groups})
+
+
+def test_dsd_dimension_errors_keep_their_first_cause():
+    # a dimension that no vector length matches fails the length check,
+    # as it always did, before the dimension's own type is looked at
+    with pytest.raises(DimensionMismatch, match="wrong length"):
+        DSD.from_vectors("2", [[[1, 0]], [[0, 1]]])
+    with pytest.raises(DegenerateDSD, match="direct sum"):
+        DSD.from_vectors(-1, [])
+    with pytest.raises(DegenerateDSD, match="direct sum"):
+        DSD.from_vectors(2.0, [[[1, 0]], [[2, 0]]])
+    assert DSD.from_vectors(0, []).subspaces == ()
+
+
+def test_dsd_keeps_integer_bases_and_annihilators():
+    d = DSD.from_vectors(3, [[[1, "1/2", 0], [0, 0, "2/3"]], [[1, -2, 0]]])
+    assert d.int_bases == (((2, 1, 0), (0, 0, 2)), ((1, -2, 0),))
+    for basis, null in zip(d.int_bases, d.annihilators):
+        assert len(null) == d.dim - len(basis)
+        assert all(sum(x * y for x, y in zip(u, v)) == 0 for u in basis for v in null)
+        assert rank(mat(basis + null)) == d.dim
+    assert DSD.from_vectors(2, [[[1, 1], [1, -1]]]).annihilators == ((),)
+
+
+def test_derived_fields_leave_value_semantics_unchanged():
+    rows = [[[1, "1/2", 0], [0, 0, 1]], [[1, -2, 0]]]
+    d, e = DSD.from_vectors(3, rows), DSD.from_vectors(3, rows)
+    assert d == e and hash(d) == hash(e)
+    assert d != DSD.from_vectors(3, [[[2, 1, 0], [0, 0, 1]], [[1, -2, 0]]])
+    assert repr(d) == f"DSD(dim=3, subspaces={d.subspaces!r})"
+    assert d.to_json() == {
+        "dim": 3,
+        "subspaces": [[["1", "1/2", "0"], ["0", "0", "1"]], [["1", "-2", "0"]]],
+    }
+    back = DSD.from_json(d.to_json())
+    assert back == d and hash(back) == hash(d)
+    assert (back.int_bases, back.annihilators) == (d.int_bases, d.annihilators)
 
 
 def test_dsd_standard_and_orthogonality():
@@ -514,3 +574,45 @@ def test_operators_and_verdicts_match_the_projection_oracle(n, relation, seed):
     assert theorem_se_equals_kernel(ev_f, f, ev_g, g) == (
         oracles.theorem_se_equals_kernel(ev_f, f, ev_g, g)
     )
+
+
+def _whole_space(n: int, rng: random.Random) -> DSD:
+    """The one-subspace DSD of Q^n, on a random basis."""
+    rows = tuple(v for rows in random_dsd(n, rng).subspaces for v in rows)
+    return DSD(n, (rows,))
+
+
+def _csco_outcome(fn, dsds):
+    try:
+        return fn(dsds)
+    except NotCommuting:
+        return NotCommuting
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from(["independent", "coarsened", "same", "whole", "both whole"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_se_and_csco_match_the_oracle_on_general_dsds(n, relation, swap, seed):
+    rng = random.Random(seed)
+    f = _whole_space(n, rng) if relation == "both whole" else random_dsd(n, rng)
+    g = {
+        "independent": lambda: random_dsd(n, rng),
+        "coarsened": lambda: _coarsened(f, rng),
+        "same": lambda: f,
+        "whole": lambda: _whole_space(n, rng),
+        "both whole": lambda: _whole_space(n, rng),
+    }[relation]()
+    if swap:
+        f, g = g, f
+    se = simultaneous_eigenspace(f, g)
+    assert se == oracles.simultaneous_eigenspace(f, g)
+    # the pieces are independent, which classify counts on
+    assert len(observables._se_pieces(f, g)) == len(se)
+    for family in ([f, g], [g, f], [f, g, f]):
+        assert _csco_outcome(csco_complete, family) == (
+            _csco_outcome(oracles.csco_complete, family)
+        )

@@ -432,6 +432,22 @@ def test_choice_deterministic_for_seed():
     assert seq1 == seq2
 
 
+@pytest.mark.parametrize("rng", [0.5, "7", None, [1], True, False])
+@pytest.mark.parametrize("block", [[0, 1, 2], [2]])
+def test_choice_refuses_anything_but_a_seed_or_a_generator(rng, block):
+    with pytest.raises(InvalidValue, match="rng must be an int seed"):
+        choice_reduce(block, GOLDEN_P, rng)
+
+
+def test_choice_takes_an_int_seed_or_any_random_instance():
+    class Subclass(random.Random):
+        pass
+
+    by_seed = choice_reduce([0, 1, 2], GOLDEN_P, 99)
+    assert choice_reduce([0, 1, 2], GOLDEN_P, random.Random(99)) == by_seed
+    assert choice_reduce([0, 1, 2], GOLDEN_P, Subclass(99)) == by_seed
+
+
 def test_choice_frequencies_match_conditionals():
     # block {a,b}: conditional chances 4/7 and 3/7
     rng = random.Random(2024)

@@ -374,6 +374,14 @@ def test_sampler_checks_everything_before_the_first_trial():
             sample_pipeline(start, steps, 0, 0)
 
 
+@pytest.mark.parametrize("rng", [0.5, "7", None, [1], True, False])
+@pytest.mark.parametrize("trials", [0, 5])
+def test_sampler_refuses_anything_but_a_seed_or_a_generator(rng, trials):
+    start = SubsetVector.from_labels(U3, "abc")
+    with pytest.raises(InvalidValue, match="rng must be an int seed"):
+        sample_pipeline(start, [Detect()], trials, rng)
+
+
 @both_pipelines
 def test_measuring_after_singular_map_raises_empty_state(pipeline):
     ab = GroundSet(("a", "b"))
