@@ -1,14 +1,15 @@
 """Small exact linear algebra for the observables layer.
 
 Matrices are tuples of row tuples of `Fraction`.  The module holds only
-what the library calls: products and differences, kernels, and row
-spaces (canonical basis, intersection, orthogonal projection), with
-the inverse the projection needs.  Everything is dense and
-exact; sizes here are the ground-set size (tiny), so no pivoting strategy
-is needed.  Elimination runs on integer rows: each row is cleared of its
-denominators once, and fraction-free Gauss-Jordan divides every row it
-produces by the gcd of its entries, so entries stay small.  `Fraction`
-appears only in the values returned.
+what the library calls: products and differences, the identity, kernels,
+and the integer elimination behind them, which also gives a canonical
+basis of a row space.  It has no projection and no inverse: `observables`
+builds projections and subspace intersections on this elimination.
+Everything is dense and exact; sizes here are the ground-set size (tiny),
+so no pivoting strategy is needed.  Elimination runs on integer rows: each
+row is cleared of its denominators once, and fraction-free Gauss-Jordan
+divides every row it produces by the gcd of its entries, so entries stay
+small.  `Fraction` appears only in the values returned.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ Vector = tuple[Fraction, ...]
 IntRows = list[list[int]]
 
 _ZERO = Fraction(0)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((Fraction(0),) * cols for _ in range(rows))
 
 
 def identity(n: int) -> Matrix:
@@ -144,61 +141,8 @@ def _kernel(rows: IntRows) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _null(a: Matrix) -> IntRows:
-    """Integer kernel basis of a matrix, one vector per row."""
-    return [v for _, v in _kernel(_int_rows(a))]
-
-
-def _meet(
-    null_a: IntRows, null_b: IntRows, ncols: int
-) -> list[tuple[int, list[int]]]:
-    """span(a) ∩ span(b), given integer kernel bases of a and b, in the
-    form `_kernel` returns: the kernel of both sets of constraints, or
-    every unit vector when there are none."""
-    constraints = null_a + null_b
-    if not constraints:
-        return [(i, [int(i == k) for k in range(ncols)]) for i in range(ncols)]
-    return _kernel(constraints)
-
-
 def nullspace(a: Matrix) -> Matrix:
     """Basis of the kernel, one vector per row (possibly empty)."""
     if not a:
         return ()
     return tuple(_over(v, v[f]) for f, v in _kernel(_int_rows(a)))
-
-
-def invert(a: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ArithmeticError if singular."""
-    n = len(a)
-    rows = _int_rows(
-        tuple(row) + tuple(int(i == k) for k in range(n))
-        for i, row in enumerate(a)
-    )
-    if _echelon(rows, n) != list(range(n)):
-        raise ArithmeticError("matrix is singular")
-    return tuple(_over(row[n:], row[r]) for r, row in enumerate(rows))
-
-
-def row_basis(a: Matrix) -> Matrix:
-    """The non-zero rows of the rref: a canonical basis of the row space."""
-    return _rational(_basis(_int_rows(a)))
-
-
-def projection_onto_span(a: Matrix) -> Matrix:
-    """Orthogonal projection onto the row space of `a` (rows need not be
-    independent): P = B^T (B B^T)^{-1} B for any row basis B."""
-    basis = row_basis(a)
-    if not basis:
-        ncols = len(a[0]) if a else 0
-        return zeros(ncols, ncols)
-    bt = transpose(basis)
-    gram_inv = invert(mat_mul(basis, bt))
-    return mat_mul(bt, mat_mul(gram_inv, basis))
-
-
-def intersect_rowspaces(a: Matrix, b: Matrix) -> Matrix:
-    """Basis of span(a) ∩ span(b): vectors satisfying both spaces'
-    complement constraints, i.e. the kernel of the stacked nullspaces."""
-    ncols = len(a[0]) if a else (len(b[0]) if b else 0)
-    return tuple(_over(v, v[f]) for f, v in _meet(_null(a), _null(b), ncols))

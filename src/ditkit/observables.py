@@ -10,10 +10,12 @@ checks whether the two spaces coincide for a given pair.
 
 A DSD keeps the integer form its constructor checks: each subspace's
 rows A cleared of denominators, and an integer basis N_A of the vectors
-orthogonal to it.  Operators, orthogonality and the simultaneous
-eigenspace read these and never eliminate a subspace again.  The span is
-found pair by pair: span(A) ∩ span(B) is x A for x in the kernel of the
-small matrix N_B A^T, and the pieces of all pairs form a direct sum.
+orthogonal to it.  Operators, projections, orthogonality, the
+simultaneous eigenspace and complete families read these and never
+eliminate a subspace again; a projection is the operator with
+eigenvalue 1 on A and 0 on N_A.  Intersections are found pair by pair:
+span(A) ∩ span(B) is x A for x in the kernel of the small matrix
+N_B A^T, and the pieces of all pairs form a direct sum.
 """
 
 from __future__ import annotations
@@ -153,13 +155,13 @@ class DSD:
         ) != n:
             raise DegenerateDSD("subspaces do not give a direct sum of the space")
         # last, so that every input refused by a check above keeps its error
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InvalidValue(f"dimension must be a non-negative int, got {n!r}")
+        _require_dim(n)
         object.__setattr__(self, "int_bases", tuple(bases))
         object.__setattr__(self, "annihilators", tuple(annihilators))
 
     @classmethod
     def standard(cls, n: int) -> "DSD":
+        _require_dim(n)
         eye = linalg.identity(n)
         return cls(n, tuple((row,) for row in eye))
 
@@ -181,7 +183,12 @@ class DSD:
         )
 
     def projections(self) -> tuple[Matrix, ...]:
-        return tuple(linalg.projection_onto_span(s) for s in self.subspaces)
+        """The orthogonal projection onto each subspace: eigenvalue 1 on
+        its rows and 0 on its annihilator, its orthogonal complement."""
+        return tuple(
+            _matrix((1, 0), (a, null), self.dim)
+            for a, null in zip(self.int_bases, self.annihilators)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -197,6 +204,11 @@ class DSD:
             groups = data["subspaces"]
             rows = tuple(tuple(tuple(map(Fraction, v)) for v in g) for g in groups)
             return cls(data["dim"], rows)
+
+
+def _require_dim(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidValue(f"dimension must be a non-negative int, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +269,7 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
     """The eigenvalues as Fractions, once they pass the checks an operator
     built from a DSD needs: one per subspace, pairwise distinct, and
     pairwise orthogonal subspaces."""
-    values = tuple(Fraction(v) for v in eigenvalues)
+    values = tuple(map(_fraction, _as_tuple(eigenvalues, "eigenvalues")))
     if len(values) != len(dsd.subspaces):
         raise DimensionMismatch(
             f"{len(values)} eigenvalues for {len(dsd.subspaces)} subspaces"
@@ -269,25 +281,32 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
     return values
 
 
-def _solve(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
+def _solve(values, bases, n: int) -> linalg.IntRows:
     """Integer rows [p_r e_r | Y_r] with Y_r / p_r the r-th row of
-    F^T = M^{-1} (Lambda M), where the rows of M are the stacked subspace
-    bases and Lambda gives each its eigenvalue.  F maps every basis vector
-    to its eigenvalue times itself; scaling a row of M leaves F unchanged,
-    so M is cleared of denominators row by row.  For an orthogonal DSD,
-    F = F^T is the sum of eigenvalue times projection."""
+    F^T = M^{-1} (Lambda M), where the rows of M are the stacked integer
+    bases, which together span Q^n, and Lambda gives each its value (an
+    int or a Fraction).  F maps every basis vector to its value times
+    itself; scaling a row of M leaves F unchanged, so integer rows serve.
+    For orthogonal bases, F = F^T is the sum of value times projection."""
     rows = [
         [x * value.denominator for x in u] + [x * value.numerator for x in u]
-        for value, basis in zip(values, dsd.int_bases)
+        for value, basis in zip(values, bases)
         for u in basis
     ]
-    linalg._echelon(rows, dsd.dim)
+    linalg._echelon(rows, n)
     return rows
+
+
+def _matrix(values, bases, n: int) -> Matrix:
+    """F, the operator `_solve` finds, as a matrix of Fractions."""
+    rows = _solve(values, bases, n)
+    ft = [linalg._over(row[n:], row[r]) for r, row in enumerate(rows)]
+    return tuple(zip(*ft))
 
 
 def _grid(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
     """F^T times the lcm of the pivots of `_solve`: one integer matrix."""
-    rows = _solve(values, dsd)
+    rows = _solve(values, dsd.int_bases, dsd.dim)
     lead = lcm(*[row[r] for r, row in enumerate(rows)])
     n = dsd.dim
     return [[x * (lead // row[r]) for x in row[n:]] for r, row in enumerate(rows)]
@@ -296,10 +315,8 @@ def _grid(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
 def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
     """F = sum of eigenvalue * projection over the decomposition, found
     as the operator with each subspace as its eigenvalue's eigenspace."""
-    rows = _solve(_spectrum(eigenvalues, dsd), dsd)
-    n = dsd.dim
-    ft = [linalg._over(row[n:], row[r]) for r, row in enumerate(rows)]
-    return Operator(tuple(zip(*ft)))
+    values = _spectrum(eigenvalues, dsd)
+    return Operator(_matrix(values, dsd.int_bases, dsd.dim))
 
 
 def operator_from_attribute(f: Attribute) -> Operator:
@@ -334,30 +351,41 @@ def commutator(f: Operator, g: Operator) -> Matrix:
 
 def kernel(m: Matrix) -> Matrix:
     """Basis rows of the null space."""
+    m = _as_tuple(m, "matrix rows", 2)
+    if any(len(row) != len(m[0]) for row in m):
+        raise DimensionMismatch("matrix rows must all have the same length")
+    _require_exact((x for row in m for x in row), "matrix entries")
     return linalg.nullspace(m)
+
+
+def _cut(a, null_b) -> linalg.IntRows:
+    """span(A) ∩ span(B) as integer rows x A, given integer rows A and an
+    integer basis N_B of B's annihilator.  x A lies in B exactly when
+    N_B (x A)^T = 0, so x runs over the kernel of the small matrix N_B A^T;
+    the intersection is A itself when B is the whole space (N_B empty).
+    When the rows of A are independent, these x A are too."""
+    if not null_b:
+        return list(map(list, a))
+    constraints = [[sum(map(mul, y, u)) for u in a] for y in null_b]
+    cols = tuple(zip(*a))
+    return [
+        [sum(map(mul, x, col)) for col in cols]
+        for _, x in linalg._kernel(constraints)
+    ]
 
 
 def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
     """Integer bases of the pairwise subspace intersections, concatenated.
-    For A of F and B of G, x A lies in B exactly when N_B (x A)^T = 0, so
-    the intersection is x A for x in the kernel of the small matrix
-    N_B A^T, and A itself when B is the whole space (N_B empty).  The rows
-    of A are independent, so these x A are too.  The pieces of all pairs
-    are independent together: each lies in one subspace of F and one of G,
-    and both families form direct sums."""
+    The pieces of all pairs are independent together: each lies in one
+    subspace of F and one of G, and both families form direct sums."""
     if dsd_f.dim != dsd_g.dim:
         raise DimensionMismatch("decompositions of different spaces")
-    pieces = []
-    for a in dsd_f.int_bases:
-        cols = tuple(zip(*a))
-        for null_b in dsd_g.annihilators:
-            if not null_b:
-                pieces.extend(map(list, a))
-                continue
-            constraints = [[sum(map(mul, y, u)) for u in a] for y in null_b]
-            for _, x in linalg._kernel(constraints):
-                pieces.append([sum(map(mul, x, col)) for col in cols])
-    return pieces
+    return [
+        v
+        for a in dsd_f.int_bases
+        for null_b in dsd_g.annihilators
+        for v in _cut(a, null_b)
+    ]
 
 
 def _se_basis(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
@@ -427,24 +455,22 @@ def csca_complete(attrs) -> bool:
 def csco_complete(dsds) -> bool:
     """A family of pairwise-commuting DSDs is complete when the iterated
     non-zero intersections are all one-dimensional (and hence span)."""
-    dsds = list(dsds)
+    dsds = _as_tuple(dsds, "decompositions")
     if not dsds:
         raise InvalidValue("need at least one decomposition")
-    n = dsds[0].dim
-    for d in dsds[1:]:
-        if d.dim != n:
+    for d in dsds:
+        if not isinstance(d, DSD):
+            raise InvalidValue(f"decompositions must be DSDs, got {d!r}")
+        if d.dim != dsds[0].dim:
             raise DimensionMismatch("decompositions of different spaces")
+    n = dsds[0].dim
     for a, b in itertools.combinations(dsds, 2):
-        if len(simultaneous_eigenspace(a, b)) != n:
+        if len(_se_pieces(a, b)) != n:
             raise NotCommuting("decompositions are not pairwise commuting")
-    pieces: list[Matrix] = list(dsds[0].subspaces)
+    pieces = dsds[0].int_bases
     for d in dsds[1:]:
-        refined = []
-        for piece in pieces:
-            for s in d.subspaces:
-                cut = linalg.intersect_rowspaces(piece, s)
-                if cut:
-                    refined.append(cut)
-        pieces = refined
-    total = sum(len(piece) for piece in pieces)
-    return all(len(piece) == 1 for piece in pieces) and total == n
+        pieces = [
+            cut for piece in pieces for null_s in d.annihilators
+            if (cut := _cut(piece, null_s))
+        ]
+    return all(len(piece) == 1 for piece in pieces) and len(pieces) == n

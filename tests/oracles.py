@@ -690,6 +690,10 @@ def mat(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def zeros(rows: int, cols: int) -> Matrix:
+    return tuple((Fraction(0),) * cols for _ in range(rows))
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)

@@ -3,9 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditkit import (
@@ -38,16 +39,19 @@ from ditkit import (
     theorem_se_equals_kernel,
 )
 from ditkit import observables
-from ditkit.linalg import identity, row_basis, zeros
+from ditkit.linalg import identity
 
 import oracles
 from oracles import (
     distinct_eigenvalues,
     mat,
     mat_add,
+    mat_vec,
     random_dsd,
     random_orthogonal_dsd,
     rank,
+    row_basis,
+    zeros,
 )
 
 U3 = GroundSet(("a", "b", "c"))
@@ -136,6 +140,8 @@ def test_dsd_dimension_must_be_an_int(dim, groups):
         DSD.from_vectors(dim, groups)
     with pytest.raises(InvalidValue, match="dimension must be a non-negative int"):
         DSD.from_json({"dim": dim, "subspaces": groups})
+    with pytest.raises(InvalidValue, match="dimension must be a non-negative int"):
+        DSD.standard(dim)
 
 
 def test_dsd_dimension_errors_keep_their_first_cause():
@@ -252,6 +258,18 @@ def test_operator_from_dsd_errors(route):
             ROUTES[route](bad)
 
 
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("eigenvalues, error, message", [
+    pytest.param((0.5, 1), InvalidValue, "0.5 is not exact", id="float"),
+    pytest.param((True, 2), InvalidValue, "True is not exact", id="bool"),
+    pytest.param(("a", 1), InvalidValue, "'a' is not a rational", id="string"),
+    pytest.param(5, DitkitError, "eigenvalues must be an iterable", id="scalar"),
+])
+def test_eigenvalues_are_exact_inputs(route, eigenvalues, error, message):
+    with pytest.raises(error, match=message):
+        ROUTES[route]((eigenvalues, GOOD2))
+
+
 @pytest.mark.parametrize("route", [classify, theorem_se_equals_kernel])
 def test_decompositions_of_different_dimension(route):
     with pytest.raises(DimensionMismatch, match="decompositions of different spaces"):
@@ -301,6 +319,20 @@ def test_kernel_examples():
     assert kernel(mat([[0, 2], [-2, 0]])) == ()
     k = kernel(mat([[1, 1], [1, 1]]))
     assert len(k) == 1 and k[0][0] + k[0][1] == 0
+    assert kernel(()) == ()
+
+
+@pytest.mark.parametrize("m, error, message", [
+    pytest.param(((0.5, 1),), InvalidValue, "entries must be int", id="float"),
+    pytest.param((("a",),), InvalidValue, "entries must be int", id="string"),
+    pytest.param(((True, 1),), InvalidValue, "entries must be int", id="bool"),
+    pytest.param(((1, 2), (3,)), DimensionMismatch, "same length", id="ragged"),
+    pytest.param(5, DitkitError, "rows must be an iterable", id="scalar"),
+    pytest.param((5,), DitkitError, "rows must be an iterable", id="scalar-row"),
+])
+def test_kernel_checks_its_matrix(m, error, message):
+    with pytest.raises(error, match=message):
+        kernel(m)
 
 
 def test_simultaneous_eigenspace_cases():
@@ -475,6 +507,15 @@ def test_csco_rejects_noncommuting():
         csco_complete([diag, DSD.standard(3)])
 
 
+def test_csco_complete_checks_its_input():
+    with pytest.raises(DitkitError, match="decompositions must be an iterable"):
+        csco_complete(5)
+    for family in ([1], [DSD.standard(2), "x"]):
+        with pytest.raises(InvalidValue, match="decompositions must be DSDs"):
+            csco_complete(family)
+    assert csco_complete(iter([DSD.standard(2)]))
+
+
 def test_csco_linearizes_csca():
     # the coordinate DSDs of a complete attribute family are a complete
     # family of decompositions, and vice versa
@@ -616,3 +657,33 @@ def test_se_and_csco_match_the_oracle_on_general_dsds(n, relation, swap, seed):
         assert _csco_outcome(csco_complete, family) == (
             _csco_outcome(oracles.csco_complete, family)
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from(["orthogonal", "general", "whole"]),
+    st.integers(0, 2**32),
+)
+@example(1, "whole", 0)
+@example(1, "orthogonal", 0)
+def test_projections_match_the_oracle(n, kind, seed):
+    rng = random.Random(seed)
+    make = {
+        "orthogonal": random_orthogonal_dsd,
+        "general": random_dsd,
+        "whole": _whole_space,
+    }[kind]
+    d = make(n, rng)
+    projections = d.projections()
+    assert projections == tuple(oracles.projection(rows) for rows in d.subspaces)
+    # idempotent, symmetric, and fixing the subspace's own rows
+    for p, rows in zip(projections, d.subspaces):
+        assert oracles.mat_mul(p, p) == p
+        assert tuple(zip(*p)) == p
+        for v in rows:
+            assert mat_vec(p, v) == v
+    if d.is_orthogonal():
+        assert reduce(mat_add, projections) == identity(n)
+    else:
+        assert kind == "general"

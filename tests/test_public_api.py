@@ -7,11 +7,11 @@ import ditkit
 
 
 def test_every_public_function_is_exported_or_called():
-    """A public module-level function of the library is exported from
-    ditkit/__init__.py, or reached from another module of the library,
-    directly or through the definitions of its own module that are
-    reached.  Any other is dead code, or a helper only the tests call,
-    which belongs in tests/oracles.py."""
+    """A module-level function of the library, public or private, is
+    exported from ditkit/__init__.py, or reached from another module of
+    the library, directly or through the definitions of its own module
+    that are reached.  Any other is dead code, or a helper only the tests
+    call, which belongs in tests/oracles.py."""
     src = pathlib.Path(ditkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     reached: dict[str, set[str]] = {name: set() for name in trees}
@@ -48,8 +48,6 @@ def test_every_public_function_is_exported_or_called():
         dead.update(
             f"{name}.{fn}"
             for fn, node in defs.items()
-            if isinstance(node, ast.FunctionDef)
-            and not fn.startswith("_")
-            and fn not in live
+            if isinstance(node, ast.FunctionDef) and fn not in live
         )
     assert dead == set()
