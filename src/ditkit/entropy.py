@@ -127,7 +127,14 @@ def dit_to_bit_check(
 ) -> bool:
     """Verify the monotone dit-to-bit transform on this input: in the
     block-sum form h = sum Pr(B) * (1 - Pr(B)), replacing each factor
-    (1 - Pr(B)) by log2(1/Pr(B)) must reproduce the Shannon entropy."""
+    (1 - Pr(B)) by log2(1/Pr(B)) must reproduce the Shannon entropy.
+
+    It holds for every input by construction, as `set_spectral_check`
+    does: sum Pr(B) * (1 - Pr(B)) is the logical entropy, exactly, and
+    the transformed float sum is `shannon_entropy`'s own sum over the
+    same terms in the same order, so the two floats are equal and `tol`
+    never decides.  The check is a worked statement of the transform,
+    not a test that can fail."""
     terms = [(pr, 1 - pr) for _, pr in block_probs(pi, probs)]
     if sum((pr * dit_factor for pr, dit_factor in terms), Fraction(0)) \
             != logical_entropy(pi, probs):

@@ -1,15 +1,15 @@
 """Small exact linear algebra for the observables layer.
 
 Matrices are tuples of row tuples of `Fraction`.  The module holds only
-what the library calls: products and differences, the identity, kernels,
-and the integer elimination behind them, which also gives a canonical
-basis of a row space.  It has no projection and no inverse: `observables`
-builds projections and subspace intersections on this elimination.
-Everything is dense and exact; sizes here are the ground-set size (tiny),
-so no pivoting strategy is needed.  Elimination runs on integer rows: each
-row is cleared of its denominators once, and fraction-free Gauss-Jordan
-divides every row it produces by the gcd of its entries, so entries stay
-small.  `Fraction` appears only in the values returned.
+what the library calls: the identity, and the integer elimination behind
+kernels and canonical row bases with its read-outs to `Fraction`.  It has
+no products, no projection and no inverse: `observables` builds those on
+integer rows and this elimination.  Everything is dense and exact; sizes
+here are the ground-set size (tiny), so no pivoting strategy is needed.
+Elimination runs on integer rows: each row is cleared of its denominators
+once, and fraction-free Gauss-Jordan divides every row it produces by the
+gcd of its entries, so entries stay small.  `Fraction` appears only in the
+values returned.
 """
 
 from __future__ import annotations
@@ -31,24 +31,6 @@ def identity(n: int) -> Matrix:
     )
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a
-    )
-
-
 def _int_rows(a: Iterable[Iterable]) -> IntRows:
     """Each row times the lcm of its denominators: integer rows with the
     same row space, and so the same RREF and kernel."""
@@ -59,18 +41,16 @@ def _int_rows(a: Iterable[Iterable]) -> IntRows:
     return out
 
 
-def _echelon(rows: IntRows, ncols: int, reduce: bool = True) -> list[int]:
+def _echelon(rows: IntRows, ncols: int) -> list[int]:
     """Fraction-free elimination on the first `ncols` columns of integer
     rows; returns the pivot columns.
 
     Works in place on the outer list: rows are swapped and replaced, but no
     row list is ever mutated, so callers may share row lists.  Row r ends
     up holding the r-th pivot.  Every row produced is divided by the gcd of
-    its entries, and pivots are made positive.  With `reduce` the entries
-    above each pivot are cleared too (Gauss-Jordan): row r is then the
-    primitive integer multiple of the r-th RREF row, which is canonical
-    for the row space.  Without it only the rows below are cleared, which
-    is all a count of the pivots (the rank) needs.
+    its entries, and pivots are made positive.  The entries above each
+    pivot are cleared too (Gauss-Jordan), so row r is the primitive integer
+    multiple of the r-th RREF row, which is canonical for the row space.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -90,7 +70,7 @@ def _echelon(rows: IntRows, ncols: int, reduce: bool = True) -> list[int]:
             prow = [x // g for x in prow]
         rows[r] = prow
         pv = prow[c]
-        for i in range(0 if reduce else r + 1, nrows):
+        for i in range(nrows):
             x = rows[i][c]
             if x and i != r:
                 new = [pv * y - x * z for y, z in zip(rows[i], prow)]
@@ -140,9 +120,3 @@ def _kernel(rows: IntRows) -> list[tuple[int, list[int]]]:
         out.append((f, vec))
     return out
 
-
-def nullspace(a: Matrix) -> Matrix:
-    """Basis of the kernel, one vector per row (possibly empty)."""
-    if not a:
-        return ()
-    return tuple(_over(v, v[f]) for f, v in _kernel(_int_rows(a)))

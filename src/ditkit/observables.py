@@ -15,7 +15,9 @@ simultaneous eigenspace and complete families read these and never
 eliminate a subspace again; a projection is the operator with
 eigenvalue 1 on A and 0 on N_A.  Intersections are found pair by pair:
 span(A) ∩ span(B) is x A for x in the kernel of the small matrix
-N_B A^T, and the pieces of all pairs form a direct sum.
+N_B A^T, and the pieces of all pairs form a direct sum.  Operators are
+multiplied only as integer rows, by the one commutator that both
+`commutator` and `theorem_se_equals_kernel` use.
 """
 
 from __future__ import annotations
@@ -148,11 +150,7 @@ class DSD:
             bases.append(tuple(map(tuple, ints)))
             annihilators.append(tuple(null))
             stacked.extend(ints)
-        # the rows are n long; their count stands in for n as the column
-        # count, since n is checked to be an int only below
-        if len(stacked) != n or len(
-            linalg._echelon(stacked, len(stacked), reduce=False)
-        ) != n:
+        if len(stacked) != n or len(linalg._basis(stacked)) != n:
             raise DegenerateDSD("subspaces do not give a direct sum of the space")
         # last, so that every input refused by a check above keeps its error
         _require_dim(n)
@@ -186,8 +184,11 @@ class DSD:
         """The orthogonal projection onto each subspace: eigenvalue 1 on
         its rows and 0 on its annihilator, its orthogonal complement."""
         return tuple(
-            _matrix((1, 0), (a, null), self.dim)
-            for a, null in zip(self.int_bases, self.annihilators)
+            tuple(linalg._over(row, lead) for row in rows)
+            for rows, lead in (
+                _grid((1, 0), (a, null), self.dim)
+                for a, null in zip(self.int_bases, self.annihilators)
+            )
         )
 
     def to_json(self) -> dict:
@@ -223,7 +224,7 @@ class Operator:
         if any(len(row) != n for row in self.mat):
             raise DimensionMismatch("operator matrix must be square")
         _require_exact((x for row in self.mat for x in row), "operator entries")
-        if self.mat != linalg.transpose(self.mat):
+        if self.mat != tuple(zip(*self.mat)):
             raise InvalidValue("operator matrix must be symmetric")
 
     @property
@@ -281,42 +282,30 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
     return values
 
 
-def _solve(values, bases, n: int) -> linalg.IntRows:
-    """Integer rows [p_r e_r | Y_r] with Y_r / p_r the r-th row of
-    F^T = M^{-1} (Lambda M), where the rows of M are the stacked integer
-    bases, which together span Q^n, and Lambda gives each its value (an
-    int or a Fraction).  F maps every basis vector to its value times
-    itself; scaling a row of M leaves F unchanged, so integer rows serve.
-    For orthogonal bases, F = F^T is the sum of value times projection."""
+def _grid(values, bases, n: int) -> tuple[linalg.IntRows, int]:
+    """F times `lead` as integer rows, and `lead`: F maps each row of the
+    stacked integer bases M, which span Q^n, to its value (an int or a
+    Fraction) times itself.  Reducing [M | Lambda M] leaves [p_r e_r | Y_r]
+    with Y_r / p_r row r of M^{-1} (Lambda M) = F^T, and `lead` is the lcm
+    of the p_r; scaling a row of M leaves F unchanged, so integer rows
+    serve.  Every F built here is symmetric, an orthogonal projection or
+    a sum of value times projection over an orthogonal DSD, so F^T is F
+    and the rows need no transpose."""
     rows = [
         [x * value.denominator for x in u] + [x * value.numerator for x in u]
         for value, basis in zip(values, bases)
         for u in basis
     ]
     linalg._echelon(rows, n)
-    return rows
-
-
-def _matrix(values, bases, n: int) -> Matrix:
-    """F, the operator `_solve` finds, as a matrix of Fractions."""
-    rows = _solve(values, bases, n)
-    ft = [linalg._over(row[n:], row[r]) for r, row in enumerate(rows)]
-    return tuple(zip(*ft))
-
-
-def _grid(values: tuple[Fraction, ...], dsd: DSD) -> linalg.IntRows:
-    """F^T times the lcm of the pivots of `_solve`: one integer matrix."""
-    rows = _solve(values, dsd.int_bases, dsd.dim)
     lead = lcm(*[row[r] for r, row in enumerate(rows)])
-    n = dsd.dim
-    return [[x * (lead // row[r]) for x in row[n:]] for r, row in enumerate(rows)]
+    return [[x * (lead // row[r]) for x in row[n:]] for r, row in enumerate(rows)], lead
 
 
 def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
     """F = sum of eigenvalue * projection over the decomposition, found
     as the operator with each subspace as its eigenvalue's eigenspace."""
-    values = _spectrum(eigenvalues, dsd)
-    return Operator(_matrix(values, dsd.int_bases, dsd.dim))
+    rows, lead = _grid(_spectrum(eigenvalues, dsd), dsd.int_bases, dsd.dim)
+    return Operator(tuple(linalg._over(row, lead) for row in rows))
 
 
 def operator_from_attribute(f: Attribute) -> Operator:
@@ -341,11 +330,31 @@ def dsd_from_attribute(f: Attribute) -> tuple[tuple[Fraction, ...], DSD]:
     return values, DSD(f.ground.n, subspaces)
 
 
+def _scaled(mat: Matrix) -> tuple[linalg.IntRows, int]:
+    """The matrix times d, the lcm of all its denominators, as integer
+    rows, and d.  One d for the whole matrix, not one per row, so that
+    products of scaled matrices are scaled products."""
+    d = lcm(*[x.denominator for row in mat for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in mat], d
+
+
+def _commutator(f: linalg.IntRows, g: linalg.IntRows) -> linalg.IntRows:
+    """FG - GF on square integer rows."""
+    cols = tuple(zip(zip(*g), zip(*f)))
+    return [
+        [sum(map(mul, fr, gc)) - sum(map(mul, gr, fc)) for gc, fc in cols]
+        for fr, gr in zip(f, g)
+    ]
+
+
 def commutator(f: Operator, g: Operator) -> Matrix:
+    """[F, G] = FG - GF, from F d_F and G d_G on integer rows, divided by
+    d_F d_G."""
     if f.dim != g.dim:
         raise DimensionMismatch("operators act on different spaces")
-    return linalg.mat_sub(
-        linalg.mat_mul(f.mat, g.mat), linalg.mat_mul(g.mat, f.mat)
+    (f_rows, d_f), (g_rows, d_g) = _scaled(f.mat), _scaled(g.mat)
+    return tuple(
+        linalg._over(row, d_f * d_g) for row in _commutator(f_rows, g_rows)
     )
 
 
@@ -355,7 +364,7 @@ def kernel(m: Matrix) -> Matrix:
     if any(len(row) != len(m[0]) for row in m):
         raise DimensionMismatch("matrix rows must all have the same length")
     _require_exact((x for row in m for x in row), "matrix entries")
-    return linalg.nullspace(m)
+    return tuple(linalg._over(v, v[f]) for f, v in linalg._kernel(linalg._int_rows(m)))
 
 
 def _cut(a, null_b) -> linalg.IntRows:
@@ -388,16 +397,10 @@ def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
     ]
 
 
-def _se_basis(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
-    """Canonical integer basis of the span of the pairwise subspace
-    intersections."""
-    return linalg._basis(_se_pieces(dsd_f, dsd_g))
-
-
 def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
     """Canonical basis of the span of all pairwise subspace intersections:
     the space spanned by simultaneous eigenvectors."""
-    return linalg._rational(_se_basis(dsd_f, dsd_g))
+    return linalg._rational(linalg._basis(_se_pieces(dsd_f, dsd_g)))
 
 
 def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
@@ -409,16 +412,12 @@ def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
     it is an eigenvector of neither."""
     values_f = _spectrum(ev_f, dsd_f)
     values_g = _spectrum(ev_g, dsd_g)
-    se = _se_basis(dsd_f, dsd_g)
-    # F and G are symmetric, so these grids are multiples of F and G, and
-    # their commutator is a multiple of [F, G] with the same kernel
-    f, g = _grid(values_f, dsd_f), _grid(values_g, dsd_g)
-    cols = tuple(zip(zip(*g), zip(*f)))
-    comm = [
-        [sum(map(mul, fr, gc)) - sum(map(mul, gr, fc)) for gc, fc in cols]
-        for fr, gr in zip(f, g)
-    ]
-    ker = [v for _, v in linalg._kernel(comm)]
+    se = linalg._basis(_se_pieces(dsd_f, dsd_g))
+    # the grids are multiples of F and G, so their commutator is a
+    # multiple of [F, G] with the same kernel
+    f, _ = _grid(values_f, dsd_f.int_bases, dsd_f.dim)
+    g, _ = _grid(values_g, dsd_g.int_bases, dsd_g.dim)
+    ker = [v for _, v in linalg._kernel(_commutator(f, g))]
     return se == linalg._basis(ker)
 
 
@@ -440,12 +439,14 @@ def csca_complete(attrs) -> bool:
     """A family of attributes is complete when the join of their level-set
     partitions is discrete, equivalently when the value tuples
     (f(u), g(u), ...) separate the elements."""
-    attrs = list(attrs)
+    attrs = _as_tuple(attrs, "attributes")
     if not attrs:
         raise InvalidValue("need at least one attribute")
-    ground = attrs[0].ground
-    for f in attrs[1:]:
+    for f in attrs:
+        if not isinstance(f, Attribute):
+            raise InvalidValue(f"attributes must be Attributes, got {f!r}")
         _require_same_ground(f, attrs[0])
+    ground = attrs[0].ground
     joined = reduce(join, (inverse_image_partition(f) for f in attrs))
     tuples = [tuple(f.values[i] for f in attrs) for i in range(ground.n)]
     separates = len(set(tuples)) == ground.n

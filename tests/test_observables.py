@@ -314,11 +314,46 @@ def test_commutator_golden():
         commutator(f, Operator(identity(3)))
 
 
+def _commutator_oracle(f, g):
+    fg, gf = oracles.mat_mul(f, g), oracles.mat_mul(g, f)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(fg, gf))
+
+
+mixed_entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3, 4, 5, 7, 9, 12])),
+)
+
+
+@st.composite
+def symmetric_matrices(draw, n):
+    """n x n symmetric matrices mixing int and Fraction entries whose
+    denominators differ from row to row."""
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            m[i][k] = m[k][i] = draw(mixed_entries)
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(symmetric_matrices(n), symmetric_matrices(n))
+))
+@example((((F(1, 2), 1), (1, F(1, 3))), ((0, 1), (1, 0))))
+@example((((F(1, 2), 0), (0, 1)), ((F(1, 3), 1), (1, 0))))
+def test_commutator_matches_the_fraction_oracle(pair):
+    f, g = pair
+    got = commutator(Operator(f), Operator(g))
+    assert got == _commutator_oracle(f, g)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
 def test_kernel_examples():
     assert kernel(zeros(2, 2)) == identity(2)
     assert kernel(mat([[0, 2], [-2, 0]])) == ()
     k = kernel(mat([[1, 1], [1, 1]]))
-    assert len(k) == 1 and k[0][0] + k[0][1] == 0
+    assert len(k) == 1 and k[0][0] + k[0][1] == 0 and k[0] != (0, 0)
     assert kernel(()) == ()
 
 
@@ -465,6 +500,18 @@ def test_csca_value_tuples_must_separate():
         csca_complete([f, Attribute.from_values(U4, [1, 2, 3, 4])])
     with pytest.raises(ValueError):
         csca_complete([])
+
+
+def test_csca_complete_checks_its_input():
+    f = Attribute.from_values(U3, [1, 2, 3])
+    with pytest.raises(DitkitError, match="attributes must be an iterable"):
+        csca_complete(5)
+    for family in ([1], [f, "x"], [f, DSD.standard(3)]):
+        with pytest.raises(InvalidValue, match="attributes must be Attributes"):
+            csca_complete(family)
+    with pytest.raises(GroundMismatch):
+        csca_complete([f, Attribute.from_values(U4, [1, 2, 3, 4])])
+    assert csca_complete(iter([f]))
 
 
 def test_csca_join_matches_value_tuples():

@@ -51,3 +51,60 @@ def test_every_public_function_is_exported_or_called():
             if isinstance(node, ast.FunctionDef) and fn not in live
         )
     assert dead == set()
+
+
+
+def _is_float_source(node: ast.AST, logs: set[str]) -> bool:
+    """A float literal, a `float(...)` call, or a call of a math log
+    function, by `math.log*` or by a name imported from math."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "float" or func.id in logs
+    return (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "math"
+        and func.attr.startswith("log")
+    )
+
+
+def test_floats_stay_out_of_exact_paths():
+    """Floats appear only where Shannon entropy is computed or a float is
+    printed; every other path of the library is exact.  Each use is named
+    by the top-level definition or assignment that holds it."""
+    src = pathlib.Path(ditkit.__file__).parent
+    found = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        logs = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "math"
+            for a in node.names
+            if a.name.startswith("log")
+        }
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [
+                    n.id
+                    for t in targets
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                ]
+            else:
+                names = ["<module>"]
+            if any(_is_float_source(node, logs) for node in ast.walk(top)):
+                found.update(f"{path.stem}.{name}" for name in names)
+    assert found == {
+        "cli._fmt",
+        "entropy.shannon_entropy",
+        "entropy.dit_to_bit_check",
+        "entropy.FLOAT_TOL",
+    }
