@@ -56,6 +56,15 @@ def test_rank_examples():
     assert rank(zeros(2, 3)) == 0
 
 
+def test_nullspace_examples():
+    assert kernel(zeros(2, 2)) == identity(2)
+    assert kernel(mat([[0, 2], [-2, 0]])) == ()
+    basis = kernel(mat([[1, 1], [1, 1]]))
+    assert len(basis) == 1
+    v = basis[0]
+    assert v[0] + v[1] == 0 and v != (0, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_rank_nullity(rows):
