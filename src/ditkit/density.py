@@ -27,6 +27,7 @@ from .partitions import (
     Partition,
     ProbGroundSet,
     _fraction,
+    _json_number,
     _require_same_ground,
     join,
 )
@@ -228,7 +229,7 @@ class DensityMatrix:
         with json_input("density matrix"):
             ground = GroundSet(tuple(data["ground"]))
             entries = tuple(
-                tuple(SqrtRational(Fraction(cell["radicand"])) for cell in row)
+                tuple(SqrtRational(_json_number(cell["radicand"])) for cell in row)
                 for row in data["entries"]
             )
         return cls(ground, entries)

@@ -9,15 +9,20 @@ for commuting pairs and in dimension <= 2; theorem_se_equals_kernel
 checks whether the two spaces coincide for a given pair.
 
 A DSD keeps the integer form its constructor checks: each subspace's
-rows A cleared of denominators, and an integer basis N_A of the vectors
-orthogonal to it.  Operators, projections, orthogonality, the
+rows A cleared of denominators, an integer basis N_A of the vectors
+orthogonal to it, its orthogonal projection P = A^T (A A^T)^-1 A as
+integer rows P d over one denominator d, and whether the subspaces are
+pairwise orthogonal.  Operators, projections, orthogonality, the
 simultaneous eigenspace and complete families read these and never
-eliminate a subspace again; a projection is the operator with
-eigenvalue 1 on A and 0 on N_A.  Intersections are found pair by pair:
+eliminate a subspace again.  An operator is the integer sum of its
+eigenvalues times the stored projections, F = sum of lambda P, the
+Hilbert-space form of an attribute f = sum of r times the indicator of
+its r-level set.  Intersections are found pair by pair:
 span(A) ∩ span(B) is x A for x in the kernel of the small matrix
 N_B A^T, and the pieces of all pairs form a direct sum.  Operators are
 multiplied only as integer rows, by the one commutator that both
-`commutator` and `theorem_se_equals_kernel` use.
+`commutator` and `theorem_se_equals_kernel` use; the theorem compares
+the dimension of the pieces' span with that of the commutator's kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import mul, or_
 
 from . import linalg
@@ -48,6 +53,7 @@ from .partitions import (
     _canon,
     _fraction,
     _from_rgs,
+    _json_number,
     _require_exact,
     _require_same_ground,
     join,
@@ -105,7 +111,9 @@ class Attribute:
     def from_json(cls, data: dict) -> "Attribute":
         with json_input("attribute"):
             ground, values = GroundSet(tuple(data["ground"])), data["values"]
-            return cls(ground, tuple(Fraction(values[lab]) for lab in ground.labels))
+            return cls(
+                ground, tuple(_json_number(values[lab]) for lab in ground.labels)
+            )
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,12 @@ class DSD:
     concatenation is a basis of the whole space.
 
     Construction keeps what checking the subspaces yields: each basis
-    cleared of denominators row by row (`int_bases`), and an integer basis
+    cleared of denominators row by row (`int_bases`), an integer basis
     of its annihilator, the n - dim vectors orthogonal to it
-    (`annihilators`).  Both are derived, so they take no part in
+    (`annihilators`), the orthogonal projection onto it as a pair
+    (P d, d) of integer rows and their least common denominator
+    (`int_projections`), and whether the subspaces are pairwise
+    orthogonal (`orthogonal`).  All are derived, so they take no part in
     equality, hashing or the repr."""
 
     dim: int
@@ -127,6 +138,10 @@ class DSD:
     annihilators: tuple[tuple[tuple[int, ...], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    int_projections: tuple[tuple[tuple[tuple[int, ...], ...], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    orthogonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -156,6 +171,20 @@ class DSD:
         _require_dim(n)
         object.__setattr__(self, "int_bases", tuple(bases))
         object.__setattr__(self, "annihilators", tuple(annihilators))
+        object.__setattr__(
+            self, "int_projections", tuple(map(_int_projection, bases))
+        )
+        # scaling a row to integers does not change whether a dot product is 0
+        object.__setattr__(
+            self,
+            "orthogonal",
+            all(
+                sum(map(mul, u, v)) == 0
+                for a, b in itertools.combinations(bases, 2)
+                for u in a
+                for v in b
+            ),
+        )
 
     @classmethod
     def standard(cls, n: int) -> "DSD":
@@ -172,23 +201,13 @@ class DSD:
         return cls(n, rows)
 
     def is_orthogonal(self) -> bool:
-        # scaling a row to integers does not change whether a dot product is 0
-        return all(
-            sum(map(mul, u, v)) == 0
-            for a, b in itertools.combinations(self.int_bases, 2)
-            for u in a
-            for v in b
-        )
+        return self.orthogonal
 
     def projections(self) -> tuple[Matrix, ...]:
-        """The orthogonal projection onto each subspace: eigenvalue 1 on
-        its rows and 0 on its annihilator, its orthogonal complement."""
+        """The orthogonal projection onto each subspace, A^T (A A^T)^-1 A."""
         return tuple(
-            tuple(linalg._over(row, lead) for row in rows)
-            for rows, lead in (
-                _grid((1, 0), (a, null), self.dim)
-                for a, null in zip(self.int_bases, self.annihilators)
-            )
+            tuple(linalg._over(row, d) for row in rows)
+            for rows, d in self.int_projections
         )
 
     def to_json(self) -> dict:
@@ -203,8 +222,29 @@ class DSD:
     def from_json(cls, data: dict) -> "DSD":
         with json_input("DSD"):
             groups = data["subspaces"]
-            rows = tuple(tuple(tuple(map(Fraction, v)) for v in g) for g in groups)
+            rows = tuple(tuple(tuple(map(_json_number, v)) for v in g) for g in groups)
             return cls(data["dim"], rows)
+
+
+def _int_projection(a) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(P d, d) for the orthogonal projection P = A^T (A A^T)^-1 A onto
+    the span of the independent integer rows A, with d the least common
+    denominator of P.  One row u gives u u^T / u.u, with u made primitive.
+    More rows reduce [A A^T | A] to [p_r e_r | Y_r], Y_r / p_r row r of
+    (A A^T)^-1 A, which A^T then multiplies over the lcm of the p_r."""
+    if len(a) == 1:
+        g = gcd(*a[0])
+        u = [x // g for x in a[0]]
+        return tuple([tuple([x * y for y in u]) for x in u]), sum(map(mul, u, u))
+    k = len(a)
+    rows = [[sum(map(mul, u, v)) for v in a] + list(u) for u in a]
+    linalg._echelon(rows, k)
+    lead = lcm(*[row[r] for r, row in enumerate(rows)])
+    y = [[x * (lead // row[r]) for x in row[k:]] for r, row in enumerate(rows)]
+    cols = tuple(zip(*y))
+    p = [[sum(map(mul, ac, yc)) for yc in cols] for ac in zip(*a)]
+    g = gcd(lead, *itertools.chain.from_iterable(p))
+    return tuple([tuple([x // g for x in row]) for row in p]), lead // g
 
 
 def _require_dim(n) -> None:
@@ -277,34 +317,31 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
         )
     if len(set(values)) != len(values):
         raise DuplicateEigenvalue("eigenvalues must be pairwise distinct")
-    if not dsd.is_orthogonal():
+    if not dsd.orthogonal:
         raise DegenerateDSD("operator construction needs orthogonal subspaces")
     return values
 
 
-def _grid(values, bases, n: int) -> tuple[linalg.IntRows, int]:
-    """F times `lead` as integer rows, and `lead`: F maps each row of the
-    stacked integer bases M, which span Q^n, to its value (an int or a
-    Fraction) times itself.  Reducing [M | Lambda M] leaves [p_r e_r | Y_r]
-    with Y_r / p_r row r of M^{-1} (Lambda M) = F^T, and `lead` is the lcm
-    of the p_r; scaling a row of M leaves F unchanged, so integer rows
-    serve.  Every F built here is symmetric, an orthogonal projection or
-    a sum of value times projection over an orthogonal DSD, so F^T is F
-    and the rows need no transpose."""
-    rows = [
-        [x * value.denominator for x in u] + [x * value.numerator for x in u]
-        for value, basis in zip(values, bases)
-        for u in basis
+def _spectral_sum(values, dsd: DSD) -> tuple[linalg.IntRows, int]:
+    """F times `lead` as integer rows, and `lead`: F = sum of value times
+    projection over the stored (P d, d), with `lead` the lcm of the
+    den(value) d.  Over an orthogonal DSD this is the operator with each
+    subspace as its value's eigenspace."""
+    projections = dsd.int_projections
+    lead = lcm(*[v.denominator * d for v, (_, d) in zip(values, projections)])
+    scales = [
+        v.numerator * (lead // (v.denominator * d))
+        for v, (_, d) in zip(values, projections)
     ]
-    linalg._echelon(rows, n)
-    lead = lcm(*[row[r] for r, row in enumerate(rows)])
-    return [[x * (lead // row[r]) for x in row[n:]] for r, row in enumerate(rows)], lead
+    return [
+        [sum(map(mul, scales, entries)) for entries in zip(*rows)]
+        for rows in zip(*[p for p, _ in projections])
+    ], lead
 
 
 def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
-    """F = sum of eigenvalue * projection over the decomposition, found
-    as the operator with each subspace as its eigenvalue's eigenspace."""
-    rows, lead = _grid(_spectrum(eigenvalues, dsd), dsd.int_bases, dsd.dim)
+    """F = sum of eigenvalue * projection over the decomposition."""
+    rows, lead = _spectral_sum(_spectrum(eigenvalues, dsd), dsd)
     return Operator(tuple(linalg._over(row, lead) for row in rows))
 
 
@@ -405,20 +442,22 @@ def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
 
 def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
     """Whether the simultaneous-eigenvector span fills the kernel of the
-    commutator.  The containment span <= kernel always holds, and it is
-    an equality for commuting pairs and in dimension <= 2.  In dimension
-    >= 3 the kernel can be strictly larger: F=diag(1,2,3) against the
+    commutator.  The containment span <= kernel always holds: for v with
+    Fv = lambda v and Gv = mu v, FGv = lambda mu v = GFv.  So the two
+    spaces are equal exactly when their dimensions are: the count of the
+    independent pairwise pieces against n - rank [F, G].  Equality holds
+    for commuting pairs and in dimension <= 2.  In dimension >= 3 the
+    kernel can be strictly larger: F=diag(1,2,3) against the
     all-ones-off-diagonal operator leaves (1,-2,1) in the kernel although
     it is an eigenvector of neither."""
     values_f = _spectrum(ev_f, dsd_f)
     values_g = _spectrum(ev_g, dsd_g)
-    se = linalg._basis(_se_pieces(dsd_f, dsd_g))
-    # the grids are multiples of F and G, so their commutator is a
-    # multiple of [F, G] with the same kernel
-    f, _ = _grid(values_f, dsd_f.int_bases, dsd_f.dim)
-    g, _ = _grid(values_g, dsd_g.int_bases, dsd_g.dim)
-    ker = [v for _, v in linalg._kernel(_commutator(f, g))]
-    return se == linalg._basis(ker)
+    se = len(_se_pieces(dsd_f, dsd_g))
+    # the sums are multiples of F and G, so their commutator is a
+    # multiple of [F, G] with the same rank
+    f, _ = _spectral_sum(values_f, dsd_f)
+    g, _ = _spectral_sum(values_g, dsd_g)
+    return se == dsd_f.dim - len(linalg._basis(_commutator(f, g)))
 
 
 def classify(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> Compatibility:

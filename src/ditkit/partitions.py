@@ -256,6 +256,15 @@ def _fraction(value) -> Fraction:
         raise InvalidValue(f"{value!r} is not a rational number") from None
 
 
+def _json_number(value) -> Fraction:
+    """`Fraction(value)` for a number read from parsed JSON, an int or a
+    string.  A float or a bool raises ValueError, which `json_input`
+    reports as a malformed value like a malformed string."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"{value!r} is not exact; give an int or a string")
+    return Fraction(value)
+
+
 def _require_exact(values: Iterable, what: str) -> None:
     """Raise InvalidValue unless every value is an exact number: an `int`
     that is not a `bool`, or a `Fraction`."""

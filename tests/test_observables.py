@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -38,7 +39,7 @@ from ditkit import (
     simultaneous_eigenspace,
     theorem_se_equals_kernel,
 )
-from ditkit import observables
+from ditkit import linalg, observables
 from ditkit.linalg import identity
 
 import oracles
@@ -164,6 +165,22 @@ def test_dsd_keeps_integer_bases_and_annihilators():
         assert all(sum(x * y for x, y in zip(u, v)) == 0 for u in basis for v in null)
         assert rank(mat(basis + null)) == d.dim
     assert DSD.from_vectors(2, [[[1, 1], [1, -1]]]).annihilators == ((),)
+    skew = DSD.from_vectors(3, [[[2, 4, 0]], [[1, 1, 0], [0, 1, "1/3"]]])
+    whole = DSD.from_vectors(2, [[[1, 1], [1, -1]]])
+    for e in (d, skew, whole):
+        for (p, den), rows in zip(e.int_projections, e.subspaces):
+            assert math.gcd(den, *(x for row in p for x in row)) == 1
+            assert mat([[F(x, den) for x in row] for row in p]) == (
+                oracles.projection(rows)
+            )
+        assert e.orthogonal == all(
+            sum(x * y for x, y in zip(u, v)) == 0
+            for a, b in itertools.combinations(e.subspaces, 2)
+            for u in a
+            for v in b
+        )
+    assert (d.orthogonal, skew.orthogonal, whole.orthogonal) == (True, False, True)
+    assert whole.int_projections == ((((1, 0), (0, 1)), 1),)
 
 
 def test_derived_fields_leave_value_semantics_unchanged():
@@ -179,6 +196,37 @@ def test_derived_fields_leave_value_semantics_unchanged():
     back = DSD.from_json(d.to_json())
     assert back == d and hash(back) == hash(d)
     assert (back.int_bases, back.annihilators) == (d.int_bases, d.annihilators)
+    assert (back.int_projections, back.orthogonal) == (
+        d.int_projections,
+        d.orthogonal,
+    )
+    # ==, hash, repr and to_json ignore the stored projections and orthogonality
+    object.__setattr__(e, "int_projections", ())
+    object.__setattr__(e, "orthogonal", not d.orthogonal)
+    assert e == d and hash(e) == hash(d)
+    assert repr(e) == repr(d) and e.to_json() == d.to_json()
+
+
+def test_built_dsds_are_queried_without_new_eliminations(monkeypatch):
+    f = DSD.from_vectors(3, [[[1, 1, 0], [0, 0, 1]], [[1, -1, 0]]])
+    g = DSD.from_vectors(3, [[[1, 0, 0]], [[0, 1, 1]], [[0, 1, -1]]])
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    operator_from_dsd((1, 2), f)
+    operator_from_dsd((1, 2, 3), g)
+    f.projections()
+    g.projections()
+    assert calls == []
+    assert not theorem_se_equals_kernel((1, 2), f, (1, 2, 3), g)
+    # one cut per pair of subspaces (no subspace of g is the whole space),
+    # then the rank of the 3 x 3 commutator
+    assert calls == [len(a) for a in f.int_bases for _ in g.annihilators] + [3]
 
 
 def test_dsd_standard_and_orthogonality():
@@ -662,6 +710,12 @@ def test_operators_and_verdicts_match_the_projection_oracle(n, relation, seed):
     assert theorem_se_equals_kernel(ev_f, f, ev_g, g) == (
         oracles.theorem_se_equals_kernel(ev_f, f, ev_g, g)
     )
+    # span(SE) lies in ker [F, G], which lets the theorem compare dimensions
+    commutator_rows = observables._commutator(
+        observables._spectral_sum(ev_f, f)[0], observables._spectral_sum(ev_g, g)[0]
+    )
+    for v in observables._se_pieces(f, g):
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in commutator_rows)
 
 
 def _whole_space(n: int, rng: random.Random) -> DSD:

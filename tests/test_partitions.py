@@ -568,8 +568,43 @@ def test_bad_values_raise_invalid_value(make):
             {"ground": ["a"], "values": {"a": "1/0"}},
             "attribute",
         ),
+        (
+            ditkit.DensityMatrix.from_json,
+            {"ground": ["a"], "entries": [[{"radicand": 1.0}]]},
+            "density matrix",
+        ),
+        (ditkit.DSD.from_json, {"dim": 1, "subspaces": [[[0.1]]]}, "DSD"),
+        (
+            ditkit.Attribute.from_json,
+            {"ground": ["a", "b"], "values": {"a": 0.5, "b": 1}},
+            "attribute",
+        ),
+        (
+            ditkit.DensityMatrix.from_json,
+            {"ground": ["a"], "entries": [[{"radicand": True}]]},
+            "density matrix",
+        ),
+        (ditkit.DSD.from_json, {"dim": 1, "subspaces": [[[True]]]}, "DSD"),
+        (
+            ditkit.Attribute.from_json,
+            {"ground": ["a", "b"], "values": {"a": 1, "b": True}},
+            "attribute",
+        ),
     ],
-    ids=["density", "dsd", "attribute", "density-zero", "dsd-zero", "attribute-zero"],
+    ids=[
+        "density",
+        "dsd",
+        "attribute",
+        "density-zero",
+        "dsd-zero",
+        "attribute-zero",
+        "density-float",
+        "dsd-float",
+        "attribute-float",
+        "density-bool",
+        "dsd-bool",
+        "attribute-bool",
+    ],
 )
 def test_malformed_json_number_raises_ditkit_error(read, blob, what):
     with pytest.raises(DitkitError, match=f"^{what} JSON has a malformed value") as e:
