@@ -421,43 +421,17 @@ def _polarity(f: Formula, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(sum(signs[name]) for name in names)
 
 
-def _representatives(n: int) -> list[tuple[int, ...]]:
-    """The first RGS of each shape (multiset of block sizes), in RGS order.
-    Its blocks are consecutive runs of non-increasing size, and a longer
-    leading run comes first."""
-    firsts: list[tuple[int, ...]] = []
-
-    def runs(prefix: tuple[int, ...], block: int, left: int, most: int):
-        # `left` more elements in runs of at most `most`, numbered from
-        # `block`: one run first, all singletons last
-        if left <= most:
-            firsts.append(prefix + (block,) * left)
-        for size in range(min(left - 1, most), 1, -1):
-            runs(prefix + (block,) * size, block + 1, left - size, size)
-        if left > 1:
-            firsts.append(prefix + tuple(range(block, block + left)))
-
-    runs((), 0, n, n)
-    return firsts
-
-
 def _minima(c: tuple[int, ...]):
     """The least RGS of each orbit of the permutations that keep every
-    block of partition c, in RGS order.  At c = bottom the orbits are the
-    shapes, whose least members are generated outright; any other c is
-    scanned."""
-    return _scan_minima(c) if any(c) else _representatives(len(c))
-
-
-def _scan_minima(c: tuple[int, ...]):
-    """`_minima(c)` by scanning.  A permutation that keeps every block C_a
-    of c maps a partition's blocks X_j to blocks with the same counts
-    |X_j & C_a| in each C_a, and any two partitions with the same multiset
-    of count vectors are so mapped, so that multiset is the orbit's key.
-    The least member of an orbit labels the elements of each C_a in
-    non-decreasing order, since swapping two that are not gives a smaller
-    RGS.  Only those RGS are scanned, and the first of each key is
-    yielded."""
+    block of partition c, in RGS order.  A permutation that keeps every
+    block C_a of c maps a partition's blocks X_j to blocks with the same
+    counts |X_j & C_a| in each C_a, and any two partitions with the same
+    multiset of count vectors are so mapped, so that multiset is the
+    orbit's key.  The least member of an orbit labels the elements of each
+    C_a in non-decreasing order, since swapping two that are not gives a
+    smaller RGS.  Only those RGS are scanned, and the first of each key is
+    yielded.  At c = bottom the keys are the shapes (multisets of block
+    sizes), found among the 2**(n-1) non-decreasing RGS."""
     n = len(c)
     weights = [(n + 1) ** a for a in c]  # a count vector as one integer
     before, last = [], {}  # the previous element in the same block of c

@@ -19,10 +19,11 @@ eigenvalues times the stored projections, F = sum of lambda P, the
 Hilbert-space form of an attribute f = sum of r times the indicator of
 its r-level set.  Intersections are found pair by pair:
 span(A) ∩ span(B) is x A for x in the kernel of the small matrix
-N_B A^T, and the pieces of all pairs form a direct sum.  Operators are
-multiplied only as integer rows, by the one commutator that both
-`commutator` and `theorem_se_equals_kernel` use; the theorem compares
-the dimension of the pieces' span with that of the commutator's kernel.
+N_B A^T, and the pieces of all pairs form a direct sum.  Operators keep
+their integer rows and are multiplied only as those, by the one
+commutator that both `commutator` and `theorem_se_equals_kernel` use;
+the theorem compares the dimension of the pieces' span with that of the
+commutator's kernel.
 """
 
 from __future__ import annotations
@@ -254,9 +255,15 @@ def _require_dim(n) -> None:
 
 @dataclass(frozen=True)
 class Operator:
-    """Symmetric matrix of exact rationals."""
+    """Symmetric matrix of exact rationals, also kept as integer rows F d
+    over one denominator d (`int_matrix`, derived, so it takes no part in
+    equality, hashing or the repr), which `commutator` multiplies.  `_grid`
+    is the trusted path; the checking constructor takes the least d."""
 
     mat: Matrix
+    int_matrix: tuple[tuple[tuple[int, ...], ...], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _as_tuple(self.mat, "operator rows", 2))
@@ -266,6 +273,21 @@ class Operator:
         _require_exact((x for row in self.mat for x in row), "operator entries")
         if self.mat != tuple(zip(*self.mat)):
             raise InvalidValue("operator matrix must be symmetric")
+        d = lcm(*[x.denominator for row in self.mat for x in row])
+        rows = tuple(
+            tuple([x.numerator * (d // x.denominator) for x in row])
+            for row in self.mat
+        )
+        object.__setattr__(self, "int_matrix", (rows, d))
+
+    @classmethod
+    def _grid(cls, rows, d: int) -> "Operator":
+        """The trusted constructor: symmetric integer rows over d, unchecked."""
+        op = object.__new__(cls)
+        op.__dict__.update(
+            mat=tuple(linalg._over(row, d) for row in rows), int_matrix=(rows, d)
+        )
+        return op
 
     @property
     def dim(self) -> int:
@@ -322,7 +344,7 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
     return values
 
 
-def _spectral_sum(values, dsd: DSD) -> tuple[linalg.IntRows, int]:
+def _spectral_sum(values, dsd: DSD) -> tuple[tuple[tuple[int, ...], ...], int]:
     """F times `lead` as integer rows, and `lead`: F = sum of value times
     projection over the stored (P d, d), with `lead` the lcm of the
     den(value) d.  Over an orthogonal DSD this is the operator with each
@@ -333,16 +355,15 @@ def _spectral_sum(values, dsd: DSD) -> tuple[linalg.IntRows, int]:
         v.numerator * (lead // (v.denominator * d))
         for v, (_, d) in zip(values, projections)
     ]
-    return [
-        [sum(map(mul, scales, entries)) for entries in zip(*rows)]
+    return tuple(
+        tuple([sum(map(mul, scales, entries)) for entries in zip(*rows)])
         for rows in zip(*[p for p, _ in projections])
-    ], lead
+    ), lead
 
 
 def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
     """F = sum of eigenvalue * projection over the decomposition."""
-    rows, lead = _spectral_sum(_spectrum(eigenvalues, dsd), dsd)
-    return Operator(tuple(linalg._over(row, lead) for row in rows))
+    return Operator._grid(*_spectral_sum(_spectrum(eigenvalues, dsd), dsd))
 
 
 def operator_from_attribute(f: Attribute) -> Operator:
@@ -367,14 +388,6 @@ def dsd_from_attribute(f: Attribute) -> tuple[tuple[Fraction, ...], DSD]:
     return values, DSD(f.ground.n, subspaces)
 
 
-def _scaled(mat: Matrix) -> tuple[linalg.IntRows, int]:
-    """The matrix times d, the lcm of all its denominators, as integer
-    rows, and d.  One d for the whole matrix, not one per row, so that
-    products of scaled matrices are scaled products."""
-    d = lcm(*[x.denominator for row in mat for x in row])
-    return [[x.numerator * (d // x.denominator) for x in row] for row in mat], d
-
-
 def _commutator(f: linalg.IntRows, g: linalg.IntRows) -> linalg.IntRows:
     """FG - GF on square integer rows."""
     cols = tuple(zip(zip(*g), zip(*f)))
@@ -385,11 +398,11 @@ def _commutator(f: linalg.IntRows, g: linalg.IntRows) -> linalg.IntRows:
 
 
 def commutator(f: Operator, g: Operator) -> Matrix:
-    """[F, G] = FG - GF, from F d_F and G d_G on integer rows, divided by
-    d_F d_G."""
+    """[F, G] = FG - GF, from the stored F d_F and G d_G on integer rows,
+    divided by d_F d_G."""
     if f.dim != g.dim:
         raise DimensionMismatch("operators act on different spaces")
-    (f_rows, d_f), (g_rows, d_g) = _scaled(f.mat), _scaled(g.mat)
+    (f_rows, d_f), (g_rows, d_g) = f.int_matrix, g.int_matrix
     return tuple(
         linalg._over(row, d_f * d_g) for row in _commutator(f_rows, g_rows)
     )

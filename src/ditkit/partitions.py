@@ -496,9 +496,16 @@ def choice_reduce(
     p_i / Pr(block).  Deterministic for a fixed seed.  A singleton block
     returns its member with probability one without consuming randomness.
     `rng` is an int seed or a `random.Random`; anything else raises
-    InvalidValue, for a singleton block too.
+    InvalidValue, for a singleton block too.  Each member must be an index
+    into the ground set, as in `Partition` and `SubsetVector`.
     """
-    members = sorted(set(block))
+    try:
+        members = list(block)
+    except TypeError:
+        raise DitkitError("block must be an iterable of indices") from None
+    for i in members:
+        _check_index(i, probs.ground.n)
+    members = sorted(set(members))
     if not members:
         raise EmptyBlock("cannot reduce an empty block")
     r = _as_rng(rng)

@@ -455,11 +455,11 @@ def test_ranked_and_unranked_shapes_agree():
             assert ranked.partition(r).rgs == rgs
             minima = [ranked.partition(x).rgs for x in ranked.minima(r)]
             assert minima == list(unranked.minima(rgs))
+    # at the bottom the orbits are the shapes
     for n in range(1, 10):
         firsts = oracles.first_of_each_shape(n)
-        assert list(logic._representatives(n)) == firsts
         for lattice in (logic._Ranked(n), logic._Unranked(n)):
-            reps = map(lattice.element, logic._representatives(n))
+            reps = lattice.minima(lattice.bottom)
             assert [lattice.partition(x).rgs for x in reps] == firsts
 
 
@@ -470,13 +470,15 @@ def test_orbit_minima_match_every_permutation(n):
 
 
 def test_orbit_scan_at_bottom_finds_the_shape_representatives():
-    for n in range(1, 10):
-        assert list(logic._scan_minima((0,) * n)) == logic._representatives(n)
+    for n in range(1, 12):
+        firsts = oracles.first_of_each_shape(n)
+        assert list(logic._minima((0,) * n)) == firsts
 
 
 def test_one_variable_search_enumerates_no_large_lattice(monkeypatch):
     # p occurs with both signs, so it runs over one value per shape; above
-    # TABLE_MAX_N those are generated, not found by scanning every RGS
+    # TABLE_MAX_N those are found among the 2**(n-1) non-decreasing RGS,
+    # not by scanning every RGS
     lengths = []
 
     def counted(n):

@@ -205,6 +205,17 @@ def test_derived_fields_leave_value_semantics_unchanged():
     object.__setattr__(e, "orthogonal", not d.orthogonal)
     assert e == d and hash(e) == hash(d)
     assert repr(e) == repr(d) and e.to_json() == d.to_json()
+    # and those of an operator ignore its stored integer rows: the swap
+    # built from a DSD keeps (F 2, 2), the checked one (F, 1)
+    built = operator_from_dsd((1, -1), DSD.from_vectors(2, [[[1, 1]], [[1, -1]]]))
+    checked = Operator(mat([[0, 1], [1, 0]]))
+    assert built.int_matrix == (((0, 2), (2, 0)), 2)
+    assert checked.int_matrix == (((0, 1), (1, 0)), 1)
+    assert built == checked and hash(built) == hash(checked)
+    assert repr(built) == repr(checked) == f"Operator(mat={checked.mat!r})"
+    object.__setattr__(checked, "int_matrix", ((), 7))
+    assert built == checked and hash(built) == hash(checked)
+    assert repr(built) == repr(checked)
 
 
 def test_built_dsds_are_queried_without_new_eliminations(monkeypatch):
@@ -262,6 +273,38 @@ def test_operator_must_be_symmetric_square():
         Operator(mat([[0, 1], [0, 0]]))
     with pytest.raises(DimensionMismatch):
         Operator(mat([[1, 2, 3], [2, 1, 4]]))
+
+
+@pytest.mark.parametrize("m, error, message", [
+    (5, DitkitError, "^operator rows must be an iterable$"),
+    ([5], DitkitError, "^operator rows must be an iterable$"),
+    ([[1, 2]], DimensionMismatch, "^operator matrix must be square$"),
+    ([[1, 2], [3]], DimensionMismatch, "^operator matrix must be square$"),
+    ([[0, 1], [0, 0]], InvalidValue, "^operator matrix must be symmetric$"),
+    ([[F(1, 2), 1], [2, 0]], InvalidValue, "^operator matrix must be symmetric$"),
+    ([[0.5]], InvalidValue, "^operator entries must be int or Fraction, got 0.5$"),
+    ([[True]], InvalidValue, "^operator entries must be int or Fraction, got True$"),
+    ([[1, None], [None, 1]], InvalidValue, "got None$"),
+    ([[[1]]], InvalidValue, r"got \[1\]$"),
+])
+def test_bad_operators_keep_their_error(m, error, message):
+    with pytest.raises(error, match=message):
+        Operator(m)
+
+
+def test_operators_from_dsds_take_the_trusted_path(monkeypatch):
+    calls = []
+    post_init = Operator.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counted)
+    d = DSD.from_vectors(3, [[[1, 1, 0], [0, 0, 1]], [[1, -1, 0]]])
+    f = operator_from_dsd((1, F(1, 2)), d)
+    assert calls == []
+    assert Operator(f.mat) == f and len(calls) == 1
 
 
 def test_operator_from_dsd_golden():
@@ -384,16 +427,42 @@ def symmetric_matrices(draw, n):
     return tuple(map(tuple, m))
 
 
+@st.composite
+def operators(draw, n):
+    """Operators on Q^n from either path: the checking constructor on a
+    symmetric matrix, or `operator_from_dsd` over a random orthogonal DSD,
+    whose stored denominator need not be least."""
+    if draw(st.booleans()):
+        return Operator(draw(symmetric_matrices(n)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dsd = random_orthogonal_dsd(n, rng)
+    scale = draw(st.sampled_from([1, 2, 3, 6]))
+    ev = tuple(v / scale for v in distinct_eigenvalues(len(dsd.subspaces), rng))
+    return operator_from_dsd(ev, dsd)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5).flatmap(
-    lambda n: st.tuples(symmetric_matrices(n), symmetric_matrices(n))
-))
-@example((((F(1, 2), 1), (1, F(1, 3))), ((0, 1), (1, 0))))
-@example((((F(1, 2), 0), (0, 1)), ((F(1, 3), 1), (1, 0))))
+@given(st.integers(0, 5).flatmap(operators))
+def test_stored_integer_rows_equal_the_matrix(op):
+    rows, d = op.int_matrix
+    assert all(type(x) is int for row in rows for x in row)
+    assert tuple(tuple(F(x, d) for x in row) for row in rows) == op.mat
+    # the checking constructor keeps the least denominator
+    checked = Operator(op.mat)
+    assert checked == op
+    assert checked.int_matrix[1] == math.lcm(
+        *[F(x).denominator for row in op.mat for x in row]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(operators(n), operators(n))))
+@example((Operator(((F(1, 2), 1), (1, F(1, 3)))), Operator(((0, 1), (1, 0)))))
+@example((Operator(((F(1, 2), 0), (0, 1))), Operator(((F(1, 3), 1), (1, 0)))))
 def test_commutator_matches_the_fraction_oracle(pair):
     f, g = pair
-    got = commutator(Operator(f), Operator(g))
-    assert got == _commutator_oracle(f, g)
+    got = commutator(f, g)
+    assert got == _commutator_oracle(f.mat, g.mat)
     assert all(type(x) is Fraction for row in got for x in row)
 
 

@@ -426,6 +426,25 @@ def test_choice_empty_block_rejected():
         choice_reduce([], GOLDEN_P, rng=0)
 
 
+@pytest.mark.parametrize("block, error, message", [
+    ([5], UnknownLabel, r"^index 5 is not in range\(3\)$"),
+    ([-1, 0], UnknownLabel, r"^index -1 is not in range\(3\)$"),
+    ([True, 2], UnknownLabel, r"^index True is not in range\(3\)$"),
+    ([0, 7], UnknownLabel, r"^index 7 is not in range\(3\)$"),
+    (["a", 1], UnknownLabel, r"^index 'a' is not in range\(3\)$"),
+    (5, DitkitError, "^block must be an iterable of indices$"),
+])
+def test_choice_checks_its_block(block, error, message):
+    with pytest.raises(error, match=message):
+        choice_reduce(block, GOLDEN_P, rng=0)
+
+
+def test_choice_draws_alike_for_any_iterable_of_the_members():
+    blocks = ([0, 1, 2], (2, 0, 1), {1, 2, 0}, [0, 2, 2, 1])
+    for seed in range(20):
+        assert len({choice_reduce(iter(b), GOLDEN_P, seed) for b in blocks}) == 1
+
+
 def test_choice_deterministic_for_seed():
     seq1 = [choice_reduce([0, 1, 2], GOLDEN_P, rng=random.Random(99)) for _ in range(20)]
     seq2 = [choice_reduce([0, 1, 2], GOLDEN_P, rng=random.Random(99)) for _ in range(20)]

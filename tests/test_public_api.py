@@ -6,12 +6,24 @@ import pathlib
 import ditkit
 
 
+def _owned_names(nodes) -> set[tuple[str, str]]:
+    """(owner, attribute) for each `owner.attribute` under the nodes."""
+    return {
+        (node.value.id, node.attr)
+        for top in nodes
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+
+
 def test_every_public_function_is_exported_or_called():
     """A module-level function of the library, public or private, is
     exported from ditkit/__init__.py, or reached from another module of
     the library, directly or through the definitions of its own module
-    that are reached.  Any other is dead code, or a helper only the tests
-    call, which belongs in tests/oracles.py."""
+    that are reached.  A private method, such as a trusted constructor,
+    is named on its class anywhere in the library, or on self or cls in
+    another method of its class.  Any other is dead code, or a helper only
+    the tests call, which belongs in tests/oracles.py."""
     src = pathlib.Path(ditkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     reached: dict[str, set[str]] = {name: set() for name in trees}
@@ -50,6 +62,17 @@ def test_every_public_function_is_exported_or_called():
             for fn, node in defs.items()
             if isinstance(node, ast.FunctionDef) and fn not in live
         )
+    anywhere = _owned_names(trees.values())
+    for name, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_"):
+                    continue
+                if fn.name.endswith("__") or (cls.name, fn.name) in anywhere:
+                    continue
+                inside = _owned_names(other for other in cls.body if other is not fn)
+                if not inside & {("self", fn.name), ("cls", fn.name)}:
+                    dead.add(f"{name}.{cls.name}.{fn.name}")
     assert dead == set()
 
 
