@@ -6,7 +6,8 @@ integer numerators over a single common denominator, so building rho,
 masking, conditioning and the entropy 1 - tr(rho^2) are integer work.
 `SqrtRational` is the scalar at the API boundary: `entry`, `entries`,
 `to_json` and the public constructor, the only one that checks a matrix;
-`rho` and the Lüders maps build theirs on the unchecked trusted path.
+`rho` and the Lüders maps build theirs on the unchecked trusted path, and
+the diagonal and trace are read as integer square roots of the radicands.
 A `ProjectionMask`, the outcome `luders_rule` conditions on, is a
 `SubsetVector` bitmask, since at the set level a projection is the
 subset it keeps.
@@ -17,7 +18,7 @@ ever needs a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import entropy as _entropy
@@ -26,8 +27,10 @@ from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
+    _as_tuple,
     _fraction,
     _json_number,
+    _require_exact,
     _require_same_ground,
     join,
 )
@@ -42,6 +45,7 @@ class SqrtRational:
     radicand: Fraction
 
     def __post_init__(self):
+        _require_exact((self.radicand,), "radicand")
         if self.radicand < 0:
             raise InvalidValue("radicand must be non-negative")
 
@@ -151,20 +155,23 @@ class DensityMatrix:
     numerators over one denominator, reduced so that no integer above 1
     divides the denominator and every numerator.  That form is unique, so
     equality and hashing compare values.  Diagonal entry i, the square root
-    of its radicand, is ``_roots[i] / _den``."""
+    of its radicand, is ``_root(i) / _den``."""
 
     ground: GroundSet
     _num: tuple[int, ...]
     _den: int
-    _roots: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(
         self, ground: GroundSet, entries: tuple[tuple[SqrtRational, ...], ...]
     ):
         n = ground.n
+        entries = _as_tuple(entries, "entry grid", 2)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise InvalidValue("entry grid does not match ground size")
-        radicands = [cell.radicand for row in entries for cell in row]
+        cells = [cell for row in entries for cell in row]
+        if not all(isinstance(cell, SqrtRational) for cell in cells):
+            raise InvalidValue("density matrix entries must be SqrtRationals")
+        radicands = [cell.radicand for cell in cells]
         den = math.lcm(*(q.denominator for q in radicands))
         num = tuple(q.numerator * (den // q.denominator) for q in radicands)
         for i in range(n):
@@ -172,33 +179,33 @@ class DensityMatrix:
                 if num[i * n + k] != num[k * n + i]:
                     raise InvalidValue(f"matrix not symmetric at ({i},{k})")
         # diagonal entry sqrt(x / den) = sqrt(x * den) / den
-        roots = []
+        trace = 0
         for x in num[:: n + 1]:
             square = x * den
             root = math.isqrt(square)
             if root * root != square:
                 raise ArithmeticError(f"sqrt({Fraction(x, den)}) is irrational")
-            roots.append(root)
-        if sum(roots) != den:
-            raise InvalidValue(f"trace is {Fraction(sum(roots), den)}, not 1")
-        self.__dict__.update(self._grid(ground, num, den, tuple(roots)).__dict__)
+            trace += root
+        if trace != den:
+            raise InvalidValue(f"trace is {Fraction(trace, den)}, not 1")
+        self.__dict__.update(self._grid(ground, num, den).__dict__)
 
     @classmethod
     def _grid(
-        cls, ground: GroundSet, num: tuple[int, ...], den: int, roots: tuple[int, ...]
+        cls, ground: GroundSet, num: tuple[int, ...], den: int
     ) -> "DensityMatrix":
-        """The trusted constructor: radicands `num` over `den` and diagonal
-        roots `roots` over `den`, none of it checked.  Reducing by the
-        common factor divides each root exactly, because a rational square
-        root of an integer is an integer."""
+        """The trusted constructor: radicands `num` over `den`, unchecked."""
         common = math.gcd(den, *num)
         if common > 1:
             den //= common
             num = tuple(x // common for x in num)
-            roots = tuple(r // common for r in roots)
         mat = object.__new__(cls)
-        mat.__dict__.update(ground=ground, _num=num, _den=den, _roots=roots)
+        mat.__dict__.update(ground=ground, _num=num, _den=den)
         return mat
+
+    def _root(self, i: int) -> int:
+        """Diagonal entry i times `_den`, exact as the diagonal is rational."""
+        return math.isqrt(self._num[i * self.ground.n + i] * self._den)
 
     @property
     def entries(self) -> tuple[tuple[SqrtRational, ...], ...]:
@@ -210,10 +217,10 @@ class DensityMatrix:
         return SqrtRational(Fraction(self._num[i * self.ground.n + k], self._den))
 
     def trace(self) -> Fraction:
-        return Fraction(sum(self._roots), self._den)
+        return Fraction(sum(map(self._root, range(self.ground.n))), self._den)
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(root, self._den) for root in self._roots)
+        return tuple(Fraction(self._root(i), self._den) for i in range(self.ground.n))
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +246,7 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     """Density matrix of a partition state: entry (i,k) is
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
-    radicand is w_i * w_k / D^2 and diagonal entry i is w_i * D / D^2."""
+    radicand is w_i * w_k / D^2."""
     _require_same_ground(pi, probs)
     n = pi.ground.n
     w, d = probs.weights, probs.denominator
@@ -249,7 +256,7 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
             row, wi = i * n, w[i]
             for k in blk:
                 num[row + k] = wi * w[k]
-    return DensityMatrix._grid(pi.ground, tuple(num), d * d, tuple(x * d for x in w))
+    return DensityMatrix._grid(pi.ground, tuple(num), d * d)
 
 
 def verify_block_eigenvectors(pi: Partition, probs: ProbGroundSet) -> bool:
@@ -300,7 +307,7 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
             row = i * n
             for k in blk:
                 num[row + k] = kept[row + k]
-    return DensityMatrix._grid(mat.ground, tuple(num), mat._den, mat._roots)
+    return DensityMatrix._grid(mat.ground, tuple(num), mat._den)
 
 
 def luders_rule(
@@ -311,21 +318,19 @@ def luders_rule(
     _require_same_ground(mat, outcome)
     n = mat.ground.n
     members = outcome.members
-    # the outcome probability is mass / den; dividing the state by it takes a
-    # root r / den to r * mass / mass^2 and a radicand x / den to x * den / mass^2
-    mass = sum(mat._roots[i] for i in members)
+    # the outcome probability is mass / den; dividing the state by it takes
+    # a radicand x / den to x * den / mass^2
+    mass = sum(map(mat._root, members))
     if mass == 0:
         raise ZeroProbabilityOutcome(
             f"outcome {sorted(members)} has probability zero"
         )
     num = [0] * (n * n)
-    roots = [0] * n
     for i in members:
         row = i * n
         for k in members:
             num[row + k] = mat._num[row + k] * mat._den
-        roots[i] = mat._roots[i] * mass
-    post = DensityMatrix._grid(mat.ground, tuple(num), mass * mass, tuple(roots))
+    post = DensityMatrix._grid(mat.ground, tuple(num), mass * mass)
     return post, Fraction(mass, mat._den)
 
 

@@ -4,8 +4,8 @@ Logical entropy is the two-draw probability of drawing a distinction.
 It is exact: summed in integers on the grid of the `ProbGroundSet`
 (weights over a common denominator D), from each partition's restricted
 growth string, and returned as a `Fraction` over D².  Shannon entropy
-needs logarithms, so it lives in floats; comparisons against it use
-`FLOAT_TOL`.
+needs logarithms, so it lives in floats, and the one check that compares
+floats compares two sums of the same terms in the same order, with `==`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from .partitions import (
     ditset,
     join,
 )
-
-FLOAT_TOL = 1e-12
-
 
 def block_probs(
     pi: Partition, probs: ProbGroundSet
@@ -122,9 +119,7 @@ def compound_shannon(
     )
 
 
-def dit_to_bit_check(
-    pi: Partition, probs: ProbGroundSet, tol: float = FLOAT_TOL
-) -> bool:
+def dit_to_bit_check(pi: Partition, probs: ProbGroundSet) -> bool:
     """Verify the monotone dit-to-bit transform on this input: in the
     block-sum form h = sum Pr(B) * (1 - Pr(B)), replacing each factor
     (1 - Pr(B)) by log2(1/Pr(B)) must reproduce the Shannon entropy.
@@ -132,9 +127,8 @@ def dit_to_bit_check(
     It holds for every input by construction, as `set_spectral_check`
     does: sum Pr(B) * (1 - Pr(B)) is the logical entropy, exactly, and
     the transformed float sum is `shannon_entropy`'s own sum over the
-    same terms in the same order, so the two floats are equal and `tol`
-    never decides.  The check is a worked statement of the transform,
-    not a test that can fail."""
+    same terms in the same order, so the two floats are equal.  The check
+    is a worked statement of the transform, not a test that can fail."""
     terms = [(pr, 1 - pr) for _, pr in block_probs(pi, probs)]
     if sum((pr * dit_factor for pr, dit_factor in terms), Fraction(0)) \
             != logical_entropy(pi, probs):
@@ -142,4 +136,4 @@ def dit_to_bit_check(
     transformed = sum(
         float(pr) * math.log2(1 / pr) for pr, _ in terms
     )
-    return abs(transformed - shannon_entropy(pi, probs)) <= tol
+    return transformed == shannon_entropy(pi, probs)

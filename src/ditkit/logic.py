@@ -348,9 +348,6 @@ class _Unranked:
     def elements(self):
         return _iter_rgs(self.n)
 
-    def element(self, rgs: tuple[int, ...]) -> tuple[int, ...]:
-        return rgs
-
     def partition(self, rgs: tuple[int, ...]) -> Partition:
         return _from_rgs(self.ground, rgs)
 

@@ -230,13 +230,9 @@ class DSD:
 def _int_projection(a) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(P d, d) for the orthogonal projection P = A^T (A A^T)^-1 A onto
     the span of the independent integer rows A, with d the least common
-    denominator of P.  One row u gives u u^T / u.u, with u made primitive.
-    More rows reduce [A A^T | A] to [p_r e_r | Y_r], Y_r / p_r row r of
-    (A A^T)^-1 A, which A^T then multiplies over the lcm of the p_r."""
-    if len(a) == 1:
-        g = gcd(*a[0])
-        u = [x // g for x in a[0]]
-        return tuple([tuple([x * y for y in u]) for x in u]), sum(map(mul, u, u))
+    denominator of P.  Reducing [A A^T | A] gives [p_r e_r | Y_r], Y_r / p_r
+    row r of (A A^T)^-1 A, which A^T then multiplies over the lcm of the
+    p_r; dividing by the gcd of all of it leaves the least d."""
     k = len(a)
     rows = [[sum(map(mul, u, v)) for v in a] + list(u) for u in a]
     linalg._echelon(rows, k)

@@ -4,8 +4,9 @@ A partition chops a ground set into disjoint non-empty blocks.  Everything
 here is exact and immutable: blocks are index tuples in canonical form
 (sorted by least element, sorted within) and probabilities are
 `Fraction`s.  The one random draw here is `choice_reduce`, from the
-caller's seed or generator; `z2dyn.sample_pipeline` makes its own draws
-from its generator and does not call it.
+caller's seed or generator, through the integer table of `_draw_counts`;
+`z2dyn.sample_pipeline` draws from its own generator through the same
+table and does not call it.
 
 The lattice order used throughout is the distinction order: sigma <= pi
 when every distinction (ordered pair split apart) made by sigma is also
@@ -15,6 +16,7 @@ partition the bottom.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -294,10 +296,13 @@ def _check_index(i, n: int) -> None:
 
 def _require_same_ground(a, b) -> None:
     # identity first: values built from one ground set share the object
-    if a.ground is not b.ground and a.ground != b.ground:
-        raise GroundMismatch(
-            f"ground sets differ: {a.ground.labels} vs {b.ground.labels}"
-        )
+    try:
+        if a.ground is b.ground or a.ground == b.ground:
+            return
+    except AttributeError:
+        bare = b if hasattr(a, "ground") else a
+        raise DitkitError(f"{bare!r} has no ground set") from None
+    raise GroundMismatch(f"ground sets differ: {a.ground.labels} vs {b.ground.labels}")
 
 
 def make_partition(
@@ -487,6 +492,15 @@ def _as_rng(rng) -> random.Random:
     raise InvalidValue(f"rng must be an int seed or a random.Random, got {rng!r}")
 
 
+def _draw_counts(members: Sequence[int], probs: ProbGroundSet) -> list[int]:
+    """Cumulative counts of a draw over `members`: W_i // gcd(D, W_members)
+    for the weights W over denominator D of `probs`, the least integers in
+    ratio p_i / Pr(members); a draw r picks member `bisect_right(..., r)`."""
+    w = probs.weights
+    scale = math.gcd(probs.denominator, *(w[i] for i in members))
+    return list(itertools.accumulate(w[i] // scale for i in members))
+
+
 def choice_reduce(
     block: Iterable[int],
     probs: ProbGroundSet,
@@ -499,6 +513,8 @@ def choice_reduce(
     InvalidValue, for a singleton block too.  Each member must be an index
     into the ground set, as in `Partition` and `SubsetVector`.
     """
+    if not isinstance(probs, ProbGroundSet):
+        raise InvalidValue(f"probs must be a ProbGroundSet, got {probs!r}")
     try:
         members = list(block)
     except TypeError:
@@ -511,15 +527,8 @@ def choice_reduce(
     r = _as_rng(rng)
     if len(members) == 1:
         return members[0]
-    weights = [probs.p[i] for i in members]
-    scale = math.lcm(*(w.denominator for w in weights))
-    counts = [int(w * scale) for w in weights]
-    pick = r.randrange(sum(counts))
-    for i, c in zip(members, counts):
-        pick -= c
-        if pick < 0:
-            return i
-    raise AssertionError("unreachable")
+    cumulative = _draw_counts(members, probs)
+    return members[bisect.bisect_right(cumulative, r.randrange(cumulative[-1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .partitions import (
     _as_rng,
     _as_tuple,
     _check_index,
+    _draw_counts,
     _require_exact,
     _require_same_ground,
 )
@@ -278,9 +279,9 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
     a Measure or Detect becomes the mask of the block holding each element.
     Returns the step count and `entry(k, mask)`: step k's image of mask, or
     its draw table (total, cumulative, nexts) over the members of mask in
-    ascending order, with integer counts W_i // gcd(D, W_members) for the
-    weights W over denominator D of p, each member leading to the members
-    in its block.  A singleton maps to itself; the empty mask raises."""
+    ascending order, `cumulative` from `_draw_counts`, each member leading
+    to the members in its block.  A singleton maps to itself; the empty
+    mask raises."""
     ground = initial.ground
     n = ground.n
     if p is None:
@@ -304,8 +305,6 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
         else:
             raise DitkitError(f"unknown pipeline step {step!r}")
 
-    weights, den = p.weights, p.denominator
-
     def entry(k: int, mask: int):
         step = plan[k]
         if isinstance(step, GF2Map):
@@ -315,10 +314,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
             raise EmptyState(f"step {k} measures the empty state")
         if len(members) == 1:
             return mask
-        scale = math.gcd(den, *(weights[i] for i in members))
-        cumulative = list(
-            itertools.accumulate(weights[i] // scale for i in members)
-        )
+        cumulative = _draw_counts(members, p)
         return cumulative[-1], cumulative, [mask & step[i] for i in members]
 
     return len(plan), entry
@@ -380,8 +376,8 @@ def sample_pipeline(
     targets keyed the same way at the step after it, or the final mask.
     An entry is built the first time a trial reaches its key, so a trial
     makes one lookup per draw, and an EmptyState is raised where the first
-    trial to measure the empty state reaches it.  A table's integer counts
-    are choice_reduce's p_i times the lcm of the denominators.
+    trial to measure the empty state reaches it.  A table's counts are
+    `partitions._draw_counts`, the table `choice_reduce` draws from.
 
     A draw below a table's total t is ``rng.getrandbits(t.bit_length())``,
     repeated while it is not below t, which is how `random.Random.randrange`

@@ -22,10 +22,13 @@ the blocks of a set join, where the library works on an integer grid and
 sums block weights from restricted growth strings, and the square part
 of a radicand is found by trial division up to its square root, where the
 library stops below 2**16 and tests the rest with `isqrt`.
-The GF(2) sampler draws every measurement through `choice_reduce` and
-evolves `SubsetVector`s step by step, and the exact GF(2) pipeline splits
-`frozenset` members with `Fraction` weights, where the library compiles the
-steps into integer draw tables over bitmasks.  The linear algebra eliminates on
+A conditional draw scales the `Fraction` point probabilities by the lcm
+of their denominators and walks the counts, where the library bisects the
+integer table of `partitions._draw_counts`.  The GF(2) sampler draws every
+measurement that way and evolves `SubsetVector`s step by step, where the
+library compiles the same tables, and the exact GF(2) pipeline splits
+`frozenset` members with `Fraction` weights, where the library sums the
+steps' draw tables over bitmasks.  The linear algebra eliminates on
 `Fraction` rows, where the library works on integer rows, and builds
 operators as sums of eigenvalue times projection, where the library
 solves one integer system per operator.  Two subspaces are intersected
@@ -39,6 +42,7 @@ where the library builds them from a restricted growth string.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -70,7 +74,6 @@ from ditkit.partitions import (
     ProbGroundSet,
     _iter_rgs,
     _require_same_ground,
-    choice_reduce,
     discrete_partition,
 )
 from ditkit.z2dyn import Detect, Evolve, Measure, StateMixture, SubsetVector, evolve
@@ -438,13 +441,33 @@ def compound_logical(pi, sigma, probs) -> tuple[Fraction, ...]:
     return (h_join, h_join - h_sigma, h_join - h_pi, h_pi + h_sigma - h_join)
 
 
-# --- GF(2) sampling, one choice_reduce draw per measurement ---------------
+# --- conditional draws, and GF(2) sampling with one per measurement --------
+
+
+def choice_reduce(block, probs, rng) -> int:
+    """One member of a non-empty block of indices, member i with chance
+    p_i / Pr(block): the p_i times the lcm of their denominators are
+    integer counts, and a draw below their sum is walked down them."""
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    members = sorted(set(block))
+    if len(members) == 1:
+        return members[0]
+    weights = [probs.p[i] for i in members]
+    scale = math.lcm(*(w.denominator for w in weights))
+    counts = [int(w * scale) for w in weights]
+    pick = rng.randrange(sum(counts))
+    for i, c in zip(members, counts):
+        pick -= c
+        if pick < 0:
+            return i
+    raise AssertionError("unreachable")
 
 
 def sample_pipeline(initial, steps, trials, rng, p=None):
     """One sampled trajectory per trial: evolve the subset vector, and at a
-    Measure or Detect draw one member with `choice_reduce` and keep the
-    members in its block."""
+    Measure or Detect draw one member with the `choice_reduce` oracle and
+    keep the members in its block."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     ground = initial.ground

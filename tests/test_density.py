@@ -26,6 +26,7 @@ from ditkit.entropy import compound_logical, logical_entropy
 from ditkit.errors import (
     DitkitError,
     GroundMismatch,
+    InvalidValue,
     UnknownLabel,
     ZeroProbabilityOutcome,
 )
@@ -85,6 +86,32 @@ def test_sqrt_rational_scaling_and_embedding():
         SqrtRational(F(-1))
     with pytest.raises(ValueError):
         a.scaled(-1)
+
+
+HALF, ZERO = SqrtRational(F("1/2")), SqrtRational(F(0))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SqrtRational(0.5), InvalidValue, "radicand must be int or Fraction"),
+    (lambda: SqrtRational(True), InvalidValue, "radicand must be int or Fraction"),
+    (lambda: SqrtRational("1/2"), InvalidValue, "radicand must be int or Fraction"),
+    (lambda: SqrtRational(None), InvalidValue, "radicand must be int or Fraction"),
+    (lambda: DensityMatrix(ground(2), ((1, 0), (0, 0))), InvalidValue,
+     "entries must be SqrtRationals"),
+    (lambda: DensityMatrix(ground(2), ((HALF, 0.0), (ZERO, HALF))), InvalidValue,
+     "entries must be SqrtRationals"),
+    (lambda: DensityMatrix(ground(2), None), DitkitError, "must be an iterable"),
+    (lambda: DensityMatrix(ground(2), (1, 2)), DitkitError, "must be an iterable"),
+], ids=["float radicand", "bool radicand", "str radicand", "None radicand",
+        "int cells", "float cell", "None grid", "int rows"])
+def test_bare_constructors_take_only_exact_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_an_int_radicand_stays_valid():
+    assert SqrtRational(2) == SqrtRational(F(2))
+    assert DensityMatrix(ground(1), [[SqrtRational(1)]]).trace() == 1
 
 
 def test_sqrt_rational_rationality():
@@ -429,14 +456,12 @@ def _vectors(n, rng):
 
 
 def _check_trusted_diagonal(mat, want):
-    """The builders hand their diagonal roots to the unchecked `_grid`,
-    and `==` does not compare `_roots`: check the diagonal against the
-    oracle's square roots, the trace, and the roots the checking
-    constructor computes from the same entries."""
-    n = len(want)
-    assert mat.diagonal() == tuple(want[i][i].to_rational() for i in range(n))
-    assert mat.trace() == 1
-    assert mat._roots == DensityMatrix(mat.ground, mat.entries)._roots
+    """The builders hand only radicands to the unchecked `_grid`, and the
+    diagonal is read back from them: check the diagonal and the trace
+    against the oracle's square roots."""
+    diagonal = tuple(want[i][i].to_rational() for i in range(len(want)))
+    assert mat.diagonal() == diagonal
+    assert mat.trace() == sum(diagonal) == 1
 
 
 def test_grid_matches_fraction_oracle_on_every_pair():

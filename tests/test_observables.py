@@ -793,6 +793,17 @@ def _whole_space(n: int, rng: random.Random) -> DSD:
     return DSD(n, (rows,))
 
 
+def _scaled_lines(n: int, rng: random.Random) -> DSD:
+    """The orthogonal DSD of Q^n into n lines, each spanned by one integer
+    row made non-primitive by a factor of 2 to 4, such as (2, 4)."""
+    rows = (v for rows in random_orthogonal_dsd(n, rng).subspaces for v in rows)
+    scaled = []
+    for v in rows:
+        factor = rng.randint(2, 4) * math.lcm(*(x.denominator for x in v))
+        scaled.append(([x * factor for x in v],))
+    return DSD.from_vectors(n, scaled)
+
+
 def _csco_outcome(fn, dsds):
     try:
         return fn(dsds)
@@ -832,21 +843,27 @@ def test_se_and_csco_match_the_oracle_on_general_dsds(n, relation, swap, seed):
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 5),
-    st.sampled_from(["orthogonal", "general", "whole"]),
+    st.sampled_from(["orthogonal", "general", "whole", "scaled lines"]),
     st.integers(0, 2**32),
 )
 @example(1, "whole", 0)
 @example(1, "orthogonal", 0)
+@example(2, "scaled lines", 0)
 def test_projections_match_the_oracle(n, kind, seed):
     rng = random.Random(seed)
     make = {
         "orthogonal": random_orthogonal_dsd,
         "general": random_dsd,
         "whole": _whole_space,
+        "scaled lines": _scaled_lines,
     }[kind]
     d = make(n, rng)
     projections = d.projections()
     assert projections == tuple(oracles.projection(rows) for rows in d.subspaces)
+    # the integer form is the least: d is the common denominator of P
+    for (rows, den), p in zip(d.int_projections, projections):
+        assert den == math.lcm(*(x.denominator for row in p for x in row))
+        assert rows == tuple(tuple(int(x * den) for x in row) for row in p)
     # idempotent, symmetric, and fixing the subspace's own rows
     for p, rows in zip(projections, d.subspaces):
         assert oracles.mat_mul(p, p) == p

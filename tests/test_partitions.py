@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ditkit
+import oracles
 from ditkit.errors import (
     BoundExceeded,
     DitkitError,
@@ -473,6 +474,27 @@ def test_choice_frequencies_match_conditionals():
     draws = [choice_reduce([0, 1], GOLDEN_P, rng) for _ in range(7000)]
     share_a = draws.count(0) / len(draws)
     assert abs(share_a - 4 / 7) < 0.02
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10**12)), min_size=1, max_size=7),
+    st.lists(st.integers(0, 6), min_size=1, max_size=7),
+    st.integers(0, 2**32),
+)
+@example([2, 2, 1], [0, 1], 0)
+def test_choice_matches_the_fraction_oracle(weights, picks, seed):
+    """The member drawn and the generator state left behind agree with the
+    oracle's lcm-and-walk draw, over 20 draws from one generator."""
+    n, total = len(weights), sum(weights)
+    probs = ProbGroundSet(ground(n), tuple(Fraction(w, total) for w in weights))
+    block = [i % n for i in picks]
+    mine, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert choice_reduce(block, probs, mine) == oracles.choice_reduce(
+            block, probs, theirs
+        )
+        assert mine.getstate() == theirs.getstate()
 
 
 # --- notation and serialization -------------------------------------------

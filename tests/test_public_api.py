@@ -3,7 +3,14 @@ from __future__ import annotations
 import ast
 import pathlib
 
+import pytest
+
 import ditkit
+from ditkit.density import luders_mixture, rho
+from ditkit.entropy import logical_entropy
+from ditkit.errors import DitkitError
+from ditkit.partitions import GroundSet, choice_reduce, discrete_partition
+from ditkit.z2dyn import Detect, SubsetVector, run_pipeline
 
 
 def _owned_names(nodes) -> set[tuple[str, str]]:
@@ -129,5 +136,29 @@ def test_floats_stay_out_of_exact_paths():
         "cli._fmt",
         "entropy.shannon_entropy",
         "entropy.dit_to_bit_check",
-        "entropy.FLOAT_TOL",
     }
+
+
+_AB = GroundSet(("a", "b"))
+_PI = discrete_partition(_AB)
+
+
+_BARE_CALLS = {
+    "choice_reduce": lambda bare: choice_reduce([0, 1], bare, 0),
+    "logical_entropy": lambda bare: logical_entropy(_PI, bare),
+    "rho": lambda bare: rho(_PI, bare),
+    "luders_mixture": lambda bare: luders_mixture(bare, _PI),
+    "run_pipeline": lambda bare: run_pipeline(SubsetVector(_AB, [0, 1]), [Detect()], bare),
+}
+
+
+# run_pipeline reads p=None as the uniform distribution
+@pytest.mark.parametrize("name, bare", [
+    (name, bare)
+    for name in _BARE_CALLS
+    for bare in ("x", None)
+    if (name, bare) != ("run_pipeline", None)
+])
+def test_a_value_without_a_ground_set_raises_a_ditkit_error(name, bare):
+    with pytest.raises(DitkitError):
+        _BARE_CALLS[name](bare)
