@@ -31,6 +31,7 @@ from .partitions import (
     _fraction,
     _json_number,
     _require_exact,
+    _require_probs,
     _require_same_ground,
     join,
 )
@@ -247,7 +248,7 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
     radicand is w_i * w_k / D^2."""
-    _require_same_ground(pi, probs)
+    _require_probs(pi, probs)
     n = pi.ground.n
     w, d = probs.weights, probs.denominator
     num = [0] * (n * n)

@@ -4,8 +4,10 @@ Logical entropy is the two-draw probability of drawing a distinction.
 It is exact: summed in integers on the grid of the `ProbGroundSet`
 (weights over a common denominator D), from each partition's restricted
 growth string, and returned as a `Fraction` over D².  Shannon entropy
-needs logarithms, so it lives in floats, and the one check that compares
-floats compares two sums of the same terms in the same order, with `==`.
+needs logarithms, so it lives in floats, summed on the same grid.  The
+one check that compares floats, `dit_to_bit_check`, compares it with `==`
+to the same sum over `Fraction` block probabilities: the terms agree
+because both round W/D and D/W correctly, not because they are shared.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .partitions import (
     Partition,
     ProbGroundSet,
     _join_rgs,
+    _require_probs,
     _require_same_ground,
     ditset,
     join,
@@ -27,7 +30,7 @@ def block_probs(
     pi: Partition, probs: ProbGroundSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Per-block probability masses, in canonical block order."""
-    _require_same_ground(pi, probs)
+    _require_probs(pi, probs)
     return [(blk, probs.prob(blk)) for blk in pi.blocks]
 
 
@@ -44,7 +47,7 @@ def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
     """1 - sum of squared block probabilities, exactly: on the grid of
     `probs` that is (D^2 - sum of W_B^2) / D^2, with W_B a block's
     integer weight and D the common denominator."""
-    _require_same_ground(pi, probs)
+    _require_probs(pi, probs)
     square = probs.denominator**2
     return Fraction(square - _square_mass(pi.rgs, probs.weights), square)
 
@@ -52,7 +55,7 @@ def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
 def logical_entropy_ditsum(pi: Partition, probs: ProbGroundSet) -> Fraction:
     """Same quantity summed pair by pair over the dit-set: the product
     measure p x p of the set of distinctions."""
-    _require_same_ground(pi, probs)
+    _require_probs(pi, probs)
     return sum(
         (probs.p[i] * probs.p[k] for (i, k) in ditset(pi).pairs),
         Fraction(0),
@@ -75,7 +78,7 @@ def compound_logical(
     squared-mass sum of a partition, each entropy is (D^2 - S) / D^2, so
     all four are integer differences over D^2."""
     _require_same_ground(pi, sigma)
-    _require_same_ground(pi, probs)
+    _require_probs(pi, probs)
     w = probs.weights
     s_pi = _square_mass(pi.rgs, w)
     s_sigma = _square_mass(sigma.rgs, w)
@@ -90,11 +93,10 @@ def compound_logical(
 
 
 def shannon_entropy(pi: Partition, probs: ProbGroundSet) -> float:
-    """Block entropy in bits."""
-    _require_same_ground(pi, probs)
-    return sum(
-        float(pr) * math.log2(1 / pr) for _, pr in block_probs(pi, probs)
-    )
+    """Block entropy in bits, (W/D) * log2(D/W) summed over block weights W."""
+    _require_probs(pi, probs)
+    d = probs.denominator
+    return sum(m / d * math.log2(d / m) for m in map(probs.weight, pi.blocks))
 
 
 class CompoundShannon(NamedTuple):
@@ -126,9 +128,10 @@ def dit_to_bit_check(pi: Partition, probs: ProbGroundSet) -> bool:
 
     It holds for every input by construction, as `set_spectral_check`
     does: sum Pr(B) * (1 - Pr(B)) is the logical entropy, exactly, and
-    the transformed float sum is `shannon_entropy`'s own sum over the
-    same terms in the same order, so the two floats are equal.  The check
-    is a worked statement of the transform, not a test that can fail."""
+    the transformed float sum adds the terms of `shannon_entropy` in its
+    order: float(Pr(B)) and log2(1/Pr(B)) round W/D and D/W correctly,
+    as its int divisions do.  The check is a worked statement of the
+    transform, not a test that can fail."""
     terms = [(pr, 1 - pr) for _, pr in block_probs(pi, probs)]
     if sum((pr * dit_factor for pr, dit_factor in terms), Fraction(0)) \
             != logical_entropy(pi, probs):

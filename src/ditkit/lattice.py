@@ -2,8 +2,9 @@
 export, and the two-lattice picture for the double-slit evolution.
 
 In the distinction order a partition covers another exactly when it
-splits one block in two, so covers are generated by splitting each block
-of each partition in every way.
+splits one block in two, so covers are generated by merging each pair of
+blocks of each partition, which maps its restricted growth string
+straight to the canonical one of the partition below.
 """
 
 from __future__ import annotations
@@ -31,39 +32,38 @@ def lattice_nodes(ground: GroundSet) -> list[Partition]:
 
 
 def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
-    """All (lower, upper) pairs where upper refines lower by splitting
-    exactly one block, ordered by the lower partition's rank in
-    enumeration order, then by the upper's."""
-    return _covering_pairs(lattice_nodes(ground))
+    """All (lower, upper) pairs where lower merges two blocks of upper,
+    that is upper splits one block of lower, ordered by the lower
+    partition's rank in enumeration order, then by the upper's."""
+    nodes = lattice_nodes(ground)
+    return [(nodes[lo], nodes[up]) for lo, up in _covers(nodes)]
 
 
-def _covering_pairs(nodes: list[Partition]) -> list[tuple[Partition, Partition]]:
-    """`covering_pairs` over an already enumerated lattice."""
+def _covers(nodes: list[Partition]) -> list[tuple[int, int]]:
+    """The covering relation of an enumerated lattice as sorted
+    (lower rank, upper rank) pairs."""
     rank = {pi.rgs: r for r, pi in enumerate(nodes)}
     pairs = []
-    for sigma in nodes:
-        uppers = []
-        for blk in sigma.blocks:
-            # the block's least member stays; a non-empty subset of the
-            # rest moves to a new block: 2**(len(blk) - 1) - 1 splits
-            rest = blk[1:]
-            for mask in range(1, 1 << len(rest)):
-                labels = list(sigma.rgs)
-                for bit, i in enumerate(rest):
-                    if mask >> bit & 1:
-                        labels[i] = -1
-                uppers.append(rank[_canon(labels)])
-        pairs.extend((sigma, nodes[r]) for r in sorted(uppers))
+    for up, pi in enumerate(nodes):
+        m = len(pi.blocks)
+        for k in range(1, m):
+            # merging block k into block j < k: label k becomes j and every
+            # label above k drops by one, which keeps the RGS canonical
+            relabel = [*range(k), 0, *range(k, m - 1)]
+            for j in range(k):
+                relabel[k] = j
+                pairs.append((rank[tuple(map(relabel.__getitem__, pi.rgs))], up))
+    pairs.sort()
     return pairs
 
 
 def hasse_json(ground: GroundSet) -> dict:
     nodes = lattice_nodes(ground)
-    name = {pi: notation(pi) for pi in nodes}
+    name = [notation(pi) for pi in nodes]
     return {
         "ground": list(ground.labels),
-        "nodes": list(name.values()),
-        "edges": [[name[sigma], name[pi]] for sigma, pi in _covering_pairs(nodes)],
+        "nodes": name,
+        "edges": [[name[lo], name[up]] for lo, up in _covers(nodes)],
     }
 
 
@@ -75,18 +75,18 @@ def _cluster_lines(
     """DOT statements for one lattice; node ids namespaced by prefix,
     ranks grouped by block count so the diagram reads bottom-up."""
     nodes = lattice_nodes(ground)
-    name = {pi: notation(pi) for pi in nodes}
-    ident = {pi: f'"{prefix}{name[pi]}"' for pi in nodes}
+    name = [notation(pi) for pi in nodes]
+    ident = [f'"{prefix}{text}"' for text in name]
     lines = []
-    for pi in nodes:
+    for r, pi in enumerate(nodes):
         style = ' style=filled fillcolor="gold"' if pi in highlight else ""
-        lines.append(f'{ident[pi]} [label="{name[pi]}"{style}];')
+        lines.append(f'{ident[r]} [label="{name[r]}"{style}];')
     for count in range(1, ground.n + 1):
-        rank = [ident[pi] for pi in nodes if pi.num_blocks == count]
+        rank = [ident[r] for r, pi in enumerate(nodes) if len(pi.blocks) == count]
         if len(rank) > 1:
             lines.append(f'{{rank=same; {" ".join(rank)}}}')
-    for sigma, pi in _covering_pairs(nodes):
-        lines.append(f"{ident[sigma]} -> {ident[pi]} [dir=none];")
+    for lo, up in _covers(nodes):
+        lines.append(f"{ident[lo]} -> {ident[up]} [dir=none];")
     return lines
 
 

@@ -305,6 +305,14 @@ def _require_same_ground(a, b) -> None:
     raise GroundMismatch(f"ground sets differ: {a.ground.labels} vs {b.ground.labels}")
 
 
+def _require_probs(a, probs) -> None:
+    """Raise InvalidValue unless `probs` is a ProbGroundSet, then require
+    it to share the ground set of `a`."""
+    if not isinstance(probs, ProbGroundSet):
+        raise InvalidValue(f"probs must be a ProbGroundSet, got {probs!r}")
+    _require_same_ground(a, probs)
+
+
 def make_partition(
     ground: GroundSet, blocks: Iterable[Iterable[str]]
 ) -> Partition:
@@ -540,11 +548,9 @@ def choice_reduce(
 
 
 def notation(pi: Partition) -> str:
-    compact = all(len(lab) == 1 for lab in pi.ground.labels)
-    sep = "" if compact else ","
-    return "|".join(
-        sep.join(pi.ground.label(i) for i in blk) for blk in pi.blocks
-    )
+    labels = pi.ground.labels
+    sep = "," if max(map(len, labels)) > 1 else ""
+    return "|".join([sep.join([labels[i] for i in blk]) for blk in pi.blocks])
 
 
 def parse_partition(ground: GroundSet, text: str) -> Partition:

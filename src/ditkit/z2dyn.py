@@ -28,6 +28,7 @@ from .partitions import (
     _check_index,
     _draw_counts,
     _require_exact,
+    _require_probs,
     _require_same_ground,
 )
 
@@ -287,7 +288,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
     if p is None:
         p = ProbGroundSet.uniform(ground)
     else:
-        _require_same_ground(p, initial)
+        _require_probs(initial, p)
     plan: list[Union[GF2Map, tuple[int, ...]]] = []
     for step in steps:
         if isinstance(step, Evolve):

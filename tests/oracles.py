@@ -19,9 +19,12 @@ the two-element partition lattice.
 The density and entropy oracles compute entry by entry and block by block
 in `Fraction` and `SqrtRational` arithmetic, the compound entropies from
 the blocks of a set join, where the library works on an integer grid and
-sums block weights from restricted growth strings, and the square part
-of a radicand is found by trial division up to its square root, where the
-library stops below 2**16 and tests the rest with `isqrt`.
+sums block weights from restricted growth strings.  Shannon entropy takes
+float(Pr(B)) * log2(1/Pr(B)) on `Fraction` block probabilities, where the
+library divides integer block weights by the denominator and back.  The
+square part of a radicand is found by trial division up to its square
+root, where the library stops below 2**16 and tests the rest with
+`isqrt`.
 A conditional draw scales the `Fraction` point probabilities by the lcm
 of their denominators and walks the counts, where the library bisects the
 integer table of `partitions._draw_counts`.  The GF(2) sampler draws every
@@ -439,6 +442,13 @@ def compound_logical(pi, sigma, probs) -> tuple[Fraction, ...]:
     h_sigma = block_entropy(sigma.blocks, probs)
     h_join = block_entropy(set_join(pi.blocks, sigma.blocks), probs)
     return (h_join, h_join - h_sigma, h_join - h_pi, h_pi + h_sigma - h_join)
+
+
+def shannon_entropy(blocks: Blocks, probs) -> float:
+    """Sum over blocks, in order, of float(Pr(B)) * log2(1/Pr(B)), with
+    Pr(B) the `Fraction` sum of the block's point probabilities."""
+    masses = (sum((probs.p[i] for i in blk), Fraction(0)) for blk in blocks)
+    return sum(float(pr) * math.log2(1 / pr) for pr in masses)
 
 
 # --- conditional draws, and GF(2) sampling with one per measurement --------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -472,6 +473,67 @@ def test_lattice_bound_and_missing_args(capsys):
     code, _, err = run(capsys, "lattice")
     assert code == 2
     assert "--n or --ground" in err
+
+
+# --- byte-exact goldens of the largest outputs ---
+
+# weights near 10**30, and one small, over their exact sum
+BIG_WEIGHTS = (
+    10**30 - 7, 3 * 10**29 + 11, 10**30 + 123, 7 * 10**28, 10**30 // 3, 999
+)
+BIG_P = ",".join(f"{w}/{sum(BIG_WEIGHTS)}" for w in BIG_WEIGHTS)
+BIG_TABLE = ["entropy", "--ground", "abcdef", "--p", BIG_P, "--table"]
+MULTI_TABLE = ["entropy", "--ground", "x1,x2,y1,y2,z1,z2",
+               "--p", "1/12,1/6,1/4,1/12,1/3,1/12", "--table"]
+
+# SHA-256 of each run's stdout, so that any changed byte fails
+GOLDEN_DIGESTS = {
+    "lattice-6-json": (
+        ["lattice", "--n", "6", "--format", "json"],
+        "136017e4053974dd1ddab44db1faf220904e64fe4fbb21a6a574ba59f3e1b2b3",
+    ),
+    "lattice-6-dot": (
+        ["lattice", "--n", "6"],
+        "72dff710947d5c307a40335ff271ac24294db68abc1ced5459438443eebfc9b4",
+    ),
+    "lattice-multi-json": (
+        ["lattice", "--ground", "u1,u2,u3,u4,u5,u6", "--format", "json"],
+        "0779c395de4d86fbb2de83fb2836e4c2c9e19cb53bdc3989f82ad80cc19d5a35",
+    ),
+    "table-big": (
+        BIG_TABLE,
+        "df1e8b649f930c59b1c19d6bb38b6494a3091b6b45fb2939ed28d3394ea8a737",
+    ),
+    "table-big-json": (
+        [*BIG_TABLE, "--json"],
+        "370420d19f4bfebaff0bcee1ae29ed65e5191ab24d82a145f09507fba9a70ee0",
+    ),
+    "table-big-decimal": (
+        [*BIG_TABLE, "--decimal"],
+        "be503322b4182fe33b680fe9cf61fe06fc5363cfdc7bc448ff5c2a1ad65227b8",
+    ),
+    "table-multi": (
+        MULTI_TABLE,
+        "8235f4479e1da59f7509a0f0f32204359770b68ca03157bd3759417428ad9a0b",
+    ),
+    "table-multi-json": (
+        [*MULTI_TABLE, "--json"],
+        "1d8fdfd8085df595eaa080d9093a6a62c3e2953a22b49c493131de93f9389428",
+    ),
+    "table-multi-decimal": (
+        [*MULTI_TABLE, "--decimal"],
+        "776307fb90149db220ceb01fae87b57a04710619c81265bb3e6ab264d4eac541",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_DIGESTS.values(), ids=list(GOLDEN_DIGESTS)
+)
+def test_large_outputs_are_byte_exact(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- the --json report ---

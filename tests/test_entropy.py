@@ -185,6 +185,23 @@ def test_shannon_golden_values():
     assert abs(shannon_entropy(PI, GOLDEN_P) - expected) <= TOL
 
 
+@st.composite
+def grids(draw):
+    """A probability vector on up to six elements with integer weights up
+    to 10**30 over their sum."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.lists(st.integers(1, 10**30), min_size=n, max_size=n))
+    total = sum(weights)
+    return ProbGroundSet(ground(n), tuple(Fraction(w, total) for w in weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids())
+def test_shannon_grid_sum_equals_fraction_oracle(probs):
+    for pi in enumerate_partitions(probs.ground):
+        assert shannon_entropy(pi, probs) == oracles.shannon_entropy(pi.blocks, probs)
+
+
 def test_shannon_compound_identities():
     comp = compound_shannon(PI, SIGMA, GOLDEN_P)
     h_pi = shannon_entropy(PI, GOLDEN_P)

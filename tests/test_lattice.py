@@ -69,6 +69,27 @@ def test_covering_pairs_match_filter_oracle_in_order():
         assert [(s.blocks, p.blocks) for s, p in got] == covers_by_filter(n)
 
 
+def _oracle_name(blocks, labels) -> str:
+    sep = "" if all(len(lab) == 1 for lab in labels) else ","
+    return "|".join(sep.join(labels[i] for i in blk) for blk in blocks)
+
+
+def test_hasse_edges_match_filter_oracle_in_order():
+    for n in range(1, 7):
+        covers = covers_by_filter(n)
+        for labels in ("abcdef"[:n], tuple(f"u{i}" for i in range(1, n + 1))):
+            names = [
+                [_oracle_name(lo, labels), _oracle_name(up, labels)]
+                for lo, up in covers
+            ]
+            ground = GroundSet(tuple(labels))
+            assert hasse_json(ground)["edges"] == names
+            lines = hasse_dot(ground).splitlines()
+            assert [line for line in lines if " -> " in line] == [
+                f'  "{lo}" -> "{up}" [dir=none];' for lo, up in names
+            ]
+
+
 def test_hasse_json_shape():
     data = hasse_json(U3)
     assert data["ground"] == ["a", "b", "c"]

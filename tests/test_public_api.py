@@ -8,9 +8,9 @@ import pytest
 import ditkit
 from ditkit.density import luders_mixture, rho
 from ditkit.entropy import logical_entropy
-from ditkit.errors import DitkitError
+from ditkit.errors import DitkitError, InvalidValue
 from ditkit.partitions import GroundSet, choice_reduce, discrete_partition
-from ditkit.z2dyn import Detect, SubsetVector, run_pipeline
+from ditkit.z2dyn import Detect, SubsetVector, run_pipeline, sample_pipeline
 
 
 def _owned_names(nodes) -> set[tuple[str, str]]:
@@ -162,3 +162,32 @@ _BARE_CALLS = {
 def test_a_value_without_a_ground_set_raises_a_ditkit_error(name, bare):
     with pytest.raises(DitkitError):
         _BARE_CALLS[name](bare)
+
+
+_BOTH = SubsetVector(_AB, [0, 1])
+
+# a value with the right ground set but the wrong type
+_PROBS_CALLS = {
+    "rho": lambda wrong: rho(_PI, wrong),
+    "logical_entropy": lambda wrong: logical_entropy(_PI, wrong),
+    "block_probs": lambda wrong: ditkit.block_probs(_PI, wrong),
+    "shannon_entropy": lambda wrong: ditkit.shannon_entropy(_PI, wrong),
+    "logical_entropy_ditsum": lambda wrong: ditkit.logical_entropy_ditsum(_PI, wrong),
+    "consistency_h": lambda wrong: ditkit.consistency_h(_PI, wrong),
+    "compound_logical": lambda wrong: ditkit.compound_logical(_PI, _PI, wrong),
+    "compound_shannon": lambda wrong: ditkit.compound_shannon(_PI, _PI, wrong),
+    "theorem_join": lambda wrong: ditkit.theorem_join(_PI, _PI, wrong),
+    "theorem_entropy_increase":
+        lambda wrong: ditkit.theorem_entropy_increase(_PI, _PI, wrong),
+    "dit_to_bit_check": lambda wrong: ditkit.dit_to_bit_check(_PI, wrong),
+    "verify_block_eigenvectors":
+        lambda wrong: ditkit.verify_block_eigenvectors(_PI, wrong),
+    "run_pipeline": lambda wrong: run_pipeline(_BOTH, [Detect()], wrong),
+    "sample_pipeline": lambda wrong: sample_pipeline(_BOTH, [Detect()], 4, 0, wrong),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROBS_CALLS))
+def test_a_partition_in_place_of_probabilities_raises_invalid_value(name):
+    with pytest.raises(InvalidValue, match="^probs must be a ProbGroundSet, got "):
+        _PROBS_CALLS[name](_PI)
