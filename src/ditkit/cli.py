@@ -482,7 +482,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DitkitError, ValueError, ArithmeticError) as exc:
+    except DitkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,27 +66,12 @@ class SqrtRational:
     def __bool__(self) -> bool:
         return self.radicand != 0
 
-    def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        return SqrtRational(self.radicand * other.radicand)
-
     def scaled(self, factor) -> "SqrtRational":
         """Multiply by a non-negative rational factor."""
         c = _fraction(factor)
         if c < 0:
             raise InvalidValue("scaling factor must be non-negative")
         return SqrtRational(c * c * self.radicand)
-
-    def squared(self) -> Fraction:
-        return self.radicand
-
-    def is_rational(self) -> bool:
-        return _rational_sqrt(self.radicand) is not None
-
-    def to_rational(self) -> Fraction:
-        root = _rational_sqrt(self.radicand)
-        if root is None:
-            raise ArithmeticError(f"sqrt({self.radicand}) is irrational")
-        return root
 
     def __str__(self) -> str:
         num, den = self.radicand.numerator, self.radicand.denominator
@@ -185,7 +170,7 @@ class DensityMatrix:
             square = x * den
             root = math.isqrt(square)
             if root * root != square:
-                raise ArithmeticError(f"sqrt({Fraction(x, den)}) is irrational")
+                raise InvalidValue(f"sqrt({Fraction(x, den)}) is irrational")
             trace += root
         if trace != den:
             raise InvalidValue(f"trace is {Fraction(trace, den)}, not 1")

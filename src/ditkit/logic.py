@@ -306,9 +306,6 @@ class _Ranked:
         self._tables: dict = {}
         self._minima: dict[int, array] = {}
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def partition(self, x: int) -> Partition:
         return _from_rgs(self.ground, self._rgs[x])
 
@@ -344,9 +341,6 @@ class _Unranked:
         self.n = n
         self.ground = _ground_for(n)
         self.bottom, self.top = (0,) * n, tuple(range(n))
-
-    def elements(self):
-        return _iter_rgs(self.n)
 
     def partition(self, rgs: tuple[int, ...]) -> Partition:
         return _from_rgs(self.ground, rgs)

@@ -494,11 +494,7 @@ def csca_complete(attrs) -> bool:
         if not isinstance(f, Attribute):
             raise InvalidValue(f"attributes must be Attributes, got {f!r}")
         _require_same_ground(f, attrs[0])
-    ground = attrs[0].ground
-    joined = reduce(join, (inverse_image_partition(f) for f in attrs))
-    tuples = [tuple(f.values[i] for f in attrs) for i in range(ground.n)]
-    separates = len(set(tuples)) == ground.n
-    return joined.is_discrete() and separates
+    return reduce(join, map(inverse_image_partition, attrs)).is_discrete()
 
 
 def csco_complete(dsds) -> bool:

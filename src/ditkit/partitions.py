@@ -65,10 +65,6 @@ class GroundSet:
             self, "_index", {lab: i for i, lab in enumerate(self.labels)}
         )
 
-    @classmethod
-    def from_labels(cls, labels: Iterable[str]) -> "GroundSet":
-        return cls(labels)
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -133,9 +129,6 @@ class Partition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_index(self, i: int) -> int:
-        return self.rgs[i]
 
     def block_containing(self, i: int) -> tuple[int, ...]:
         return self.blocks[self.rgs[i]]
@@ -217,9 +210,8 @@ class ProbGroundSet:
         _require_exact(self.p, "point probabilities")
         if any(q <= 0 for q in self.p):
             raise InvalidValue("point probabilities must be positive")
-        exact = [Fraction(q) for q in self.p]
-        den = math.lcm(*(q.denominator for q in exact))
-        weights = tuple(q.numerator * (den // q.denominator) for q in exact)
+        den = math.lcm(*(q.denominator for q in self.p))
+        weights = tuple(q.numerator * (den // q.denominator) for q in self.p)
         if sum(weights) != den:
             raise InvalidValue(f"point probabilities sum to {sum(self.p)}, not 1")
         object.__setattr__(self, "weights", weights)

@@ -78,9 +78,6 @@ class SubsetVector:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ground.label(i) for i in sorted(self.members))
 
-    def bits(self) -> int:
-        return self.mask
-
     def __add__(self, other: "SubsetVector") -> "SubsetVector":
         _require_same_ground(self, other)
         return SubsetVector.from_bits(self.ground, self.mask ^ other.mask)

@@ -17,8 +17,9 @@ are found by scanning every RGS, where the library generates them.  The
 Boolean oracle evaluates over {False, True}, where the library searches
 the two-element partition lattice.
 The density and entropy oracles compute entry by entry and block by block
-in `Fraction` and `SqrtRational` arithmetic, the compound entropies from
-the blocks of a set join, where the library works on an integer grid and
+in `Fraction` arithmetic on the radicands of `SqrtRational` entries, with
+their own rational square root, and the compound entropies from the
+blocks of a set join, where the library works on an integer grid and
 sums block weights from restricted growth strings.  Shannon entropy takes
 float(Pr(B)) * log2(1/Pr(B)) on `Fraction` block probabilities, where the
 library divides integer block weights by the denominator and back.  The
@@ -39,7 +40,9 @@ as the kernel of both annihilators stacked, where the library solves the
 small system N_B A^T on the bases a DSD keeps.  GF(2) maps are reduced
 on their transposed rows, where the library reduces their columns, and
 level-set partitions go through the checking `Partition` constructor,
-where the library builds them from a restricted growth string.
+where the library builds them from a restricted growth string, and a
+family of attributes is complete when its value tuples are distinct,
+where the library joins their level-set partitions.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from ditkit.logic import (
     Var,
     _compile,
     _lattice,
+    _Ranked,
     variables,
 )
 from ditkit.observables import DSD, Compatibility
@@ -263,10 +267,12 @@ def unreduced_search(program, lattice):
         for level in levels
     ]
     top = lattice.top
+    # a ranked lattice names its elements by rank, an unranked one by RGS
+    ranked = isinstance(lattice, _Ranked)
 
     def nested(d: int) -> bool:
         level, innermost = steps[d + 1], d + 1 == depth
-        for x in lattice.elements():
+        for x in range(lattice.size) if ranked else _iter_rgs(lattice.n):
             values[d] = x
             for slot, op, left, right in level:
                 values[slot] = op(values[left], values[right])
@@ -372,6 +378,14 @@ def split_square(n: int) -> tuple[int, int]:
     return square, rest * n
 
 
+def rational_sqrt(q: Fraction) -> Fraction:
+    """The square root of a rational square q >= 0, such as a diagonal
+    radicand p_i * p_i; any other q fails the check."""
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    assert root * root == q, f"sqrt({q}) is irrational"
+    return root
+
+
 _ZERO = SqrtRational(Fraction(0))
 
 
@@ -406,10 +420,12 @@ def conditioned_entries(entries: Grid, members) -> tuple[Grid, Fraction]:
     """Sandwich by the projection onto `members` and renormalize: the
     post-state grid and the outcome probability."""
     n = len(entries)
-    prob = sum((entries[i][i].to_rational() for i in members), Fraction(0))
+    prob = sum(
+        (rational_sqrt(entries[i][i].radicand) for i in members), Fraction(0)
+    )
     post = tuple(
         tuple(
-            entries[i][k].scaled(1 / prob)
+            SqrtRational(entries[i][k].radicand / (prob * prob))
             if i in members and k in members
             else _ZERO
             for k in range(n)
@@ -422,7 +438,7 @@ def conditioned_entries(entries: Grid, members) -> tuple[Grid, Fraction]:
 def entries_entropy(entries: Grid) -> Fraction:
     """1 - tr(rho^2): one minus the sum of all radicands."""
     return 1 - sum(
-        (cell.squared() for row in entries for cell in row), Fraction(0)
+        (cell.radicand for row in entries for cell in row), Fraction(0)
     )
 
 
@@ -628,6 +644,13 @@ def level_partition(f) -> Partition:
     for i, v in enumerate(f.values):
         blocks.setdefault(v, []).append(i)
     return Partition(f.ground, blocks.values())
+
+
+def csca_complete(attrs) -> bool:
+    """A family of attributes is complete when its value tuples
+    (f(u), g(u), ...) are distinct, one per element."""
+    n = attrs[0].ground.n
+    return len({tuple(f.values[i] for f in attrs) for i in range(n)}) == n
 
 
 # --- exact linear algebra by Gauss-Jordan on Fraction rows ----------------

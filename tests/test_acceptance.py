@@ -87,7 +87,7 @@ def test_criterion_1_golden_example_exact():
     # the zeroed coherences are the two sqrt(1/4 * 5/12) entries
     coherence = SqrtRational(F(5, 48))
     assert mat.entry(1, 2) == coherence
-    assert gain == F(5, 24) == 2 * coherence.squared()
+    assert gain == F(5, 24) == 2 * coherence.radicand
     assert state_reduction_audit(mat, sigma) == [(1, 2), (2, 1)]
 
     elapsed = time.perf_counter() - started

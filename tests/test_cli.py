@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -593,3 +594,87 @@ def test_bad_numbers_exit_2_through_the_library_reader(capsys, argv, text):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: '{text}' is not a rational number\n"
+
+
+# --- random argvs ---
+
+_GROUNDS = [
+    "abc", "ab", "a", "abcd", "abcdef", "abcdefg", "x,y,z", "a,a", ",", "", "a|b",
+]
+_PARTS = ["a|bc", "abc", "a|b|c", "ab|c", "a|b", "x|yz", "", "|", "a||bc", "aa|bc"]
+_NUMBERS = [
+    "1/3,1/4,5/12", "1/2,1/2", "1,0,0", "-1,1,1", "0.1,0.2,0.7", "1/0,1,1",
+    "1e400,0,0", "inf,0,0", "x,1,1", "1,1,2", "1/3", "",
+]
+_FORMULAS = [
+    "p => p", r"s => (s \/ p)", r"p /\ q", r"(p => q) \/ (q => p)", "0 => p",
+    "1", "(p", "p =>", "p & q", "",
+]
+_SIZES = ["-1", "0", "1", "2", "3", "4", "7", "x"]
+
+# per subcommand: (flag, values) in order; "" marks the positional argument
+# and None a switch
+_FUZZ = {
+    "partition": [
+        ("--ground", _GROUNDS), ("", _PARTS), ("--join", _PARTS),
+        ("--meet", _PARTS), ("--implies", _PARTS), ("--refines", _PARTS),
+        ("--json", None),
+    ],
+    "entropy": [
+        ("--ground", _GROUNDS), ("--p", _NUMBERS), ("", _PARTS),
+        ("--with", _PARTS), ("--table", None), ("--decimal", None),
+        ("--json", None),
+    ],
+    "measure": [
+        ("--golden", None), ("--ground", _GROUNDS), ("--p", _NUMBERS),
+        ("--state", _PARTS), ("--by", _PARTS), ("--decimal", None),
+        ("--json", None),
+    ],
+    "logic": [
+        ("", _FORMULAS), ("--max-n", _SIZES),
+        ("--budget", ["-3", "0", "10", "1000", "x"]), ("--json", None),
+    ],
+    "observable": [
+        ("--ground", _GROUNDS), ("--attr", _NUMBERS), ("--attr", _NUMBERS),
+        ("--se-demo", None), ("--json", None),
+    ],
+    "double-slit": [
+        ("--case", ["1", "2", "3"]), ("--trials", ["-1", "0", "5", "40", "x"]),
+        ("--seed", _SIZES), ("--format", ["text", "dot", "svg"]),
+        ("--json", None),
+    ],
+    "lattice": [
+        ("--n", _SIZES), ("--ground", _GROUNDS),
+        ("--format", ["dot", "json", "svg"]),
+    ],
+}
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """A subcommand with each flag given at random, good values and bad
+    mixed; the positional argument is left out one time in ten."""
+    command = rng.choice(sorted(_FUZZ))
+    argv = [command]
+    for flag, values in _FUZZ[command]:
+        if rng.random() < (0.1 if flag == "" else 0.5):
+            continue
+        if values is None:
+            argv.append(flag)
+        else:
+            argv += [flag, rng.choice(values)] if flag else [rng.choice(values)]
+    return argv
+
+
+def test_random_argvs_exit_0_1_or_2_and_print_nothing_on_errors(capsys):
+    """Every exception main lets out of a subcommand is a DitkitError, so
+    any argv ends in exit 0, 1 or 2, and exit 2 leaves stdout empty."""
+    rng = random.Random(2304)
+    for _ in range(300):
+        argv = _random_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2), argv
+        assert code != 2 or out == "", argv

@@ -48,6 +48,7 @@ from oracles import (
     entries_entropy,
     masked_entries,
     random_probs,
+    rational_sqrt,
     rho_entries,
     split_square,
 )
@@ -67,13 +68,6 @@ def F(x) -> Fraction:
 
 
 # --- the scalar -----------------------------------------------------------
-
-
-def test_sqrt_rational_products_close():
-    a = SqrtRational(F("5/48"))
-    assert a * a == SqrtRational(F("25/2304"))
-    assert (a * a).to_rational() == F("5/48")
-    assert a * SqrtRational(F(0)) == SqrtRational(F(0))
 
 
 def test_sqrt_rational_scaling_and_embedding():
@@ -112,13 +106,6 @@ def test_bare_constructors_take_only_exact_input(make, error, message):
 def test_an_int_radicand_stays_valid():
     assert SqrtRational(2) == SqrtRational(F(2))
     assert DensityMatrix(ground(1), [[SqrtRational(1)]]).trace() == 1
-
-
-def test_sqrt_rational_rationality():
-    assert SqrtRational(F("4/9")).to_rational() == F("2/3")
-    assert not SqrtRational(F("5/48")).is_rational()
-    with pytest.raises(ArithmeticError):
-        SqrtRational(F(2)).to_rational()
 
 
 def test_sqrt_rational_rendering():
@@ -230,7 +217,7 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError, match="trace is 5/6"):
         DensityMatrix(GroundSet(("a", "b")), ((h, coherence), (coherence, third)))
     irrational = SqrtRational(F("1/2"))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(InvalidValue, match=r"sqrt\(1/2\) is irrational"):
         DensityMatrix(GroundSet(("a", "b")), ((irrational, z), (z, irrational)))
 
 
@@ -273,6 +260,16 @@ def test_density_from_json_missing_field():
     for wrong in ([], {"ground": "ab", "entries": 5}, {"ground": "a", "entries": [[5]]}):
         with pytest.raises(DitkitError, match="wrong shape"):
             DensityMatrix.from_json(wrong)
+
+
+def test_density_from_json_irrational_diagonal_is_invalid_value():
+    blob = {
+        "ground": ["a", "b"],
+        "entries": [[{"radicand": "1/2"}, {"radicand": 0}],
+                    [{"radicand": 0}, {"radicand": "1/2"}]],
+    }
+    with pytest.raises(InvalidValue, match=r"sqrt\(1/2\) is irrational"):
+        DensityMatrix.from_json(blob)
 
 
 # --- eigenstructure -------------------------------------------------------
@@ -459,7 +456,7 @@ def _check_trusted_diagonal(mat, want):
     """The builders hand only radicands to the unchecked `_grid`, and the
     diagonal is read back from them: check the diagonal and the trace
     against the oracle's square roots."""
-    diagonal = tuple(want[i][i].to_rational() for i in range(len(want)))
+    diagonal = tuple(rational_sqrt(want[i][i].radicand) for i in range(len(want)))
     assert mat.diagonal() == diagonal
     assert mat.trace() == sum(diagonal) == 1
 

@@ -448,7 +448,7 @@ def test_reduced_search_matches_unreduced_on_each_polarity_mix(text):
 def test_ranked_and_unranked_shapes_agree():
     for n in range(1, 7):
         ranked, unranked = logic._Ranked(n), logic._Unranked(n)
-        pairs = list(zip(ranked.elements(), unranked.elements(), strict=True))
+        pairs = list(zip(range(ranked.size), _iter_rgs(n), strict=True))
         assert len(pairs) == bell_number(n)
         for r, rgs in pairs:
             assert ranked.partition(r) == unranked.partition(rgs)

@@ -652,6 +652,22 @@ def test_csca_join_matches_value_tuples():
         assert csca_complete(attrs) == expect
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.fractions(-2, 2, max_denominator=2), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_csca_join_matches_tuple_separation_oracle(families):
+    ground = GroundSet(tuple(f"u{i}" for i in range(len(families[0]))))
+    attrs = [Attribute(ground, tuple(values)) for values in families]
+    assert csca_complete(attrs) == oracles.csca_complete(attrs)
+
+
 def test_csco_complete_examples():
     d1 = DSD.from_vectors(3, [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]])
     d2 = DSD.from_vectors(3, [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]])

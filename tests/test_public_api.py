@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 import ditkit
+from ditkit import errors
 from ditkit.density import luders_mixture, rho
 from ditkit.entropy import logical_entropy
 from ditkit.errors import DitkitError, InvalidValue
@@ -23,14 +25,24 @@ def _owned_names(nodes) -> set[tuple[str, str]]:
     }
 
 
+def _attribute_names(nodes) -> list[str]:
+    """The attribute of each `x.attribute` under the nodes, once per use."""
+    return [
+        node.attr for top in nodes for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+    ]
+
+
 def test_every_public_function_is_exported_or_called():
     """A module-level function of the library, public or private, is
     exported from ditkit/__init__.py, or reached from another module of
     the library, directly or through the definitions of its own module
     that are reached.  A private method, such as a trusted constructor,
     is named on its class anywhere in the library, or on self or cls in
-    another method of its class.  Any other is dead code, or a helper only
-    the tests call, which belongs in tests/oracles.py."""
+    another method of its class.  A public method of a private class is
+    named as an attribute somewhere in the library outside its own
+    definition.  Any other is dead code, or a helper only the tests call,
+    which belongs in tests/oracles.py."""
     src = pathlib.Path(ditkit.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     reached: dict[str, set[str]] = {name: set() for name in trees}
@@ -70,10 +82,16 @@ def test_every_public_function_is_exported_or_called():
             if isinstance(node, ast.FunctionDef) and fn not in live
         )
     anywhere = _owned_names(trees.values())
+    attributes = Counter(_attribute_names(trees.values()))
     for name, tree in trees.items():
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             for fn in cls.body:
-                if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_"):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if not fn.name.startswith("_"):
+                    inside = _attribute_names([fn]).count(fn.name)
+                    if cls.name.startswith("_") and attributes[fn.name] == inside:
+                        dead.add(f"{name}.{cls.name}.{fn.name}")
                     continue
                 if fn.name.endswith("__") or (cls.name, fn.name) in anywhere:
                     continue
@@ -82,6 +100,47 @@ def test_every_public_function_is_exported_or_called():
                     dead.add(f"{name}.{cls.name}.{fn.name}")
     assert dead == set()
 
+
+# The raises in the library that name a class outside DitkitError, each
+# kept on purpose: (module, function, class).
+_OTHER_RAISES = {
+    # errors.json_input turns it into the DitkitError of a malformed value
+    ("partitions", "_json_number", "ValueError"),
+    # a singular map has no inverse; callers test GF2Map.nonsingular first
+    ("z2dyn", "inverse", "ArithmeticError"),
+}
+
+
+def _raises(node: ast.AST, where: str):
+    """(innermost enclosing function, raise node) for each raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _raises(child, child.name)
+        elif isinstance(child, ast.Raise):
+            yield where, child
+        else:
+            yield from _raises(child, where)
+
+
+def test_every_raise_names_a_ditkit_error():
+    """Bad input leaves the library as a DitkitError: every `raise` of a
+    new exception names a subclass of DitkitError, apart from the listed
+    two, and a bare `raise` passes an exception on."""
+    kinds = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, DitkitError)
+    }
+    src = pathlib.Path(ditkit.__file__).parent
+    other = set()
+    for path in src.glob("*.py"):
+        for where, node in _raises(ast.parse(path.read_text()), "<module>"):
+            if node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if name not in kinds:
+                other.add((path.stem, where, name))
+    assert other == _OTHER_RAISES
 
 
 def _is_float_source(node: ast.AST, logs: set[str]) -> bool:

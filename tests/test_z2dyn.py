@@ -95,7 +95,7 @@ def test_non_iterable_members_raise_ditkit_error(make):
 
 def test_mask_is_the_stored_form():
     s = vec("ca")
-    assert s.mask == s.bits() == 0b101
+    assert s.mask == 0b101
     assert s.members == frozenset({0, 2})
     assert repr(s) == (
         "SubsetVector(ground=GroundSet(labels=('a', 'b', 'c')),"
@@ -124,7 +124,7 @@ def test_bits_round_trip():
         itertools.combinations("abc", k) for k in range(4)
     ):
         s = SubsetVector.from_labels(U3, members)
-        assert SubsetVector.from_bits(U3, s.bits()) == s
+        assert SubsetVector.from_bits(U3, s.mask) == s
 
 
 # --- linear maps ---
