@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import string
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -27,11 +28,6 @@ from .partitions import (
     GroundSet,
     Partition,
     bell_number,
-    discrete_partition,
-    implication,
-    indiscrete_partition,
-    join,
-    meet,
     notation,
     _from_rgs,
     _implies_rgs,
@@ -41,9 +37,20 @@ from .partitions import (
 )
 
 
+# a variable name, as the tokenizer reads it
+_IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+
 @dataclass(frozen=True)
 class Var:
+    """A variable.  Its name is an identifier, so a printed formula parses
+    back."""
+
     name: str
+
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and _IDENT.fullmatch(self.name)):
+            raise InvalidValue(f"variable name {self.name!r} is not an identifier")
 
 
 @dataclass(frozen=True)
@@ -57,27 +64,47 @@ class Bottom:
 
 
 @dataclass(frozen=True)
-class Join:
+class _Binary:
+    """A `\\/`, `/\\` or `=>` node.  Its operands are formula nodes, so a
+    node built through the constructors is a whole formula."""
+
     left: "Formula"
     right: "Formula"
+
+    def __post_init__(self):
+        _require_formula(self.left)
+        _require_formula(self.right)
 
 
 @dataclass(frozen=True)
-class Meet:
-    left: "Formula"
-    right: "Formula"
+class Join(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Meet(_Binary):
+    pass
+
+
+@dataclass(frozen=True)
+class Implies(_Binary):
+    pass
 
 
 Formula = Union[Var, Top, Bottom, Join, Meet, Implies]
 
+_KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
+
+
+def _require_formula(f) -> None:
+    """Refuse anything but a formula node.  The nodes check their own
+    operands, so each entry point checks only its root."""
+    if not isinstance(f, Formula):
+        raise InvalidValue(f"expected a formula node (see parse), got {f!r}")
+
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
+    rf"\s*(?:(?P<ident>{_IDENT.pattern})"
     r"|(?P<top>1)"
     r"|(?P<bottom>0)"
     r"|(?P<join>\\/|∨)"
@@ -171,6 +198,8 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
+    if not isinstance(text, str):
+        raise InvalidValue(f"formula text must be a str, got {text!r}")
     return _Parser(text).parse()
 
 
@@ -179,6 +208,8 @@ _LEVEL = {Implies: 0, Join: 1, Meet: 2}
 
 
 def pretty_print(f: Formula) -> str:
+    _require_formula(f)
+
     def render(node: Formula, level: int) -> str:
         if isinstance(node, Var):
             return node.name
@@ -202,12 +233,13 @@ def pretty_print(f: Formula) -> str:
 
 def variables(f: Formula) -> tuple[str, ...]:
     """Variable names in sorted order."""
+    _require_formula(f)
     seen: set[str] = set()
 
     def walk(node: Formula):
         if isinstance(node, Var):
             seen.add(node.name)
-        elif isinstance(node, (Join, Meet, Implies)):
+        elif isinstance(node, _Binary):
             walk(node.left)
             walk(node.right)
 
@@ -216,31 +248,38 @@ def variables(f: Formula) -> tuple[str, ...]:
 
 
 def evaluate(
-    f: Formula, assignment: dict[str, Partition], ground: GroundSet
+    f: Formula, assignment: Mapping[str, Partition], ground: GroundSet
 ) -> Partition:
-    """Bottom-up evaluation with the partition lattice operations."""
+    """The value of `f` when each variable takes the `Partition` on
+    `ground` that `assignment` maps it to.  A bottom-up walk on the RGS
+    kernels that `join`, `meet` and `implication` run; one partition is
+    built, at the root."""
+    _require_formula(f)
+    if not isinstance(ground, GroundSet):
+        raise InvalidValue(f"ground must be a GroundSet, got {ground!r}")
+    if not isinstance(assignment, Mapping):
+        raise InvalidValue(f"assignment must be a mapping, got {assignment!r}")
     for name, pi in assignment.items():
+        if not isinstance(pi, Partition):
+            raise InvalidValue(f"assignment for {name!r} is not a Partition: {pi!r}")
         if pi.ground != ground:
             raise GroundMismatch(
                 f"assignment for {name!r} lives on a different ground set"
             )
+    n = ground.n
 
-    def walk(node: Formula) -> Partition:
+    def walk(node: Formula) -> tuple[int, ...]:
         if isinstance(node, Var):
             if node.name not in assignment:
                 raise UnboundVariable(f"no partition assigned to {node.name!r}")
-            return assignment[node.name]
+            return assignment[node.name].rgs
         if isinstance(node, Top):
-            return discrete_partition(ground)
+            return tuple(range(n))
         if isinstance(node, Bottom):
-            return indiscrete_partition(ground)
-        if isinstance(node, Join):
-            return join(walk(node.left), walk(node.right))
-        if isinstance(node, Meet):
-            return meet(walk(node.left), walk(node.right))
-        return implication(walk(node.left), walk(node.right))
+            return (0,) * n
+        return _KERNELS[type(node)](walk(node.left), walk(node.right))
 
-    return walk(f)
+    return _from_rgs(ground, walk(f))
 
 
 @dataclass(frozen=True)
@@ -282,8 +321,6 @@ DEFAULT_BUDGET = 1_000_000
 # Ground sizes whose lattice and tables are kept between calls.  At n = 7,
 # B = 877 and each operation table holds B**2 int16 entries, about 1.5 MB.
 TABLE_MAX_N = 7
-
-_KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
 
 
 def _ground_for(n: int) -> GroundSet:
@@ -363,53 +400,50 @@ def _lattice(n: int):
     return _RANKED[n]
 
 
-def _compile(f: Formula, names: tuple[str, ...]):
-    """Slot program for `f`.  Slot i < k holds variable names[i]; every
-    other distinct subformula gets one slot.  Returns the constants as
-    (slot, is_top), the binary steps as (slot, kernel, left, right) grouped
-    by level, the root slot and the slot count.  Level 0 holds the steps
-    that use no variable; level d + 1 those whose last variable is
-    names[d], which therefore run once per value of names[d]."""
-    slots: dict = {Var(name): i for i, name in enumerate(names)}
-    level_of: dict = {Var(name): i + 1 for i, name in enumerate(names)}
+def _compile(f: Formula):
+    """The variables of `f`, their polarities and the slot program, from
+    one walk.  Slot i < k holds variable names[i]; every other distinct
+    subformula gets one slot, keyed by is_top for a constant and by
+    (kernel, left slot, right slot) for a binary node, so equal subformulas
+    share a slot and no formula is hashed.  A polarity is 1 if every
+    occurrence of the variable is positive, -1 if every one is negative, 0
+    if both; the sign flips on the left of `=>`, the one argument in which
+    an operation is antitone.  The program is the constants as (slot,
+    is_top), the binary steps as (slot, kernel, left, right) grouped by
+    level, the root slot and the slot count.  Level 0 holds the steps that
+    use no variable; level d + 1 those whose last variable is names[d],
+    which therefore run once per value of names[d]."""
+    names = variables(f)
+    slots: dict = {name: i for i, name in enumerate(names)}
+    level_of = list(range(1, len(names) + 1))
+    signs: list[set[int]] = [set() for _ in names]
     consts: list[tuple[int, bool]] = []
     levels: list[list] = [[] for _ in range(len(names) + 1)]
 
-    def visit(node: Formula) -> int:
-        if node in slots:
-            return slots[node]
-        if isinstance(node, (Top, Bottom)):
-            slot = len(slots)
-            consts.append((slot, isinstance(node, Top)))
-            level_of[node] = 0
-        else:
-            left, right = visit(node.left), visit(node.right)
-            slot = len(slots)
-            level = max(level_of[node.left], level_of[node.right])
-            levels[level].append((slot, _KERNELS[type(node)], left, right))
-            level_of[node] = level
-        slots[node] = slot
-        return slot
-
-    root = visit(f)
-    return consts, levels, root, len(slots)
-
-
-def _polarity(f: Formula, names: tuple[str, ...]) -> tuple[int, ...]:
-    """Per variable of `names`: 1 if every occurrence in `f` is positive,
-    -1 if every one is negative, 0 if both.  The sign flips on the left
-    of `=>`, the one argument in which an operation is antitone."""
-    signs: dict[str, set[int]] = {name: set() for name in names}
-
-    def walk(node: Formula, sign: int):
+    def visit(node: Formula, sign: int) -> int:
+        # every occurrence is visited, for its sign; a repeat finds its slot
         if isinstance(node, Var):
-            signs[node.name].add(sign)
-        elif isinstance(node, (Join, Meet, Implies)):
-            walk(node.left, -sign if isinstance(node, Implies) else sign)
-            walk(node.right, sign)
+            slot = slots[node.name]
+            signs[slot].add(sign)
+            return slot
+        if isinstance(node, (Top, Bottom)):
+            key, level = isinstance(node, Top), 0
+        else:
+            kernel = _KERNELS[type(node)]
+            left = visit(node.left, -sign if isinstance(node, Implies) else sign)
+            right = visit(node.right, sign)
+            key, level = (kernel, left, right), max(level_of[left], level_of[right])
+        if key not in slots:
+            slot = slots[key] = len(level_of)
+            level_of.append(level)
+            if isinstance(key, tuple):
+                levels[level].append((slot, *key))
+            else:
+                consts.append((slot, key))
+        return slots[key]
 
-    walk(f, 1)
-    return tuple(sum(signs[name]) for name in names)
+    root = visit(f, 1)
+    return names, tuple(map(sum, signs)), (consts, levels, root, len(level_of))
 
 
 def _minima(c: tuple[int, ...]):
@@ -511,24 +545,25 @@ def check_validity(
     evaluation below the top.  Deterministic: smallest n first, then
     enumeration order per variable.  A pass is only a bounded claim.
 
-    The search runs on RGS ranks through operation tables filled on demand
-    and kept between calls for n <= TABLE_MAX_N; larger n run the RGS
-    kernels directly.  Each subformula is evaluated once per value of the
-    last variable it uses.  Two rules skip assignments that cannot hold
-    the first counterexample.  Orbits: each variable takes only the least
-    value of each orbit of the permutations that keep every block of the
-    join of the earlier variables' values (for the first variable, the
-    first value of each block-size shape).  Polarity: a variable of one
-    polarity is settled by the bottom (positive) or first probed at the
-    top (negative).  The witness is still the least one, and the budget
-    still charges Bell(n) ** k assignments per n for k variables."""
+    One walk of `f` (`_compile`) finds its variables, their polarities
+    and a slot program.  The search runs on RGS ranks through operation
+    tables filled on demand and kept between calls for n <= TABLE_MAX_N;
+    larger n run the RGS kernels directly.  Each subformula is evaluated
+    once per value of the last variable it uses.  Two rules skip
+    assignments that cannot hold the first counterexample.  Orbits: each
+    variable takes only the least value of each orbit of the
+    permutations that keep every block of the join of the earlier
+    variables' values (for the first variable, the first value of each
+    block-size shape).  Polarity: a variable of one polarity is settled by
+    the bottom (positive) or first probed at the top (negative).  The
+    witness is still the least one, and the budget still charges
+    Bell(n) ** k assignments per n for k variables."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")
-    names = variables(f)
-    program, polarity = _compile(f, names), _polarity(f, names)
+    names, polarity, program = _compile(f)
     spent = 0
     for n in range(2, max_n + 1):
         cost = bell_number(n) ** len(names)

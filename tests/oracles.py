@@ -63,14 +63,15 @@ from ditkit.errors import (
 )
 from ditkit.linalg import Matrix, Vector
 from ditkit.logic import (
+    _KERNELS,
     Bottom,
     Counterexample,
+    Implies,
     Join,
     Meet,
     Top,
     ValidityReport,
     Var,
-    _compile,
     _lattice,
     _Ranked,
     variables,
@@ -253,6 +254,53 @@ def orbit_minima(n: int, c: tuple[int, ...]) -> list[tuple[int, ...]]:
     })
 
 
+def subformula_program(f, names: tuple[str, ...]):
+    """The slot program of `logic._compile`, found by hashing subformulas:
+    slot i < k holds Var(names[i]), and every other distinct subformula,
+    met first in a post-order walk that stops at repeats, gets the next
+    slot.  The same (consts, levels, root, width) layout."""
+    slots: dict = {Var(name): i for i, name in enumerate(names)}
+    level_of: dict = {Var(name): i + 1 for i, name in enumerate(names)}
+    consts: list[tuple[int, bool]] = []
+    levels: list[list] = [[] for _ in range(len(names) + 1)]
+
+    def visit(node) -> int:
+        if node in slots:
+            return slots[node]
+        if isinstance(node, (Top, Bottom)):
+            slot = len(slots)
+            consts.append((slot, isinstance(node, Top)))
+            level_of[node] = 0
+        else:
+            left, right = visit(node.left), visit(node.right)
+            slot = len(slots)
+            level = max(level_of[node.left], level_of[node.right])
+            levels[level].append((slot, _KERNELS[type(node)], left, right))
+            level_of[node] = level
+        slots[node] = slot
+        return slot
+
+    root = visit(f)
+    return consts, levels, root, len(slots)
+
+
+def polarity(f, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Per variable of `names`, by a walk of its own: 1 if every
+    occurrence in `f` is positive, -1 if every one is negative, 0 if both,
+    the sign flipping on the left of `=>`."""
+    signs: dict[str, set[int]] = {name: set() for name in names}
+
+    def walk(node, sign: int):
+        if isinstance(node, Var):
+            signs[node.name].add(sign)
+        elif isinstance(node, (Join, Meet, Implies)):
+            walk(node.left, -sign if isinstance(node, Implies) else sign)
+            walk(node.right, sign)
+
+    walk(f, 1)
+    return tuple(sum(signs[name]) for name in names)
+
+
 def unreduced_search(program, lattice):
     """Run the slot program over every assignment in nested order, first
     variable outermost, and return the variables' values and the root
@@ -291,9 +339,10 @@ def unreduced_search(program, lattice):
 
 def unreduced_validity(f, max_n: int) -> ValidityReport:
     """The `check_validity` report, without a budget, from
-    `unreduced_search` on the library's lattices."""
+    `unreduced_search` of `subformula_program` on the library's
+    lattices."""
     names = variables(f)
-    program = _compile(f, names)
+    program = subformula_program(f, names)
     for n in range(2, max_n + 1):
         lattice = _lattice(n)
         hit = unreduced_search(program, lattice)

@@ -18,6 +18,7 @@ from ditkit import (
     GroundMismatch,
     GroundSet,
     Implies,
+    InvalidValue,
     Join,
     Meet,
     Top,
@@ -112,6 +113,41 @@ def test_syntax_error_positions():
 
     with pytest.raises(FormulaSyntaxError):
         parse("")
+
+
+_PI3 = make_partition(U3, [["a"], ["b", "c"]])
+
+# every entry point checks its root and each node its operands, so a
+# formula that is not built from nodes is refused before any walk
+BAD_FORMULA_INPUT = {
+    "check_validity of text": lambda: check_validity("p => p", 3),
+    "boolean_tautology of None": lambda: boolean_tautology(None),
+    "evaluate of text": lambda: evaluate("p", {}, U3),
+    "join of ints": lambda: check_validity(Join(1, 2), 3),
+    "var named by an int": lambda: check_validity(Join(Var(5), Var("p")), 3),
+    "pretty_print of text": lambda: pretty_print("p"),
+    "var named None": lambda: pretty_print(Var(None)),
+    "var named by a non-identifier": lambda: Var("p q"),
+    "var named by a digit": lambda: Var("1p"),
+    "var named by a non-ascii letter": lambda: Var("π"),
+    "var with an empty name": lambda: Var(""),
+    "meet of text": lambda: Meet(Var("p"), "q"),
+    "implication of None": lambda: Implies(None, Top()),
+    "variables of text": lambda: variables("p"),
+    "variables of None": lambda: variables(None),
+    "parse of an int": lambda: parse(5),
+    "parse of None": lambda: parse(None),
+    "parse of a tuple": lambda: parse(("p",)),
+    "assignment as pairs": lambda: evaluate(parse("p"), [("p", _PI3)], U3),
+    "assignment of text": lambda: evaluate(parse("p"), {"p": "x"}, U3),
+    "ground as text": lambda: evaluate(parse("1"), {}, "abc"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_FORMULA_INPUT.values(), ids=BAD_FORMULA_INPUT)
+def test_bad_formula_input_raises_invalid_value(call):
+    with pytest.raises(InvalidValue):
+        call()
 
 
 # --- printing ---
@@ -340,7 +376,7 @@ def test_untabulated_orbit_minima_keep_no_list():
     # n <= TABLE_MAX_N are built before tracing starts.
     f = parse("(p /\\ q) => (q /\\ p)")
     budget = 2 * bell_number(8) ** 2
-    assert logic._polarity(f, variables(f)) == (0, 0)
+    assert logic._compile(f)[1] == (0, 0)
     check_validity(f, logic.TABLE_MAX_N, budget=budget)
     tracemalloc.start()
     try:
@@ -388,7 +424,49 @@ POLARITY_CASES = (
 @pytest.mark.parametrize("text, signs", POLARITY_CASES)
 def test_polarity_flips_left_of_implication(text, signs):
     f = parse(text)
-    assert logic._polarity(f, variables(f)) == signs
+    assert logic._compile(f)[1] == signs
+
+
+# formulas that reuse a subformula in a second place, under a second
+# operator, so that slots are shared and signs meet on both sides of `=>`
+_SHARING = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.builds(lambda op, left, right: op(left, right), _OPS, sub, sub),
+        st.builds(
+            lambda outer, inner, g, h: outer(g, inner(h, g)), _OPS, _OPS, sub, sub
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_SHARING)
+@example(f=parse("(p \\/ q) => (p /\\ q)"))
+@example(f=parse("(p => q) => (q => p)"))
+@example(f=parse("((1 => p) => (q \\/ 0)) => ((1 => p) /\\ (q \\/ 0) /\\ 1)"))
+@example(f=parse("((p => q) => r) => (((p => q) => r) \\/ (p => q))"))
+def test_compile_matches_subformula_hashing(f):
+    # one walk keyed by child slots gives the program of the walk that
+    # hashes subformulas, slot for slot, and the signs of a separate walk
+    names = variables(f)
+    assert logic._compile(f) == (
+        names, oracles.polarity(f, names), oracles.subformula_program(f, names)
+    )
+
+
+def test_validity_search_hashes_no_formula(monkeypatch):
+    f = parse("((p => q) /\\ (p => q)) => ((p => q) \\/ (1 /\\ 1) \\/ (0 => 0))")
+    g = parse("(p /\\ (p => 0)) => ((p => 0) \\/ 0)")
+    expected = check_validity(f, 4), boolean_tautology(g)
+
+    def refuse(node):
+        raise AssertionError(f"{node!r} was hashed")
+
+    for node in (Var, Top, Bottom, Join, Meet, Implies):
+        monkeypatch.setattr(node, "__hash__", refuse)
+    assert (check_validity(f, 4), boolean_tautology(g)) == expected
 
 
 @pytest.mark.parametrize(
@@ -487,7 +565,7 @@ def test_one_variable_search_enumerates_no_large_lattice(monkeypatch):
 
     monkeypatch.setattr(logic, "_iter_rgs", counted)
     f = parse("(p => 0) \\/ ((p => 0) => 0)")
-    assert logic._polarity(f, variables(f)) == (0,)
+    assert logic._compile(f)[1] == (0,)
     assert check_validity(f, 9).is_valid_up_to_bound
     assert max(lengths, default=0) <= logic.TABLE_MAX_N
 

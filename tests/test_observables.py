@@ -27,10 +27,8 @@ from ditkit import (
     commutator,
     csca_complete,
     csco_complete,
-    discrete_partition,
     dsd_from_attribute,
     inverse_image_partition,
-    join,
     kernel,
     make_partition,
     operator_from_attribute,
@@ -629,27 +627,6 @@ def test_csca_complete_checks_its_input():
     with pytest.raises(GroundMismatch):
         csca_complete([f, Attribute.from_values(U4, [1, 2, 3, 4])])
     assert csca_complete(iter([f]))
-
-
-def test_csca_join_matches_value_tuples():
-    # brute force: completeness iff joined level partitions are discrete
-    rng = random.Random(41)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        ground = GroundSet(tuple(f"u{i}" for i in range(n)))
-        attrs = [
-            Attribute.from_values(ground, [rng.randint(0, 2) for _ in range(n)])
-            for _ in range(rng.randint(1, 3))
-        ]
-        parts = [inverse_image_partition(f) for f in attrs]
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = join(acc, p)
-        tuples = {
-            tuple(f.values[i] for f in attrs) for i in range(n)
-        }
-        expect = acc == discrete_partition(ground) and len(tuples) == n
-        assert csca_complete(attrs) == expect
 
 
 @settings(max_examples=200, deadline=None)
