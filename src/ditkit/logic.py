@@ -6,6 +6,9 @@ set with at least two elements) evaluates to the discrete partition.
 Only a bounded check is possible: `check_validity` sweeps all ground
 sizes up to a limit and reports the least counterexample, if any, in a
 deterministic order.
+
+`parse` reads text in one loop, so parentheses nest to any depth; the
+other walks recurse, so a node more than `MAX_DEPTH` deep is refused.
 """
 
 from __future__ import annotations
@@ -63,10 +66,16 @@ class Bottom:
     pass
 
 
+# the most operators on a path from a formula's root to a leaf: a deeper node
+# is refused where it is built, so no walk reaches the interpreter's limit
+MAX_DEPTH = 200
+
+
 @dataclass(frozen=True)
 class _Binary:
     """A `\\/`, `/\\` or `=>` node.  Its operands are formula nodes, so a
-    node built through the constructors is a whole formula."""
+    node built through the constructors is a whole formula.  Its depth is
+    kept outside equality, hashing and the repr."""
 
     left: "Formula"
     right: "Formula"
@@ -74,6 +83,10 @@ class _Binary:
     def __post_init__(self):
         _require_formula(self.left)
         _require_formula(self.right)
+        depth = 1 + max(getattr(f, "_depth", 0) for f in (self.left, self.right))
+        if depth > MAX_DEPTH:
+            raise InvalidValue(f"formula nested deeper than {MAX_DEPTH} operators")
+        object.__setattr__(self, "_depth", depth)
 
 
 @dataclass(frozen=True)
@@ -133,78 +146,58 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent; precedence meet > join > implies, implies
-    right-associative."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.at = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.at]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.implies_expr()
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            raise FormulaSyntaxError(f"unexpected {text!r}", pos)
-        return f
-
-    def implies_expr(self) -> Formula:
-        left = self.join_expr()
-        if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implies_expr())
-        return left
-
-    def join_expr(self) -> Formula:
-        f = self.meet_expr()
-        while self.peek()[0] == "join":
-            self.take()
-            f = Join(f, self.meet_expr())
-        return f
-
-    def meet_expr(self) -> Formula:
-        f = self.atom()
-        while self.peek()[0] == "meet":
-            self.take()
-            f = Meet(f, self.atom())
-        return f
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.take()
-        if kind == "ident":
-            return Var(text)
-        if kind == "top":
-            return Top()
-        if kind == "bottom":
-            return Bottom()
-        if kind == "lparen":
-            f = self.implies_expr()
-            kind, text, pos = self.take()
-            if kind != "rparen":
-                raise FormulaSyntaxError("expected ')'", pos)
-            return f
-        raise FormulaSyntaxError(
-            "unexpected end of formula" if kind == "eof"
-            else f"unexpected {text!r}", pos
-        )
+_BINARY = {"implies": (0, Implies), "join": (1, Join), "meet": (2, Meet)}
 
 
 def parse(text: str) -> Formula:
+    """One loop over the tokens, with a stack of operands and one of
+    pending operators, (level, node class) or None for an open `(`.  Meet
+    binds tighter than join, join than `=>`; `=>` groups to the right."""
     if not isinstance(text, str):
         raise InvalidValue(f"formula text must be a str, got {text!r}")
-    return _Parser(text).parse()
+    operands, pending, opened, want_operand = [], [], 0, True
+
+    def apply(level: int) -> None:
+        # the pending operators of at least `level`, back to the last `(`
+        while pending and pending[-1] is not None and pending[-1][0] >= level:
+            right = operands.pop()
+            operands[-1] = pending.pop()[1](operands[-1], right)
+
+    for kind, token, pos in _tokenize(text):
+        if want_operand:
+            if kind == "lparen":
+                pending.append(None)
+                opened += 1
+                continue
+            if kind not in ("ident", "top", "bottom"):
+                raise FormulaSyntaxError(
+                    "unexpected end of formula" if kind == "eof"
+                    else f"unexpected {token!r}", pos
+                )
+            operands.append(
+                Var(token) if kind == "ident" else Top() if kind == "top" else Bottom()
+            )
+            want_operand = False
+        elif kind in _BINARY:
+            level, node = _BINARY[kind]
+            apply(level + 1 if node is Implies else level)
+            pending.append((level, node))
+            want_operand = True
+        elif kind == "rparen" and opened:
+            apply(0)
+            pending.pop()
+            opened -= 1
+        elif kind == "eof" and not opened:
+            apply(0)
+            return operands[0]
+        else:
+            raise FormulaSyntaxError(
+                "expected ')'" if opened else f"unexpected {token!r}", pos
+            )
 
 
 # precedence levels for printing: atoms bind tightest
-_LEVEL = {Implies: 0, Join: 1, Meet: 2}
+_LEVEL = {node: level for level, node in _BINARY.values()}
 
 
 def pretty_print(f: Formula) -> str:

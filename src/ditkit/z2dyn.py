@@ -379,12 +379,12 @@ def sample_pipeline(
 
     A draw below a table's total t is ``rng.getrandbits(t.bit_length())``,
     repeated while it is not below t, which is how `random.Random.randrange`
-    draws.  A generator whose class draws integers another way, as one that
-    overrides only ``random()`` does, is asked for ``rng.randrange(t)``;
-    otherwise a subclass's own ``randrange`` is not called.  So a seed
-    gives the same draws, counts in the same first-occurrence order and
-    generator state as one `choice_reduce` per measurement.  `rng` is an
-    int seed or a `random.Random`; anything else raises InvalidValue."""
+    draws.  A generator whose class overrides ``randrange`` or draws
+    integers another way, as one that overrides only ``random()`` does, is
+    asked for ``rng.randrange(t)``.  So a seed gives the same draws, counts
+    in the same first-occurrence order and generator state as one
+    `choice_reduce` per measurement.  `rng` is an int seed or a
+    `random.Random`; anything else raises InvalidValue."""
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
     count, entry = _compile(initial, steps, p)
@@ -403,8 +403,9 @@ def sample_pipeline(
         return mask
 
     rng = _as_rng(rng)
-    # Random.randrange(t) returns _randbelow(t), and this one draws bits
-    bits = (getattr(type(rng), "_randbelow", None)
+    # an unchanged Random.randrange(t) returns _randbelow(t), which draws bits
+    bits = (type(rng).randrange is random.Random.randrange
+            and getattr(type(rng), "_randbelow", None)
             is random.Random._randbelow_with_getrandbits)
     draw = rng.getrandbits if bits else rng.randrange
     bisect_right = bisect.bisect_right

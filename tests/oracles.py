@@ -14,6 +14,8 @@ variable cannot need.  Those orbit minima are found by applying every
 permutation that keeps each block of the earlier variables' join, where
 the library compares block-intersection counts; the shape representatives
 are found by scanning every RGS, where the library generates them.  The
+formula parser descends recursively, one method per precedence level,
+where the library runs one loop on an operand and an operator stack.  The
 Boolean oracle evaluates over {False, True}, where the library searches
 the two-element partition lattice.
 The density and entropy oracles compute entry by entry and block by block
@@ -59,6 +61,7 @@ from ditkit.errors import (
     DimensionMismatch,
     DuplicateEigenvalue,
     EmptyState,
+    FormulaSyntaxError,
     NotCommuting,
 )
 from ditkit.linalg import Matrix, Vector
@@ -74,6 +77,7 @@ from ditkit.logic import (
     Var,
     _lattice,
     _Ranked,
+    _tokenize,
     variables,
 )
 from ditkit.observables import DSD, Compatibility
@@ -173,6 +177,70 @@ def covers_by_filter(n: int) -> list[tuple[Blocks, Blocks]]:
         if len(upper) == len(lower) + 1
         and all(any(set(u) <= set(l) for l in lower) for u in upper)
     ]
+
+
+class DescentParser:
+    """Recursive descent over `logic._tokenize`, one method per precedence
+    level: meet > join > implies, implies right-associative."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.at = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.at]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.at]
+        self.at += 1
+        return tok
+
+    def parse(self):
+        f = self.implies_expr()
+        kind, text, pos = self.peek()
+        if kind != "eof":
+            raise FormulaSyntaxError(f"unexpected {text!r}", pos)
+        return f
+
+    def implies_expr(self):
+        left = self.join_expr()
+        if self.peek()[0] == "implies":
+            self.take()
+            return Implies(left, self.implies_expr())
+        return left
+
+    def join_expr(self):
+        f = self.meet_expr()
+        while self.peek()[0] == "join":
+            self.take()
+            f = Join(f, self.meet_expr())
+        return f
+
+    def meet_expr(self):
+        f = self.atom()
+        while self.peek()[0] == "meet":
+            self.take()
+            f = Meet(f, self.atom())
+        return f
+
+    def atom(self):
+        kind, text, pos = self.take()
+        if kind == "ident":
+            return Var(text)
+        if kind == "top":
+            return Top()
+        if kind == "bottom":
+            return Bottom()
+        if kind == "lparen":
+            f = self.implies_expr()
+            kind, text, pos = self.take()
+            if kind != "rparen":
+                raise FormulaSyntaxError("expected ')'", pos)
+            return f
+        raise FormulaSyntaxError(
+            "unexpected end of formula" if kind == "eof"
+            else f"unexpected {text!r}", pos
+        )
 
 
 def brute_validity(f, max_n: int):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ditkit.cli import GOLDEN_P, _parser, main
+from ditkit.logic import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -249,6 +250,24 @@ def test_logic_syntax_error_exits_2(capsys):
     code, _, err = run(capsys, "logic", "p => =>")
     assert code == 2
     assert "at position 5" in err
+
+
+# parentheses build no node, so any number of them parse; one operator
+# more than MAX_DEPTH on a path is refused
+NESTED_P = "(" * 400 + "p" + ")" * 400
+TOO_DEEP = " => ".join(["p"] * (MAX_DEPTH + 2))
+
+
+def test_logic_nested_parentheses_reach_a_verdict(capsys):
+    code, out, err = run(capsys, "logic", NESTED_P)
+    assert (code, err) == (1, "")
+    assert out == "counterexample at n=2: p=ab\nevaluates to ab (not the top)\n"
+
+
+def test_logic_too_deep_exits_2_with_nothing_on_stdout(capsys):
+    code, out, err = run(capsys, "logic", TOO_DEEP)
+    assert (code, out) == (2, "")
+    assert err == f"error: formula nested deeper than {MAX_DEPTH} operators\n"
 
 
 def test_logic_json(capsys):
@@ -608,7 +627,7 @@ _NUMBERS = [
 ]
 _FORMULAS = [
     "p => p", r"s => (s \/ p)", r"p /\ q", r"(p => q) \/ (q => p)", "0 => p",
-    "1", "(p", "p =>", "p & q", "",
+    "1", "(p", "p =>", "p & q", "", NESTED_P, TOO_DEEP,
 ]
 _SIZES = ["-1", "0", "1", "2", "3", "4", "7", "x"]
 

@@ -578,3 +578,140 @@ def test_untabulated_reach_with_both_reductions():
     report = check_validity(f, 8, budget=budget)
     assert time.perf_counter() - start < 20
     assert report.status == "valid-up-to-bound" and report.bound == 8
+
+
+# --- the parse loop against recursive descent ---
+
+
+def _parsed(parser, text):
+    """The tree's repr, or the syntax error's message and position."""
+    try:
+        return repr(parser(text))
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def _descent(text):
+    return oracles.DescentParser(text).parse()
+
+
+_TOKENS = (
+    "p", "q", "x1", "1", "0", "\\/", "/\\", "=>", "∨", "∧", "⇒",
+    "(", "(", ")", ")", " ", "$",
+)
+
+
+def test_parse_matches_recursive_descent_on_random_token_strings():
+    rng = random.Random(26)
+    trees = 0
+    for _ in range(20_000):
+        tokens = rng.choices(_TOKENS, k=rng.randrange(12))
+        text = rng.choice(("", " ")).join(tokens)
+        outcome = _parsed(parse, text)
+        assert outcome == _parsed(_descent, text), text
+        trees += isinstance(outcome, str)
+    assert trees > 500
+
+
+_SPELLED = {Join: "\\/", Meet: "/\\", Implies: "=>"}
+
+
+def _spelled(f, rng: random.Random) -> str:
+    """`f` as text with the parentheses precedence needs and some extra
+    ones, each added with chance 0.3 around an operand or the whole."""
+    if type(f) not in _SPELLED:
+        text = pretty_print(f)
+    else:
+        own = logic._LEVEL[type(f)]
+        # the least level an operand may have without parentheses: `=>`
+        # groups to the right, join and meet to the left
+        need = (own + 1, own) if isinstance(f, Implies) else (own, own + 1)
+        sides = []
+        for child, least in zip((f.left, f.right), need):
+            text = _spelled(child, rng)
+            if logic._LEVEL.get(type(child), 3) < least or rng.random() < 0.3:
+                text = f"({text})"
+            sides.append(text)
+        text = f" {_SPELLED[type(f)]} ".join(sides)
+    return f"({text})" if rng.random() < 0.3 else text
+
+
+_PARSE_FORMULAS = st.recursive(
+    _LEAVES,
+    lambda sub: st.builds(lambda op, left, right: op(left, right), _OPS, sub, sub),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_PARSE_FORMULAS, rng=st.randoms(use_true_random=False))
+@example(f=parse("p => q => r"), rng=random.Random(0))
+@example(f=parse("(p \\/ q) \\/ (r /\\ p /\\ q)"), rng=random.Random(0))
+def test_parse_matches_recursive_descent_on_spelled_formulas(f, rng):
+    text = _spelled(f, rng)
+    assert parse(text) == f
+    assert _parsed(parse, text) == _parsed(_descent, text)
+
+
+# --- formula depth ---
+
+
+def _chain(node, depth: int, on_left: bool):
+    """`depth` nodes of one class, each an operand of the next, on the
+    left or on the right; the leaves alternate p, q, p, ..."""
+    f = Var("p")
+    for i in range(depth):
+        leaf = Var("pq"[i % 2 == 0])
+        f = node(f, leaf) if on_left else node(leaf, f)
+    return f
+
+
+_CHAINS = [(node, on_left) for node in (Join, Meet, Implies) for on_left in (True, False)]
+_CHAIN_IDS = [
+    f"{node.__name__}-{'left' if on_left else 'right'}" for node, on_left in _CHAINS
+]
+_SET_OPS = {
+    Join: oracles.set_join, Meet: oracles.set_meet, Implies: oracles.set_implication
+}
+
+
+@pytest.mark.parametrize("node, on_left", _CHAINS, ids=_CHAIN_IDS)
+def test_every_entry_point_takes_a_formula_of_max_depth(node, on_left):
+    f = _chain(node, logic.MAX_DEPTH, on_left)
+    g = _chain(node, logic.MAX_DEPTH, on_left)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f != _chain(node, logic.MAX_DEPTH, not on_left)
+    assert parse(pretty_print(f)) == f
+    assert parse(f"(((({pretty_print(f)}))))") == f
+    assert variables(f) == ("p", "q")
+    env = {"p": make_partition(U3, [["a"], ["b", "c"]]),
+           "q": make_partition(U3, [["a", "b"], ["c"]])}
+    expected, op = env["p"].blocks, _SET_OPS[node]
+    for i in range(logic.MAX_DEPTH):
+        leaf = env["pq"[i % 2 == 0]].blocks
+        expected = op(expected, leaf) if on_left else op(leaf, expected)
+    assert evaluate(f, env, U3).blocks == expected
+    assert _as_blocks(check_validity(f, 3)) == brute_validity(f, 3)
+
+
+TOO_DEEP = f"^formula nested deeper than {logic.MAX_DEPTH} operators$"
+
+
+@pytest.mark.parametrize("node, on_left", _CHAINS, ids=_CHAIN_IDS)
+def test_one_more_level_raises_invalid_value(node, on_left):
+    f = _chain(node, logic.MAX_DEPTH, on_left)
+    with pytest.raises(InvalidValue, match=TOO_DEEP):
+        node(f, Var("q")) if on_left else node(Var("q"), f)
+    text, symbol = pretty_print(f), _SPELLED[node]
+    with pytest.raises(InvalidValue, match=TOO_DEEP):
+        parse(f"({text}) {symbol} q" if on_left else f"q {symbol} ({text})")
+
+
+def test_parentheses_nest_to_any_depth():
+    assert parse("(" * 20_000 + "p" + ")" * 20_000) == Var("p")
+    chain = " => ".join(["p"] * (logic.MAX_DEPTH + 1))
+    assert parse(chain.replace("p", "((p))")) == parse(chain)
+    with pytest.raises(InvalidValue, match=TOO_DEEP):
+        parse(chain + " => p")
+    with pytest.raises(FormulaSyntaxError, match="expected '\\)'"):
+        parse("(" * 20_000 + "p" + ")" * 19_999)

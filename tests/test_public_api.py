@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -250,3 +251,47 @@ _PROBS_CALLS = {
 def test_a_partition_in_place_of_probabilities_raises_invalid_value(name):
     with pytest.raises(InvalidValue, match="^probs must be a ProbGroundSet, got "):
         _PROBS_CALLS[name](_PI)
+
+
+# --- the README quick tour ---
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _plain(value) -> str:
+    """A value as the tour's comments spell it: tuples and dicts of
+    Fractions as (47/72, ...) and {a: 1/4, ...}."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_plain, value)) + ")"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_plain(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+def test_readme_quick_tour_shows_the_values_it_computes():
+    """Run the tour's python blocks in order.  Each expression statement
+    with a comment on its line, or on the comment line just below it,
+    must show its value there, as its repr or spelled plainly, spaces
+    ignored."""
+    tour = README.read_text(encoding="utf-8").split("\n## Quick tour\n")[1]
+    tour = tour.split("\n## ")[0]
+    namespace: dict = {}
+    checked = []
+    for block in re.findall(r"```python\n(.*?)```", tour, flags=re.S):
+        lines = block.splitlines() + [""]
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            value = eval(code, namespace)
+            comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+            if not comment:
+                comment = lines[stmt.end_lineno].strip()
+            if not comment.startswith("#"):
+                continue
+            shown = "".join(comment.split())
+            spellings = ("".join(r.split()) for r in (repr(value), _plain(value)))
+            assert any(r in shown for r in spellings), (ast.unparse(stmt), value)
+            checked.append(ast.unparse(stmt))
+    assert len(checked) == 12, checked

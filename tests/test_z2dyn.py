@@ -497,6 +497,20 @@ class FloatRandom(random.Random):
         return x
 
 
+class LowRandom(random.Random):
+    """Overrides randrange to return 0 below any total above 2, so the
+    sampler must call it as `choice_reduce` does.  Logs every call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randrange(self, *args):
+        r = 0 if args[0] > 2 else super().randrange(*args)
+        self.calls.append((args, r))
+        return r
+
+
 def sampled(pipeline, start, steps, trials, seed, p, generator=RecordingRandom):
     """Counts in dict order (or the EmptyState message), every logged
     draw, and the generator state left behind."""
@@ -568,9 +582,10 @@ def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
 @example(GCD_CASE, 60, 0)
 def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, seed):
     start, steps, p = setup
-    assert sampled(sample_pipeline, start, steps, trials, seed, p, FloatRandom) == (
-        sampled(oracle_sample_pipeline, start, steps, trials, seed, p, FloatRandom)
-    )
+    for generator in (FloatRandom, LowRandom):
+        assert sampled(sample_pipeline, start, steps, trials, seed, p, generator) == (
+            sampled(oracle_sample_pipeline, start, steps, trials, seed, p, generator)
+        )
 
 
 def test_draw_counts_divide_by_the_gcd_with_the_denominator():
