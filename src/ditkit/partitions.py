@@ -540,9 +540,17 @@ def choice_reduce(
 
 
 def notation(pi: Partition) -> str:
-    labels = pi.ground.labels
+    return _notations(pi.ground.labels, (pi.blocks,))[0]
+
+
+def _notations(labels: tuple[str, ...], nodes) -> list[str]:
+    """The `notation` of each canonical block tuple in `nodes`, over the
+    ground set with these labels."""
     sep = "," if max(map(len, labels)) > 1 else ""
-    return "|".join([sep.join([labels[i] for i in blk]) for blk in pi.blocks])
+    return [
+        "|".join([sep.join([labels[i] for i in blk]) for blk in blocks])
+        for blocks in nodes
+    ]
 
 
 def parse_partition(ground: GroundSet, text: str) -> Partition:

@@ -17,7 +17,9 @@ are found by scanning every RGS, where the library generates them.  The
 formula parser descends recursively, one method per precedence level,
 where the library runs one loop on an operand and an operator stack.  The
 Boolean oracle evaluates over {False, True}, where the library searches
-the two-element partition lattice.
+the two-element partition lattice.  Hasse diagrams build a checked
+`Partition` per node and filter the covers by block containment, where
+the library names block tuples it builds once per n and merges blocks.
 The density and entropy oracles compute entry by entry and block by block
 in `Fraction` arithmetic on the radicands of `SqrtRational` entries, with
 their own rational square root, and the compound entropies from the
@@ -177,6 +179,51 @@ def covers_by_filter(n: int) -> list[tuple[Blocks, Blocks]]:
         if len(upper) == len(lower) + 1
         and all(any(set(u) <= set(l) for l in lower) for u in upper)
     ]
+
+
+# --- Hasse diagrams, one checked Partition per node -----------------------
+
+
+def hasse_name(blocks: Blocks, labels) -> str:
+    """Partition notation: blocks joined by "|", the labels inside a block
+    by "," unless every label is one character long."""
+    sep = "" if all(len(lab) == 1 for lab in labels) else ","
+    return "|".join(sep.join(labels[i] for i in blk) for blk in blocks)
+
+
+def hasse_json(ground) -> dict:
+    nodes = rgs_order(ground.n)
+    name = {blocks: hasse_name(blocks, ground.labels) for blocks in nodes}
+    return {
+        "ground": list(ground.labels),
+        "nodes": list(name.values()),
+        "edges": [[name[lo], name[up]] for lo, up in covers_by_filter(ground.n)],
+    }
+
+
+def cluster_lines(ground, highlight: frozenset, prefix: str) -> list[str]:
+    """DOT statements for one lattice, highlighting the nodes that are
+    equal to a partition in `highlight`."""
+    nodes = [Partition(ground, blocks) for blocks in rgs_order(ground.n)]
+    name = {pi.blocks: hasse_name(pi.blocks, ground.labels) for pi in nodes}
+    ident = {blocks: f'"{prefix}{text}"' for blocks, text in name.items()}
+    lines = []
+    for pi in nodes:
+        style = ' style=filled fillcolor="gold"' if pi in highlight else ""
+        lines.append(f'{ident[pi.blocks]} [label="{name[pi.blocks]}"{style}];')
+    for count in range(1, ground.n + 1):
+        rank = [ident[pi.blocks] for pi in nodes if pi.num_blocks == count]
+        if len(rank) > 1:
+            lines.append(f'{{rank=same; {" ".join(rank)}}}')
+    for lo, up in covers_by_filter(ground.n):
+        lines.append(f"{ident[lo]} -> {ident[up]} [dir=none];")
+    return lines
+
+
+def hasse_dot(ground, highlight=()) -> str:
+    body = cluster_lines(ground, frozenset(highlight), prefix="")
+    inner = "\n".join(f"  {line}" for line in body)
+    return f'digraph "partition lattice" {{\n  rankdir=BT;\n{inner}\n}}\n'
 
 
 class DescentParser:

@@ -697,3 +697,20 @@ def test_random_argvs_exit_0_1_or_2_and_print_nothing_on_errors(capsys):
         out = capsys.readouterr().out
         assert code in (0, 1, 2), argv
         assert code != 2 or out == "", argv
+
+
+def test_every_formula_and_lattice_size_keeps_the_exit_contract(capsys):
+    """The fuzz values the seeded draw may miss, each run once: every
+    formula through `logic`, every size and ground through `lattice`."""
+    argvs = [["logic", f] for f in _FORMULAS]
+    for fmt in ("json", "dot"):
+        argvs += [["lattice", "--n", n, "--format", fmt] for n in _SIZES]
+        argvs += [["lattice", "--ground", g, "--format", fmt] for g in _GROUNDS]
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2), argv
+        assert code != 2 or out == "", argv

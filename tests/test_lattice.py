@@ -8,6 +8,7 @@ from ditkit import (
     BoundExceeded,
     EmptyState,
     GroundSet,
+    InvalidValue,
     Partition,
     SubsetVector,
     covering_pairs,
@@ -21,8 +22,10 @@ from ditkit import (
     refines,
     superposition_partition,
 )
+from ditkit import lattice
 
-from oracles import covers_by_filter
+import oracles
+from oracles import covers_by_filter, hasse_name
 
 U3 = GroundSet(("a", "b", "c"))
 U4 = GroundSet(("a", "b", "c", "d"))
@@ -69,17 +72,12 @@ def test_covering_pairs_match_filter_oracle_in_order():
         assert [(s.blocks, p.blocks) for s, p in got] == covers_by_filter(n)
 
 
-def _oracle_name(blocks, labels) -> str:
-    sep = "" if all(len(lab) == 1 for lab in labels) else ","
-    return "|".join(sep.join(labels[i] for i in blk) for blk in blocks)
-
-
 def test_hasse_edges_match_filter_oracle_in_order():
     for n in range(1, 7):
         covers = covers_by_filter(n)
         for labels in ("abcdef"[:n], tuple(f"u{i}" for i in range(1, n + 1))):
             names = [
-                [_oracle_name(lo, labels), _oracle_name(up, labels)]
+                [hasse_name(lo, labels), hasse_name(up, labels)]
                 for lo, up in covers
             ]
             ground = GroundSet(tuple(labels))
@@ -88,6 +86,88 @@ def test_hasse_edges_match_filter_oracle_in_order():
             assert [line for line in lines if " -> " in line] == [
                 f'  "{lo}" -> "{up}" [dir=none];' for lo, up in names
             ]
+
+
+def _grounds(n: int) -> list[GroundSet]:
+    return [
+        GroundSet(tuple("abcdef"[:n])),
+        GroundSet(tuple(f"u{i}" for i in range(1, n + 1))),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hasse_json_and_dot_match_per_partition_oracle(n):
+    for ground in _grounds(n):
+        assert hasse_json(ground) == oracles.hasse_json(ground)
+        assert hasse_dot(ground) == oracles.hasse_dot(ground)
+        if n > 4:
+            continue
+        for pi in enumerate_partitions(ground):
+            assert hasse_dot(ground, [pi]) == oracles.hasse_dot(ground, [pi])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_hasse_dot_ignores_highlights_on_other_grounds(n):
+    ground, other = _grounds(n)
+    wider = GroundSet(tuple("abcdefg"[: n + 1]))
+    mine = make_partition(ground, [ground.labels])
+    strangers = [
+        make_partition(other, [other.labels]),
+        make_partition(wider, [wider.labels]),
+    ]
+    assert hasse_dot(ground, strangers) == hasse_dot(ground)
+    for highlight in (strangers + [mine], [mine, *strangers, mine]):
+        dot = hasse_dot(ground, iter(highlight))
+        assert dot == oracles.hasse_dot(ground, highlight)
+        assert dot.count("fillcolor") == 1
+
+
+def test_cached_diagrams_are_not_shared_with_callers():
+    first = hasse_json(U4)
+    expected = oracles.hasse_json(U4)
+    first["ground"].clear()
+    first["nodes"].append("x")
+    first["edges"][0].append("x")
+    first["edges"].clear()
+    assert hasse_json(U4) == hasse_json(U4) == expected
+    assert hasse_dot(U4) == hasse_dot(U4)
+    assert covering_pairs(U4) == covering_pairs(U4)
+
+
+def test_bound_is_checked_before_the_cache():
+    big = GroundSet(tuple("abcdefg"))
+    before = lattice._hasse.cache_info()
+    for draw in (hasse_json, hasse_dot, covering_pairs, lattice_nodes):
+        with pytest.raises(BoundExceeded):
+            draw(big)
+    assert lattice._hasse.cache_info() == before
+
+
+@pytest.mark.parametrize(
+    "draw, args",
+    [
+        (hasse_json, ("abc",)),
+        (hasse_json, (None,)),
+        (hasse_dot, (("a", "b"),)),
+        (lattice_nodes, (None,)),
+        (covering_pairs, (3,)),
+        (hasse_dot, (U3, 5)),
+        (hasse_dot, (U3, make_partition(U3, [["a", "c"], ["b"]]))),
+        (hasse_dot, (U3, ["ac|b"])),
+        (hasse_dot, (U3, [None])),
+        (superposition_partition, (None,)),
+    ],
+    ids=[
+        "json-str", "json-none", "dot-tuple", "nodes-none", "covers-int",
+        "highlight-int", "highlight-partition", "highlight-str", "highlight-none",
+        "superposition-none",
+    ],
+)
+def test_bad_lattice_input_raises_invalid_value(draw, args):
+    before = lattice._hasse.cache_info()
+    with pytest.raises(InvalidValue):
+        draw(*args)
+    assert lattice._hasse.cache_info() == before
 
 
 def test_hasse_json_shape():
