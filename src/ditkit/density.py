@@ -22,15 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import entropy as _entropy
+from . import linalg
 from .errors import InvalidValue, ZeroProbabilityOutcome, json_input
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
     _as_tuple,
+    _block_masks,
     _fraction,
     _json_number,
     _require_exact,
+    _require_ground,
     _require_probs,
     _require_same_ground,
     join,
@@ -150,6 +153,7 @@ class DensityMatrix:
     def __init__(
         self, ground: GroundSet, entries: tuple[tuple[SqrtRational, ...], ...]
     ):
+        _require_ground(ground)
         n = ground.n
         entries = _as_tuple(entries, "entry grid", 2)
         if len(entries) != n or any(len(row) != n for row in entries):
@@ -157,9 +161,7 @@ class DensityMatrix:
         cells = [cell for row in entries for cell in row]
         if not all(isinstance(cell, SqrtRational) for cell in cells):
             raise InvalidValue("density matrix entries must be SqrtRationals")
-        radicands = [cell.radicand for cell in cells]
-        den = math.lcm(*(q.denominator for q in radicands))
-        num = tuple(q.numerator * (den // q.denominator) for q in radicands)
+        num, den = linalg._clear([cell.radicand for cell in cells])
         for i in range(n):
             for k in range(i):
                 if num[i * n + k] != num[k * n + i]:
@@ -174,7 +176,7 @@ class DensityMatrix:
             trace += root
         if trace != den:
             raise InvalidValue(f"trace is {Fraction(trace, den)}, not 1")
-        self.__dict__.update(self._grid(ground, num, den).__dict__)
+        self.__dict__.update(self._grid(ground, tuple(num), den).__dict__)
 
     @classmethod
     def _grid(
@@ -327,9 +329,8 @@ def luders_outcomes(
     (block, probability, conditioned state) row per block."""
     _require_same_ground(mat, sigma)
     rows = []
-    for blk in sigma.blocks:
-        mask = ProjectionMask.from_bits(mat.ground, sum(1 << i for i in blk))
-        state, prob = luders_rule(mat, mask)
+    for blk, mask in zip(sigma.blocks, _block_masks(sigma)):
+        state, prob = luders_rule(mat, ProjectionMask.from_bits(mat.ground, mask))
         rows.append((blk, prob, state))
     return rows
 

@@ -25,6 +25,7 @@ from .partitions import (
     _from_rgs,
     _iter_rgs,
     _notations,
+    _require_ground,
 )
 from .z2dyn import SubsetVector, double_slit_setup, evolve
 
@@ -33,8 +34,7 @@ LATTICE_BOUND = 6
 
 def _checked(ground: GroundSet) -> int:
     """The size of a ground set a lattice may be drawn on."""
-    if not isinstance(ground, GroundSet):
-        raise InvalidValue(f"ground must be a GroundSet, got {ground!r}")
+    _require_ground(ground)
     if ground.n > LATTICE_BOUND:
         raise BoundExceeded(
             f"lattice rendering limited to n <= {LATTICE_BOUND}, got {ground.n}"

@@ -1,22 +1,24 @@
 """Small exact linear algebra for the observables layer.
 
 Matrices are tuples of row tuples of `Fraction`.  The module holds only
-what the library calls: the identity, and the integer elimination behind
-kernels and canonical row bases with its read-outs to `Fraction`.  It has
-no products, no projection and no inverse: `observables` builds those on
-integer rows and this elimination.  Everything is dense and exact; sizes
-here are the ground-set size (tiny), so no pivoting strategy is needed.
-Elimination runs on integer rows: each row is cleared of its denominators
-once, and fraction-free Gauss-Jordan divides every row it produces by the
-gcd of its entries, so entries stay small.  `Fraction` appears only in the
-values returned.
+what the library calls: the identity; `_clear`, the one rule that clears
+the denominators of every integer grid in the library; `_dots`, the one
+integer matrix product, A B^T on integer rows; and the integer
+elimination behind kernels and canonical row bases with its read-outs to
+`Fraction`.  `observables` builds projections and intersections from
+these.  Everything is dense and exact; sizes here are the ground-set size
+(tiny), so no pivoting strategy is needed.  Elimination runs on integer
+rows: each row is cleared of its denominators once, and fraction-free
+Gauss-Jordan divides every row it produces by the gcd of its entries, so
+entries stay small.  `Fraction` appears only in the values returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -31,14 +33,23 @@ def identity(n: int) -> Matrix:
     )
 
 
-def _int_rows(a: Iterable[Iterable]) -> IntRows:
-    """Each row times the lcm of its denominators: integer rows with the
+def _clear(values: Sequence) -> tuple[list[int], int]:
+    """(ints, d): the exact values times their least common denominator d,
+    so that values[i] == ints[i] / d."""
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _int_rows(a: Iterable[Sequence]) -> IntRows:
+    """Each row cleared of its own denominators: integer rows with the
     same row space, and so the same RREF and kernel."""
-    out = []
-    for row in a:
-        d = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (d // x.denominator) for x in row])
-    return out
+    return [_clear(row)[0] for row in a]
+
+
+def _dots(a: Iterable[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
+    """A B^T on integer rows: entry (i, j) is the dot product of row i of
+    A with row j of B."""
+    return [[sum(map(mul, u, v)) for v in b] for u in a]
 
 
 def _echelon(rows: IntRows, ncols: int) -> list[int]:

@@ -34,9 +34,11 @@ from .partitions import (
     notation,
     _from_rgs,
     _implies_rgs,
+    _is_int,
     _iter_rgs,
     _join_rgs,
     _meet_rgs,
+    _require_ground,
 )
 
 
@@ -248,8 +250,7 @@ def evaluate(
     kernels that `join`, `meet` and `implication` run; one partition is
     built, at the root."""
     _require_formula(f)
-    if not isinstance(ground, GroundSet):
-        raise InvalidValue(f"ground must be a GroundSet, got {ground!r}")
+    _require_ground(ground)
     if not isinstance(assignment, Mapping):
         raise InvalidValue(f"assignment must be a mapping, got {assignment!r}")
     for name, pi in assignment.items():
@@ -552,7 +553,7 @@ def check_validity(
     witness is still the least one, and the budget still charges
     Bell(n) ** k assignments per n for k variables."""
     for name, value in (("max_n", max_n), ("budget", budget)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")

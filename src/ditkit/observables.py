@@ -9,21 +9,24 @@ for commuting pairs and in dimension <= 2; theorem_se_equals_kernel
 checks whether the two spaces coincide for a given pair.
 
 A DSD keeps the integer form its constructor checks: each subspace's
-rows A cleared of denominators, an integer basis N_A of the vectors
-orthogonal to it, its orthogonal projection P = A^T (A A^T)^-1 A as
-integer rows P d over one denominator d, and whether the subspaces are
-pairwise orthogonal.  Operators, projections, orthogonality, the
-simultaneous eigenspace and complete families read these and never
-eliminate a subspace again.  An operator is the integer sum of its
-eigenvalues times the stored projections, F = sum of lambda P, the
-Hilbert-space form of an attribute f = sum of r times the indicator of
-its r-level set.  Intersections are found pair by pair:
+rows A cleared of denominators (`linalg._clear`), an integer basis N_A
+of the vectors orthogonal to it, its orthogonal projection
+P = A^T (A A^T)^-1 A as integer rows P d over one denominator d, and
+whether the subspaces are pairwise orthogonal.  Operators, projections,
+orthogonality, the simultaneous eigenspace and complete families read
+these and never eliminate a subspace again.  An operator is the integer
+sum of its eigenvalues times the stored projections, F = sum of lambda P,
+the Hilbert-space form of an attribute f = sum of r times the indicator
+of its r-level set.  Intersections are found pair by pair:
 span(A) ∩ span(B) is x A for x in the kernel of the small matrix
 N_B A^T, and the pieces of all pairs form a direct sum.  Operators keep
 their integer rows and are multiplied only as those, by the one
 commutator that both `commutator` and `theorem_se_equals_kernel` use;
 the theorem compares the dimension of the pieces' span with that of the
-commutator's kernel.
+commutator's kernel.  Every matrix product here (Gram matrices,
+projections, the constraints N_B A^T, the cuts x A and the commutator)
+is `linalg._dots`, A B^T on integer rows; the only other sum of
+products is an operator's eigenvalue-weighted sum of projections.
 """
 
 from __future__ import annotations
@@ -51,11 +54,14 @@ from .partitions import (
     GroundSet,
     Partition,
     _as_tuple,
+    _block_masks,
     _canon,
     _fraction,
     _from_rgs,
+    _is_int,
     _json_number,
     _require_exact,
+    _require_ground,
     _require_same_ground,
     join,
 )
@@ -69,6 +75,7 @@ class Attribute:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _require_ground(self.ground)
         object.__setattr__(self, "values", _as_tuple(self.values, "values"))
         if len(self.values) != self.ground.n:
             raise InvalidValue("attribute must assign a value to every element")
@@ -76,6 +83,7 @@ class Attribute:
 
     @classmethod
     def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
+        _require_ground(ground)
         try:
             for lab in ground.labels:
                 if lab not in mapping:
@@ -179,11 +187,10 @@ class DSD:
         object.__setattr__(
             self,
             "orthogonal",
-            all(
-                sum(map(mul, u, v)) == 0
+            not any(
+                any(row)
                 for a, b in itertools.combinations(bases, 2)
-                for u in a
-                for v in b
+                for row in linalg._dots(a, b)
             ),
         )
 
@@ -234,18 +241,17 @@ def _int_projection(a) -> tuple[tuple[tuple[int, ...], ...], int]:
     row r of (A A^T)^-1 A, which A^T then multiplies over the lcm of the
     p_r; dividing by the gcd of all of it leaves the least d."""
     k = len(a)
-    rows = [[sum(map(mul, u, v)) for v in a] + list(u) for u in a]
+    rows = [gram + list(u) for gram, u in zip(linalg._dots(a, a), a)]
     linalg._echelon(rows, k)
     lead = lcm(*[row[r] for r, row in enumerate(rows)])
     y = [[x * (lead // row[r]) for x in row[k:]] for r, row in enumerate(rows)]
-    cols = tuple(zip(*y))
-    p = [[sum(map(mul, ac, yc)) for yc in cols] for ac in zip(*a)]
+    p = linalg._dots(zip(*a), tuple(zip(*y)))
     g = gcd(lead, *itertools.chain.from_iterable(p))
     return tuple([tuple([x // g for x in row]) for row in p]), lead // g
 
 
 def _require_dim(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n) or n < 0:
         raise InvalidValue(f"dimension must be a non-negative int, got {n!r}")
 
 
@@ -269,11 +275,8 @@ class Operator:
         _require_exact((x for row in self.mat for x in row), "operator entries")
         if self.mat != tuple(zip(*self.mat)):
             raise InvalidValue("operator matrix must be symmetric")
-        d = lcm(*[x.denominator for row in self.mat for x in row])
-        rows = tuple(
-            tuple([x.numerator * (d // x.denominator) for x in row])
-            for row in self.mat
-        )
+        ints, d = linalg._clear([x for row in self.mat for x in row])
+        rows = tuple(tuple(ints[i * n : i * n + n]) for i in range(n))
         object.__setattr__(self, "int_matrix", (rows, d))
 
     @classmethod
@@ -313,7 +316,7 @@ def set_spectral_check(f: Attribute) -> bool:
     the spectral decomposition, not as a test that can fail."""
     pi = inverse_image_partition(f)
     n = f.ground.n
-    masks = [sum(1 << i for i in blk) for blk in pi.blocks]
+    masks = _block_masks(pi)
     level = [f.values[blk[0]] for blk in pi.blocks]
     for i in range(n):
         total = sum((r for m, r in zip(masks, level) if m >> i & 1), Fraction(0))
@@ -385,12 +388,11 @@ def dsd_from_attribute(f: Attribute) -> tuple[tuple[Fraction, ...], DSD]:
 
 
 def _commutator(f: linalg.IntRows, g: linalg.IntRows) -> linalg.IntRows:
-    """FG - GF on square integer rows."""
-    cols = tuple(zip(zip(*g), zip(*f)))
-    return [
-        [sum(map(mul, fr, gc)) - sum(map(mul, gr, fc)) for gc, fc in cols]
-        for fr, gr in zip(f, g)
-    ]
+    """FG - GF on symmetric square integer rows.  Because G is symmetric,
+    row j of G is its column j, so FG is F G^T; and because both are
+    symmetric, GF = (FG)^T, so one product gives FG - (FG)^T."""
+    fg = linalg._dots(f, g)
+    return [[x - y for x, y in zip(row, col)] for row, col in zip(fg, zip(*fg))]
 
 
 def commutator(f: Operator, g: Operator) -> Matrix:
@@ -421,12 +423,8 @@ def _cut(a, null_b) -> linalg.IntRows:
     When the rows of A are independent, these x A are too."""
     if not null_b:
         return list(map(list, a))
-    constraints = [[sum(map(mul, y, u)) for u in a] for y in null_b]
-    cols = tuple(zip(*a))
-    return [
-        [sum(map(mul, x, col)) for col in cols]
-        for _, x in linalg._kernel(constraints)
-    ]
+    xs = [x for _, x in linalg._kernel(linalg._dots(null_b, a))]
+    return linalg._dots(xs, tuple(zip(*a)))
 
 
 def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:

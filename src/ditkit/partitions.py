@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from . import linalg
 from .errors import (
     BoundExceeded,
     DitkitError,
@@ -100,6 +101,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[int]]):
+        _require_ground(ground)
         try:
             blocks = [tuple(blk) for blk in blocks]
         except TypeError:
@@ -204,21 +206,22 @@ class ProbGroundSet:
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_ground(self.ground)
         object.__setattr__(self, "p", _as_tuple(self.p, "point probabilities"))
         if len(self.p) != self.ground.n:
             raise GroundMismatch("probability vector length != ground size")
         _require_exact(self.p, "point probabilities")
         if any(q <= 0 for q in self.p):
             raise InvalidValue("point probabilities must be positive")
-        den = math.lcm(*(q.denominator for q in self.p))
-        weights = tuple(q.numerator * (den // q.denominator) for q in self.p)
+        weights, den = linalg._clear(self.p)
         if sum(weights) != den:
             raise InvalidValue(f"point probabilities sum to {sum(self.p)}, not 1")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "denominator", den)
 
     @classmethod
     def uniform(cls, ground: GroundSet) -> "ProbGroundSet":
+        _require_ground(ground)
         n = ground.n
         return cls(ground, tuple(Fraction(1, n) for _ in range(n)))
 
@@ -259,11 +262,16 @@ def _json_number(value) -> Fraction:
     return Fraction(value)
 
 
+def _is_int(value) -> bool:
+    """An `int` that is not a `bool`, although a bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_exact(values: Iterable, what: str) -> None:
     """Raise InvalidValue unless every value is an exact number: an `int`
     that is not a `bool`, or a `Fraction`."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if not (_is_int(value) or isinstance(value, Fraction)):
             raise InvalidValue(f"{what} must be int or Fraction, got {value!r}")
 
 
@@ -282,8 +290,18 @@ def _as_tuple(items, what: str, depth: int = 1) -> tuple:
 def _check_index(i, n: int) -> None:
     """Reject anything but an int index into range(n); a bool is not an
     index, although it is an int."""
-    if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n):
+    if not (_is_int(i) and 0 <= i < n):
         raise UnknownLabel(f"index {i!r} is not in range({n})")
+
+
+def _require_ground(ground) -> None:
+    if not isinstance(ground, GroundSet):
+        raise InvalidValue(f"ground must be a GroundSet, got {ground!r}")
+
+
+def _require_partition(pi) -> None:
+    if not isinstance(pi, Partition):
+        raise InvalidValue(f"expected a Partition, got {pi!r}")
 
 
 def _require_same_ground(a, b) -> None:
@@ -315,17 +333,20 @@ def make_partition(
 
 def discrete_partition(ground: GroundSet) -> Partition:
     """The all-singletons top: every possible distinction is made."""
+    _require_ground(ground)
     return _from_rgs(ground, tuple(range(ground.n)))
 
 
 def indiscrete_partition(ground: GroundSet) -> Partition:
     """The one-block bottom: no distinctions at all."""
+    _require_ground(ground)
     return _from_rgs(ground, (0,) * ground.n)
 
 
 def inditset(pi: Partition) -> PairRelation:
     """All ordered pairs lying in a common block (the equivalence
     relation of the partition)."""
+    _require_partition(pi)
     pairs = frozenset(
         (i, k) for blk in pi.blocks for i in blk for k in blk
     )
@@ -334,6 +355,7 @@ def inditset(pi: Partition) -> PairRelation:
 
 def ditset(pi: Partition) -> PairRelation:
     """All ordered pairs split across two blocks."""
+    _require_partition(pi)
     n = pi.ground.n
     pairs = frozenset(
         (i, k)
@@ -440,6 +462,15 @@ def _from_rgs(ground: GroundSet, rgs: tuple[int, ...]) -> Partition:
     return pi
 
 
+def _block_masks(pi: Partition) -> list[int]:
+    """Each block of pi as a bitmask over the ground set (bit i set for
+    element i), in block order."""
+    masks = [0] * len(pi.blocks)
+    for i, b in enumerate(pi.rgs):
+        masks[b] |= 1 << i
+    return masks
+
+
 def _iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
     """Every restricted growth string of length n, in lexicographic order
     (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H)."""
@@ -464,6 +495,7 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """Yield every partition of the ground set exactly once, in
     restricted-growth-string order.  Count is the Bell number of n."""
+    _require_ground(ground)
     n = ground.n
     if n > max_n:
         raise BoundExceeded(f"enumeration limited to n <= {max_n}, got n = {n}")
@@ -472,8 +504,10 @@ def enumerate_partitions(
 
 def bell_number(n: int) -> int:
     """Number of partitions of an n-set, by the Bell triangle."""
+    if not _is_int(n) or n < 0:
+        raise InvalidValue(f"n must be a non-negative int, got {n!r}")
     row = [1]
-    for _ in range(max(n - 1, 0)):
+    for _ in range(n - 1):
         nxt = [row[-1]]
         for value in row:
             nxt.append(nxt[-1] + value)
@@ -487,7 +521,7 @@ def _as_rng(rng) -> random.Random:
     given, and anything else is refused before any draw."""
     if isinstance(rng, random.Random):
         return rng
-    if isinstance(rng, int) and not isinstance(rng, bool):
+    if _is_int(rng):
         return random.Random(rng)
     raise InvalidValue(f"rng must be an int seed or a random.Random, got {rng!r}")
 
@@ -540,6 +574,7 @@ def choice_reduce(
 
 
 def notation(pi: Partition) -> str:
+    _require_partition(pi)
     return _notations(pi.ground.labels, (pi.blocks,))[0]
 
 
@@ -554,6 +589,7 @@ def _notations(labels: tuple[str, ...], nodes) -> list[str]:
 
 
 def parse_partition(ground: GroundSet, text: str) -> Partition:
+    _require_ground(ground)
     blocks: list[list[str]] = []
     for part in text.split("|"):
         part = part.strip()
@@ -567,6 +603,7 @@ def parse_partition(ground: GroundSet, text: str) -> Partition:
 
 
 def partition_to_json(pi: Partition) -> dict:
+    _require_partition(pi)
     return {
         "ground": list(pi.ground.labels),
         "blocks": [list(blk) for blk in pi.label_blocks()],

@@ -25,9 +25,12 @@ from .partitions import (
     ProbGroundSet,
     _as_rng,
     _as_tuple,
+    _block_masks,
     _check_index,
     _draw_counts,
+    _is_int,
     _require_exact,
+    _require_ground,
     _require_probs,
     _require_same_ground,
 )
@@ -46,6 +49,7 @@ class SubsetVector:
     mask: int
 
     def __init__(self, ground: GroundSet, members: Iterable[int]):
+        _require_ground(ground)
         mask = 0
         try:
             for i in members:
@@ -64,11 +68,13 @@ class SubsetVector:
 
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "SubsetVector":
+        _require_ground(ground)
         # chain defers iter(labels), so the constructor also rejects a non-iterable
         return cls(ground, map(ground.index, itertools.chain(labels)))
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubsetVector":
+        _require_ground(ground)
         return cls.from_bits(ground, 0)
 
     @property
@@ -121,7 +127,7 @@ class GF2Map:
         object.__setattr__(self, "cols", _as_tuple(self.cols, "columns"))
         n = len(self.cols)
         for c in self.cols:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not _is_int(c):
                 raise InvalidValue(f"column {c!r} is not an int bitmask")
         if any(c >> n for c in self.cols):
             raise DimensionMismatch("column has bits beyond the dimension")
@@ -136,6 +142,7 @@ class GF2Map:
     def from_images(cls, ground: GroundSet, images: dict) -> "GF2Map":
         """Map given by label -> iterable of image labels, one entry per
         ground element."""
+        _require_ground(ground)
         cols = []
         for lab in ground.labels:
             if lab not in images:
@@ -296,9 +303,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
             plan.append(tuple(1 << i for i in range(n)))
         elif isinstance(step, Measure):
             _require_same_ground(step.by, initial)
-            block_masks = [0] * n
-            for i, b in enumerate(step.by.rgs):
-                block_masks[b] |= 1 << i
+            block_masks = _block_masks(step.by)
             plan.append(tuple(block_masks[b] for b in step.by.rgs))
         else:
             raise DitkitError(f"unknown pipeline step {step!r}")
@@ -385,7 +390,7 @@ def sample_pipeline(
     in the same first-occurrence order and generator state as one
     `choice_reduce` per measurement.  `rng` is an int seed or a
     `random.Random`; anything else raises InvalidValue."""
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+    if not _is_int(trials) or trials < 0:
         raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
     count, entry = _compile(initial, steps, p)
     n = initial.ground.n

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +201,34 @@ def test_spans_equal_ignores_row_scaling():
     assert canonical(mat([[-4, 6, 0]])) == canonical(mat([["2/3", -1, 0]]))
     assert canonical(mat([[1, 2]])) != canonical(mat([[2, 1]]))
 
+
+
+# --- the integer-row helpers against Fraction arithmetic ---
+
+
+@st.composite
+def int_row_pairs(draw):
+    """Integer rows A and B of one width (1-5), 0-5 rows each."""
+    width = draw(st.integers(1, 5))
+    rows = st.lists(
+        st.lists(st.integers(-60, 60), min_size=width, max_size=width), max_size=5
+    )
+    return draw(rows), draw(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_row_pairs())
+def test_dots_is_the_product_with_the_transpose(pair):
+    a, b = pair
+    expected = oracles.mat_mul(mat(a), tuple(zip(*mat(b))))
+    assert linalg._dots(a, b) == [list(row) for row in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-99, 99) | st.fractions(max_denominator=60), max_size=9))
+def test_clear_multiplies_by_the_least_common_denominator(values):
+    ints, d = linalg._clear(values)
+    assert all(isinstance(x, int) for x in ints) and d >= 1
+    assert [Fraction(x, d) for x in ints] == values
+    # no smaller d clears them all: d and the numerators share no factor
+    assert gcd(d, *ints) == 1

@@ -143,6 +143,13 @@ def test_dsd_dimension_must_be_an_int(dim, groups):
         DSD.standard(dim)
 
 
+def test_standard_dsd_refuses_a_negative_dimension():
+    # the checking constructor refuses DSD(-2, groups) by the shape of its
+    # subspaces first, as a DimensionMismatch or a DegenerateDSD
+    with pytest.raises(InvalidValue, match="dimension must be a non-negative int"):
+        DSD.standard(-2)
+
+
 def test_dsd_dimension_errors_keep_their_first_cause():
     # a dimension that no vector length matches fails the length check,
     # as it always did, before the dimension's own type is looked at

@@ -4,6 +4,7 @@ import ast
 import pathlib
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,12 @@ from ditkit import errors
 from ditkit.density import luders_mixture, rho
 from ditkit.entropy import logical_entropy
 from ditkit.errors import DitkitError, InvalidValue
-from ditkit.partitions import GroundSet, choice_reduce, discrete_partition
+from ditkit.partitions import (
+    GroundSet,
+    choice_reduce,
+    discrete_partition,
+    partition_to_json,
+)
 from ditkit.z2dyn import Detect, SubsetVector, run_pipeline, sample_pipeline
 
 
@@ -209,6 +215,29 @@ _BARE_CALLS = {
     "rho": lambda bare: rho(_PI, bare),
     "luders_mixture": lambda bare: luders_mixture(bare, _PI),
     "run_pipeline": lambda bare: run_pipeline(SubsetVector(_AB, [0, 1]), [Detect()], bare),
+    # a bare value in place of a ground set or a partition
+    "enumerate_partitions": lambda bare: ditkit.enumerate_partitions(bare),
+    "discrete_partition": lambda bare: discrete_partition(bare),
+    "indiscrete_partition": lambda bare: ditkit.indiscrete_partition(bare),
+    "make_partition": lambda bare: ditkit.make_partition(bare, [["a"], ["b"]]),
+    "parse_partition": lambda bare: ditkit.parse_partition(bare, "a|b"),
+    "Partition": lambda bare: ditkit.Partition(bare, [[0], [1]]),
+    "ProbGroundSet": lambda bare: ditkit.ProbGroundSet(bare, (Fraction(1, 2),) * 2),
+    "SubsetVector.from_labels": lambda bare: SubsetVector.from_labels(bare, ["a"]),
+    "Attribute.from_values": lambda bare: ditkit.Attribute.from_values(bare, [1, 2]),
+    "Attribute.from_map": lambda bare: ditkit.Attribute.from_map(bare, {"a": 1}),
+    "ProbGroundSet.uniform": lambda bare: ditkit.ProbGroundSet.uniform(bare),
+    "DensityMatrix": lambda bare: ditkit.DensityMatrix(bare, ()),
+    "SubsetVector.empty": lambda bare: SubsetVector.empty(bare),
+    "GF2Map.from_images": lambda bare: ditkit.GF2Map.from_images(bare, {}),
+    "partition_to_json": lambda bare: partition_to_json(bare),
+    "notation": lambda bare: ditkit.notation(bare),
+    "ditset": lambda bare: ditkit.ditset(bare),
+    "inditset": lambda bare: ditkit.inditset(bare),
+    "bell_number": lambda bare: ditkit.bell_number(bare),
+    # these two ignore the bare value: a negative n and a bool are not sizes
+    "bell_number(-3)": lambda bare: ditkit.bell_number(-3),
+    "bell_number(True)": lambda bare: ditkit.bell_number(True),
 }
 
 
