@@ -32,8 +32,8 @@ from .partitions import (
     _block_masks,
     _fraction,
     _json_number,
+    _require,
     _require_exact,
-    _require_ground,
     _require_probs,
     _require_same_ground,
     join,
@@ -153,14 +153,14 @@ class DensityMatrix:
     def __init__(
         self, ground: GroundSet, entries: tuple[tuple[SqrtRational, ...], ...]
     ):
-        _require_ground(ground)
+        _require(GroundSet, "ground must be a GroundSet", ground)
         n = ground.n
         entries = _as_tuple(entries, "entry grid", 2)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise InvalidValue("entry grid does not match ground size")
         cells = [cell for row in entries for cell in row]
-        if not all(isinstance(cell, SqrtRational) for cell in cells):
-            raise InvalidValue("density matrix entries must be SqrtRationals")
+        for cell in cells:
+            _require(SqrtRational, "density matrix entries must be SqrtRationals", cell)
         num, den = linalg._clear([cell.radicand for cell in cells])
         for i in range(n):
             for k in range(i):
@@ -235,7 +235,7 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
     radicand is w_i * w_k / D^2."""
-    _require_probs(pi, probs)
+    _require_probs(probs, pi)
     n = pi.ground.n
     w, d = probs.weights, probs.denominator
     num = [0] * (n * n)
@@ -286,6 +286,8 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
     """Post-measurement state: sandwiching by the block projections of
     sigma keeps an entry exactly when its pair lies inside one sigma
     block and zeroes the rest, so the diagonal is kept whole."""
+    _require(DensityMatrix, "expected a DensityMatrix", mat)
+    _require(Partition, "expected a Partition", sigma)
     _require_same_ground(mat, sigma)
     n = mat.ground.n
     kept = mat._num
@@ -303,6 +305,8 @@ def luders_rule(
 ) -> tuple[DensityMatrix, Fraction]:
     """Condition on one outcome: sandwich by its projection, normalize by
     the trace, and return (post state, outcome probability)."""
+    _require(DensityMatrix, "expected a DensityMatrix", mat)
+    _require(SubsetVector, "expected a SubsetVector", outcome)
     _require_same_ground(mat, outcome)
     n = mat.ground.n
     members = outcome.members
@@ -327,6 +331,8 @@ def luders_outcomes(
 ) -> list[tuple[tuple[int, ...], Fraction, DensityMatrix]]:
     """The full outcome table of measuring by sigma: one
     (block, probability, conditioned state) row per block."""
+    _require(DensityMatrix, "expected a DensityMatrix", mat)
+    _require(Partition, "expected a Partition", sigma)
     _require_same_ground(mat, sigma)
     rows = []
     for blk, mask in zip(sigma.blocks, _block_masks(sigma)):
@@ -338,6 +344,7 @@ def luders_outcomes(
 def quantum_logical_entropy(mat: DensityMatrix) -> Fraction:
     """1 - tr(rho^2), exact: the diagonal of the square needs only the
     squares of the entries, which are the rational radicands."""
+    _require(DensityMatrix, "expected a DensityMatrix", mat)
     return Fraction(mat._den - sum(mat._num), mat._den)
 
 
@@ -346,6 +353,8 @@ def state_reduction_audit(
 ) -> list[tuple[int, int]]:
     """The off-diagonal non-zero entries whose pair is split by sigma:
     exactly the coherences that measuring by sigma decoheres."""
+    _require(DensityMatrix, "expected a DensityMatrix", mat)
+    _require(Partition, "expected a Partition", sigma)
     _require_same_ground(mat, sigma)
     n, num, label = mat.ground.n, mat._num, sigma.rgs
     return [

@@ -25,7 +25,7 @@ from .partitions import (
     _from_rgs,
     _iter_rgs,
     _notations,
-    _require_ground,
+    _require,
 )
 from .z2dyn import SubsetVector, double_slit_setup, evolve
 
@@ -34,7 +34,7 @@ LATTICE_BOUND = 6
 
 def _checked(ground: GroundSet) -> int:
     """The size of a ground set a lattice may be drawn on."""
-    _require_ground(ground)
+    _require(GroundSet, "ground must be a GroundSet", ground)
     if ground.n > LATTICE_BOUND:
         raise BoundExceeded(
             f"lattice rendering limited to n <= {LATTICE_BOUND}, got {ground.n}"
@@ -126,8 +126,7 @@ def hasse_dot(ground: GroundSet, highlight=()) -> str:
             f"highlight must be an iterable of Partitions, got {highlight!r}"
         ) from None
     for pi in highlight:
-        if not isinstance(pi, Partition):
-            raise InvalidValue(f"highlight entry is not a Partition: {pi!r}")
+        _require(Partition, "highlight entries must be Partitions", pi)
     marked = {pi.blocks for pi in highlight if pi.ground == ground}
     body = _cluster_lines(ground, marked, prefix="")
     inner = "\n".join(f"  {line}" for line in body)
@@ -137,8 +136,7 @@ def hasse_dot(ground: GroundSet, highlight=()) -> str:
 def superposition_partition(s: SubsetVector) -> Partition:
     """Skeleton of a superposition: its support as one block, everything
     else a singleton."""
-    if not isinstance(s, SubsetVector):
-        raise InvalidValue(f"s must be a SubsetVector, got {s!r}")
+    _require(SubsetVector, "s must be a SubsetVector", s)
     if not s.mask:
         raise EmptyState("empty subset has no superposition partition")
     rgs = _canon(-1 if s.mask >> i & 1 else i for i in range(s.ground.n))

@@ -38,7 +38,7 @@ from .partitions import (
     _iter_rgs,
     _join_rgs,
     _meet_rgs,
-    _require_ground,
+    _require,
 )
 
 
@@ -114,8 +114,7 @@ _KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
 def _require_formula(f) -> None:
     """Refuse anything but a formula node.  The nodes check their own
     operands, so each entry point checks only its root."""
-    if not isinstance(f, Formula):
-        raise InvalidValue(f"expected a formula node (see parse), got {f!r}")
+    _require(Formula, "expected a formula node (see parse)", f)
 
 
 _TOKEN_RE = re.compile(
@@ -155,8 +154,7 @@ def parse(text: str) -> Formula:
     """One loop over the tokens, with a stack of operands and one of
     pending operators, (level, node class) or None for an open `(`.  Meet
     binds tighter than join, join than `=>`; `=>` groups to the right."""
-    if not isinstance(text, str):
-        raise InvalidValue(f"formula text must be a str, got {text!r}")
+    _require(str, "formula text must be a str", text)
     operands, pending, opened, want_operand = [], [], 0, True
 
     def apply(level: int) -> None:
@@ -250,12 +248,10 @@ def evaluate(
     kernels that `join`, `meet` and `implication` run; one partition is
     built, at the root."""
     _require_formula(f)
-    _require_ground(ground)
-    if not isinstance(assignment, Mapping):
-        raise InvalidValue(f"assignment must be a mapping, got {assignment!r}")
+    _require(GroundSet, "ground must be a GroundSet", ground)
+    _require(Mapping, "assignment must be a mapping", assignment)
     for name, pi in assignment.items():
-        if not isinstance(pi, Partition):
-            raise InvalidValue(f"assignment for {name!r} is not a Partition: {pi!r}")
+        _require(Partition, "assignment values must be Partitions", pi)
         if pi.ground != ground:
             raise GroundMismatch(
                 f"assignment for {name!r} lives on a different ground set"

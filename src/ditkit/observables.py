@@ -58,11 +58,10 @@ from .partitions import (
     _canon,
     _fraction,
     _from_rgs,
-    _is_int,
     _json_number,
+    _require,
     _require_exact,
-    _require_ground,
-    _require_same_ground,
+    _require_size,
     join,
 )
 
@@ -75,7 +74,7 @@ class Attribute:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _require_ground(self.ground)
+        _require(GroundSet, "ground must be a GroundSet", self.ground)
         object.__setattr__(self, "values", _as_tuple(self.values, "values"))
         if len(self.values) != self.ground.n:
             raise InvalidValue("attribute must assign a value to every element")
@@ -83,7 +82,7 @@ class Attribute:
 
     @classmethod
     def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
-        _require_ground(ground)
+        _require(GroundSet, "ground must be a GroundSet", ground)
         try:
             for lab in ground.labels:
                 if lab not in mapping:
@@ -177,7 +176,7 @@ class DSD:
         if len(stacked) != n or len(linalg._basis(stacked)) != n:
             raise DegenerateDSD("subspaces do not give a direct sum of the space")
         # last, so that every input refused by a check above keeps its error
-        _require_dim(n)
+        _require_size("dimension must be a non-negative int", n)
         object.__setattr__(self, "int_bases", tuple(bases))
         object.__setattr__(self, "annihilators", tuple(annihilators))
         object.__setattr__(
@@ -196,7 +195,7 @@ class DSD:
 
     @classmethod
     def standard(cls, n: int) -> "DSD":
-        _require_dim(n)
+        _require_size("dimension must be a non-negative int", n)
         eye = linalg.identity(n)
         return cls(n, tuple((row,) for row in eye))
 
@@ -250,11 +249,6 @@ def _int_projection(a) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple([tuple([x // g for x in row]) for row in p]), lead // g
 
 
-def _require_dim(n) -> None:
-    if not _is_int(n) or n < 0:
-        raise InvalidValue(f"dimension must be a non-negative int, got {n!r}")
-
-
 @dataclass(frozen=True)
 class Operator:
     """Symmetric matrix of exact rationals, also kept as integer rows F d
@@ -301,6 +295,7 @@ class Compatibility(enum.Enum):
 
 def inverse_image_partition(f: Attribute) -> Partition:
     """Partition of the ground set by the level sets of the attribute."""
+    _require(Attribute, "expected an Attribute", f)
     return _from_rgs(f.ground, _canon(f.values))
 
 
@@ -331,6 +326,7 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
     """The eigenvalues as Fractions, once they pass the checks an operator
     built from a DSD needs: one per subspace, pairwise distinct, and
     pairwise orthogonal subspaces."""
+    _require(DSD, "expected a DSD", dsd)
     values = tuple(map(_fraction, _as_tuple(eigenvalues, "eigenvalues")))
     if len(values) != len(dsd.subspaces):
         raise DimensionMismatch(
@@ -367,6 +363,7 @@ def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
 
 def operator_from_attribute(f: Attribute) -> Operator:
     """Diagonal operator with the attribute values as eigenvalues."""
+    _require(Attribute, "expected an Attribute", f)
     n = f.ground.n
     return Operator(
         tuple(
@@ -398,6 +395,8 @@ def _commutator(f: linalg.IntRows, g: linalg.IntRows) -> linalg.IntRows:
 def commutator(f: Operator, g: Operator) -> Matrix:
     """[F, G] = FG - GF, from the stored F d_F and G d_G on integer rows,
     divided by d_F d_G."""
+    _require(Operator, "expected an Operator", f)
+    _require(Operator, "expected an Operator", g)
     if f.dim != g.dim:
         raise DimensionMismatch("operators act on different spaces")
     (f_rows, d_f), (g_rows, d_g) = f.int_matrix, g.int_matrix
@@ -444,6 +443,8 @@ def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
 def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
     """Canonical basis of the span of all pairwise subspace intersections:
     the space spanned by simultaneous eigenvectors."""
+    _require(DSD, "expected a DSD", dsd_f)
+    _require(DSD, "expected a DSD", dsd_g)
     return linalg._rational(linalg._basis(_se_pieces(dsd_f, dsd_g)))
 
 
@@ -489,9 +490,7 @@ def csca_complete(attrs) -> bool:
     if not attrs:
         raise InvalidValue("need at least one attribute")
     for f in attrs:
-        if not isinstance(f, Attribute):
-            raise InvalidValue(f"attributes must be Attributes, got {f!r}")
-        _require_same_ground(f, attrs[0])
+        _require(Attribute, "attributes must be Attributes", f)
     return reduce(join, map(inverse_image_partition, attrs)).is_discrete()
 
 
@@ -502,8 +501,7 @@ def csco_complete(dsds) -> bool:
     if not dsds:
         raise InvalidValue("need at least one decomposition")
     for d in dsds:
-        if not isinstance(d, DSD):
-            raise InvalidValue(f"decompositions must be DSDs, got {d!r}")
+        _require(DSD, "decompositions must be DSDs", d)
         if d.dim != dsds[0].dim:
             raise DimensionMismatch("decompositions of different spaces")
     n = dsds[0].dim

@@ -29,10 +29,11 @@ from .partitions import (
     _check_index,
     _draw_counts,
     _is_int,
+    _require,
     _require_exact,
-    _require_ground,
     _require_probs,
     _require_same_ground,
+    _require_size,
 )
 
 
@@ -49,7 +50,7 @@ class SubsetVector:
     mask: int
 
     def __init__(self, ground: GroundSet, members: Iterable[int]):
-        _require_ground(ground)
+        _require(GroundSet, "ground must be a GroundSet", ground)
         mask = 0
         try:
             for i in members:
@@ -68,13 +69,13 @@ class SubsetVector:
 
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "SubsetVector":
-        _require_ground(ground)
+        _require(GroundSet, "ground must be a GroundSet", ground)
         # chain defers iter(labels), so the constructor also rejects a non-iterable
         return cls(ground, map(ground.index, itertools.chain(labels)))
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubsetVector":
-        _require_ground(ground)
+        _require(GroundSet, "ground must be a GroundSet", ground)
         return cls.from_bits(ground, 0)
 
     @property
@@ -85,6 +86,7 @@ class SubsetVector:
         return tuple(self.ground.label(i) for i in sorted(self.members))
 
     def __add__(self, other: "SubsetVector") -> "SubsetVector":
+        _require(SubsetVector, "expected a SubsetVector", other)
         _require_same_ground(self, other)
         return SubsetVector.from_bits(self.ground, self.mask ^ other.mask)
 
@@ -142,7 +144,7 @@ class GF2Map:
     def from_images(cls, ground: GroundSet, images: dict) -> "GF2Map":
         """Map given by label -> iterable of image labels, one entry per
         ground element."""
-        _require_ground(ground)
+        _require(GroundSet, "ground must be a GroundSet", ground)
         cols = []
         for lab in ground.labels:
             if lab not in images:
@@ -152,6 +154,7 @@ class GF2Map:
 
     @classmethod
     def identity(cls, n: int) -> "GF2Map":
+        _require_size("dimension must be a non-negative int", n)
         return cls(tuple(1 << i for i in range(n)))
 
     def entry(self, i: int, k: int) -> int:
@@ -180,10 +183,13 @@ class GF2Map:
 
 
 def is_nonsingular(m: GF2Map) -> bool:
+    _require(GF2Map, "expected a GF2Map", m)
     return m.nonsingular
 
 
 def evolve(s: SubsetVector, m: GF2Map) -> SubsetVector:
+    _require(SubsetVector, "expected a SubsetVector", s)
+    _require(GF2Map, "expected a GF2Map", m)
     if s.ground.n != m.n:
         raise DimensionMismatch("map dimension does not match ground set")
     return SubsetVector.from_bits(s.ground, m.apply_bits(s.mask))
@@ -197,6 +203,7 @@ class StateMixture:
     terms: tuple[tuple[SubsetVector, Fraction], ...]
 
     def __post_init__(self):
+        _require(GroundSet, "ground must be a GroundSet", self.ground)
         object.__setattr__(self, "terms", _as_tuple(self.terms, "mixture terms", 2))
         for term in self.terms:
             if len(term) != 2:
@@ -206,8 +213,7 @@ class StateMixture:
                 )
         vecs = [v for v, _ in self.terms]
         for v in vecs:
-            if not isinstance(v, SubsetVector):
-                raise DitkitError(f"mixture component {v!r} is not a SubsetVector")
+            _require(SubsetVector, f"mixture component {v!r} is not a SubsetVector", v)
         if len(set(vecs)) != len(vecs):
             raise InvalidValue("mixture components must be distinct")
         _require_exact((q for _, q in self.terms), "mixture probabilities")
@@ -232,6 +238,7 @@ class StateMixture:
 
     @classmethod
     def point(cls, s: SubsetVector) -> "StateMixture":
+        _require(SubsetVector, "expected a SubsetVector", s)
         return cls(s.ground, ((s, Fraction(1)),))
 
     @classmethod
@@ -287,21 +294,25 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
     ascending order, `cumulative` from `_draw_counts`, each member leading
     to the members in its block.  A singleton maps to itself; the empty
     mask raises."""
+    _require(SubsetVector, "expected a SubsetVector", initial)
     ground = initial.ground
     n = ground.n
     if p is None:
         p = ProbGroundSet.uniform(ground)
     else:
-        _require_probs(initial, p)
+        _require_probs(p)
+        _require_same_ground(initial, p)
     plan: list[Union[GF2Map, tuple[int, ...]]] = []
-    for step in steps:
+    for step in _as_tuple(steps, "pipeline steps"):
         if isinstance(step, Evolve):
+            _require(GF2Map, "expected a GF2Map", step.map)
             if step.map.n != n:
                 raise DimensionMismatch("map dimension does not match ground set")
             plan.append(step.map)
         elif isinstance(step, Detect):
             plan.append(tuple(1 << i for i in range(n)))
         elif isinstance(step, Measure):
+            _require(Partition, "expected a Partition", step.by)
             _require_same_ground(step.by, initial)
             block_masks = _block_masks(step.by)
             plan.append(tuple(block_masks[b] for b in step.by.rgs))
@@ -390,8 +401,7 @@ def sample_pipeline(
     in the same first-occurrence order and generator state as one
     `choice_reduce` per measurement.  `rng` is an int seed or a
     `random.Random`; anything else raises InvalidValue."""
-    if not _is_int(trials) or trials < 0:
-        raise DitkitError(f"trials must be a non-negative integer, got {trials!r}")
+    _require_size("trials must be a non-negative integer", trials)
     count, entry = _compile(initial, steps, p)
     n = initial.ground.n
 

@@ -282,6 +282,120 @@ def test_a_partition_in_place_of_probabilities_raises_invalid_value(name):
         _PROBS_CALLS[name](_PI)
 
 
+_P = ditkit.ProbGroundSet.uniform(_AB)
+_MAT = rho(_PI, _P)
+_F = ditkit.Attribute.from_values(_AB, [1, 2])
+_DSD = ditkit.DSD.standard(2)
+_OP = ditkit.operator_from_attribute(_F)
+_MAP = ditkit.GF2Map.identity(2)
+
+# entry point: (function, a valid call's arguments, the positions of the
+# arguments that are swapped for a value of the wrong type)
+_TYPED_CALLS = {
+    "join": (ditkit.join, (_PI, _PI), (0, 1)),
+    "meet": (ditkit.meet, (_PI, _PI), (0, 1)),
+    "refines": (ditkit.refines, (_PI, _PI), (0, 1)),
+    "implication": (ditkit.implication, (_PI, _PI), (0, 1)),
+    "logical_entropy": (logical_entropy, (_PI, _P), (0,)),
+    "block_probs": (ditkit.block_probs, (_PI, _P), (0,)),
+    "shannon_entropy": (ditkit.shannon_entropy, (_PI, _P), (0,)),
+    "compound_logical": (ditkit.compound_logical, (_PI, _PI, _P), (0, 1)),
+    "compound_shannon": (ditkit.compound_shannon, (_PI, _PI, _P), (0, 1)),
+    "rho": (rho, (_PI, _P), (0,)),
+    "theorem_join": (ditkit.theorem_join, (_PI, _PI, _P), (0, 1)),
+    "luders_mixture": (luders_mixture, (_MAT, _PI), (0, 1)),
+    "luders_rule": (
+        ditkit.luders_rule, (_MAT, ditkit.ProjectionMask(_AB, [0])), (0, 1)
+    ),
+    "luders_outcomes": (ditkit.luders_outcomes, (_MAT, _PI), (0, 1)),
+    "state_reduction_audit": (ditkit.state_reduction_audit, (_MAT, _PI), (0, 1)),
+    "quantum_logical_entropy": (ditkit.quantum_logical_entropy, (_MAT,), (0,)),
+    "commutator": (ditkit.commutator, (_OP, _OP), (0, 1)),
+    "classify": (ditkit.classify, ([1, 2], _DSD, [1, 2], _DSD), (1, 3)),
+    "operator_from_dsd": (ditkit.operator_from_dsd, ([1, 2], _DSD), (1,)),
+    "theorem_se_equals_kernel":
+        (ditkit.theorem_se_equals_kernel, ([1, 2], _DSD, [1, 2], _DSD), (1, 3)),
+    "simultaneous_eigenspace": (ditkit.simultaneous_eigenspace, (_DSD, _DSD), (0, 1)),
+    "inverse_image_partition": (ditkit.inverse_image_partition, (_F,), (0,)),
+    "dsd_from_attribute": (ditkit.dsd_from_attribute, (_F,), (0,)),
+    "operator_from_attribute": (ditkit.operator_from_attribute, (_F,), (0,)),
+    "set_spectral_check": (ditkit.set_spectral_check, (_F,), (0,)),
+    "evolve": (ditkit.evolve, (_BOTH, _MAP), (0, 1)),
+    "is_nonsingular": (ditkit.is_nonsingular, (_MAP,), (0,)),
+    "GF2Map.identity": (ditkit.GF2Map.identity, (2,), (0,)),
+    "StateMixture": (ditkit.StateMixture, (_AB, ((_BOTH, 1),)), (0,)),
+    "StateMixture.point": (ditkit.StateMixture.point, (_BOTH,), (0,)),
+    "SubsetVector.__add__": (SubsetVector.__add__, (_BOTH, _BOTH), (1,)),
+    "run_pipeline": (run_pipeline, (_BOTH, [Detect()]), (0,)),
+    "sample_pipeline": (sample_pipeline, (_BOTH, [Detect()], 1, 0), (0,)),
+    "Evolve step": (lambda m: run_pipeline(_BOTH, [ditkit.Evolve(m)]), (_MAP,), (0,)),
+    "Measure step":
+        (lambda by: run_pipeline(_BOTH, [ditkit.Measure(by)]), (_PI,), (0,)),
+}
+
+
+def _swapped(args, at, wrong):
+    return (*args[:at], wrong, *args[at + 1:])
+
+
+# A wrong value is None, or a ditkit value of another type on the same
+# ground: probabilities for a partition, a partition for anything else.
+@pytest.mark.parametrize("name, at, wrong", [
+    (name, at, wrong)
+    for name, (_, _, positions) in _TYPED_CALLS.items()
+    for at in positions
+    for wrong in ("None", "other")
+])
+def test_a_value_of_the_wrong_type_raises_invalid_value(name, at, wrong):
+    call, args, _ = _TYPED_CALLS[name]
+    call(*args)
+    other = _P if type(args[at]) is ditkit.Partition else _PI
+    with pytest.raises(InvalidValue, match=", got "):
+        call(*_swapped(args, at, None if wrong == "None" else other))
+
+
+def _refuses_a_type(node: ast.If) -> bool:
+    """`if not isinstance(...)` or `if not all(isinstance(...) ...)`, with
+    a `raise` in its body."""
+    def called(call, name):
+        return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == name)
+
+    test = node.test
+    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
+        return False
+    check = test.operand
+    if called(check, "all") and isinstance(check.args[0], ast.GeneratorExp):
+        check = check.args[0].elt
+    return called(check, "isinstance") and any(
+        isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)
+    )
+
+
+def _type_gates(node: ast.AST, where: str):
+    """The innermost enclosing function of each type gate under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _type_gates(child, child.name)
+            continue
+        if isinstance(child, ast.If) and _refuses_a_type(child):
+            yield where
+        yield from _type_gates(child, where)
+
+
+def test_partitions_require_is_the_only_type_gate():
+    """A value of the wrong type is refused in one place: no `if` of the
+    library raises on `not isinstance(...)` or `not all(isinstance(...))`
+    except the one in `partitions._require`."""
+    src = pathlib.Path(ditkit.__file__).parent
+    gates = {
+        (path.stem, where)
+        for path in src.glob("*.py")
+        for where in _type_gates(ast.parse(path.read_text()), "<module>")
+    }
+    assert gates == {("partitions", "_require")}
+
+
 # --- the README quick tour ---
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

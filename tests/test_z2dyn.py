@@ -93,6 +93,13 @@ def test_non_iterable_members_raise_ditkit_error(make):
         make()
 
 
+@pytest.mark.parametrize("cls", [SubsetVector, ProjectionMask])
+@pytest.mark.parametrize("ground", [None, ("a", "b", "c")], ids=["none", "tuple"])
+def test_vectors_are_built_on_a_ground_set(cls, ground):
+    with pytest.raises(InvalidValue, match="^ground must be a GroundSet, got "):
+        cls(ground, [0])
+
+
 def test_mask_is_the_stored_form():
     s = vec("ca")
     assert s.mask == 0b101
