@@ -155,7 +155,7 @@ class DensityMatrix:
     ):
         _require(GroundSet, "ground must be a GroundSet", ground)
         n = ground.n
-        entries = _as_tuple(entries, "entry grid", 2)
+        entries = _as_tuple(entries, "entry grid must be an iterable", 2)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise InvalidValue("entry grid does not match ground size")
         cells = [cell for row in entries for cell in row]

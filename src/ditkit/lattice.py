@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 
-from .errors import BoundExceeded, EmptyState, InvalidValue
+from .errors import BoundExceeded, EmptyState
 from .partitions import (
     GroundSet,
     Partition,
     enumerate_partitions,
     notation,
+    _as_tuple,
     _canon,
     _from_rgs,
     _iter_rgs,
@@ -119,12 +120,7 @@ def hasse_dot(ground: GroundSet, highlight=()) -> str:
     """Hasse diagram as a DOT digraph, bottom partition at the bottom.
     The partitions of `highlight` that live on `ground` are filled."""
     _checked(ground)
-    try:
-        highlight = list(highlight)
-    except TypeError:
-        raise InvalidValue(
-            f"highlight must be an iterable of Partitions, got {highlight!r}"
-        ) from None
+    highlight = _as_tuple(highlight, "highlight must be an iterable of Partitions")
     for pi in highlight:
         _require(Partition, "highlight entries must be Partitions", pi)
     marked = {pi.blocks for pi in highlight if pi.ground == ground}

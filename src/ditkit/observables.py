@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -43,7 +44,6 @@ from . import linalg
 from .errors import (
     DegenerateDSD,
     DimensionMismatch,
-    DitkitError,
     DuplicateEigenvalue,
     InvalidValue,
     NotCommuting,
@@ -56,7 +56,7 @@ from .partitions import (
     _as_tuple,
     _block_masks,
     _canon,
-    _fraction,
+    _fractions,
     _from_rgs,
     _json_number,
     _require,
@@ -75,30 +75,24 @@ class Attribute:
 
     def __post_init__(self):
         _require(GroundSet, "ground must be a GroundSet", self.ground)
-        object.__setattr__(self, "values", _as_tuple(self.values, "values"))
+        values = _as_tuple(self.values, "values must be an iterable")
+        object.__setattr__(self, "values", values)
         if len(self.values) != self.ground.n:
             raise InvalidValue("attribute must assign a value to every element")
         _require_exact(self.values, "attribute values")
 
     @classmethod
-    def from_map(cls, ground: GroundSet, mapping: dict) -> "Attribute":
+    def from_map(cls, ground: GroundSet, mapping: Mapping) -> "Attribute":
         _require(GroundSet, "ground must be a GroundSet", ground)
-        try:
-            for lab in ground.labels:
-                if lab not in mapping:
-                    raise InvalidValue(f"no value for label {lab!r}")
-            values = [mapping[lab] for lab in ground.labels]
-        except TypeError:
-            raise DitkitError("mapping must map labels to values") from None
-        return cls.from_values(ground, values)
+        _require(Mapping, "mapping must map labels to values", mapping)
+        for lab in ground.labels:
+            if lab not in mapping:
+                raise InvalidValue(f"no value for label {lab!r}")
+        return cls.from_values(ground, [mapping[lab] for lab in ground.labels])
 
     @classmethod
     def from_values(cls, ground: GroundSet, values) -> "Attribute":
-        try:
-            values = tuple(map(_fraction, values))
-        except TypeError:
-            raise DitkitError("values must be an iterable") from None
-        return cls(ground, values)
+        return cls(ground, _fractions(values, "values must be an iterable"))
 
     def __call__(self, label: str) -> Fraction:
         return self.values[self.ground.index(label)]
@@ -152,9 +146,8 @@ class DSD:
     orthogonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "subspaces", _as_tuple(self.subspaces, "subspace bases", 3)
-        )
+        subspaces = _as_tuple(self.subspaces, "subspace bases must be an iterable", 3)
+        object.__setattr__(self, "subspaces", subspaces)
         _require_exact(
             (x for rows in self.subspaces for v in rows for x in v), "basis entries"
         )
@@ -201,11 +194,9 @@ class DSD:
 
     @classmethod
     def from_vectors(cls, n: int, groups) -> "DSD":
-        try:
-            rows = tuple(tuple(tuple(map(_fraction, v)) for v in g) for g in groups)
-        except TypeError:
-            raise DitkitError("groups must be iterables of vectors") from None
-        return cls(n, rows)
+        what = "groups must be iterables of vectors"
+        groups = _as_tuple(groups, what, 2)
+        return cls(n, tuple(tuple(_fractions(v, what) for v in g) for g in groups))
 
     def is_orthogonal(self) -> bool:
         return self.orthogonal
@@ -262,7 +253,8 @@ class Operator:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _as_tuple(self.mat, "operator rows", 2))
+        mat = _as_tuple(self.mat, "operator rows must be an iterable", 2)
+        object.__setattr__(self, "mat", mat)
         n = len(self.mat)
         if any(len(row) != n for row in self.mat):
             raise DimensionMismatch("operator matrix must be square")
@@ -327,7 +319,7 @@ def _spectrum(eigenvalues, dsd: DSD) -> tuple[Fraction, ...]:
     built from a DSD needs: one per subspace, pairwise distinct, and
     pairwise orthogonal subspaces."""
     _require(DSD, "expected a DSD", dsd)
-    values = tuple(map(_fraction, _as_tuple(eigenvalues, "eigenvalues")))
+    values = _fractions(eigenvalues, "eigenvalues must be an iterable")
     if len(values) != len(dsd.subspaces):
         raise DimensionMismatch(
             f"{len(values)} eigenvalues for {len(dsd.subspaces)} subspaces"
@@ -407,7 +399,7 @@ def commutator(f: Operator, g: Operator) -> Matrix:
 
 def kernel(m: Matrix) -> Matrix:
     """Basis rows of the null space."""
-    m = _as_tuple(m, "matrix rows", 2)
+    m = _as_tuple(m, "matrix rows must be an iterable", 2)
     if any(len(row) != len(m[0]) for row in m):
         raise DimensionMismatch("matrix rows must all have the same length")
     _require_exact((x for row in m for x in row), "matrix entries")
@@ -486,7 +478,7 @@ def csca_complete(attrs) -> bool:
     """A family of attributes is complete when the join of their level-set
     partitions is discrete, equivalently when the value tuples
     (f(u), g(u), ...) separate the elements."""
-    attrs = _as_tuple(attrs, "attributes")
+    attrs = _as_tuple(attrs, "attributes must be an iterable")
     if not attrs:
         raise InvalidValue("need at least one attribute")
     for f in attrs:
@@ -497,7 +489,7 @@ def csca_complete(attrs) -> bool:
 def csco_complete(dsds) -> bool:
     """A family of pairwise-commuting DSDs is complete when the iterated
     non-zero intersections are all one-dimensional (and hence span)."""
-    dsds = _as_tuple(dsds, "decompositions")
+    dsds = _as_tuple(dsds, "decompositions must be an iterable")
     if not dsds:
         raise InvalidValue("need at least one decomposition")
     for d in dsds:

@@ -15,7 +15,9 @@ partition the bottom.
 
 `_require` is the library's one check of an argument's type: an argument
 of the wrong type, `None` or another ditkit value, raises InvalidValue
-("..., got <repr>") at the entry point that receives it.
+("..., got <repr>") at the entry point that receives it.  `_as_tuple` is
+its one reader of a collection a caller passes: a non-iterable, at any
+depth, raises InvalidValue with the caller's message.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class GroundSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _as_tuple(self.labels, "labels"))
+        labels = _as_tuple(self.labels, "labels must be an iterable")
+        object.__setattr__(self, "labels", labels)
         if len(self.labels) == 0:
             raise EmptyBlock("ground set must have at least one element")
         for lab in self.labels:
@@ -106,10 +109,7 @@ class Partition:
 
     def __init__(self, ground: GroundSet, blocks: Iterable[Iterable[int]]):
         _require(GroundSet, "ground must be a GroundSet", ground)
-        try:
-            blocks = [tuple(blk) for blk in blocks]
-        except TypeError:
-            raise DitkitError("blocks must be iterables of indices") from None
+        blocks = _as_tuple(blocks, "blocks must be iterables of indices", 2)
         n = ground.n
         label = [-1] * n
         for j, blk in enumerate(blocks):
@@ -183,6 +183,10 @@ class PairRelation:
     ground: GroundSet
     pairs: frozenset[tuple[int, int]]
 
+    def __post_init__(self):
+        _require(GroundSet, "ground must be a GroundSet", self.ground)
+        _require(frozenset, "pairs must be a frozenset", self.pairs)
+
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
 
@@ -211,7 +215,8 @@ class ProbGroundSet:
 
     def __post_init__(self):
         _require(GroundSet, "ground must be a GroundSet", self.ground)
-        object.__setattr__(self, "p", _as_tuple(self.p, "point probabilities"))
+        p = _as_tuple(self.p, "point probabilities must be an iterable")
+        object.__setattr__(self, "p", p)
         if len(self.p) != self.ground.n:
             raise GroundMismatch("probability vector length != ground size")
         _require_exact(self.p, "point probabilities")
@@ -231,7 +236,8 @@ class ProbGroundSet:
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Sequence) -> "ProbGroundSet":
-        return cls(ground, tuple(map(_fraction, values)))
+        values = _fractions(values, "point probabilities must be an iterable")
+        return cls(ground, values)
 
     def prob(self, indices: Iterable[int]) -> Fraction:
         return Fraction(self.weight(indices), self.denominator)
@@ -255,6 +261,11 @@ def _fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise InvalidValue(f"{value!r} is not a rational number") from None
+
+
+def _fractions(values, what: str) -> tuple[Fraction, ...]:
+    """`_fraction` of each value read by `_as_tuple(values, what)`."""
+    return tuple(map(_fraction, _as_tuple(values, what)))
 
 
 def _json_number(value) -> Fraction:
@@ -281,14 +292,16 @@ def _require_exact(values: Iterable, what: str) -> None:
 
 def _as_tuple(items, what: str, depth: int = 1) -> tuple:
     """`items` as tuples nested `depth` deep, the form a value type stores
-    so that it compares and hashes by value; a non-iterable at any depth is
-    raised as DitkitError."""
+    so that it compares and hashes by value.  A TypeError while reading,
+    such as a non-iterable at any depth, raises InvalidValue(what)."""
     try:
         if depth == 1:
             return tuple(items)
+        if depth == 2:
+            return tuple(map(tuple, items))
         return tuple(_as_tuple(x, what, depth - 1) for x in items)
     except TypeError:
-        raise DitkitError(f"{what} must be an iterable") from None
+        raise InvalidValue(what) from None
 
 
 def _check_index(i, n: int) -> None:
@@ -335,8 +348,8 @@ def make_partition(
     ground: GroundSet, blocks: Iterable[Iterable[str]]
 ) -> Partition:
     """Build a partition from blocks of labels."""
-    # chain defers iter(blocks), so the constructor also rejects a non-iterable
-    return Partition(ground, (map(ground.index, b) for b in itertools.chain(blocks)))
+    blocks = _as_tuple(blocks, "blocks must be iterables of indices")
+    return Partition(ground, (map(ground.index, b) for b in blocks))
 
 
 def discrete_partition(ground: GroundSet) -> Partition:
@@ -512,6 +525,7 @@ def enumerate_partitions(
     """Yield every partition of the ground set exactly once, in
     restricted-growth-string order.  Count is the Bell number of n."""
     _require(GroundSet, "ground must be a GroundSet", ground)
+    _require_size("max_n must be a non-negative int", max_n)
     n = ground.n
     if n > max_n:
         raise BoundExceeded(f"enumeration limited to n <= {max_n}, got n = {n}")
@@ -563,10 +577,7 @@ def choice_reduce(
     into the ground set, as in `Partition` and `SubsetVector`.
     """
     _require_probs(probs)
-    try:
-        members = list(block)
-    except TypeError:
-        raise DitkitError("block must be an iterable of indices") from None
+    members = _as_tuple(block, "block must be an iterable of indices")
     for i in members:
         _check_index(i, probs.ground.n)
     members = sorted(set(members))
@@ -604,6 +615,7 @@ def _notations(labels: tuple[str, ...], nodes) -> list[str]:
 
 def parse_partition(ground: GroundSet, text: str) -> Partition:
     _require(GroundSet, "ground must be a GroundSet", ground)
+    _require(str, "partition text must be a str", text)
     blocks: list[list[str]] = []
     for part in text.split("|"):
         part = part.strip()

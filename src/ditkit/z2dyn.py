@@ -11,9 +11,9 @@ fiddling.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -52,12 +52,9 @@ class SubsetVector:
     def __init__(self, ground: GroundSet, members: Iterable[int]):
         _require(GroundSet, "ground must be a GroundSet", ground)
         mask = 0
-        try:
-            for i in members:
-                _check_index(i, ground.n)
-                mask |= 1 << i
-        except TypeError:
-            raise DitkitError("members must be an iterable") from None
+        for i in _as_tuple(members, "members must be an iterable"):
+            _check_index(i, ground.n)
+            mask |= 1 << i
         self.__dict__.update(ground=ground, mask=mask)
 
     @classmethod
@@ -70,8 +67,8 @@ class SubsetVector:
     @classmethod
     def from_labels(cls, ground: GroundSet, labels: Iterable[str]) -> "SubsetVector":
         _require(GroundSet, "ground must be a GroundSet", ground)
-        # chain defers iter(labels), so the constructor also rejects a non-iterable
-        return cls(ground, map(ground.index, itertools.chain(labels)))
+        labels = _as_tuple(labels, "members must be an iterable")
+        return cls(ground, map(ground.index, labels))
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubsetVector":
@@ -126,7 +123,8 @@ class GF2Map:
     nonsingular: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cols", _as_tuple(self.cols, "columns"))
+        cols = _as_tuple(self.cols, "columns must be an iterable")
+        object.__setattr__(self, "cols", cols)
         n = len(self.cols)
         for c in self.cols:
             if not _is_int(c):
@@ -141,10 +139,11 @@ class GF2Map:
         return len(self.cols)
 
     @classmethod
-    def from_images(cls, ground: GroundSet, images: dict) -> "GF2Map":
+    def from_images(cls, ground: GroundSet, images: Mapping) -> "GF2Map":
         """Map given by label -> iterable of image labels, one entry per
         ground element."""
         _require(GroundSet, "ground must be a GroundSet", ground)
+        _require(Mapping, "images must be a mapping", images)
         cols = []
         for lab in ground.labels:
             if lab not in images:
@@ -204,7 +203,8 @@ class StateMixture:
 
     def __post_init__(self):
         _require(GroundSet, "ground must be a GroundSet", self.ground)
-        object.__setattr__(self, "terms", _as_tuple(self.terms, "mixture terms", 2))
+        terms = _as_tuple(self.terms, "mixture terms must be an iterable", 2)
+        object.__setattr__(self, "terms", terms)
         for term in self.terms:
             if len(term) != 2:
                 raise DitkitError(
@@ -230,8 +230,8 @@ class StateMixture:
         cls, ground: GroundSet, terms: tuple[tuple[SubsetVector, Fraction], ...]
     ) -> "StateMixture":
         """The trusted constructor: `terms` must already be distinct
-        vectors on `ground` with positive probabilities summing to 1, in
-        the order `from_terms` gives; none of it is checked."""
+        vectors on `ground` with positive probabilities summing to 1;
+        none of it is checked."""
         mixture = object.__new__(cls)
         mixture.__dict__.update(ground=ground, terms=terms)
         return mixture
@@ -240,16 +240,6 @@ class StateMixture:
     def point(cls, s: SubsetVector) -> "StateMixture":
         _require(SubsetVector, "expected a SubsetVector", s)
         return cls(s.ground, ((s, Fraction(1)),))
-
-    @classmethod
-    def from_terms(cls, ground: GroundSet, terms) -> "StateMixture":
-        merged: dict[SubsetVector, Fraction] = {}
-        for vec, q in terms:
-            merged[vec] = merged.get(vec, Fraction(0)) + q
-        ordered = tuple(
-            sorted(merged.items(), key=lambda t: sorted(t[0].members))
-        )
-        return cls(ground, ordered)
 
     def probability(self, s: SubsetVector) -> Fraction:
         for vec, q in self.terms:
@@ -303,7 +293,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
         _require_probs(p)
         _require_same_ground(initial, p)
     plan: list[Union[GF2Map, tuple[int, ...]]] = []
-    for step in _as_tuple(steps, "pipeline steps"):
+    for step in _as_tuple(steps, "pipeline steps must be an iterable"):
         if isinstance(step, Evolve):
             _require(GF2Map, "expected a GF2Map", step.map)
             if step.map.n != n:
@@ -363,7 +353,7 @@ def run_pipeline(
             for c, prev, nxt in zip(cumulative, [0, *cumulative], nexts):
                 mixture[nxt] = mixture.get(nxt, 0) + w * (c - prev)
     # the masks are distinct and the weights positive integers summing to
-    # den; the order is from_terms', by the ascending member lists
+    # den; the terms are sorted by their member lists, ascending
     ground, n = initial.ground, initial.ground.n
     return StateMixture._trusted(ground, tuple(
         (SubsetVector.from_bits(ground, m), Fraction(mixture[m], den))

@@ -21,6 +21,7 @@ from ditkit.errors import (
 )
 from ditkit.partitions import (
     GroundSet,
+    PairRelation,
     Partition,
     ProbGroundSet,
     choice_reduce,
@@ -717,11 +718,24 @@ def test_checking_constructors_take_only_exact_numbers(make, what, bad):
         (lambda: ditkit.Attribute.from_map(AB, 5), "mapping must"),
         (lambda: ditkit.Attribute.from_map(AB, ["a", "b"]), "mapping must"),
         (lambda: ditkit.Attribute.from_values(AB, 5), "values must be"),
+        (lambda: ProbGroundSet.from_values(AB, 5), "point probabilities must be"),
+        (lambda: GF2Map.from_images(AB, None), "images must be a mapping"),
+        (lambda: GF2Map.from_images(AB, "ab"), "images must be a mapping"),
+        (lambda: Partition(AB, 5), "blocks must be"),
+        (lambda: SubsetVector(AB, 5), "members must be"),
+        (lambda: choice_reduce(5, ProbGroundSet.uniform(AB), 0), "block must be"),
+        (lambda: parse_partition(AB, None), "partition text must be a str"),
+        (lambda: enumerate_partitions(AB, "x"), "max_n must be"),
+        (lambda: PairRelation(None, frozenset()), "ground must be a GroundSet"),
     ],
-    ids=["dsd-group", "dsd-groups", "dsd-vector", "map-int", "map-list", "values"],
+    ids=[
+        "dsd-group", "dsd-groups", "dsd-vector", "map-int", "map-list", "values",
+        "probs-values", "images-none", "images-str", "partition", "subset",
+        "choice-block", "parse-none", "enum-bound", "pair-relation",
+    ],
 )
 def test_non_iterable_containers_raise_ditkit_error(read, message):
-    with pytest.raises(DitkitError, match=f"^{message}"):
+    with pytest.raises(InvalidValue, match=f"^{message}"):
         read()
 
 

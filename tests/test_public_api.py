@@ -372,28 +372,53 @@ def _refuses_a_type(node: ast.If) -> bool:
     )
 
 
-def _type_gates(node: ast.AST, where: str):
-    """The innermost enclosing function of each type gate under node."""
+def _catches_type_error(node: ast.AST) -> bool:
+    """An `except` clause that names TypeError, alone or in a tuple."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(isinstance(n, ast.Name) and n.id == "TypeError" for n in names)
+
+
+def _sites(node: ast.AST, where: str, found):
+    """The innermost enclosing function of each node under `node` for
+    which `found(node)` holds."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.FunctionDef):
-            yield from _type_gates(child, child.name)
+            yield from _sites(child, child.name, found)
             continue
-        if isinstance(child, ast.If) and _refuses_a_type(child):
+        if found(child):
             yield where
-        yield from _type_gates(child, where)
+        yield from _sites(child, where, found)
+
+
+def _library_sites(found) -> set[tuple[str, str]]:
+    """(module, function) of each library node for which `found` holds."""
+    src = pathlib.Path(ditkit.__file__).parent
+    return {
+        (path.stem, where)
+        for path in src.glob("*.py")
+        for where in _sites(ast.parse(path.read_text()), "<module>", found)
+    }
 
 
 def test_partitions_require_is_the_only_type_gate():
     """A value of the wrong type is refused in one place: no `if` of the
     library raises on `not isinstance(...)` or `not all(isinstance(...))`
     except the one in `partitions._require`."""
-    src = pathlib.Path(ditkit.__file__).parent
-    gates = {
-        (path.stem, where)
-        for path in src.glob("*.py")
-        for where in _type_gates(ast.parse(path.read_text()), "<module>")
-    }
+    gates = _library_sites(lambda n: isinstance(n, ast.If) and _refuses_a_type(n))
     assert gates == {("partitions", "_require")}
+
+
+def test_as_tuple_is_the_only_collection_reader():
+    """A caller's collection is read in one place: no `except` clause of
+    the library names TypeError outside `partitions._as_tuple`, the number
+    reader `partitions._fraction` and the JSON reader `errors.json_input`."""
+    assert _library_sites(_catches_type_error) == {
+        ("partitions", "_as_tuple"),
+        ("partitions", "_fraction"),
+        ("errors", "json_input"),
+    }
 
 
 # --- the README quick tour ---

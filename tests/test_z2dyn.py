@@ -89,7 +89,7 @@ def test_members_must_be_indices_in_range(member, shown):
     ids=["subset", "subset-labels", "mask", "mask-labels", "map-image"],
 )
 def test_non_iterable_members_raise_ditkit_error(make):
-    with pytest.raises(DitkitError, match="^members must be an iterable$"):
+    with pytest.raises(InvalidValue, match="^members must be an iterable$"):
         make()
 
 
@@ -239,14 +239,6 @@ def test_mixture_terms_must_be_pairs(rest):
         StateMixture(U3, ((vec("a"), *rest),))
 
 
-def test_from_terms_merges_duplicates():
-    m = StateMixture.from_terms(
-        U3, [(vec("a"), F(1, 4)), (vec("a"), F(1, 4)), (vec("b"), F(1, 2))]
-    )
-    assert m.probability(vec("a")) == F(1, 2)
-    assert m.probability(vec("c")) == 0
-
-
 def collapse(s, p=None):
     """Detection alone: a subset state reduced to its singletons."""
     return run_pipeline(s, [Detect()], p)
@@ -268,7 +260,7 @@ def test_reduce_uniform_and_weighted():
 def test_singleton_distribution_requires_singletons():
     with pytest.raises(ValueError):
         StateMixture.point(vec("ab")).singleton_distribution()
-    dist = StateMixture.from_terms(
+    dist = StateMixture(
         U3, [(vec("a"), F(1, 2)), (vec("c"), F(1, 2))]
     ).singleton_distribution()
     assert dist == {"a": F(1, 2), "b": F(0), "c": F(1, 2)}
