@@ -165,7 +165,7 @@ def cmd_entropy(args) -> int:
     if not _emit(args, report):
         print(f"partition: {report['partition']}")
         for blk, pr in blocks:
-            labels = "".join(ground.label(i) for i in blk)
+            labels = "".join(ground.labels[i] for i in blk)
             print(f"  Pr({labels}) = {_fmt(pr, args.decimal)}")
         print(f"logical entropy h = {_fmt(report['logical'], args.decimal)}")
         print(f"shannon entropy H = {report['shannon_bits']:.12g} bits")
@@ -204,7 +204,7 @@ def cmd_measure(args) -> int:
         "join": notation(joined),
         "join_matches": hat == density.rho(joined, probs),
         "zeroed": [
-            [ground.label(i), ground.label(k)]
+            [ground.labels[i], ground.labels[k]]
             for i, k in density.state_reduction_audit(mat, sigma)
         ],
         "h_before": h_before,
@@ -212,7 +212,7 @@ def cmd_measure(args) -> int:
         "h_gain": h_after - h_before,
         "outcomes": [
             {
-                "block": [ground.label(i) for i in blk],
+                "block": [ground.labels[i] for i in blk],
                 "probability": pr,
                 "state_diagonal": post.diagonal(),
             }
@@ -323,7 +323,7 @@ def cmd_observable(args) -> int:
     if complete:
         for i in range(ground.n):
             tup = ", ".join(str(f.values[i]) for f in attrs)
-            print(f"  {ground.label(i)} -> ({tup})")
+            print(f"  {ground.labels[i]} -> ({tup})")
     return 0
 
 

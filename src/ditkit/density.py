@@ -30,7 +30,9 @@ from .partitions import (
     ProbGroundSet,
     _as_tuple,
     _block_masks,
+    _check_index,
     _fraction,
+    _is_int,
     _json_number,
     _require,
     _require_exact,
@@ -130,7 +132,8 @@ class ProjectionMask(SubsetVector):
         return self.from_bits(self.ground, ~self.mask)
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        """False, not an error, for anything but an index in range(n)."""
+        return _is_int(i) and i >= 0 and self.mask >> i & 1 == 1
 
 
 @dataclass(frozen=True, init=False)
@@ -202,7 +205,10 @@ class DensityMatrix:
         return tuple(tuple(cells[i * n : i * n + n]) for i in range(n))
 
     def entry(self, i: int, k: int) -> SqrtRational:
-        return SqrtRational(Fraction(self._num[i * self.ground.n + k], self._den))
+        n = self.ground.n
+        _check_index(i, n)
+        _check_index(k, n)
+        return SqrtRational(Fraction(self._num[i * n + k], self._den))
 
     def trace(self) -> Fraction:
         return Fraction(sum(map(self._root, range(self.ground.n))), self._den)
@@ -258,8 +264,8 @@ def verify_block_eigenvectors(pi: Partition, probs: ProbGroundSet) -> bool:
     mat = rho(pi, probs)
     n = pi.ground.n
     w = probs.weights
-    for blk in pi.blocks:
-        mass = probs.weight(blk)
+    masses = [sum(map(w.__getitem__, blk)) for blk in pi.blocks]
+    for blk, mass in zip(pi.blocks, masses):
         for i in range(n):
             # sqrt(num/den * w_k/w_i) = sqrt(num * w_k * den * w_i) / (den * w_i)
             scale = mat._den * w[i]
@@ -274,10 +280,10 @@ def verify_block_eigenvectors(pi: Partition, probs: ProbGroundSet) -> bool:
             if total * probs.denominator != (mass * scale if i in blk else 0):
                 return False
     # <v_A, v_B> is the weight of the common members over sqrt(W_A * W_B)
-    for a in pi.blocks:
-        for b in pi.blocks:
-            shared = probs.weight(set(a) & set(b))
-            if shared * shared != (probs.weight(a) * probs.weight(b) if a == b else 0):
+    for a, mass_a in zip(pi.blocks, masses):
+        for b, mass_b in zip(pi.blocks, masses):
+            shared = sum(map(w.__getitem__, set(a) & set(b)))
+            if shared * shared != (mass_a * mass_b if a == b else 0):
                 return False
     return True
 

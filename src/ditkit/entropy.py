@@ -30,7 +30,8 @@ def block_probs(
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Per-block probability masses, in canonical block order."""
     _require_probs(probs, pi)
-    return [(blk, probs.prob(blk)) for blk in pi.blocks]
+    w, d = probs.weights, probs.denominator
+    return [(blk, Fraction(sum(map(w.__getitem__, blk)), d)) for blk in pi.blocks]
 
 
 def _square_mass(rgs: tuple[int, ...], weights: tuple[int, ...]) -> int:
@@ -93,8 +94,9 @@ def compound_logical(
 def shannon_entropy(pi: Partition, probs: ProbGroundSet) -> float:
     """Block entropy in bits, (W/D) * log2(D/W) summed over block weights W."""
     _require_probs(probs, pi)
-    d = probs.denominator
-    return sum(m / d * math.log2(d / m) for m in map(probs.weight, pi.blocks))
+    w, d = probs.weights, probs.denominator
+    masses = (sum(map(w.__getitem__, blk)) for blk in pi.blocks)
+    return sum(m / d * math.log2(d / m) for m in masses)
 
 
 class CompoundShannon(NamedTuple):

@@ -17,7 +17,8 @@ partition the bottom.
 of the wrong type, `None` or another ditkit value, raises InvalidValue
 ("..., got <repr>") at the entry point that receives it.  `_as_tuple` is
 its one reader of a collection a caller passes: a non-iterable, at any
-depth, raises InvalidValue with the caller's message.
+depth, raises InvalidValue with the caller's message.  `_check_index` is
+its one check of an index a caller passes, raising UnknownLabel.
 """
 
 from __future__ import annotations
@@ -78,13 +79,9 @@ class GroundSet:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
+        if isinstance(label, str) and label in self._index:
             return self._index[label]
-        except KeyError:
-            raise UnknownLabel(f"label {label!r} not in ground set") from None
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
+        raise UnknownLabel(f"label {label!r} not in ground set")
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
@@ -136,12 +133,6 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_containing(self, i: int) -> tuple[int, ...]:
-        return self.blocks[self.rgs[i]]
-
-    def same_block(self, i: int, k: int) -> bool:
-        return self.rgs[i] == self.rgs[k]
-
     def is_discrete(self) -> bool:
         return self.num_blocks == self.ground.n
 
@@ -149,8 +140,8 @@ class Partition:
         return self.num_blocks == 1
 
     def label_blocks(self) -> tuple[tuple[str, ...], ...]:
-        lab = self.ground.label
-        return tuple(tuple(lab(i) for i in blk) for blk in self.blocks)
+        lab = self.ground.labels
+        return tuple(tuple(lab[i] for i in blk) for blk in self.blocks)
 
     # Lattice order: sigma <= pi  iff  dit(sigma) is a subset of dit(pi).
     def __le__(self, other: "Partition") -> bool:
@@ -188,7 +179,9 @@ class PairRelation:
         _require(frozenset, "pairs must be a frozenset", self.pairs)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
+        """False, not an error, for anything but a pair of ints."""
+        return (isinstance(pair, tuple) and all(map(_is_int, pair))
+                and pair in self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -244,8 +237,11 @@ class ProbGroundSet:
 
     def weight(self, indices: Iterable[int]) -> int:
         """Grid mass of a set of indices: its probability times the
-        denominator."""
-        return sum(map(self.weights.__getitem__, indices))
+        denominator.  An index given twice counts once."""
+        indices = _as_tuple(indices, "indices must be an iterable")
+        for i in indices:
+            _check_index(i, self.ground.n)
+        return sum(map(self.weights.__getitem__, set(indices)))
 
 
 def _fraction(value) -> Fraction:
@@ -377,12 +373,12 @@ def inditset(pi: Partition) -> PairRelation:
 def ditset(pi: Partition) -> PairRelation:
     """All ordered pairs split across two blocks."""
     _require(Partition, "expected a Partition", pi)
-    n = pi.ground.n
+    n, rgs = pi.ground.n, pi.rgs
     pairs = frozenset(
         (i, k)
         for i in range(n)
         for k in range(n)
-        if not pi.same_block(i, k)
+        if rgs[i] != rgs[k]
     )
     return PairRelation(pi.ground, pairs)
 

@@ -80,7 +80,7 @@ class SubsetVector:
         return frozenset(i for i in range(self.ground.n) if self.mask >> i & 1)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.ground.label(i) for i in sorted(self.members))
+        return tuple(lab for i, lab in enumerate(self.ground) if self.mask >> i & 1)
 
     def __add__(self, other: "SubsetVector") -> "SubsetVector":
         _require(SubsetVector, "expected a SubsetVector", other)
@@ -157,9 +157,13 @@ class GF2Map:
         return cls(tuple(1 << i for i in range(n)))
 
     def entry(self, i: int, k: int) -> int:
+        _check_index(i, self.n)
+        _check_index(k, self.n)
         return self.cols[k] >> i & 1
 
     def apply_bits(self, mask: int) -> int:
+        """The image of the subset `mask`, an index into the 2**n subsets."""
+        _check_index(mask, 1 << self.n)
         out = 0
         j = 0
         while mask:
@@ -242,6 +246,8 @@ class StateMixture:
         return cls(s.ground, ((s, Fraction(1)),))
 
     def probability(self, s: SubsetVector) -> Fraction:
+        _require(SubsetVector, "expected a SubsetVector", s)
+        _require_same_ground(s, self)
         for vec, q in self.terms:
             if vec == s:
                 return q

@@ -679,7 +679,7 @@ def sample_pipeline(initial, steps, trials, rng, p=None):
                 raise EmptyState(f"step {k} measures the empty state")
             hit = choice_reduce(sorted(vec.members), probs, rng)
             vec = SubsetVector(
-                ground, vec.members & frozenset(sigma.block_containing(hit))
+                ground, vec.members & frozenset(sigma.blocks[sigma.rgs[hit]])
             )
         counts[vec] = counts.get(vec, 0) + 1
     return counts

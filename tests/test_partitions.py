@@ -727,11 +727,12 @@ def test_checking_constructors_take_only_exact_numbers(make, what, bad):
         (lambda: parse_partition(AB, None), "partition text must be a str"),
         (lambda: enumerate_partitions(AB, "x"), "max_n must be"),
         (lambda: PairRelation(None, frozenset()), "ground must be a GroundSet"),
+        (lambda: ProbGroundSet.uniform(AB).weight(5), "indices must be an iterable"),
     ],
     ids=[
         "dsd-group", "dsd-groups", "dsd-vector", "map-int", "map-list", "values",
         "probs-values", "images-none", "images-str", "partition", "subset",
-        "choice-block", "parse-none", "enum-bound", "pair-relation",
+        "choice-block", "parse-none", "enum-bound", "pair-relation", "probs-weight",
     ],
 )
 def test_non_iterable_containers_raise_ditkit_error(read, message):

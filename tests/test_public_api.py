@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import pathlib
 import re
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ import ditkit
 from ditkit import errors
 from ditkit.density import luders_mixture, rho
 from ditkit.entropy import logical_entropy
-from ditkit.errors import DitkitError, InvalidValue
+from ditkit.errors import DitkitError, GroundMismatch, InvalidValue, UnknownLabel
 from ditkit.partitions import (
     GroundSet,
     choice_reduce,
@@ -325,6 +327,9 @@ _TYPED_CALLS = {
     "GF2Map.identity": (ditkit.GF2Map.identity, (2,), (0,)),
     "StateMixture": (ditkit.StateMixture, (_AB, ((_BOTH, 1),)), (0,)),
     "StateMixture.point": (ditkit.StateMixture.point, (_BOTH,), (0,)),
+    "StateMixture.probability": (
+        ditkit.StateMixture.probability, (ditkit.StateMixture.point(_BOTH), _BOTH), (1,)
+    ),
     "SubsetVector.__add__": (SubsetVector.__add__, (_BOTH, _BOTH), (1,)),
     "run_pipeline": (run_pipeline, (_BOTH, [Detect()]), (0,)),
     "sample_pipeline": (sample_pipeline, (_BOTH, [Detect()], 1, 0), (0,)),
@@ -352,6 +357,225 @@ def test_a_value_of_the_wrong_type_raises_invalid_value(name, at, wrong):
     other = _P if type(args[at]) is ditkit.Partition else _PI
     with pytest.raises(InvalidValue, match=", got "):
         call(*_swapped(args, at, None if wrong == "None" else other))
+
+
+# --- one generated sweep over the public surface ---
+#
+# Every function and class that ditkit exports, and every public method,
+# classmethod and operator of an exported class, gets one valid call.
+# Then each argument in turn is swapped for each bad value, and anything
+# raised that is not a DitkitError is a leak.
+
+_ABC = GroundSet(("a", "b", "c"))
+_A = SubsetVector(_AB, [0])
+
+# No bad value asks for work above size 5.
+_BAD_VALUES = (
+    None, 5, -1, "x", [], 0.5, True, discrete_partition(_ABC), _ABC, object(),
+    ["x"], [[None]], {"a": None},
+)
+
+# The names the sweep leaves out, each with its reason.
+_TRUSTED = {
+    "SubsetVector.from_bits": "the documented trusted path: ground and mask unchecked",
+    "Compatibility": "the stdlib Enum lookup, Compatibility(value)",
+}
+
+# A valid argument by its annotation, else by its parameter's name.
+_BY_ANNOTATION = {
+    "GroundSet": _AB,
+    "Partition": _PI,
+    "ProbGroundSet": _P,
+    "Optional[ProbGroundSet]": _P,
+    "DensityMatrix": _MAT,
+    "SubsetVector": _A,
+    "ProjectionMask": ditkit.ProjectionMask(_AB, [0]),
+    "GF2Map": _MAP,
+    "DSD": _DSD,
+    "Operator": _OP,
+    "Attribute": _F,
+    "Formula": ditkit.Var("p"),
+    "Matrix": ((1, 0), (0, 1)),
+    "Mapping[str, Partition]": {"p": _PI},
+    "dict[str, Partition]": {"p": _PI},
+    "Iterable[Step]": [Detect()],
+    "Iterable[Iterable[int]]": [[0], [1]],
+    "Iterable[Iterable[str]]": [["a"], ["b"]],
+    "tuple[Fraction, ...]": (Fraction(1, 2), Fraction(1, 2)),
+    "Fraction": Fraction(1, 4),
+    "float": 0.5,
+}
+_BY_NAME = {
+    "labels": ("a", "b"), "blocks": [[0], [1]], "members": [0], "indices": [0],
+    "block": [0, 1], "values": (Fraction(1, 2), Fraction(1, 2)),
+    "mapping": {"a": 1, "b": 2},
+    "images": {"a": "a", "b": "b"}, "text": "a|b", "label": "a", "name": "p",
+    "i": 0, "k": 1, "n": 2, "dim": 2, "max_n": 2, "bound": 2, "mask": 1,
+    "trials": 2, "rng": 0, "case": 1, "value": 2, "factor": 2, "pair": (0, 1),
+    "pairs": frozenset({(0, 1)}), "cols": (1, 2), "groups": [[(1, 0)], [(0, 1)]],
+    "subspaces": _DSD.subspaces, "entries": _MAT.entries, "terms": ((_A, 1),),
+    "status": "valid-up-to-bound", "ev_f": (1, 2), "ev_g": (1, 2),
+    "eigenvalues": (1, 2), "attrs": [_F], "dsds": [_DSD],
+    "message": "m", "position": 0, "bound_reached": 0,
+}
+# the calls that the two tables cannot build
+_RECIPES = {
+    "parse": ("p",),
+    "Attribute.from_json": (_F.to_json(),),
+    "DSD.from_json": (_DSD.to_json(),),
+    "DensityMatrix.from_json": (_MAT.to_json(),),
+}
+
+
+def _valid_arguments(name, call):
+    """A valid argument for each positional parameter of `call`, or None
+    when there is no recipe for one."""
+    if name in _RECIPES:
+        return _RECIPES[name]
+    try:
+        params = inspect.signature(call).parameters.values()
+    except ValueError:  # a builtin exception type takes any message
+        params = ()
+    args = []
+    for param in params:
+        if param.kind not in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+            continue
+        note = param.annotation
+        note = getattr(note, "__forward_arg__", note)  # a NamedTuple field
+        note = note.strip("'") if isinstance(note, str) else None
+        if note in _BY_ANNOTATION:
+            args.append(_BY_ANNOTATION[note])
+        elif param.name in _BY_NAME:
+            args.append(_BY_NAME[param.name])
+        elif param.default is not param.empty:
+            args.append(param.default)
+        else:
+            return None
+    return tuple(args)
+
+
+def _run(call, args):
+    result = call(*args)
+    if isinstance(result, Iterator):
+        list(result)
+
+
+def _public_calls():
+    """(calls, missing): name -> (callable, valid arguments) for every
+    swept name whose valid call runs, and the names with no recipe or a
+    recipe that raises.  A method is called on the instance its class's
+    own valid call builds; an inherited one is listed under the subclass
+    too, and the defining name decides whether it is trusted."""
+    package = str(pathlib.Path(ditkit.__file__).parent)
+    calls, missing = {}, set()
+
+    def add(name, code_name, call):
+        if name in _TRUSTED or code_name in _TRUSTED:
+            return None
+        args = _valid_arguments(name, call)
+        if args is not None:
+            try:
+                _run(call, args)
+            except Exception:
+                args = None
+        if args is None:
+            missing.add(name)
+        else:
+            calls[name] = (call, args)
+        return args
+
+    for name, obj in vars(ditkit).items():
+        if name[0] == "_" or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        args = add(name, name, obj)
+        if not inspect.isclass(obj):
+            continue
+        instance = obj(*args) if args is not None else None
+        for attr in dir(obj):
+            raw = inspect.getattr_static(obj, attr)
+            code = getattr(raw, "__func__", raw)
+            if not (
+                inspect.isfunction(code)
+                and code.__code__.co_filename.startswith(package)
+                and (attr[0] != "_" or attr[:2] == attr[-2:] == "__")
+                and attr not in ("__init__", "__post_init__")
+            ):
+                continue
+            owner = obj if isinstance(raw, (classmethod, staticmethod)) else instance
+            if owner is None:
+                missing.add(f"{name}.{attr}")
+                continue
+            add(f"{name}.{attr}", code.__qualname__, getattr(owner, attr))
+    return calls, missing
+
+
+def test_the_sweep_builds_a_valid_call_for_every_public_name():
+    """A new export or method with no recipe fails here, rather than
+    dropping out of the sweep."""
+    calls, missing = _public_calls()
+    assert missing == set()
+    assert {"rho", "GF2Map.apply_bits", "ProjectionMask.__contains__"} <= set(calls)
+
+
+def test_no_bad_argument_leaks_a_raw_exception():
+    """Every swap of one argument for one bad value returns or raises a
+    DitkitError.  Leaks are listed per name: the count of leaking calls
+    and the exception classes raised."""
+    calls, _ = _public_calls()
+    leaks: dict[str, Counter] = {}
+    for name, (call, args) in calls.items():
+        for at in range(len(args)):
+            for bad in _BAD_VALUES:
+                try:
+                    _run(call, _swapped(args, at, bad))
+                except DitkitError:
+                    pass
+                except Exception as exc:
+                    leaks.setdefault(name, Counter())[type(exc).__name__] += 1
+    assert not leaks, "\n".join(
+        f"{name}: {sum(kinds.values())} calls, {', '.join(sorted(kinds))}"
+        for name, kinds in sorted(leaks.items())
+    )
+
+
+# The sweep sees only exceptions.  These calls answered, wrongly, at an
+# index outside range(n): entry (0, 3) of a 3x3 matrix read entry (1, 0),
+# -1 wrapped around to the last element, and a bool read element 0 or 1.
+_P3 = ditkit.ProbGroundSet.from_values(_ABC, ["1/2", "1/3", "1/6"])
+_RHO3 = rho(ditkit.indiscrete_partition(_ABC), _P3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _RHO3.entry(0, 3),
+    lambda: _RHO3.entry(-1, 0),
+    lambda: _RHO3.entry(True, 0),
+    lambda: ditkit.GF2Map((1, 2, 4)).entry(3, 0),
+    lambda: ditkit.GF2Map((1, 2, 4)).apply_bits(8),
+    lambda: _P3.prob([-1]),
+    lambda: _ABC.index(["a"]),
+], ids=["entry-row", "entry-wrap", "entry-bool", "map-entry", "map-mask", "prob",
+        "label"])
+def test_an_index_outside_the_ground_set_raises_unknown_label(call):
+    with pytest.raises(UnknownLabel):
+        call()
+
+
+def test_weight_and_prob_read_a_set_of_indices():
+    assert _P3.prob([0, 0]) == _P3.prob([0]) == Fraction(1, 2)
+    assert _P3.weight((2, 1, 2)) == _P3.weight({1, 2}) == 3
+
+
+def test_membership_is_false_for_anything_but_an_index():
+    mask = ditkit.ProjectionMask(_ABC, [1])
+    dits = ditkit.ditset(discrete_partition(_ABC))
+    assert 1 in mask and (1, 0) in dits
+    for bad in _BAD_VALUES:
+        assert bad not in mask and bad not in dits and (bad, 0) not in dits
+
+
+def test_a_mixture_refuses_a_vector_on_another_ground():
+    with pytest.raises(GroundMismatch):
+        ditkit.StateMixture.point(_BOTH).probability(SubsetVector(_ABC, [0]))
 
 
 def _refuses_a_type(node: ast.If) -> bool:
