@@ -272,21 +272,68 @@ def evaluate(
     return _from_rgs(ground, walk(f))
 
 
+def _require_ground_size(n) -> None:
+    """Raise InvalidValue unless `n` is an int ground size of at least 2,
+    the least size the search visits."""
+    if not _is_int(n) or n < 2:
+        raise InvalidValue(f"ground size must be an int of at least 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Counterexample:
+    """An assignment of partitions of an n-element ground set to the
+    variables, and the value the formula takes there.  Construction checks
+    that n is an int of at least 2 and that every partition is on an
+    n-element ground set."""
+
     n: int
     assignment: dict[str, Partition]
     value: Partition
+
+    def __post_init__(self):
+        _require_ground_size(self.n)
+        _require(Mapping, "assignment must be a mapping", self.assignment)
+        for name, pi in self.assignment.items():
+            _require(str, "variable names must be strings", name)
+            _require(Partition, "assignment values must be Partitions", pi)
+        _require(Partition, "value must be a Partition", self.value)
+        for pi in (*self.assignment.values(), self.value):
+            if pi.ground.n != self.n:
+                raise InvalidValue(
+                    f"partition {notation(pi)!r} is not on {self.n} elements"
+                )
+
+
+_STATUSES = ("valid-up-to-bound", "counterexample")
 
 
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the bounded search: either no counterexample up to the
-    bound, or the least witness in (n, assignment) order."""
+    bound, or the least witness in (n, assignment) order.  Construction
+    checks that the status is one of the two, that the bound is an int of
+    at least 2, and that a witness on `bound` elements is given exactly
+    when the status is "counterexample"."""
 
     status: str  # "valid-up-to-bound" | "counterexample"
     bound: int
     witness: Optional[Counterexample] = None
+
+    def __post_init__(self):
+        if self.status not in _STATUSES:
+            raise InvalidValue(
+                f"status must be one of {', '.join(_STATUSES)}, got {self.status!r}"
+            )
+        _require_ground_size(self.bound)
+        if self.status == "valid-up-to-bound":
+            if self.witness is not None:
+                raise InvalidValue("a valid-up-to-bound report has no witness")
+            return
+        _require(Counterexample, "witness must be a Counterexample", self.witness)
+        if self.witness.n != self.bound:
+            raise InvalidValue(
+                f"witness on {self.witness.n} elements for bound {self.bound}"
+            )
 
     @property
     def is_valid_up_to_bound(self) -> bool:

@@ -432,6 +432,21 @@ def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
     ]
 
 
+def _se_dim(dsd_f: DSD, dsd_g: DSD) -> int:
+    """The dimension of the span of the pairwise subspace intersections,
+    len(_se_pieces(dsd_f, dsd_g)), counted without building the pieces:
+    span(A) ∩ span(B) has dimension len(A) - rank(N_B A^T), the dimension
+    of the kernel `_cut` takes its basis from, because the rows of A are
+    independent; an empty N_B (B the whole space) has rank 0."""
+    if dsd_f.dim != dsd_g.dim:
+        raise DimensionMismatch("decompositions of different spaces")
+    return sum(
+        len(a) - len(linalg._echelon(linalg._dots(null_b, a), len(a)))
+        for a in dsd_f.int_bases
+        for null_b in dsd_g.annihilators
+    )
+
+
 def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
     """Canonical basis of the span of all pairwise subspace intersections:
     the space spanned by simultaneous eigenvectors."""
@@ -452,7 +467,7 @@ def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
     it is an eigenvector of neither."""
     values_f = _spectrum(ev_f, dsd_f)
     values_g = _spectrum(ev_g, dsd_g)
-    se = len(_se_pieces(dsd_f, dsd_g))
+    se = _se_dim(dsd_f, dsd_g)
     # the sums are multiples of F and G, so their commutator is a
     # multiple of [F, G] with the same rank
     f, _ = _spectral_sum(values_f, dsd_f)
@@ -462,11 +477,11 @@ def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
 
 def classify(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> Compatibility:
     """Commuting, Incompatible, or Conjugate by the dimension of the
-    simultaneous-eigenvector span (full, intermediate, zero).  The pieces
-    are independent, so the dimension is their count."""
+    simultaneous-eigenvector span (full, intermediate, zero), counted by
+    `_se_dim`."""
     _spectrum(ev_f, dsd_f)
     _spectrum(ev_g, dsd_g)
-    d = len(_se_pieces(dsd_f, dsd_g))
+    d = _se_dim(dsd_f, dsd_g)
     if d == dsd_f.dim:
         return Compatibility.COMMUTING
     if d == 0:
@@ -498,7 +513,7 @@ def csco_complete(dsds) -> bool:
             raise DimensionMismatch("decompositions of different spaces")
     n = dsds[0].dim
     for a, b in itertools.combinations(dsds, 2):
-        if len(_se_pieces(a, b)) != n:
+        if _se_dim(a, b) != n:
             raise NotCommuting("decompositions are not pairwise commuting")
     pieces = dsds[0].int_bases
     for d in dsds[1:]:

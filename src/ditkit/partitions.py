@@ -169,7 +169,11 @@ class Partition:
 @dataclass(frozen=True)
 class PairRelation:
     """A set of ordered index pairs over a ground set (a dit-set or
-    indit-set, materialized)."""
+    indit-set, materialized).
+
+    ``PairRelation(ground, pairs)`` checks that `pairs` is a frozenset of
+    (i, k) tuples of indices in range(n); `ditset`, `inditset` and
+    `complement` build through the trusted `_trusted`."""
 
     ground: GroundSet
     pairs: frozenset[tuple[int, int]]
@@ -177,6 +181,21 @@ class PairRelation:
     def __post_init__(self):
         _require(GroundSet, "ground must be a GroundSet", self.ground)
         _require(frozenset, "pairs must be a frozenset", self.pairs)
+        n = self.ground.n
+        for pair in self.pairs:
+            _require(tuple, "pairs must hold (i, k) index pairs", pair)
+            if len(pair) != 2:
+                raise InvalidValue(f"pair {pair!r} is not an (i, k) index pair")
+            _check_index(pair[0], n)
+            _check_index(pair[1], n)
+
+    @classmethod
+    def _trusted(cls, ground: GroundSet, pairs: frozenset) -> "PairRelation":
+        """The trusted constructor: `pairs` must already hold (i, k) pairs
+        of indices into range(n); none of it is checked."""
+        relation = object.__new__(cls)
+        relation.__dict__.update(ground=ground, pairs=pairs)
+        return relation
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         """False, not an error, for anything but a pair of ints."""
@@ -189,7 +208,7 @@ class PairRelation:
     def complement(self) -> "PairRelation":
         n = self.ground.n
         full = {(i, k) for i in range(n) for k in range(n)}
-        return PairRelation(self.ground, frozenset(full - self.pairs))
+        return PairRelation._trusted(self.ground, frozenset(full - self.pairs))
 
 
 @dataclass(frozen=True)
@@ -367,7 +386,7 @@ def inditset(pi: Partition) -> PairRelation:
     pairs = frozenset(
         (i, k) for blk in pi.blocks for i in blk for k in blk
     )
-    return PairRelation(pi.ground, pairs)
+    return PairRelation._trusted(pi.ground, pairs)
 
 
 def ditset(pi: Partition) -> PairRelation:
@@ -380,7 +399,7 @@ def ditset(pi: Partition) -> PairRelation:
         for k in range(n)
         if rgs[i] != rgs[k]
     )
-    return PairRelation(pi.ground, pairs)
+    return PairRelation._trusted(pi.ground, pairs)
 
 
 def refines(sigma: Partition, pi: Partition) -> bool:
@@ -555,9 +574,11 @@ def _draw_counts(members: Sequence[int], probs: ProbGroundSet) -> list[int]:
     """Cumulative counts of a draw over `members`: W_i // gcd(D, W_members)
     for the weights W over denominator D of `probs`, the least integers in
     ratio p_i / Pr(members); a draw r picks member `bisect_right(..., r)`."""
-    w = probs.weights
-    scale = math.gcd(probs.denominator, *(w[i] for i in members))
-    return list(itertools.accumulate(w[i] // scale for i in members))
+    w = list(map(probs.weights.__getitem__, members))
+    scale = math.gcd(probs.denominator, *w)
+    if scale != 1:
+        w = [x // scale for x in w]
+    return list(itertools.accumulate(w))
 
 
 def choice_reduce(

@@ -114,6 +114,29 @@ def _gf2_rank(rows: list[int], width: int) -> int:
     return rank
 
 
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _image(cols: tuple[int, ...], mask: int) -> int:
+    """The XOR of the columns that the bits of `mask` pick: the unchecked
+    fold behind `GF2Map.apply_bits`, for callers whose mask is in range."""
+    out = 0
+    j = 0
+    while mask:
+        if mask & 1:
+            out ^= cols[j]
+        mask >>= 1
+        j += 1
+    return out
+
+
 @dataclass(frozen=True)
 class GF2Map:
     """Linear map on GF(2)^n; cols[j] is the image bitmask of singleton j.
@@ -164,14 +187,7 @@ class GF2Map:
     def apply_bits(self, mask: int) -> int:
         """The image of the subset `mask`, an index into the 2**n subsets."""
         _check_index(mask, 1 << self.n)
-        out = 0
-        j = 0
-        while mask:
-            if mask & 1:
-                out ^= self.cols[j]
-            mask >>= 1
-            j += 1
-        return out
+        return _image(self.cols, mask)
 
     def inverse(self) -> "GF2Map":
         """Inverse map by GF(2) Gauss-Jordan elimination.  The columns of
@@ -195,7 +211,7 @@ def evolve(s: SubsetVector, m: GF2Map) -> SubsetVector:
     _require(GF2Map, "expected a GF2Map", m)
     if s.ground.n != m.n:
         raise DimensionMismatch("map dimension does not match ground set")
-    return SubsetVector.from_bits(s.ground, m.apply_bits(s.mask))
+    return SubsetVector.from_bits(s.ground, _image(m.cols, s.mask))
 
 
 @dataclass(frozen=True)
@@ -318,8 +334,8 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
     def entry(k: int, mask: int):
         step = plan[k]
         if isinstance(step, GF2Map):
-            return step.apply_bits(mask)
-        members = [i for i in range(n) if mask >> i & 1]
+            return _image(step.cols, mask)
+        members = _members(mask)
         if not members:
             raise EmptyState(f"step {k} measures the empty state")
         if len(members) == 1:
@@ -360,11 +376,41 @@ def run_pipeline(
                 mixture[nxt] = mixture.get(nxt, 0) + w * (c - prev)
     # the masks are distinct and the weights positive integers summing to
     # den; the terms are sorted by their member lists, ascending
-    ground, n = initial.ground, initial.ground.n
+    ground = initial.ground
     return StateMixture._trusted(ground, tuple(
         (SubsetVector.from_bits(ground, m), Fraction(mixture[m], den))
-        for m in sorted(mixture, key=lambda m: [i for i in range(n) if m >> i & 1])
+        for m in sorted(mixture, key=_members)
     ))
+
+
+# A draw table is kept as slots when its draws take at most _SLOT_BITS
+# bits and at least _SLOT_ARRIVALS trials per member are expected to reach
+# it: below that, filling the slots costs more than the draws save.
+_SLOT_BITS = 8
+_SLOT_ARRIVALS = 4
+
+
+def _share(reach: int, cumulative: list, j: int) -> int:
+    """The trials, of `reach` arriving at a table, expected to draw its
+    member j: reach * count_j / total, rounded down."""
+    lo = cumulative[j - 1] if j else 0
+    return reach * (cumulative[j] - lo) // cumulative[-1]
+
+
+def _settle(slots: list, r: int, memo: dict, jump):
+    """The node that draw r of a slot table leads to, found in `memo` or
+    built by `jump` and written into every slot that leads to it: the
+    first draw into a member's range.  `slots` ends in the cumulative
+    counts, the child keys, the reach, the total and the draw's argument."""
+    cumulative = slots[-5]
+    j = bisect.bisect_right(cumulative, r)
+    key = slots[-4][j]
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = jump(key, _share(slots[-3], cumulative, j))
+    lo = cumulative[j - 1] if j else 0
+    slots[lo:cumulative[j]] = [found] * (cumulative[j] - lo)
+    return found
 
 
 def sample_pipeline(
@@ -380,14 +426,14 @@ def sample_pipeline(
     in i's block; a singleton draws nothing.
 
     The steps are checked and compiled once per call, as in run_pipeline.
-    One jump memo, keyed ``(k << n) | mask``, holds for step k reached at
-    subset mask either the next draw table found by running the
-    deterministic steps (an Evolve, or a measurement of a singleton), its
-    targets keyed the same way at the step after it, or the final mask.
-    An entry is built the first time a trial reaches its key, so a trial
-    makes one lookup per draw, and an EmptyState is raised where the first
-    trial to measure the empty state reaches it.  A table's counts are
-    `partitions._draw_counts`, the table `choice_reduce` draws from.
+    A node is what a trial reaches at step k and subset mask, after the
+    deterministic steps from there (an Evolve, or a measurement of a
+    singleton): the final mask, or the next draw table, whose members lead
+    to the nodes of the step after it.  One memo keyed ``(k << n) | mask``
+    holds each node, built the first time a trial reaches it, so an
+    EmptyState is raised where the first trial to measure the empty state
+    reaches it.  A table's counts are `partitions._draw_counts`, the table
+    `choice_reduce` draws from.
 
     A draw below a table's total t is ``rng.getrandbits(t.bit_length())``,
     repeated while it is not below t, which is how `random.Random.randrange`
@@ -395,24 +441,25 @@ def sample_pipeline(
     integers another way, as one that overrides only ``random()`` does, is
     asked for ``rng.randrange(t)``.  So a seed gives the same draws, counts
     in the same first-occurrence order and generator state as one
-    `choice_reduce` per measurement.  `rng` is an int seed or a
+    `choice_reduce` per measurement, however a table is kept.
+
+    A table is kept in one of two forms; the draws are the same in both.
+    A slot table is a list with one slot per value a draw can take, 2**w
+    for a w-bit draw and t for ``randrange(t)``: slot r holds the node that
+    draw r leads to, and a slot at or above t holds None, which means draw
+    again.  A child's slots hold None too until the first draw lands in
+    them; that draw finds the child through the memo and writes it into
+    all of its slots, so a later draw is one list index.  A table is a
+    slot table when its draws take at most _SLOT_BITS (8) bits and the
+    trials expected to reach it, `trials` times the chance of the draws
+    that lead there from the first parent found, are at least
+    _SLOT_ARRIVALS (4) per member.  Any other table, a wide one or one
+    that few trials reach, bisects its cumulative counts for each draw and
+    looks the child up in the memo.  `rng` is an int seed or a
     `random.Random`; anything else raises InvalidValue."""
     _require_size("trials must be a non-negative integer", trials)
     count, entry = _compile(initial, steps, p)
     n = initial.ground.n
-
-    def jump(key: int):
-        k, mask = key >> n, key & ~(-1 << n)
-        while k < count:
-            step_entry = entry(k, mask)
-            k += 1
-            if type(step_entry) is not int:
-                total, cumulative, nexts = step_entry
-                keys = [k << n | m for m in nexts]
-                return total, total.bit_length(), cumulative, keys
-            mask = step_entry
-        return mask
-
     rng = _as_rng(rng)
     # an unchanged Random.randrange(t) returns _randbelow(t), which draws bits
     bits = (type(rng).randrange is random.Random.randrange
@@ -421,23 +468,64 @@ def sample_pipeline(
     draw = rng.getrandbits if bits else rng.randrange
     bisect_right = bisect.bisect_right
     memo: dict = {}
+    full = ~(-1 << n)
+
+    def jump(key: int, reach: int):
+        """The node at `key`, which about `reach` trials are expected to
+        reach: the final mask, a wide table (total, the draw's argument,
+        cumulative counts, child keys, reach), or a slot list that ends in
+        the cumulative counts, the child keys, the reach, the total and
+        the draw's argument, past its slots."""
+        k, mask = key >> n, key & full
+        while k < count:
+            step_entry = entry(k, mask)
+            k += 1
+            if type(step_entry) is not int:
+                total, cumulative, nexts = step_entry
+                keys = [k << n | m for m in nexts]
+                width = total.bit_length()
+                arg = width if bits else total
+                if width > _SLOT_BITS or len(keys) * _SLOT_ARRIVALS > reach:
+                    return total, arg, cumulative, keys, reach
+                slots = [None] * ((1 << width if bits else total) + 5)
+                slots[-5:] = cumulative, keys, reach, total, arg
+                return slots
+            mask = step_entry
+        return mask
+
     tally: dict[int, int] = {}
-    root = jump(initial.mask) if trials else None
+    root = jump(initial.mask, trials) if trials else None
     for _ in range(trials):
-        found = root
-        while type(found) is not int:
-            total, width, cumulative, keys = found
-            if bits:
-                r = draw(width)
+        node = root
+        while True:
+            while type(node) is tuple:
+                total, arg, cumulative, keys, reach = node
+                r = draw(arg)
                 while r >= total:
-                    r = draw(width)
-            else:
-                r = draw(total)
-            key = keys[bisect_right(cumulative, r)]
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = jump(key)
-        tally[found] = tally.get(found, 0) + 1
+                    r = draw(arg)
+                key = keys[bisect_right(cumulative, r)]
+                node = memo.get(key)
+                if node is None:
+                    share = _share(reach, cumulative, bisect_right(cumulative, r))
+                    node = memo[key] = jump(key, share)
+            if type(node) is int:
+                break
+            while True:  # a slot table
+                arg = node[-1]
+                r = draw(arg)
+                found = node[r]
+                while found is None:
+                    if r < node[-2]:
+                        found = _settle(node, r, memo, jump)
+                        break
+                    r = draw(arg)
+                    found = node[r]
+                node = found
+                if type(node) is not list:
+                    break
+            if type(node) is int:
+                break
+        tally[node] = tally.get(node, 0) + 1
     return {SubsetVector.from_bits(initial.ground, m): c for m, c in tally.items()}
 
 

@@ -23,6 +23,7 @@ from ditkit import (
     Meet,
     Top,
     UnboundVariable,
+    ValidityReport,
     Var,
     bell_number,
     boolean_tautology,
@@ -284,6 +285,45 @@ def test_check_validity_json():
     }
     valid = check_validity(parse("s => s"), 3).to_json()
     assert valid == {"status": "valid-up-to-bound", "bound": 3}
+
+
+_AB = GroundSet(("a", "b"))
+_ABC = GroundSet(("a", "b", "c"))
+_WITNESS = Counterexample(2, {"p": discrete_partition(_AB)}, indiscrete_partition(_AB))
+
+
+@pytest.mark.parametrize("build, message", [
+    # the report that once serialized as {'status': 'nonsense', 'bound': -3}
+    (lambda: ValidityReport("nonsense", -3), "^status must be one of "),
+    (lambda: ValidityReport("valid-up-to-bound", -3), "^ground size must be an int"),
+    (lambda: ValidityReport("valid-up-to-bound", 1), "^ground size must be an int"),
+    (lambda: ValidityReport("valid-up-to-bound", True), "^ground size must be an int"),
+    (lambda: ValidityReport("valid-up-to-bound", 2, _WITNESS), "has no witness$"),
+    (lambda: ValidityReport("counterexample", 2), "^witness must be a Counterexample"),
+    (lambda: ValidityReport("counterexample", 2, "w"), "^witness must be a Counterexample"),
+    (lambda: ValidityReport("counterexample", 3, _WITNESS), "^witness on 2 elements"),
+    (lambda: Counterexample(1, {}, discrete_partition(GroundSet(("a",)))),
+     "^ground size must be an int"),
+    (lambda: Counterexample(2.0, {}, _WITNESS.value), "^ground size must be an int"),
+    (lambda: Counterexample(2, [], _WITNESS.value), "^assignment must be a mapping"),
+    (lambda: Counterexample(2, {1: _WITNESS.value}, _WITNESS.value),
+     "^variable names must be strings"),
+    (lambda: Counterexample(2, {"p": "a|b"}, _WITNESS.value),
+     "^assignment values must be Partitions"),
+    (lambda: Counterexample(2, {}, "ab"), "^value must be a Partition"),
+    (lambda: Counterexample(2, {"p": discrete_partition(_ABC)}, _WITNESS.value),
+     "is not on 2 elements$"),
+    (lambda: Counterexample(2, {}, discrete_partition(_ABC)), "is not on 2 elements$"),
+])
+def test_result_records_check_their_fields(build, message):
+    with pytest.raises(InvalidValue, match=message):
+        build()
+
+
+def test_result_records_accept_what_the_search_returns():
+    report = ValidityReport("counterexample", 2, _WITNESS)
+    assert report.to_json()["witness"] == {"n": 2, "assignment": {"p": "a|b"}, "value": "ab"}
+    assert ValidityReport("valid-up-to-bound", 2).is_valid_up_to_bound
 
 
 def test_check_validity_budget():

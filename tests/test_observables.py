@@ -554,6 +554,34 @@ def test_se_contained_in_kernel_random_pairs():
         assert verdict is expected
 
 
+@st.composite
+def dsd_pairs(draw):
+    """Two decompositions of Q^n: the standard one, an orthogonal one or
+    one in general position, and half the time a second one that regroups
+    the first one's basis rows, one row sheared onto another, so that the
+    pairwise intersections are often neither zero nor whole."""
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    makers = (DSD.standard, lambda n: random_orthogonal_dsd(n, rng),
+              lambda n: random_dsd(n, rng))
+    f = draw(st.sampled_from(makers))(n)
+    if draw(st.booleans()):
+        return f, draw(st.sampled_from(makers))(n)
+    rows = [v for sub in f.subspaces for v in sub]
+    rng.shuffle(rows)
+    if n > 1 and draw(st.booleans()):
+        rows[0] = tuple(x + y for x, y in zip(rows[0], rows[1]))
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return f, DSD(n, tuple(tuple(rows[i:j]) for i, j in zip([0, *cuts], [*cuts, n])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dsd_pairs())
+def test_se_dimension_by_rank_matches_the_pieces(pair):
+    for a, b in (pair, pair[::-1]):
+        assert observables._se_dim(a, b) == len(observables._se_pieces(a, b))
+
+
 def test_se_equals_kernel_dimension_two_random():
     # in dimension 2 a shared eigenvector forces commuting, so the two
     # spaces agree for every pair

@@ -243,6 +243,46 @@ def test_dit_and_indit_partition_the_square(n):
         assert ditset(pi).complement().pairs == indits
 
 
+# the string sorts before or after the pair by its per-process hash, so
+# the first error met may be either
+@pytest.mark.parametrize("pairs, error", [
+    (frozenset({"x", (0, 7)}), (InvalidValue, UnknownLabel)),
+    (frozenset({"x"}), InvalidValue),
+    (frozenset({(0, 1, 1)}), InvalidValue),
+    (frozenset({(0,)}), InvalidValue),
+    (frozenset({(0, 7)}), UnknownLabel),
+    (frozenset({(-1, 0)}), UnknownLabel),
+    (frozenset({(True, 0)}), UnknownLabel),
+    (frozenset({("a", "b")}), UnknownLabel),
+])
+def test_pair_relation_checks_its_pairs(pairs, error):
+    """Before the pairs were checked, the first of these was accepted on a
+    2-element ground, with len 2, a complement of 4 pairs and (0, 7) a
+    member."""
+    with pytest.raises(error):
+        PairRelation(GroundSet("ab"), pairs)
+
+
+def test_dit_and_indit_sets_take_the_trusted_path(monkeypatch):
+    calls = []
+    post_init = PairRelation.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PairRelation, "__post_init__", counted)
+    pi = make_partition(ground(3), [["a"], ["b", "c"]])
+    dits = ditset(pi)
+    assert dits.complement() == inditset(pi)
+    assert calls == []
+    assert PairRelation(dits.ground, dits.pairs) == dits and len(calls) == 1
+    ab = GroundSet("ab")
+    assert PairRelation(ab, frozenset({(0, 1), (1, 1)})).complement() == (
+        PairRelation(ab, frozenset({(0, 0), (1, 0)}))
+    )
+
+
 # --- refinement order -----------------------------------------------------
 
 

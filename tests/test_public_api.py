@@ -645,6 +645,21 @@ def test_as_tuple_is_the_only_collection_reader():
     }
 
 
+def _calls_a_gated_accessor(node: ast.AST) -> bool:
+    """A call of `.apply_bits(...)` or `.entry(...)` on any value."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("apply_bits", "entry"))
+
+
+def test_no_library_code_calls_a_gated_accessor():
+    """`GF2Map.apply_bits` and the `entry` methods check every index they
+    are given, for callers outside the library.  Inside it, the index is
+    in range by construction, so the code reads the fields or the
+    unchecked fold `z2dyn._image`: a gate runs once, at an entry point,
+    and never inside a kernel."""
+    assert _library_sites(_calls_a_gated_accessor) == set()
+
+
 # --- the README quick tour ---
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -550,7 +551,13 @@ def sampler_setups(draw):
         st.one_of(gf2_maps(n).map(Evolve), st.just(Detect()), measures),
         min_size=1, max_size=5,
     ))
-    weights = draw(st.none() | st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    # small weights give small draw tables, kept as slot tables with a
+    # reject region whenever the total is not a power of two
+    weights = draw(
+        st.none()
+        | st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
+        | st.lists(st.integers(1, 9), min_size=n, max_size=n)
+    )
     p = None if weights is None else ProbGroundSet(
         ground, tuple(F(w, sum(weights)) for w in weights))
     start = SubsetVector.from_bits(ground, draw(st.integers(0, (1 << n) - 1)))
@@ -566,9 +573,22 @@ GCD_CASE = (
 )
 
 
+AB = GroundSet(("a", "b"))
+
+
+def slot_edge(t: int):
+    """Detect on {a, b} with p = (1/t, (t-1)/t): one draw table of total
+    t.  A total of 255 draws 8 bits, the widest a slot table takes, and a
+    total of 256 draws 9."""
+    p = ProbGroundSet.from_values(AB, [f"1/{t}", f"{t - 1}/{t}"])
+    return SubsetVector.from_bits(AB, 0b11), [Detect()], p
+
+
 @settings(max_examples=150, deadline=None)
 @given(sampler_setups(), st.integers(0, 80), st.integers(0, 2**32))
 @example(GCD_CASE, 60, 0)
+@example(slot_edge(255), 300, 0)
+@example(slot_edge(256), 300, 0)
 def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
     start, steps, p = setup
     assert sampled(sample_pipeline, start, steps, trials, seed, p) == sampled(
@@ -585,6 +605,24 @@ def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, see
         assert sampled(sample_pipeline, start, steps, trials, seed, p, generator) == (
             sampled(oracle_sample_pipeline, start, steps, trials, seed, p, generator)
         )
+
+
+@pytest.mark.parametrize("t, slots", [(255, True), (256, False)])
+def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, t, slots):
+    """A slot table bisects once per member, on the first draw into the
+    member's slots; a wide table bisects on every draw."""
+    calls = []
+    bisect_right = bisect.bisect_right
+
+    def counted(*args):
+        calls.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(bisect, "bisect_right", counted)
+    start, steps, p = slot_edge(t)
+    counts = sample_pipeline(start, steps, 1000, 3, p)
+    assert sum(counts.values()) == 1000 and len(counts) == 2
+    assert len(calls) == (2 if slots else 1000 + 2)
 
 
 def test_draw_counts_divide_by_the_gcd_with_the_denominator():
