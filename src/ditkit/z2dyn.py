@@ -384,30 +384,21 @@ def run_pipeline(
 
 
 # A draw table is kept as slots when its draws take at most _SLOT_BITS
-# bits and at least _SLOT_ARRIVALS trials per member are expected to reach
-# it: below that, filling the slots costs more than the draws save.
+# bits; a wider table's 2**w slots could run to millions.
 _SLOT_BITS = 8
-_SLOT_ARRIVALS = 4
-
-
-def _share(reach: int, cumulative: list, j: int) -> int:
-    """The trials, of `reach` arriving at a table, expected to draw its
-    member j: reach * count_j / total, rounded down."""
-    lo = cumulative[j - 1] if j else 0
-    return reach * (cumulative[j] - lo) // cumulative[-1]
 
 
 def _settle(slots: list, r: int, memo: dict, jump):
     """The node that draw r of a slot table leads to, found in `memo` or
     built by `jump` and written into every slot that leads to it: the
     first draw into a member's range.  `slots` ends in the cumulative
-    counts, the child keys, the reach, the total and the draw's argument."""
-    cumulative = slots[-5]
+    counts, the child keys, the total and the draw's argument."""
+    cumulative = slots[-4]
     j = bisect.bisect_right(cumulative, r)
-    key = slots[-4][j]
+    key = slots[-3][j]
     found = memo.get(key)
     if found is None:
-        found = memo[key] = jump(key, _share(slots[-3], cumulative, j))
+        found = memo[key] = jump(key)
     lo = cumulative[j - 1] if j else 0
     slots[lo:cumulative[j]] = [found] * (cumulative[j] - lo)
     return found
@@ -450,13 +441,10 @@ def sample_pipeline(
     again.  A child's slots hold None too until the first draw lands in
     them; that draw finds the child through the memo and writes it into
     all of its slots, so a later draw is one list index.  A table is a
-    slot table when its draws take at most _SLOT_BITS (8) bits and the
-    trials expected to reach it, `trials` times the chance of the draws
-    that lead there from the first parent found, are at least
-    _SLOT_ARRIVALS (4) per member.  Any other table, a wide one or one
-    that few trials reach, bisects its cumulative counts for each draw and
-    looks the child up in the memo.  `rng` is an int seed or a
-    `random.Random`; anything else raises InvalidValue."""
+    slot table when its draws take at most _SLOT_BITS (8) bits.  A wider
+    table, whose 2**w slots could run to millions, bisects its cumulative
+    counts for each draw and looks the child up in the memo.  `rng` is an
+    int seed or a `random.Random`; anything else raises InvalidValue."""
     _require_size("trials must be a non-negative integer", trials)
     count, entry = _compile(initial, steps, p)
     n = initial.ground.n
@@ -470,11 +458,10 @@ def sample_pipeline(
     memo: dict = {}
     full = ~(-1 << n)
 
-    def jump(key: int, reach: int):
-        """The node at `key`, which about `reach` trials are expected to
-        reach: the final mask, a wide table (total, the draw's argument,
-        cumulative counts, child keys, reach), or a slot list that ends in
-        the cumulative counts, the child keys, the reach, the total and
+    def jump(key: int):
+        """The node at `key`: the final mask, a wide table (total, the
+        draw's argument, cumulative counts, child keys), or a slot list
+        that ends in the cumulative counts, the child keys, the total and
         the draw's argument, past its slots."""
         k, mask = key >> n, key & full
         while k < count:
@@ -485,32 +472,20 @@ def sample_pipeline(
                 keys = [k << n | m for m in nexts]
                 width = total.bit_length()
                 arg = width if bits else total
-                if width > _SLOT_BITS or len(keys) * _SLOT_ARRIVALS > reach:
-                    return total, arg, cumulative, keys, reach
-                slots = [None] * ((1 << width if bits else total) + 5)
-                slots[-5:] = cumulative, keys, reach, total, arg
+                if width > _SLOT_BITS:
+                    return total, arg, cumulative, keys
+                slots = [None] * ((1 << width if bits else total) + 4)
+                slots[-4:] = cumulative, keys, total, arg
                 return slots
             mask = step_entry
         return mask
 
     tally: dict[int, int] = {}
-    root = jump(initial.mask, trials) if trials else None
+    root = jump(initial.mask) if trials else None
     for _ in range(trials):
         node = root
-        while True:
-            while type(node) is tuple:
-                total, arg, cumulative, keys, reach = node
-                r = draw(arg)
-                while r >= total:
-                    r = draw(arg)
-                key = keys[bisect_right(cumulative, r)]
-                node = memo.get(key)
-                if node is None:
-                    share = _share(reach, cumulative, bisect_right(cumulative, r))
-                    node = memo[key] = jump(key, share)
-            if type(node) is int:
-                break
-            while True:  # a slot table
+        while type(node) is not int:
+            while type(node) is list:  # a slot table
                 arg = node[-1]
                 r = draw(arg)
                 found = node[r]
@@ -521,10 +496,15 @@ def sample_pipeline(
                     r = draw(arg)
                     found = node[r]
                 node = found
-                if type(node) is not list:
-                    break
-            if type(node) is int:
-                break
+            while type(node) is tuple:  # a wide table
+                total, arg, cumulative, keys = node
+                r = draw(arg)
+                while r >= total:
+                    r = draw(arg)
+                key = keys[bisect_right(cumulative, r)]
+                node = memo.get(key)
+                if node is None:
+                    node = memo[key] = jump(key)
         tally[node] = tally.get(node, 0) + 1
     return {SubsetVector.from_bits(initial.ground, m): c for m, c in tally.items()}
 

@@ -579,7 +579,9 @@ def dsd_pairs(draw):
 @given(dsd_pairs())
 def test_se_dimension_by_rank_matches_the_pieces(pair):
     for a, b in (pair, pair[::-1]):
-        assert observables._se_dim(a, b) == len(observables._se_pieces(a, b))
+        dim = observables._se_dim(a, b)
+        assert dim == len(observables._se_pieces(a, b))
+        assert dim == len(oracles.simultaneous_eigenspace(a, b))
 
 
 def test_se_equals_kernel_dimension_two_random():

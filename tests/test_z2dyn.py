@@ -584,11 +584,30 @@ def slot_edge(t: int):
     return SubsetVector.from_bits(AB, 0b11), [Detect()], p
 
 
+ABCD = GroundSet(tuple("abcd"))
+
+
+# p = (1, 255, 256, 256)/768: Measure(ab|cd) draws from a 10-bit table,
+# Detect on {c, d} from a 1-bit one, and Detect on {a, b, c}, the image of
+# c, from a 10-bit one, so a trajectory goes wide -> slot -> wide.
+MIXED_WIDTHS = (
+    SubsetVector.from_bits(ABCD, 0b1111),
+    [
+        Measure(make_partition(ABCD, [["a", "b"], ["c", "d"]])),
+        Detect(),
+        Evolve(GF2Map((1, 2, 7, 11))),
+        Detect(),
+    ],
+    ProbGroundSet.from_values(ABCD, ["1/768", "255/768", "1/3", "1/3"]),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(sampler_setups(), st.integers(0, 80), st.integers(0, 2**32))
 @example(GCD_CASE, 60, 0)
 @example(slot_edge(255), 300, 0)
 @example(slot_edge(256), 300, 0)
+@example(MIXED_WIDTHS, 300, 0)
 def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
     start, steps, p = setup
     assert sampled(sample_pipeline, start, steps, trials, seed, p) == sampled(
@@ -599,6 +618,7 @@ def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
 @settings(max_examples=60, deadline=None)
 @given(sampler_setups(), st.integers(0, 40), st.integers(0, 2**32))
 @example(GCD_CASE, 60, 0)
+@example(MIXED_WIDTHS, 300, 0)
 def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, seed):
     start, steps, p = setup
     for generator in (FloatRandom, LowRandom):
@@ -607,10 +627,13 @@ def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, see
         )
 
 
-@pytest.mark.parametrize("t, slots", [(255, True), (256, False)])
-def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, t, slots):
+@pytest.mark.parametrize("t, trials, bisects", [
+    (255, 1000, 2), (255, 5, 1), (256, 1000, 1000),
+])
+def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, t, trials, bisects):
     """A slot table bisects once per member, on the first draw into the
-    member's slots; a wide table bisects on every draw."""
+    member's slots, however few trials reach it; a wide table bisects on
+    every draw."""
     calls = []
     bisect_right = bisect.bisect_right
 
@@ -620,9 +643,10 @@ def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, t, slots):
 
     monkeypatch.setattr(bisect, "bisect_right", counted)
     start, steps, p = slot_edge(t)
-    counts = sample_pipeline(start, steps, 1000, 3, p)
-    assert sum(counts.values()) == 1000 and len(counts) == 2
-    assert len(calls) == (2 if slots else 1000 + 2)
+    counts = sample_pipeline(start, steps, trials, 3, p)
+    assert sum(counts.values()) == trials
+    # once per member drawn from a slot table, once per draw from a wide one
+    assert len(calls) == bisects == (len(counts) if t < 256 else trials)
 
 
 def test_draw_counts_divide_by_the_gcd_with_the_denominator():
