@@ -93,8 +93,6 @@ class SqrtRational:
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None."""
-    if q < 0:
-        return None
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:

@@ -34,7 +34,6 @@ from typing import Iterable, Iterator, Sequence
 from . import linalg
 from .errors import (
     BoundExceeded,
-    DitkitError,
     EmptyBlock,
     GroundMismatch,
     InvalidValue,
@@ -64,7 +63,7 @@ class GroundSet:
                 isinstance(lab, str) and lab and lab == lab.strip()
                 and "|" not in lab and "," not in lab
             ):
-                raise DitkitError(
+                raise InvalidValue(
                     f"label {lab!r} must be a non-empty string without '|',"
                     " ',' or surrounding whitespace"
                 )

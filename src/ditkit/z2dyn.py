@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, DitkitError, EmptyState, InvalidValue
+from .errors import DimensionMismatch, EmptyState, InvalidValue
 from .partitions import (
     GroundSet,
     Partition,
@@ -35,6 +35,16 @@ from .partitions import (
     _require_same_ground,
     _require_size,
 )
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True, init=False)
@@ -77,10 +87,10 @@ class SubsetVector:
 
     @property
     def members(self) -> frozenset[int]:
-        return frozenset(i for i in range(self.ground.n) if self.mask >> i & 1)
+        return frozenset(_members(self.mask))
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self.ground) if self.mask >> i & 1)
+        return tuple(map(self.ground.labels.__getitem__, _members(self.mask)))
 
     def __add__(self, other: "SubsetVector") -> "SubsetVector":
         _require(SubsetVector, "expected a SubsetVector", other)
@@ -112,16 +122,6 @@ def _gf2_rank(rows: list[int], width: int) -> int:
                 rows[i] ^= rows[rank]
         rank += 1
     return rank
-
-
-def _members(mask: int) -> list[int]:
-    """The indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _image(cols: tuple[int, ...], mask: int) -> int:
@@ -227,7 +227,7 @@ class StateMixture:
         object.__setattr__(self, "terms", terms)
         for term in self.terms:
             if len(term) != 2:
-                raise DitkitError(
+                raise InvalidValue(
                     f"mixture term of length {len(term)} is not a "
                     "(vector, probability) pair"
                 )
@@ -329,7 +329,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
             block_masks = _block_masks(step.by)
             plan.append(tuple(block_masks[b] for b in step.by.rgs))
         else:
-            raise DitkitError(f"unknown pipeline step {step!r}")
+            raise InvalidValue(f"unknown pipeline step {step!r}")
 
     def entry(k: int, mask: int):
         step = plan[k]
@@ -383,24 +383,31 @@ def run_pipeline(
     ))
 
 
-# A draw table is kept as slots when its draws take at most _SLOT_BITS
-# bits; a wider table's 2**w slots could run to millions.
+# A draw table has at most 2**_SLOT_BITS buckets: a w-bit draw r lands in
+# bucket r >> max(0, w - _SLOT_BITS), so up to _SLOT_BITS bits a bucket is
+# one value of the draw.
 _SLOT_BITS = 8
 
 
-def _settle(slots: list, r: int, memo: dict, jump):
-    """The node that draw r of a slot table leads to, found in `memo` or
-    built by `jump` and written into every slot that leads to it: the
-    first draw into a member's range.  `slots` ends in the cumulative
-    counts, the child keys, the total and the draw's argument."""
-    cumulative = slots[-4]
+def _settle(buckets: list, r: int, memo: dict, jump):
+    """The node that draw r of a bucket table leads to, found in `memo` or
+    built by `jump` and written into every bucket that lies wholly inside
+    the member's range of draws: the first draw into such a bucket, or any
+    draw below the total into one that straddles a member's edge.
+    `buckets` ends in the cumulative counts, the child keys, the total and
+    (the draw's argument, shift)."""
+    cumulative = buckets[-4]
     j = bisect.bisect_right(cumulative, r)
-    key = slots[-3][j]
+    key = buckets[-3][j]
     found = memo.get(key)
     if found is None:
         found = memo[key] = jump(key)
+    # the buckets wholly inside draws [lo, hi): ceil(lo / 2**shift) up to
+    # floor(hi / 2**shift)
+    shift = buckets[-1][1]
     lo = cumulative[j - 1] if j else 0
-    slots[lo:cumulative[j]] = [found] * (cumulative[j] - lo)
+    first, end = -(-lo >> shift), cumulative[j] >> shift
+    buckets[first:end] = [found] * (end - first)
     return found
 
 
@@ -432,19 +439,20 @@ def sample_pipeline(
     integers another way, as one that overrides only ``random()`` does, is
     asked for ``rng.randrange(t)``.  So a seed gives the same draws, counts
     in the same first-occurrence order and generator state as one
-    `choice_reduce` per measurement, however a table is kept.
+    `choice_reduce` per measurement.
 
-    A table is kept in one of two forms; the draws are the same in both.
-    A slot table is a list with one slot per value a draw can take, 2**w
-    for a w-bit draw and t for ``randrange(t)``: slot r holds the node that
-    draw r leads to, and a slot at or above t holds None, which means draw
-    again.  A child's slots hold None too until the first draw lands in
-    them; that draw finds the child through the memo and writes it into
-    all of its slots, so a later draw is one list index.  A table is a
-    slot table when its draws take at most _SLOT_BITS (8) bits.  A wider
-    table, whose 2**w slots could run to millions, bisects its cumulative
-    counts for each draw and looks the child up in the memo.  `rng` is an
-    int seed or a `random.Random`; anything else raises InvalidValue."""
+    A table is a list of buckets, a guide table: for a total of w bits,
+    draw r lands in bucket ``r >> shift`` with ``shift = max(0, w -
+    _SLOT_BITS)``, so a table has at most 2**_SLOT_BITS (256) buckets, one
+    per w-bit value when w is at most 8.  A bucket holds the node that
+    every draw in it leads to, or None: draw again when the draw is not
+    below t, and otherwise find the child by bisecting the cumulative
+    counts and write it into every bucket that lies wholly inside the
+    child's range of draws, so a later draw into such a bucket is one list
+    index.  A bucket that straddles two members, or the total, stays None
+    and is settled again on every draw into it.
+    `rng` is an int seed or a `random.Random`; anything else raises
+    InvalidValue."""
     _require_size("trials must be a non-negative integer", trials)
     count, entry = _compile(initial, steps, p)
     n = initial.ground.n
@@ -454,29 +462,25 @@ def sample_pipeline(
             and getattr(type(rng), "_randbelow", None)
             is random.Random._randbelow_with_getrandbits)
     draw = rng.getrandbits if bits else rng.randrange
-    bisect_right = bisect.bisect_right
     memo: dict = {}
     full = ~(-1 << n)
 
     def jump(key: int):
-        """The node at `key`: the final mask, a wide table (total, the
-        draw's argument, cumulative counts, child keys), or a slot list
-        that ends in the cumulative counts, the child keys, the total and
-        the draw's argument, past its slots."""
+        """The node at `key`: the final mask, or a bucket list that ends in
+        the cumulative counts, the child keys, the total and (the draw's
+        argument, shift), past its buckets."""
         k, mask = key >> n, key & full
         while k < count:
             step_entry = entry(k, mask)
             k += 1
             if type(step_entry) is not int:
                 total, cumulative, nexts = step_entry
-                keys = [k << n | m for m in nexts]
                 width = total.bit_length()
-                arg = width if bits else total
-                if width > _SLOT_BITS:
-                    return total, arg, cumulative, keys
-                slots = [None] * ((1 << width if bits else total) + 4)
-                slots[-4:] = cumulative, keys, total, arg
-                return slots
+                shift = max(0, width - _SLOT_BITS)
+                buckets = [None] * ((1 << width - shift) + 4)
+                buckets[-4:] = (cumulative, [k << n | m for m in nexts], total,
+                                (width if bits else total, shift))
+                return buckets
             mask = step_entry
         return mask
 
@@ -484,27 +488,17 @@ def sample_pipeline(
     root = jump(initial.mask) if trials else None
     for _ in range(trials):
         node = root
-        while type(node) is not int:
-            while type(node) is list:  # a slot table
-                arg = node[-1]
+        while type(node) is list:
+            arg, shift = node[-1]
+            r = draw(arg)
+            found = node[r >> shift]
+            while found is None:
+                if r < node[-2]:
+                    found = _settle(node, r, memo, jump)
+                    break
                 r = draw(arg)
-                found = node[r]
-                while found is None:
-                    if r < node[-2]:
-                        found = _settle(node, r, memo, jump)
-                        break
-                    r = draw(arg)
-                    found = node[r]
-                node = found
-            while type(node) is tuple:  # a wide table
-                total, arg, cumulative, keys = node
-                r = draw(arg)
-                while r >= total:
-                    r = draw(arg)
-                key = keys[bisect_right(cumulative, r)]
-                node = memo.get(key)
-                if node is None:
-                    node = memo[key] = jump(key)
+                found = node[r >> shift]
+            node = found
         tally[node] = tally.get(node, 0) + 1
     return {SubsetVector.from_bits(initial.ground, m): c for m, c in tally.items()}
 
@@ -524,6 +518,8 @@ def double_slit_setup() -> tuple[GroundSet, GF2Map, SubsetVector]:
 
 
 def double_slit_steps(case: int) -> list[Step]:
+    if not _is_int(case):
+        raise InvalidValue("case must be 1 or 2")
     _, dynamics, _ = double_slit_setup()
     if case == 1:
         return [Detect(), Evolve(dynamics), Detect()]

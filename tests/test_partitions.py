@@ -163,8 +163,8 @@ def test_ground_set_validation():
         GroundSet(())
     with pytest.raises(UnknownLabel):
         ABC.index("q")
-    for bad in ("", "a|b", "a,b", " a", "a\n", 1):
-        with pytest.raises(DitkitError):
+    for bad in ("", "a|b", "a,b", " a", "a\n", 1, None):
+        with pytest.raises(InvalidValue, match="^label .+ must be a non-empty string"):
             GroundSet(("c", bad))
 
 

@@ -236,7 +236,7 @@ def test_mixture_components_must_be_subset_vectors(component, shown):
 
 @pytest.mark.parametrize("rest", [(F(1), 2), ()], ids=["triple", "single"])
 def test_mixture_terms_must_be_pairs(rest):
-    with pytest.raises(DitkitError, match="^mixture term of length [13] is not a"):
+    with pytest.raises(InvalidValue, match="^mixture term of length [13] is not a"):
         StateMixture(U3, ((vec("a"), *rest),))
 
 
@@ -340,7 +340,7 @@ def test_bad_steps_raise(pipeline):
     start = SubsetVector.from_labels(GroundSet(("a", "b")), "ab")
     with pytest.raises(DimensionMismatch):
         pipeline(start, [Evolve(GF2Map.identity(3))])
-    with pytest.raises(DitkitError, match="unknown pipeline step"):
+    with pytest.raises(InvalidValue, match="unknown pipeline step"):
         pipeline(start, [Detect(), "coin flip"])
 
 
@@ -350,8 +350,12 @@ def test_bad_steps_raise(pipeline):
         (lambda: GF2Map((0.5,)), "column 0.5 is not an int bitmask"),
         (lambda: GF2Map((True,)), "column True is not an int bitmask"),
         (lambda: GF2Map.from_images(GroundSet(("a",)), {}), "label 'a' has no image"),
+        (lambda: double_slit(1.0), "case must be 1 or 2"),
+        (lambda: double_slit(True), "case must be 1 or 2"),
+        (lambda: double_slit(F(2)), "case must be 1 or 2"),
     ],
-    ids=["float-column", "bool-column", "missing-image"],
+    ids=["float-column", "bool-column", "missing-image", "float-case", "bool-case",
+         "fraction-case"],
 )
 def test_bad_maps_raise_invalid_value(make, message):
     with pytest.raises(InvalidValue, match=message):
@@ -368,7 +372,7 @@ def test_sampler_checks_everything_before_the_first_trial():
     for steps, error in (
         ([Evolve(GF2Map.identity(3))], DimensionMismatch),
         ([Detect(), Measure(foreign)], GroundMismatch),
-        (["coin flip"], DitkitError),
+        (["coin flip"], InvalidValue),
     ):
         with pytest.raises(error):
             sample_pipeline(start, steps, 0, 0)
@@ -551,8 +555,9 @@ def sampler_setups(draw):
         st.one_of(gf2_maps(n).map(Evolve), st.just(Detect()), measures),
         min_size=1, max_size=5,
     ))
-    # small weights give small draw tables, kept as slot tables with a
-    # reject region whenever the total is not a power of two
+    # small weights give tables of one bucket per draw, with a reject
+    # region whenever the total is not a power of two; weights up to 10**6
+    # give tables whose buckets hold many draws
     weights = draw(
         st.none()
         | st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
@@ -573,15 +578,14 @@ GCD_CASE = (
 )
 
 
-AB = GroundSet(("a", "b"))
-
-
-def slot_edge(t: int):
-    """Detect on {a, b} with p = (1/t, (t-1)/t): one draw table of total
-    t.  A total of 255 draws 8 bits, the widest a slot table takes, and a
-    total of 256 draws 9."""
-    p = ProbGroundSet.from_values(AB, [f"1/{t}", f"{t - 1}/{t}"])
-    return SubsetVector.from_bits(AB, 0b11), [Detect()], p
+def bucket_edge(a: int, b: int):
+    """Detect on {a, b} with p = (a, b, 1) / (a + b + 1), so one draw table
+    whose members a and b count a and b draws of its total a + b.  A total
+    of 255 draws 8 bits, one draw per bucket; a total of 256 to 1023 draws
+    9 or 10, two or four draws per bucket."""
+    t = a + b + 1
+    p = ProbGroundSet.from_values(U3, [f"{a}/{t}", f"{b}/{t}", f"1/{t}"])
+    return vec("ab"), [Detect()], p
 
 
 ABCD = GroundSet(tuple("abcd"))
@@ -589,7 +593,8 @@ ABCD = GroundSet(tuple("abcd"))
 
 # p = (1, 255, 256, 256)/768: Measure(ab|cd) draws from a 10-bit table,
 # Detect on {c, d} from a 1-bit one, and Detect on {a, b, c}, the image of
-# c, from a 10-bit one, so a trajectory goes wide -> slot -> wide.
+# c, from a 10-bit one, so a trajectory goes from four draws per bucket
+# to one and back.
 MIXED_WIDTHS = (
     SubsetVector.from_bits(ABCD, 0b1111),
     [
@@ -605,8 +610,10 @@ MIXED_WIDTHS = (
 @settings(max_examples=150, deadline=None)
 @given(sampler_setups(), st.integers(0, 80), st.integers(0, 2**32))
 @example(GCD_CASE, 60, 0)
-@example(slot_edge(255), 300, 0)
-@example(slot_edge(256), 300, 0)
+@example(bucket_edge(1, 254), 300, 0)
+@example(bucket_edge(1, 255), 300, 0)
+@example(bucket_edge(1, 256), 300, 0)
+@example(bucket_edge(256, 256), 300, 0)
 @example(MIXED_WIDTHS, 300, 0)
 def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
     start, steps, p = setup
@@ -618,6 +625,8 @@ def test_sampler_matches_choice_reduce_oracle(setup, trials, seed):
 @settings(max_examples=60, deadline=None)
 @given(sampler_setups(), st.integers(0, 40), st.integers(0, 2**32))
 @example(GCD_CASE, 60, 0)
+@example(bucket_edge(1, 256), 300, 0)
+@example(bucket_edge(256, 256), 300, 0)
 @example(MIXED_WIDTHS, 300, 0)
 def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, seed):
     start, steps, p = setup
@@ -627,13 +636,20 @@ def test_sampler_falls_back_to_randrange_for_other_generators(setup, trials, see
         )
 
 
-@pytest.mark.parametrize("t, trials, bisects", [
-    (255, 1000, 2), (255, 5, 1), (256, 1000, 1000),
-])
-def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, t, trials, bisects):
-    """A slot table bisects once per member, on the first draw into the
-    member's slots, however few trials reach it; a wide table bisects on
-    every draw."""
+@pytest.mark.parametrize(
+    "a, b, trials, bisects",
+    [(1, 254, 1000, 2), (1, 254, 5, 1), (1, 255, 1000, 8), (256, 256, 1000, 2),
+     (300, 700, 1000, 2)],
+    ids=["255-1000-2", "255-5-1", "256-1000-8", "512-1000-2", "1000-1000-2"],
+)
+def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, a, b, trials, bisects):
+    """A table bisects on the first draw into each member's whole buckets
+    and on every draw into a bucket that straddles two members.  Draws of
+    up to 8 bits have one draw per bucket, so a member bisects once however
+    few trials reach it; at 256 = 1 + 255 the 9-bit draws 0 and 1 share
+    bucket 0, where member a ends, so the draws into it bisect each time;
+    at 512 = 256 + 256 and 1000 = 300 + 700 every member ends on a bucket
+    edge."""
     calls = []
     bisect_right = bisect.bisect_right
 
@@ -642,11 +658,10 @@ def test_slot_tables_take_draws_of_up_to_eight_bits(monkeypatch, t, trials, bise
         return bisect_right(*args)
 
     monkeypatch.setattr(bisect, "bisect_right", counted)
-    start, steps, p = slot_edge(t)
+    start, steps, p = bucket_edge(a, b)
     counts = sample_pipeline(start, steps, trials, 3, p)
     assert sum(counts.values()) == trials
-    # once per member drawn from a slot table, once per draw from a wide one
-    assert len(calls) == bisects == (len(counts) if t < 256 else trials)
+    assert len(calls) == bisects
 
 
 def test_draw_counts_divide_by_the_gcd_with_the_denominator():
