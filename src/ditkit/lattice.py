@@ -151,20 +151,16 @@ def double_slit_dot() -> str:
     after = superposition_partition(image)
     evolved_subset = evolve(start, dynamics)
     lines = ['digraph "double slit" {', "  rankdir=BT;"]
-    lines.append('  subgraph cluster_before {')
-    lines.append('    label="states on {a,b,c}";')
-    lines.extend(
-        "    " + line
-        for line in _cluster_lines(ground, {before.blocks}, prefix="U:")
-    )
-    lines.append("  }")
-    lines.append('  subgraph cluster_after {')
-    lines.append('    label="states on {a\',b\',c\'}";')
-    lines.extend(
-        "    " + line
-        for line in _cluster_lines(primed, {after.blocks}, prefix="U1:")
-    )
-    lines.append("  }")
+    for name, g, pi, prefix in (
+        ("before", ground, before, "U:"),
+        ("after", primed, after, "U1:"),
+    ):
+        lines.append(f"  subgraph cluster_{name} {{")
+        lines.append(f'    label="states on {{{",".join(g.labels)}}}";')
+        lines.extend(
+            "    " + line for line in _cluster_lines(g, {pi.blocks}, prefix=prefix)
+        )
+        lines.append("  }")
     lines.append(
         f'  "U:{notation(before)}" -> "U1:{notation(after)}"'
         f' [style=dashed constraint=false'

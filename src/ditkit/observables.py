@@ -17,9 +17,11 @@ orthogonality, the simultaneous eigenspace and complete families read
 these and never eliminate a subspace again.  An operator is the integer
 sum of its eigenvalues times the stored projections, F = sum of lambda P,
 the Hilbert-space form of an attribute f = sum of r times the indicator
-of its r-level set.  Intersections are found pair by pair:
-span(A) ∩ span(B) is x A for x in the kernel of the small matrix
-N_B A^T, and the pieces of all pairs form a direct sum.  Operators keep
+of its r-level set.  The common refinement of DSDs, the counterpart of
+the partition join, is found one DSD at a time: span(A) ∩ span(B) is
+x A for x in the kernel of the small matrix N_B A^T.  Its pieces form a
+direct sum that fills the space exactly when the DSDs pairwise commute;
+for a pair they span the simultaneous eigenvectors.  Operators keep
 their integer rows and are multiplied only as those, by the one
 commutator that both `commutator` and `theorem_se_equals_kernel` use;
 the theorem compares the dimension of the pieces' span with that of the
@@ -197,9 +199,6 @@ class DSD:
         what = "groups must be iterables of vectors"
         groups = _as_tuple(groups, what, 2)
         return cls(n, tuple(tuple(_fractions(v, what) for v in g) for g in groups))
-
-    def is_orthogonal(self) -> bool:
-        return self.orthogonal
 
     def projections(self) -> tuple[Matrix, ...]:
         """The orthogonal projection onto each subspace, A^T (A A^T)^-1 A."""
@@ -418,26 +417,26 @@ def _cut(a, null_b) -> linalg.IntRows:
     return linalg._dots(xs, tuple(zip(*a)))
 
 
-def _se_pieces(dsd_f: DSD, dsd_g: DSD) -> linalg.IntRows:
-    """Integer bases of the pairwise subspace intersections, concatenated.
-    The pieces of all pairs are independent together: each lies in one
-    subspace of F and one of G, and both families form direct sums."""
-    if dsd_f.dim != dsd_g.dim:
-        raise DimensionMismatch("decompositions of different spaces")
-    return [
-        v
-        for a in dsd_f.int_bases
-        for null_b in dsd_g.annihilators
-        for v in _cut(a, null_b)
-    ]
+def _join_pieces(dsds) -> list[linalg.IntRows]:
+    """The common refinement of DSDs of one space: the non-zero
+    intersections of one subspace from each, as integer rows, refined one
+    DSD at a time by `_cut`.  The pieces are independent, since every DSD
+    is a direct sum, and fill Q^n exactly when the DSDs pairwise commute."""
+    pieces = dsds[0].int_bases
+    for d in dsds[1:]:
+        pieces = [
+            cut for piece in pieces for null_s in d.annihilators
+            if (cut := _cut(piece, null_s))
+        ]
+    return pieces
 
 
 def _se_dim(dsd_f: DSD, dsd_g: DSD) -> int:
     """The dimension of the span of the pairwise subspace intersections,
-    len(_se_pieces(dsd_f, dsd_g)), counted without building the pieces:
-    span(A) ∩ span(B) has dimension len(A) - rank(N_B A^T), the dimension
-    of the kernel `_cut` takes its basis from, because the rows of A are
-    independent; an empty N_B (B the whole space) has rank 0."""
+    the row count of `_join_pieces((dsd_f, dsd_g))`, without building the
+    pieces: span(A) ∩ span(B) has dimension len(A) - rank(N_B A^T), the
+    dimension of the kernel `_cut` takes its basis from, because the rows
+    of A are independent; an empty N_B (B the whole space) has rank 0."""
     if dsd_f.dim != dsd_g.dim:
         raise DimensionMismatch("decompositions of different spaces")
     return sum(
@@ -448,11 +447,15 @@ def _se_dim(dsd_f: DSD, dsd_g: DSD) -> int:
 
 
 def simultaneous_eigenspace(dsd_f: DSD, dsd_g: DSD) -> Matrix:
-    """Canonical basis of the span of all pairwise subspace intersections:
-    the space spanned by simultaneous eigenvectors."""
+    """Canonical basis of the span of the pairwise subspace intersections,
+    the pieces of `_join_pieces`: the space spanned by simultaneous
+    eigenvectors."""
     _require(DSD, "expected a DSD", dsd_f)
     _require(DSD, "expected a DSD", dsd_g)
-    return linalg._rational(linalg._basis(_se_pieces(dsd_f, dsd_g)))
+    if dsd_f.dim != dsd_g.dim:
+        raise DimensionMismatch("decompositions of different spaces")
+    rows = [v for piece in _join_pieces((dsd_f, dsd_g)) for v in piece]
+    return linalg._rational(linalg._basis(rows))
 
 
 def theorem_se_equals_kernel(ev_f, dsd_f: DSD, ev_g, dsd_g: DSD) -> bool:
@@ -502,8 +505,10 @@ def csca_complete(attrs) -> bool:
 
 
 def csco_complete(dsds) -> bool:
-    """A family of pairwise-commuting DSDs is complete when the iterated
-    non-zero intersections are all one-dimensional (and hence span)."""
+    """A family of DSDs is complete when the pieces of their common
+    refinement are all lines.  The pieces are independent, so they fill
+    Q^n, as they do exactly when the family pairwise commutes, when their
+    row counts sum to n; otherwise NotCommuting is raised."""
     dsds = _as_tuple(dsds, "decompositions must be an iterable")
     if not dsds:
         raise InvalidValue("need at least one decomposition")
@@ -511,14 +516,7 @@ def csco_complete(dsds) -> bool:
         _require(DSD, "decompositions must be DSDs", d)
         if d.dim != dsds[0].dim:
             raise DimensionMismatch("decompositions of different spaces")
-    n = dsds[0].dim
-    for a, b in itertools.combinations(dsds, 2):
-        if _se_dim(a, b) != n:
-            raise NotCommuting("decompositions are not pairwise commuting")
-    pieces = dsds[0].int_bases
-    for d in dsds[1:]:
-        pieces = [
-            cut for piece in pieces for null_s in d.annihilators
-            if (cut := _cut(piece, null_s))
-        ]
-    return all(len(piece) == 1 for piece in pieces) and len(pieces) == n
+    pieces = _join_pieces(dsds)
+    if sum(map(len, pieces)) != dsds[0].dim:
+        raise NotCommuting("decompositions are not pairwise commuting")
+    return all(len(piece) == 1 for piece in pieces)

@@ -544,6 +544,10 @@ GOLDEN_DIGESTS = {
         [*MULTI_TABLE, "--decimal"],
         "776307fb90149db220ceb01fae87b57a04710619c81265bb3e6ab264d4eac541",
     ),
+    "double-slit-dot": (
+        ["double-slit", "--format", "dot"],
+        "cacc3164abe10b5b08139fd7a3ed643e4326059be5996f4f99dcc6a71c4b48f7",
+    ),
 }
 
 

@@ -125,6 +125,8 @@ def test_dsd_validation():
         DSD.from_vectors(2, [[[1, 0, 0]], [[0, 1]]])
     with pytest.raises(DegenerateDSD):
         DSD(2, (((F(0), F(0)),), ((F(0), F(1)),)))
+    with pytest.raises(DegenerateDSD, match="zero subspace"):
+        DSD.from_vectors(2, [[], [[1, 0], [0, 1]]])
 
 
 @pytest.mark.parametrize("dim, groups", [
@@ -248,9 +250,9 @@ def test_built_dsds_are_queried_without_new_eliminations(monkeypatch):
 def test_dsd_standard_and_orthogonality():
     d = DSD.standard(3)
     assert len(d.subspaces) == 3
-    assert d.is_orthogonal()
+    assert d.orthogonal
     skew = DSD.from_vectors(2, [[[1, 0]], [[1, 1]]])
-    assert not skew.is_orthogonal()
+    assert not skew.orthogonal
 
 
 def test_dsd_projections_resolve_identity():
@@ -580,7 +582,7 @@ def dsd_pairs(draw):
 def test_se_dimension_by_rank_matches_the_pieces(pair):
     for a, b in (pair, pair[::-1]):
         dim = observables._se_dim(a, b)
-        assert dim == len(observables._se_pieces(a, b))
+        assert dim == sum(map(len, observables._join_pieces((a, b))))
         assert dim == len(oracles.simultaneous_eigenspace(a, b))
 
 
@@ -813,7 +815,7 @@ def test_operators_and_verdicts_match_the_projection_oracle(n, relation, seed):
     commutator_rows = observables._commutator(
         observables._spectral_sum(ev_f, f)[0], observables._spectral_sum(ev_g, g)[0]
     )
-    for v in observables._se_pieces(f, g):
+    for v in itertools.chain.from_iterable(observables._join_pieces((f, g))):
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in commutator_rows)
 
 
@@ -863,8 +865,8 @@ def test_se_and_csco_match_the_oracle_on_general_dsds(n, relation, swap, seed):
     se = simultaneous_eigenspace(f, g)
     assert se == oracles.simultaneous_eigenspace(f, g)
     # the pieces are independent, which classify counts on
-    assert len(observables._se_pieces(f, g)) == len(se)
-    for family in ([f, g], [g, f], [f, g, f]):
+    assert sum(map(len, observables._join_pieces((f, g)))) == len(se)
+    for family in ([f, g], [g, f], [f, g, f], [f, g, _coarsened(f, rng)]):
         assert _csco_outcome(csco_complete, family) == (
             _csco_outcome(oracles.csco_complete, family)
         )
@@ -900,7 +902,7 @@ def test_projections_match_the_oracle(n, kind, seed):
         assert tuple(zip(*p)) == p
         for v in rows:
             assert mat_vec(p, v) == v
-    if d.is_orthogonal():
+    if d.orthogonal:
         assert reduce(mat_add, projections) == identity(n)
     else:
         assert kind == "general"

@@ -249,6 +249,7 @@ def test_reduce_uniform_and_weighted():
     m = collapse(vec("ab"))
     assert m.probability(vec("a")) == F(1, 2)
     assert m.probability(vec("b")) == F(1, 2)
+    assert m.probability(vec("c")) == 0
     p = ProbGroundSet.from_values(U3, ["1/3", "1/4", "5/12"])
     m = collapse(vec("ab"), p)
     assert m.probability(vec("a")) == F(4, 7)
