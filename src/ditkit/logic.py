@@ -17,7 +17,7 @@ import re
 import string
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import (
@@ -282,17 +282,18 @@ def _require_ground_size(n) -> None:
 @dataclass(frozen=True)
 class Counterexample:
     """An assignment of partitions of an n-element ground set to the
-    variables, and the value the formula takes there.  Construction checks
-    that n is an int of at least 2 and that every partition is on an
-    n-element ground set."""
+    variables, and the value the formula takes there.  Construction copies
+    the assignment and checks that n is an int of at least 2 and that
+    every partition is on an n-element ground set."""
 
     n: int
-    assignment: dict[str, Partition]
+    assignment: dict[str, Partition] = field(hash=False)
     value: Partition
 
     def __post_init__(self):
         _require_ground_size(self.n)
         _require(Mapping, "assignment must be a mapping", self.assignment)
+        object.__setattr__(self, "assignment", dict(self.assignment))
         for name, pi in self.assignment.items():
             _require(str, "variable names must be strings", name)
             _require(Partition, "assignment values must be Partitions", pi)

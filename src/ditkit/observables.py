@@ -21,9 +21,9 @@ of its r-level set.  The common refinement of DSDs, the counterpart of
 the partition join, is found one DSD at a time: span(A) ∩ span(B) is
 x A for x in the kernel of the small matrix N_B A^T.  Its pieces form a
 direct sum that fills the space exactly when the DSDs pairwise commute;
-for a pair they span the simultaneous eigenvectors.  Operators keep
-their integer rows and are multiplied only as those, by the one
-commutator that both `commutator` and `theorem_se_equals_kernel` use;
+for a pair they span the simultaneous eigenvectors.  An operator is its
+integer rows over their least denominator, multiplied only as those by
+the one commutator that `commutator` and `theorem_se_equals_kernel` use;
 the theorem compares the dimension of the pieces' span with that of the
 commutator's kernel.  Every matrix product here (Gram matrices,
 projections, the constraints N_B A^T, the cuts x A and the commutator)
@@ -38,7 +38,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import mul, or_
 
@@ -239,43 +239,48 @@ def _int_projection(a) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple([tuple([x // g for x in row]) for row in p]), lead // g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Operator:
-    """Symmetric matrix of exact rationals, also kept as integer rows F d
-    over one denominator d (`int_matrix`, derived, so it takes no part in
-    equality, hashing or the repr), which `commutator` multiplies.  `_grid`
-    is the trusted path; the checking constructor takes the least d."""
+    """Symmetric matrix of exact rationals, held as integer rows F d over
+    the least denominator d (`int_matrix`), which equality, hashing and
+    `commutator` read.  `mat`, the `Fraction` matrix, is derived from it
+    on first read.  `_grid` is the trusted path."""
 
-    mat: Matrix
-    int_matrix: tuple[tuple[tuple[int, ...], ...], int] = field(
-        init=False, repr=False, compare=False
-    )
+    int_matrix: tuple[tuple[tuple[int, ...], ...], int]
 
-    def __post_init__(self):
-        mat = _as_tuple(self.mat, "operator rows must be an iterable", 2)
-        object.__setattr__(self, "mat", mat)
-        n = len(self.mat)
-        if any(len(row) != n for row in self.mat):
+    def __init__(self, mat: Matrix):
+        mat = _as_tuple(mat, "operator rows must be an iterable", 2)
+        n = len(mat)
+        if any(len(row) != n for row in mat):
             raise DimensionMismatch("operator matrix must be square")
-        _require_exact((x for row in self.mat for x in row), "operator entries")
-        if self.mat != tuple(zip(*self.mat)):
+        _require_exact((x for row in mat for x in row), "operator entries")
+        if mat != tuple(zip(*mat)):
             raise InvalidValue("operator matrix must be symmetric")
-        ints, d = linalg._clear([x for row in self.mat for x in row])
+        ints, d = linalg._clear([x for row in mat for x in row])
         rows = tuple(tuple(ints[i * n : i * n + n]) for i in range(n))
-        object.__setattr__(self, "int_matrix", (rows, d))
+        self.__dict__.update(self._grid(rows, d).__dict__)
 
     @classmethod
     def _grid(cls, rows, d: int) -> "Operator":
-        """The trusted constructor: symmetric integer rows over d, unchecked."""
+        """The trusted constructor: symmetric integer rows over d, unchecked,
+        divided by the gcd of d and every entry."""
+        g = gcd(d, *itertools.chain.from_iterable(rows))
+        rows = tuple(tuple(x // g for x in row) for row in rows)
         op = object.__new__(cls)
-        op.__dict__.update(
-            mat=tuple(linalg._over(row, d) for row in rows), int_matrix=(rows, d)
-        )
+        op.__dict__.update(int_matrix=(rows, d // g))
         return op
+
+    @cached_property
+    def mat(self) -> Matrix:
+        rows, d = self.int_matrix
+        return tuple(linalg._over(row, d) for row in rows)
+
+    def __repr__(self) -> str:
+        return f"Operator(mat={self.mat!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.mat)
+        return len(self.int_matrix[0])
 
 
 class Compatibility(enum.Enum):
@@ -355,13 +360,10 @@ def operator_from_dsd(eigenvalues, dsd: DSD) -> Operator:
 def operator_from_attribute(f: Attribute) -> Operator:
     """Diagonal operator with the attribute values as eigenvalues."""
     _require(Attribute, "expected an Attribute", f)
-    n = f.ground.n
-    return Operator(
-        tuple(
-            tuple(f.values[i] if i == k else Fraction(0) for k in range(n))
-            for i in range(n)
-        )
-    )
+    ints, d = linalg._clear(f.values)
+    n = len(ints)
+    rows = ((0,) * i + (x,) + (0,) * (n - 1 - i) for i, x in enumerate(ints))
+    return Operator._grid(tuple(rows), d)
 
 
 def dsd_from_attribute(f: Attribute) -> tuple[tuple[Fraction, ...], DSD]:

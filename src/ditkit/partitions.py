@@ -135,9 +135,6 @@ class Partition:
     def is_discrete(self) -> bool:
         return self.num_blocks == self.ground.n
 
-    def is_indiscrete(self) -> bool:
-        return self.num_blocks == 1
-
     def label_blocks(self) -> tuple[tuple[str, ...], ...]:
         lab = self.ground.labels
         return tuple(tuple(lab[i] for i in blk) for blk in self.blocks)

@@ -98,7 +98,7 @@ def test_entropy_bounds_and_extremes(n):
     for pi in enumerate_partitions(g):
         h = logical_entropy(pi, uniform)
         assert 0 <= h <= top_h
-        assert (h == 0) == pi.is_indiscrete()
+        assert (h == 0) == (pi.num_blocks == 1)
         assert (h == top_h) == pi.is_discrete()
 
 

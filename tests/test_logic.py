@@ -326,6 +326,19 @@ def test_result_records_accept_what_the_search_returns():
     assert ValidityReport("valid-up-to-bound", 2).is_valid_up_to_bound
 
 
+def test_counterexamples_keep_their_own_assignment_and_hash():
+    w = check_validity(parse(r"p \/ (p => 0)"), 3).witness
+    a = dict(w.assignment)
+    c = Counterexample(3, a, w.value)
+    a["zz"] = 5
+    assert c == w and "zz" not in c.assignment
+    # equal reports hash equal, whether valid or a counterexample
+    for formula in (r"p \/ (p => 0)", "s => s"):
+        report = check_validity(parse(formula), 3)
+        assert hash(report) == hash(check_validity(parse(formula), 3))
+    assert hash(c) == hash(w)
+
+
 def test_check_validity_budget():
     # two variables cost Bell(n)^2 per size: 4 at n=2, then 25 at n=3
     with pytest.raises(BudgetExceeded) as exc:

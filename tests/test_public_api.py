@@ -660,6 +660,20 @@ def test_no_library_code_calls_a_gated_accessor():
     assert _library_sites(_calls_a_gated_accessor) == set()
 
 
+def _calls_a_checking_constructor(node: ast.AST) -> bool:
+    """A call of `Operator(...)` or `DensityMatrix(...)` by name."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("Operator", "DensityMatrix"))
+
+
+def test_no_library_code_calls_a_checking_constructor():
+    """`Operator` and `DensityMatrix` check every entry of the grid they
+    are given, for callers outside the library.  Inside it, a grid is
+    valid by construction and goes through the trusted `_grid`; only
+    `from_json` reads a caller's data, and it calls `cls(...)`."""
+    assert _library_sites(_calls_a_checking_constructor) == set()
+
+
 # --- the README quick tour ---
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
