@@ -65,7 +65,7 @@ def _emit(args, report: dict) -> bool:
     return args.json
 
 
-def _print_matrix(mat: density.DensityMatrix, indent: str = "  ") -> None:
+def _print_matrix(mat: density.DensityMatrix) -> None:
     cells = [[str(cell) for cell in row] for row in mat.entries]
     widths = [
         max(len(cells[i][k]) for i in range(len(cells)))
@@ -73,7 +73,7 @@ def _print_matrix(mat: density.DensityMatrix, indent: str = "  ") -> None:
     ]
     for row in cells:
         line = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        print(f"{indent}[ {line} ]")
+        print(f"  [ {line} ]")
 
 
 # ---------------------------------------------------------------------------

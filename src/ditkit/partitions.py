@@ -1,12 +1,9 @@
 """Exact set-partition algebra.
 
 A partition chops a ground set into disjoint non-empty blocks.  Everything
-here is exact and immutable: blocks are index tuples in canonical form
-(sorted by least element, sorted within) and probabilities are
-`Fraction`s.  The one random draw here is `choice_reduce`, from the
-caller's seed or generator, through the integer table of `_draw_counts`;
-`z2dyn.sample_pipeline` draws from its own generator through the same
-table and does not call it.
+here is exact, immutable and deterministic: blocks are index tuples in
+canonical form (sorted by least element, sorted within) and probabilities
+are `Fraction`s.
 
 The lattice order used throughout is the distinction order: sigma <= pi
 when every distinction (ordered pair split apart) made by sigma is also
@@ -23,10 +20,6 @@ its one check of an index a caller passes, raising UnknownLabel.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -553,54 +546,6 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + value)
         row = nxt
     return row[-1]
-
-
-def _as_rng(rng) -> random.Random:
-    """A generator for `rng`: an int seed that is not a bool seeds a new
-    `random.Random`, a `random.Random` (or subclass) instance is used as
-    given, and anything else is refused before any draw."""
-    if isinstance(rng, random.Random):
-        return rng
-    if _is_int(rng):
-        return random.Random(rng)
-    raise InvalidValue(f"rng must be an int seed or a random.Random, got {rng!r}")
-
-
-def _draw_counts(members: Sequence[int], probs: ProbGroundSet) -> list[int]:
-    """Cumulative counts of a draw over `members`: W_i // gcd(D, W_members)
-    for the weights W over denominator D of `probs`, the least integers in
-    ratio p_i / Pr(members); a draw r picks member `bisect_right(..., r)`."""
-    w = list(map(probs.weights.__getitem__, members))
-    scale = math.gcd(probs.denominator, *w)
-    if scale != 1:
-        w = [x // scale for x in w]
-    return list(itertools.accumulate(w))
-
-
-def choice_reduce(
-    block: Iterable[int],
-    probs: ProbGroundSet,
-    rng: int | random.Random,
-) -> int:
-    """Draw one member of a block, each member i with conditional chance
-    p_i / Pr(block).  Deterministic for a fixed seed.  A singleton block
-    returns its member with probability one without consuming randomness.
-    `rng` is an int seed or a `random.Random`; anything else raises
-    InvalidValue, for a singleton block too.  Each member must be an index
-    into the ground set, as in `Partition` and `SubsetVector`.
-    """
-    _require_probs(probs)
-    members = _as_tuple(block, "block must be an iterable of indices")
-    for i in members:
-        _check_index(i, probs.ground.n)
-    members = sorted(set(members))
-    if not members:
-        raise EmptyBlock("cannot reduce an empty block")
-    r = _as_rng(rng)
-    if len(members) == 1:
-        return members[0]
-    cumulative = _draw_counts(members, probs)
-    return members[bisect.bisect_right(cumulative, r.randrange(cumulative[-1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ fiddling.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from collections.abc import Mapping
@@ -18,16 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, EmptyState, InvalidValue
+from .errors import DimensionMismatch, EmptyBlock, EmptyState, InvalidValue
 from .partitions import (
     GroundSet,
     Partition,
     ProbGroundSet,
-    _as_rng,
     _as_tuple,
     _block_masks,
     _check_index,
-    _draw_counts,
     _is_int,
     _require,
     _require_exact,
@@ -298,6 +297,28 @@ class Detect:
 Step = Union[Evolve, Measure, Detect]
 
 
+def _as_rng(rng) -> random.Random:
+    """A generator for `rng`: an int seed that is not a bool seeds a new
+    `random.Random`, a `random.Random` (or subclass) instance is used as
+    given, and anything else is refused before any draw."""
+    if isinstance(rng, random.Random):
+        return rng
+    if _is_int(rng):
+        return random.Random(rng)
+    raise InvalidValue(f"rng must be an int seed or a random.Random, got {rng!r}")
+
+
+def _draw_counts(members: list[int], probs: ProbGroundSet) -> list[int]:
+    """Cumulative counts of a draw over `members`: W_i // gcd(D, W_members)
+    for the weights W over denominator D of `probs`, the least integers in
+    ratio p_i / Pr(members); a draw r picks member `bisect_right(..., r)`."""
+    w = list(map(probs.weights.__getitem__, members))
+    scale = math.gcd(probs.denominator, *w)
+    if scale != 1:
+        w = [x // scale for x in w]
+    return list(itertools.accumulate(w))
+
+
 def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroundSet]):
     """Check every input, then compile the steps: an Evolve keeps its map,
     a Measure or Detect becomes the mask of the block holding each element.
@@ -420,8 +441,8 @@ def sample_pipeline(
 ) -> dict[SubsetVector, int]:
     """Monte Carlo counterpart of run_pipeline: one sampled trajectory per
     trial.  A Measure or Detect draws member i of the current subset with
-    chance p_i / Pr(subset), as `choice_reduce` does, and keeps the members
-    in i's block; a singleton draws nothing.
+    chance p_i / Pr(subset) and keeps the members in i's block; a singleton
+    draws nothing.  `choice_reduce` is one trial of a `Detect`.
 
     The steps are checked and compiled once per call, as in run_pipeline.
     A node is what a trial reaches at step k and subset mask, after the
@@ -430,16 +451,13 @@ def sample_pipeline(
     to the nodes of the step after it.  One memo keyed ``(k << n) | mask``
     holds each node, built the first time a trial reaches it, so an
     EmptyState is raised where the first trial to measure the empty state
-    reaches it.  A table's counts are `partitions._draw_counts`, the table
-    `choice_reduce` draws from.
+    reaches it.
 
     A draw below a table's total t is ``rng.getrandbits(t.bit_length())``,
     repeated while it is not below t, which is how `random.Random.randrange`
     draws.  A generator whose class overrides ``randrange`` or draws
     integers another way, as one that overrides only ``random()`` does, is
-    asked for ``rng.randrange(t)``.  So a seed gives the same draws, counts
-    in the same first-occurrence order and generator state as one
-    `choice_reduce` per measurement.
+    asked for ``rng.randrange(t)``.
 
     A table is a list of buckets, a guide table: for a total of w bits,
     draw r lands in bucket ``r >> shift`` with ``shift = max(0, w -
@@ -501,6 +519,28 @@ def sample_pipeline(
             node = found
         tally[node] = tally.get(node, 0) + 1
     return {SubsetVector.from_bits(initial.ground, m): c for m, c in tally.items()}
+
+
+def choice_reduce(
+    block: Iterable[int],
+    probs: ProbGroundSet,
+    rng: Union[int, random.Random],
+) -> int:
+    """Draw one member of a block, each member i with conditional chance
+    p_i / Pr(block): one trial of a `Detect` from the block, so it draws as
+    `sample_pipeline` does.  A singleton block returns its member without
+    consuming randomness.  `rng` is an int seed or a `random.Random`;
+    anything else raises InvalidValue, for a singleton block too.  Each
+    member must be an index into the ground set, as in `SubsetVector`.
+    """
+    _require_probs(probs)
+    start = SubsetVector(
+        probs.ground, _as_tuple(block, "block must be an iterable of indices")
+    )
+    if start.mask == 0:
+        raise EmptyBlock("cannot reduce an empty block")
+    (hit,) = sample_pipeline(start, (Detect(),), 1, rng, probs)
+    return hit.mask.bit_length() - 1
 
 
 DOUBLE_SLIT_LABELS = ("a", "b", "c")

@@ -32,7 +32,7 @@ root, where the library stops below 2**16 and tests the rest with
 `isqrt`.
 A conditional draw scales the `Fraction` point probabilities by the lcm
 of their denominators and walks the counts, where the library bisects the
-integer table of `partitions._draw_counts`.  The GF(2) sampler draws every
+integer table of `z2dyn._draw_counts`.  The GF(2) sampler draws every
 measurement that way and evolves `SubsetVector`s step by step, where the
 library compiles the same tables, and the exact GF(2) pipeline splits
 `frozenset` members with `Fraction` weights, where the library sums the

@@ -24,7 +24,6 @@ from ditkit.partitions import (
     PairRelation,
     Partition,
     ProbGroundSet,
-    choice_reduce,
     discrete_partition,
     ditset,
     enumerate_partitions,
@@ -41,7 +40,7 @@ from ditkit.partitions import (
 )
 
 from ditkit.observables import DSD, Attribute, Operator
-from ditkit.z2dyn import GF2Map, StateMixture, SubsetVector
+from ditkit.z2dyn import GF2Map, StateMixture, SubsetVector, choice_reduce
 
 from oracles import (
     all_pairs,
@@ -517,20 +516,48 @@ def test_choice_frequencies_match_conditionals():
     assert abs(share_a - 4 / 7) < 0.02
 
 
+class FloatRandom(random.Random):
+    """Overrides only random(), so `randrange` draws through random()."""
+
+    def random(self):
+        return (super().random() + 0.5) % 1.0
+
+
+class BitsRandom(random.Random):
+    """Overrides getrandbits, which `randrange` draws through: every bit
+    flipped."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ ~(-1 << k)
+
+
+class RangeRandom(random.Random):
+    """Overrides randrange to count down from the top."""
+
+    def randrange(self, *args):
+        return args[0] - 1 - super().randrange(*args)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10**12)), min_size=1, max_size=7),
     st.lists(st.integers(0, 6), min_size=1, max_size=7),
     st.integers(0, 2**32),
+    st.sampled_from([random.Random, FloatRandom, BitsRandom, RangeRandom]),
 )
-@example([2, 2, 1], [0, 1], 0)
-def test_choice_matches_the_fraction_oracle(weights, picks, seed):
+@example([2, 2, 1], [0, 1], 0, random.Random)
+@example([2, 2, 1], [0, 1], 0, FloatRandom)
+@example([2, 2, 1], [0, 1], 0, BitsRandom)
+@example([2, 2, 1], [0, 1], 0, RangeRandom)
+def test_choice_matches_the_fraction_oracle(weights, picks, seed, generator):
     """The member drawn and the generator state left behind agree with the
-    oracle's lcm-and-walk draw, over 20 draws from one generator."""
+    oracle's lcm-and-walk draw, over 20 draws from one generator: a
+    `random.Random`, or a subclass that overrides only random(),
+    getrandbits or randrange."""
     n, total = len(weights), sum(weights)
     probs = ProbGroundSet(ground(n), tuple(Fraction(w, total) for w in weights))
     block = [i % n for i in picks]
-    mine, theirs = random.Random(seed), random.Random(seed)
+    mine, theirs = generator(seed), generator(seed)
     for _ in range(20):
         assert choice_reduce(block, probs, mine) == oracles.choice_reduce(
             block, probs, theirs

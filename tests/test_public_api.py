@@ -17,11 +17,12 @@ from ditkit.entropy import logical_entropy
 from ditkit.errors import DitkitError, GroundMismatch, InvalidValue, UnknownLabel
 from ditkit.partitions import (
     GroundSet,
-    choice_reduce,
     discrete_partition,
     partition_to_json,
 )
-from ditkit.z2dyn import Detect, SubsetVector, run_pipeline, sample_pipeline
+from ditkit.z2dyn import (
+    Detect, SubsetVector, choice_reduce, run_pipeline, sample_pipeline,
+)
 
 
 def _owned_names(nodes) -> set[tuple[str, str]]:
@@ -672,6 +673,37 @@ def test_no_library_code_calls_a_checking_constructor():
     valid by construction and goes through the trusted `_grid`; only
     `from_json` reads a caller's data, and it calls `cls(...)`."""
     assert _library_sites(_calls_a_checking_constructor) == set()
+
+
+def _names_a_draw(node: ast.AST) -> bool:
+    """A use of `randrange`, `getrandbits` or `bisect_right`, bare or as an
+    attribute."""
+    name = (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else None)
+    return name in ("randrange", "getrandbits", "bisect_right")
+
+
+def _imports_a_draw_module(node: ast.AST) -> bool:
+    """An import of `random` or `bisect`, or an import from either."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("random", "bisect")
+    return isinstance(node, ast.Import) and any(
+        alias.name in ("random", "bisect") for alias in node.names
+    )
+
+
+def test_the_sampler_is_the_one_draw_site():
+    """A random draw is made in one place: the sampler, which reads its
+    integers in `sample_pipeline` and bisects a table in `_settle`.
+    `choice_reduce` is one trial of it, and no other module imports
+    `random` or `bisect`."""
+    assert _library_sites(_names_a_draw) == {
+        ("z2dyn", "sample_pipeline"),
+        ("z2dyn", "_settle"),
+    }
+    assert {module for module, _ in _library_sites(_imports_a_draw_module)} == {
+        "z2dyn"
+    }
 
 
 # --- the README quick tour ---
