@@ -3,9 +3,24 @@ and bounded validity search.
 
 A formula is valid when every assignment of partitions (on any ground
 set with at least two elements) evaluates to the discrete partition.
-Only a bounded check is possible: `check_validity` sweeps all ground
-sizes up to a limit and reports the least counterexample, if any, in a
-deterministic order.
+In general only a bounded check is possible: `check_validity` sweeps all
+ground sizes up to a limit and reports the least counterexample, if any,
+in a deterministic order.
+
+A formula in which at most one variable is *mixed* is decided at every
+n by n <= 3, so the sweep stops there.  The value is monotone in a
+*positive* variable, every occurrence of which is under an even number
+of `=>` left sides, and antitone in a *negative* one, every occurrence
+under an odd number; a mixed variable has occurrences of both kinds.
+Setting the positive variables to 0 and the negative ones to 1 gives the
+least value over their choices, so the formula is valid at n exactly
+when the one so reduced is, and that one has at most one variable p.
+The set {0, 1, p} is closed under join, meet and implication, and for p
+neither 0 nor 1 each operation gives the same member whatever p is (for
+example p => 0 = 0, 0 => p = 1, 1 => p = p; D. Ellerman, "The logic of
+partitions", Rev. Symb. Logic 3, 2010).  So the verdict at every n is
+that of p = 0 and p = 1, found at n = 2, and of one other p, first met
+at n = 3.
 
 `parse` reads text in one loop, so parentheses nest to any depth; the
 other walks recurse, so a node more than `MAX_DEPTH` deep is refused.
@@ -18,6 +33,7 @@ import string
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Union
 
 from .errors import (
@@ -30,7 +46,6 @@ from .errors import (
 from .partitions import (
     GroundSet,
     Partition,
-    bell_number,
     notation,
     _from_rgs,
     _implies_rgs,
@@ -384,18 +399,26 @@ class _Ranked:
     def partition(self, x: int) -> Partition:
         return _from_rgs(self.ground, self._rgs[x])
 
-    def op(self, kernel):
-        """`kernel` on ranks, through its table."""
+    def table(self, kernel) -> array:
+        """The table of `kernel`: entry a * size + b is the rank of
+        kernel(a, b), or -1 until `fill` writes it."""
         if kernel not in self._tables:
             self._tables[kernel] = array("h", [-1]) * (self.size * self.size)
-        table, size, rgs, rank = self._tables[kernel], self.size, self._rgs, self._rank
+        return self._tables[kernel]
+
+    def fill(self, kernel, a: int, b: int) -> int:
+        """Write and return the entry of `kernel`'s table for (a, b)."""
+        r = self._rank[kernel(self._rgs[a], self._rgs[b])]
+        self._tables[kernel][a * self.size + b] = r
+        return r
+
+    def op(self, kernel):
+        """`kernel` on ranks, through its table."""
+        table, size, fill = self.table(kernel), self.size, self.fill
 
         def lookup(a: int, b: int) -> int:
-            at = a * size + b
-            r = table[at]
-            if r < 0:
-                r = table[at] = rank[kernel(rgs[a], rgs[b])]
-            return r
+            r = table[a * size + b]
+            return r if r >= 0 else fill(kernel, a, b)
 
         return lookup
 
@@ -535,27 +558,44 @@ def _search(program, polarity, lattice):
     Polarity: the root is monotone in a variable of polarity 1, so if its
     least value, the bottom, leaves the rest clean, every value does.  It
     is antitone in one of polarity -1, so if the top leaves the rest
-    clean, every value does; only if it does not are the minima tried."""
+    clean, every value does; only if it does not are the minima tried.
+    With at most one polarity 0, the same rule leaves one variable, whose
+    verdict at n = 3 holds at every larger n (module docstring), so
+    `check_validity` runs this search only for n <= 3."""
     consts, levels, root, width = program
     depth = len(levels) - 1
     values: list = [None] * width
     for slot, is_top in consts:
         values[slot] = lattice.top if is_top else lattice.bottom
-    steps = [
-        [(slot, lattice.op(kernel), left, right) for slot, kernel, left, right in level]
-        for level in levels
-    ]
+    for slot, kernel, left, right in levels[0]:
+        values[slot] = lattice.op(kernel)(values[left], values[right])
+    # ranks read their tables inline and fill a gap from the kernel; RGS
+    # tuples run the kernel itself
+    ranked = isinstance(lattice, _Ranked)
+    if ranked:
+        size, fill = lattice.size, lattice.fill
+        levels = [
+            [(slot, lattice.table(kernel), kernel, left, right)
+             for slot, kernel, left, right in level]
+            for level in levels
+        ]
     top = lattice.top
     # c is only needed below the first variable, so one variable builds no
     # join table
     join = lattice.op(_join_rgs) if depth > 1 else None
 
     def nested(d: int, c, xs) -> bool:
-        level, innermost = steps[d + 1], d + 1 == depth
+        level, innermost = levels[d + 1], d + 1 == depth
         for x in xs:
             values[d] = x
-            for slot, op, left, right in level:
-                values[slot] = op(values[left], values[right])
+            if ranked:
+                for slot, table, kernel, left, right in level:
+                    a, b = values[left], values[right]
+                    r = table[a * size + b]
+                    values[slot] = r if r >= 0 else fill(kernel, a, b)
+            else:
+                for slot, kernel, left, right in level:
+                    values[slot] = kernel(values[left], values[right])
             if innermost:
                 if values[root] != top:
                     return True
@@ -570,8 +610,6 @@ def _search(program, polarity, lattice):
             return False
         return nested(d, c, lattice.minima(c))
 
-    for slot, op, left, right in steps[0]:
-        values[slot] = op(values[left], values[right])
     found = search(0, lattice.bottom) if depth else values[root] != top
     return (values[:depth], values[root]) if found else None
 
@@ -587,30 +625,41 @@ def check_validity(
     and a slot program.  The search runs on RGS ranks through operation
     tables filled on demand and kept between calls for n <= TABLE_MAX_N;
     larger n run the RGS kernels directly.  Each subformula is evaluated
-    once per value of the last variable it uses.  Two rules skip
+    once per value of the last variable it uses.  Three rules skip
     assignments that cannot hold the first counterexample.  Orbits: each
     variable takes only the least value of each orbit of the
     permutations that keep every block of the join of the earlier
     variables' values (for the first variable, the first value of each
     block-size shape).  Polarity: a variable of one polarity is settled by
-    the bottom (positive) or first probed at the top (negative).  The
-    witness is still the least one, and the budget still charges
-    Bell(n) ** k assignments per n for k variables."""
+    the bottom (positive) or first probed at the top (negative).  Ground
+    size: with at most one mixed variable, setting the others to the
+    bottom or top leaves a formula in one variable p whose value is 0, 1
+    or p, by the same case for every p other than 0 and 1, so n <= 3
+    decides every n (module docstring) and larger n are not searched.
+    The witness is still the least one, and the budget still charges
+    Bell(n) ** k assignments for k variables for every n up to max_n, in
+    the same order, so a search stopped at n = 3 reports, and runs out of
+    budget, exactly as the full sweep does."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")
     names, polarity, program = _compile(f)
-    spent = 0
+    # with at most one mixed variable, n = 3 decides every larger n
+    last = max_n if polarity.count(0) > 1 else 3
+    spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
     for n in range(2, max_n + 1):
-        cost = bell_number(n) ** len(names)
+        row = list(accumulate(row, initial=row[-1]))
+        cost = row[-1] ** len(names)
         if spent + cost > budget:
             raise BudgetExceeded(
                 f"assignment budget {budget} exhausted before n={n}",
                 bound_reached=n - 1,
             )
         spent += cost
+        if n > last:
+            continue
         lattice = _lattice(n)
         hit = _search(program, polarity, lattice)
         if hit is not None:

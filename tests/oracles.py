@@ -455,7 +455,8 @@ def unreduced_search(program, lattice):
 def unreduced_validity(f, max_n: int) -> ValidityReport:
     """The `check_validity` report, without a budget, from
     `unreduced_search` of `subformula_program` on the library's
-    lattices."""
+    lattices.  It searches every n up to `max_n`, with no stop at n = 3
+    for a formula with at most one mixed-polarity variable."""
     names = variables(f)
     program = subformula_program(f, names)
     for n in range(2, max_n + 1):

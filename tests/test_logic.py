@@ -408,11 +408,13 @@ def test_budget_refuses_before_building_tables():
 
 def test_large_n_search_keeps_no_table():
     # n = 8 takes the untabulated path: B_8 = 4140, so one table of that
-    # size would be 4140**2 int16 entries, about 34 MB
+    # size would be 4140**2 int16 entries, about 34 MB.  Both variables are
+    # mixed, so the search does not stop at n = 3.
     logic._RANKED.clear()
+    f = parse("(p /\\ q) => (q /\\ p)")
     tracemalloc.start()
     try:
-        report = check_validity(parse("p => p"), 8)
+        report = check_validity(f, 8, budget=2 * bell_number(8) ** 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -606,10 +608,10 @@ def test_orbit_scan_at_bottom_finds_the_shape_representatives():
         assert list(logic._minima((0,) * n)) == firsts
 
 
-def test_one_variable_search_enumerates_no_large_lattice(monkeypatch):
-    # p occurs with both signs, so it runs over one value per shape; above
-    # TABLE_MAX_N those are found among the 2**(n-1) non-decreasing RGS,
-    # not by scanning every RGS
+def test_untabulated_search_enumerates_no_large_lattice(monkeypatch):
+    # p and q occur with both signs, so each runs over orbit minima; above
+    # TABLE_MAX_N those are found by the scan of `_minima` (for p among the
+    # 2**(n-1) non-decreasing RGS), not by scanning every RGS
     lengths = []
 
     def counted(n):
@@ -617,20 +619,126 @@ def test_one_variable_search_enumerates_no_large_lattice(monkeypatch):
         return _iter_rgs(n)
 
     monkeypatch.setattr(logic, "_iter_rgs", counted)
-    f = parse("(p => 0) \\/ ((p => 0) => 0)")
-    assert logic._compile(f)[1] == (0,)
-    assert check_validity(f, 9).is_valid_up_to_bound
+    f = parse("(p /\\ q) => (q /\\ p)")
+    assert logic._compile(f)[1] == (0, 0)
+    report = check_validity(f, 8, budget=2 * bell_number(8) ** 2)
+    assert report.is_valid_up_to_bound
     assert max(lengths, default=0) <= logic.TABLE_MAX_N
 
 
 def test_untabulated_reach_with_both_reductions():
-    # q occurs only left of `=>` and p is the first variable; at n = 8 the
-    # search runs on bare RGS tuples and probes 22 shapes, not 4140**2 pairs
+    # p and q occur with both signs and s only left of `=>`; at n = 8 the
+    # search runs on bare RGS tuples, p and q over orbit minima and s at
+    # the top alone, not over 4140**3 triples
     start = time.perf_counter()
-    f, budget = parse("(p /\\ q) => p"), bell_number(8) ** 2 * 2
+    f, budget = parse("(p /\\ q /\\ s) => (q /\\ p)"), bell_number(8) ** 3 * 2
+    assert logic._compile(f)[1] == (0, 0, -1)
     report = check_validity(f, 8, budget=budget)
     assert time.perf_counter() - start < 20
     assert report.status == "valid-up-to-bound" and report.bound == 8
+
+
+# --- the n <= 3 rule: at most one mixed-polarity variable ---
+
+
+def _one_mixed(f) -> bool:
+    return logic._compile(f)[1].count(0) <= 1
+
+
+def _all_formulas(ops: int, leaves):
+    """Every formula with exactly `ops` binary operators over `leaves`."""
+    if ops == 0:
+        yield from leaves
+        return
+    for left_ops in range(ops):
+        for left in _all_formulas(left_ops, leaves):
+            for right in _all_formulas(ops - 1 - left_ops, leaves):
+                for node in (Join, Meet, Implies):
+                    yield node(left, right)
+
+
+def test_one_mixed_variable_search_matches_unreduced():
+    # every formula of at most two operators over p, q, 0 and 1, and of
+    # three over p and q; the search stops at n = 3 on those with at most
+    # one mixed variable, the unreduced one sweeps n = 4 and 5
+    small = [
+        f
+        for leaves, most in ((("p", "q", "1", "0"), 2), (("p", "q"), 3))
+        for ops in range(most + 1)
+        for f in _all_formulas(ops, [parse(leaf) for leaf in leaves])
+    ]
+    kept, valid = [f for f in dict.fromkeys(small) if _one_mixed(f)], 0
+    for f in kept:
+        report, oracle = check_validity(f, 5), unreduced_validity(f, 5)
+        assert report == oracle and report.to_json() == oracle.to_json()
+        valid += report.is_valid_up_to_bound
+    # the valid ones are those whose n = 4 and 5 the rule skips
+    assert (len(kept), valid) == (3_232, 894)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_FORMULAS.filter(_one_mixed))
+@example(f=parse("p \\/ (p => 0)"))
+@example(f=parse("q => (p => q)"))
+def test_one_mixed_variable_search_matches_unreduced_on_random_formulas(f):
+    report, oracle = check_validity(f, 5), unreduced_validity(f, 5)
+    assert report == oracle and report.to_json() == oracle.to_json()
+
+
+# valid up to n = 3, each with at most one mixed variable, which is not
+# always the first
+VALID_ONE_MIXED = (
+    "p => p", "(p => 0) \\/ ((p => 0) => 0)", "p => ((p => 0) => 0)",
+    "p => (p \\/ q)", "(p /\\ q) => p", "q => (p => q)",
+    "(p => 0) => (p => q)", "(p /\\ (q \\/ p)) => p", "p => (p \\/ (q /\\ r))",
+    "(q /\\ p) => ((p => 0) => (r \\/ p))",
+)
+
+
+@pytest.mark.parametrize("text", VALID_ONE_MIXED)
+def test_one_mixed_variable_has_no_hit_above_three(text):
+    # the library's own search at each larger n, with no stop at n = 3
+    f = parse(text)
+    _, polarity, program = logic._compile(f)
+    assert polarity.count(0) <= 1
+    assert check_validity(f, 3).is_valid_up_to_bound
+    for n in range(4, 8):
+        assert logic._search(program, polarity, logic._lattice(n)) is None
+
+
+def test_excluded_middle_fails_first_at_three():
+    f = parse("p \\/ (p => 0)")
+    assert check_validity(f, 2).is_valid_up_to_bound
+    for max_n in range(3, 9):
+        assert check_validity(f, max_n).to_json() == {
+            "status": "counterexample", "bound": 3,
+            "witness": {"n": 3, "assignment": {"p": "ab|c"}, "value": "ab|c"},
+        }
+
+
+def test_two_mixed_variables_search_past_three():
+    # the control: both variables mixed, valid up to n = 3, refuted at 4
+    f = parse("(p \\/ q => p) \\/ (p \\/ q => p => q)")
+    assert logic._compile(f)[1] == (0, 0)
+    assert check_validity(f, 3).is_valid_up_to_bound
+    assert check_validity(f, 4).to_json() == {
+        "status": "counterexample", "bound": 4,
+        "witness": {
+            "n": 4,
+            "assignment": {"p": "abc|d", "q": "abd|c"},
+            "value": "ab|c|d",
+        },
+    }
+
+
+def test_rule_keeps_budget_and_builds_no_table_above_three():
+    # the budget still charges Bell(n)**2 for every n the rule skips
+    logic._RANKED.clear()
+    with pytest.raises(BudgetExceeded) as exc:
+        check_validity(parse("p => (p \\/ s)"), 8)
+    assert str(exc.value) == "assignment budget 1000000 exhausted before n=8"
+    assert exc.value.bound_reached == 7
+    assert sorted(logic._RANKED) == [2, 3]
 
 
 # --- the parse loop against recursive descent ---
