@@ -78,6 +78,10 @@ class EmptyState(DitkitError):
     """A subset state with no members cannot be reduced."""
 
 
+class SingularMap(DitkitError, ArithmeticError):
+    """A singular GF(2) map was inverted.  It is also an ArithmeticError."""
+
+
 class InvalidValue(DitkitError, ValueError):
     """An argument has the right type but an unusable value (a negative
     probability, an asymmetric matrix, an empty list).  It is also a

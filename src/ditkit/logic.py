@@ -383,8 +383,8 @@ def _ground_for(n: int) -> GroundSet:
 class _Ranked:
     """The partitions of an n-set named by their rank in RGS order: bottom
     is 0, top is B - 1.  Each operation is a flat B x B table of result
-    ranks, filled on first use from the RGS kernels (-1 marks a gap), and
-    the orbit minima of each partition are kept once found."""
+    ranks, read inline by `_search` and filled on first use from the RGS
+    kernels (-1 marks a gap); each partition's orbit minima are kept."""
 
     def __init__(self, n: int):
         self.n, self.ground = n, _ground_for(n)
@@ -412,16 +412,6 @@ class _Ranked:
         self._tables[kernel][a * self.size + b] = r
         return r
 
-    def op(self, kernel):
-        """`kernel` on ranks, through its table."""
-        table, size, fill = self.table(kernel), self.size, self.fill
-
-        def lookup(a: int, b: int) -> int:
-            r = table[a * size + b]
-            return r if r >= 0 else fill(kernel, a, b)
-
-        return lookup
-
     def minima(self, c: int) -> array:
         """The ranks of `_minima` of partition c, kept per c."""
         if c not in self._minima:
@@ -442,9 +432,6 @@ class _Unranked:
 
     def partition(self, rgs: tuple[int, ...]) -> Partition:
         return _from_rgs(self.ground, rgs)
-
-    def op(self, kernel):
-        return kernel
 
     def minima(self, c: tuple[int, ...]):
         return _minima(c)
@@ -561,14 +548,20 @@ def _search(program, polarity, lattice):
     clean, every value does; only if it does not are the minima tried.
     With at most one polarity 0, the same rule leaves one variable, whose
     verdict at n = 3 holds at every larger n (module docstring), so
-    `check_validity` runs this search only for n <= 3."""
+    `check_validity` runs this search only for n <= 3.
+
+    Slot width + d holds c at depth d, and the level of each variable but
+    the innermost ends by joining its value into the next c, so one
+    variable builds no join table.  The steps that use no variable run
+    once, as the level of a variable -1 with a scratch slot at the end."""
     consts, levels, root, width = program
     depth = len(levels) - 1
-    values: list = [None] * width
+    values: list = [None] * width + [lattice.bottom] * (depth + 1)
     for slot, is_top in consts:
         values[slot] = lattice.top if is_top else lattice.bottom
-    for slot, kernel, left, right in levels[0]:
-        values[slot] = lattice.op(kernel)(values[left], values[right])
+    levels = list(levels)
+    for d in range(1, depth):
+        levels[d] = levels[d] + [(width + d, _join_rgs, width + d - 1, d - 1)]
     # ranks read their tables inline and fill a gap from the kernel; RGS
     # tuples run the kernel itself
     ranked = isinstance(lattice, _Ranked)
@@ -580,11 +573,8 @@ def _search(program, polarity, lattice):
             for level in levels
         ]
     top = lattice.top
-    # c is only needed below the first variable, so one variable builds no
-    # join table
-    join = lattice.op(_join_rgs) if depth > 1 else None
 
-    def nested(d: int, c, xs) -> bool:
+    def nested(d: int, xs) -> bool:
         level, innermost = levels[d + 1], d + 1 == depth
         for x in xs:
             values[d] = x
@@ -599,18 +589,18 @@ def _search(program, polarity, lattice):
             if innermost:
                 if values[root] != top:
                     return True
-            elif search(d + 1, join(c, x)):
+            elif search(d + 1):
                 return True
         return False
 
-    def search(d: int, c) -> bool:
+    def search(d: int) -> bool:
         if polarity[d] > 0:
-            return nested(d, c, (lattice.bottom,))
-        if polarity[d] < 0 and not nested(d, c, (top,)):
+            return nested(d, (lattice.bottom,))
+        if polarity[d] < 0 and not nested(d, (top,)):
             return False
-        return nested(d, c, lattice.minima(c))
+        return nested(d, lattice.minima(values[width + d]))
 
-    found = search(0, lattice.bottom) if depth else values[root] != top
+    found = nested(-1, (None,))
     return (values[:depth], values[root]) if found else None
 
 
@@ -625,7 +615,9 @@ def check_validity(
     and a slot program.  The search runs on RGS ranks through operation
     tables filled on demand and kept between calls for n <= TABLE_MAX_N;
     larger n run the RGS kernels directly.  Each subformula is evaluated
-    once per value of the last variable it uses.  Three rules skip
+    once per value of the last variable it uses, and one that uses none
+    once, as the level of a variable -1; the join of the earlier values
+    is one more step of each level.  Three rules skip
     assignments that cannot hold the first counterexample.  Orbits: each
     variable takes only the least value of each orbit of the
     permutations that keep every block of the join of the earlier
@@ -650,7 +642,8 @@ def check_validity(
     last = max_n if polarity.count(0) > 1 else 3
     spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
     for n in range(2, max_n + 1):
-        row = list(accumulate(row, initial=row[-1]))
+        if names:  # Bell(n) ** 0 is 1 whatever the row holds
+            row = list(accumulate(row, initial=row[-1]))
         cost = row[-1] ** len(names)
         if spent + cost > budget:
             raise BudgetExceeded(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
@@ -541,10 +542,7 @@ def bell_number(n: int) -> int:
     _require_size("n must be a non-negative int", n)
     row = [1]
     for _ in range(n - 1):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
+        row = list(accumulate(row, initial=row[-1]))
     return row[-1]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import DimensionMismatch, EmptyBlock, EmptyState, InvalidValue
+from .errors import DimensionMismatch, EmptyBlock, EmptyState, InvalidValue, SingularMap
 from .partitions import (
     GroundSet,
     Partition,
@@ -194,7 +194,7 @@ class GF2Map:
         [I | (M^T)^-1], whose rows are the columns of M^-1."""
         n = self.n
         if not self.nonsingular:
-            raise ArithmeticError("map is singular over GF(2)")
+            raise SingularMap("map is singular over GF(2)")
         rows = [c | 1 << (n + j) for j, c in enumerate(self.cols)]
         _gf2_rank(rows, n)
         return GF2Map(tuple(row >> n for row in rows))

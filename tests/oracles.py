@@ -7,9 +7,10 @@ new block), where the library uses restricted growth strings.  The
 lattice operations work on sets of blocks and pairs, where the library
 relabels restricted growth strings, and the validity search walks every
 assignment of block tuples, where the library looks results up in tables.
-The unreduced validity search runs the library's tables over every
-assignment, where the library tries only the least value of each orbit
-that fixes the earlier variables, and skips the values a monotone
+The unreduced validity search runs the kernels over every assignment,
+keeping their results on ranks in a memo of its own, where the library
+reads and fills its operation tables, tries only the least value of each
+orbit that fixes the earlier variables, and skips the values a monotone
 variable cannot need.  Those orbit minima are found by applying every
 permutation that keeps each block of the earlier variables' join, where
 the library compares block-intersection counts; the shape representatives
@@ -51,6 +52,7 @@ where the library joins their level-set partitions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -416,6 +418,15 @@ def polarity(f, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(sum(signs[name]) for name in names)
 
 
+@functools.cache
+def _on_ranks(n: int, kernel, a: int, b: int) -> int:
+    """`kernel` on the partitions of ranks a and b of an n-set, run on
+    their RGS and kept in a memo of its own, so that the unreduced search
+    reads no table of the library."""
+    lattice = _lattice(n)
+    return lattice.element(kernel(lattice.partition(a).rgs, lattice.partition(b).rgs))
+
+
 def unreduced_search(program, lattice):
     """Run the slot program over every assignment in nested order, first
     variable outermost, and return the variables' values and the root
@@ -425,29 +436,27 @@ def unreduced_search(program, lattice):
     values: list = [None] * width
     for slot, is_top in consts:
         values[slot] = lattice.top if is_top else lattice.bottom
-    steps = [
-        [(slot, lattice.op(kernel), left, right) for slot, kernel, left, right in level]
-        for level in levels
-    ]
-    top = lattice.top
+    top, n = lattice.top, lattice.n
     # a ranked lattice names its elements by rank, an unranked one by RGS
     ranked = isinstance(lattice, _Ranked)
 
+    def run(level) -> None:
+        for slot, kernel, left, right in level:
+            a, b = values[left], values[right]
+            values[slot] = _on_ranks(n, kernel, a, b) if ranked else kernel(a, b)
+
     def nested(d: int) -> bool:
-        level, innermost = steps[d + 1], d + 1 == depth
-        for x in range(lattice.size) if ranked else _iter_rgs(lattice.n):
+        for x in range(lattice.size) if ranked else _iter_rgs(n):
             values[d] = x
-            for slot, op, left, right in level:
-                values[slot] = op(values[left], values[right])
-            if innermost:
+            run(levels[d + 1])
+            if d + 1 == depth:
                 if values[root] != top:
                     return True
             elif nested(d + 1):
                 return True
         return False
 
-    for slot, op, left, right in steps[0]:
-        values[slot] = op(values[left], values[right])
+    run(levels[0])
     found = nested(0) if depth else values[root] != top
     return (values[:depth], values[root]) if found else None
 

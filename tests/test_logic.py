@@ -361,6 +361,26 @@ def test_variable_free_formulas():
     assert report.witness.assignment == {}
 
 
+def test_variable_free_formulas_build_no_bell_row(monkeypatch):
+    # Bell(n) ** 0 is 1, so a formula with no variable charges 1 per n
+    # and builds no row of the Bell triangle
+    calls, accumulate = [], logic.accumulate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "accumulate", counting)
+    assert check_validity(parse("1 => 1"), 5_000).is_valid_up_to_bound
+    assert calls == []
+    assert check_validity(parse("(p /\\ q) => p"), 6).is_valid_up_to_bound
+    assert len(calls) == 5  # one row per n = 2..6
+    with pytest.raises(BudgetExceeded) as exc:
+        check_validity(parse("1 => 1"), 50, budget=10)
+    assert str(exc.value) == "assignment budget 10 exhausted before n=12"
+    assert exc.value.bound_reached == 11
+
+
 # --- table-driven search against the brute-force oracle ---
 
 
@@ -576,6 +596,55 @@ def test_three_variable_search_matches_unreduced(table_max_n, f):
 def test_reduced_search_matches_unreduced_on_each_polarity_mix(text):
     f = parse(text)
     assert check_validity(f, 5) == unreduced_validity(f, 5)
+
+
+# a constant-only binary step (1 => 0), run as the level of variable -1,
+# beside two mixed variables, so that the join of c runs as a slot step
+CONSTANT_STEP_FORMULAS = (
+    "(p => q) \\/ (q => p) \\/ (1 => 0)",
+    "(p /\\ q) => ((q /\\ p) \\/ (1 => 0))",
+)
+
+
+@pytest.mark.parametrize(
+    "table_max_n", [logic.TABLE_MAX_N, 1], ids=["ranked", "unranked"]
+)
+@pytest.mark.parametrize("text", CONSTANT_STEP_FORMULAS)
+def test_constant_steps_and_join_of_c_match_unreduced(table_max_n, text):
+    f = parse(text)
+    _, polarity, (_, levels, _, _) = logic._compile(f)
+    assert polarity == (0, 0) and levels[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "TABLE_MAX_N", table_max_n)
+        report, oracle = check_validity(f, 4), unreduced_validity(f, 4)
+        assert report == oracle and report.to_json() == oracle.to_json()
+        assert _as_blocks(report) == brute_validity(f, 4)
+
+
+def test_constant_step_formulas_pinned():
+    refuted, valid = map(parse, CONSTANT_STEP_FORMULAS)
+    assert check_validity(refuted, 3).is_valid_up_to_bound
+    assert check_validity(refuted, 5).to_json() == {
+        "status": "counterexample", "bound": 4,
+        "witness": {
+            "n": 4,
+            "assignment": {"p": "abc|d", "q": "abd|c"},
+            "value": "ab|c|d",
+        },
+    }
+    assert check_validity(valid, 5).to_json() == {
+        "status": "valid-up-to-bound", "bound": 5,
+    }
+
+
+def test_only_a_search_below_the_first_variable_builds_a_join_table():
+    # neither formula has a join node: only the join of c can build one
+    logic._RANKED.clear()
+    check_validity(parse("(p /\\ p) => p"), 3)
+    assert logic._join_rgs not in logic._RANKED[3]._tables
+    logic._RANKED.clear()
+    check_validity(parse("(p /\\ q) => (q /\\ p)"), 3)
+    assert logic._join_rgs in logic._RANKED[3]._tables
 
 
 def test_ranked_and_unranked_shapes_agree():

@@ -116,8 +116,6 @@ def test_every_public_function_is_exported_or_called():
 _OTHER_RAISES = {
     # errors.json_input turns it into the DitkitError of a malformed value
     ("partitions", "_json_number", "ValueError"),
-    # a singular map has no inverse; callers test GF2Map.nonsingular first
-    ("z2dyn", "inverse", "ArithmeticError"),
 }
 
 
@@ -135,7 +133,7 @@ def _raises(node: ast.AST, where: str):
 def test_every_raise_names_a_ditkit_error():
     """Bad input leaves the library as a DitkitError: every `raise` of a
     new exception names a subclass of DitkitError, apart from the listed
-    two, and a bare `raise` passes an exception on."""
+    one, and a bare `raise` passes an exception on."""
     kinds = {
         name for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, DitkitError)
@@ -704,6 +702,31 @@ def test_the_sampler_is_the_one_draw_site():
     assert {module for module, _ in _library_sites(_imports_a_draw_module)} == {
         "z2dyn"
     }
+
+
+def _reads_a_table(node: ast.AST) -> bool:
+    """A use of the attribute `table` or `fill`, other than the CLI's
+    `--table` flag `args.table`."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("table", "fill")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args"))
+
+
+def test_search_is_the_one_table_reader():
+    """An operation table of the validity search is read and filled in one
+    place, the inline loop of `logic._search`, which runs the constant
+    steps, the subformula steps and the join of c alike; no library class
+    defines an `op` that reads a table beside it."""
+    assert _library_sites(_reads_a_table) == {("logic", "_search")}
+    src = pathlib.Path(ditkit.__file__).parent
+    ops = {
+        (path.stem, cls.name)
+        for path in src.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "op"
+    }
+    assert ops == set()
 
 
 # --- the README quick tour ---

@@ -23,6 +23,7 @@ from ditkit import (
     Partition,
     ProbGroundSet,
     StateMixture,
+    SingularMap,
     SubsetVector,
     UnknownLabel,
     double_slit,
@@ -184,6 +185,9 @@ def test_inverse_round_trip():
         assert evolve(evolve(s, inv), dynamics) == s
     with pytest.raises(ArithmeticError):
         GF2Map((0b01, 0b01)).inverse()
+    with pytest.raises(SingularMap, match="singular over GF"):
+        GF2Map((0b01, 0b01)).inverse()
+    assert issubclass(SingularMap, DitkitError)
 
 
 def test_random_nonsingular_maps_have_inverses():
@@ -195,6 +199,8 @@ def test_random_nonsingular_maps_have_inverses():
         assert m.nonsingular == gf2_nonsingular(m.cols)
         if not m.nonsingular:
             with pytest.raises(ArithmeticError):
+                m.inverse()
+            with pytest.raises(DitkitError):
                 m.inverse()
             continue
         inv = m.inverse()
