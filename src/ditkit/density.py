@@ -8,9 +8,9 @@ masking, conditioning and the entropy 1 - tr(rho^2) are integer work.
 `to_json` and the public constructor, the only one that checks a matrix;
 `rho` and the Lüders maps build theirs on the unchecked trusted path, and
 the diagonal and trace are read as integer square roots of the radicands.
-A `ProjectionMask`, the outcome `luders_rule` conditions on, is a
+A `ProjectionMask`, the outcome `luders_outcomes` conditions on, is a
 `SubsetVector` bitmask, since at the set level a projection is the
-subset it keeps.
+subset it keeps; `luders_rule` takes any `SubsetVector`.
 General matrix multiplication is deliberately not provided; nothing here
 ever needs a tolerance.
 """
@@ -36,7 +36,7 @@ from .partitions import (
     _json_number,
     _require,
     _require_exact,
-    _require_probs,
+    _require_on,
     _require_same_ground,
     join,
 )
@@ -239,7 +239,7 @@ def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
     radicand is w_i * w_k / D^2."""
-    _require_probs(probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     n = pi.ground.n
     w, d = probs.weights, probs.denominator
     num = [0] * (n * n)
@@ -290,9 +290,7 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
     """Post-measurement state: sandwiching by the block projections of
     sigma keeps an entry exactly when its pair lies inside one sigma
     block and zeroes the rest, so the diagonal is kept whole."""
-    _require(DensityMatrix, "expected a DensityMatrix", mat)
-    _require(Partition, "expected a Partition", sigma)
-    _require_same_ground(mat, sigma)
+    _require_on(DensityMatrix, "expected a DensityMatrix", mat, sigma)
     n = mat.ground.n
     kept = mat._num
     num = [0] * (n * n)
@@ -305,10 +303,11 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
 
 
 def luders_rule(
-    mat: DensityMatrix, outcome: ProjectionMask
+    mat: DensityMatrix, outcome: SubsetVector
 ) -> tuple[DensityMatrix, Fraction]:
-    """Condition on one outcome: sandwich by its projection, normalize by
-    the trace, and return (post state, outcome probability)."""
+    """Condition on one outcome, any `SubsetVector` on the ground set of
+    `mat` such as a `ProjectionMask`: sandwich by its projection, normalize
+    by the trace, and return (post state, outcome probability)."""
     _require(DensityMatrix, "expected a DensityMatrix", mat)
     _require(SubsetVector, "expected a SubsetVector", outcome)
     _require_same_ground(mat, outcome)
@@ -335,9 +334,7 @@ def luders_outcomes(
 ) -> list[tuple[tuple[int, ...], Fraction, DensityMatrix]]:
     """The full outcome table of measuring by sigma: one
     (block, probability, conditioned state) row per block."""
-    _require(DensityMatrix, "expected a DensityMatrix", mat)
-    _require(Partition, "expected a Partition", sigma)
-    _require_same_ground(mat, sigma)
+    _require_on(DensityMatrix, "expected a DensityMatrix", mat, sigma)
     rows = []
     for blk, mask in zip(sigma.blocks, _block_masks(sigma)):
         state, prob = luders_rule(mat, ProjectionMask.from_bits(mat.ground, mask))
@@ -357,9 +354,7 @@ def state_reduction_audit(
 ) -> list[tuple[int, int]]:
     """The off-diagonal non-zero entries whose pair is split by sigma:
     exactly the coherences that measuring by sigma decoheres."""
-    _require(DensityMatrix, "expected a DensityMatrix", mat)
-    _require(Partition, "expected a Partition", sigma)
-    _require_same_ground(mat, sigma)
+    _require_on(DensityMatrix, "expected a DensityMatrix", mat, sigma)
     n, num, label = mat.ground.n, mat._num, sigma.rgs
     return [
         (i, k)

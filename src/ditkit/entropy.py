@@ -20,7 +20,7 @@ from .partitions import (
     Partition,
     ProbGroundSet,
     _join_rgs,
-    _require_probs,
+    _require_on,
     ditset,
     join,
 )
@@ -29,7 +29,7 @@ def block_probs(
     pi: Partition, probs: ProbGroundSet
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Per-block probability masses, in canonical block order."""
-    _require_probs(probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     w, d = probs.weights, probs.denominator
     return [(blk, Fraction(sum(map(w.__getitem__, blk)), d)) for blk in pi.blocks]
 
@@ -47,7 +47,7 @@ def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
     """1 - sum of squared block probabilities, exactly: on the grid of
     `probs` that is (D^2 - sum of W_B^2) / D^2, with W_B a block's
     integer weight and D the common denominator."""
-    _require_probs(probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     square = probs.denominator**2
     return Fraction(square - _square_mass(pi.rgs, probs.weights), square)
 
@@ -55,7 +55,7 @@ def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
 def logical_entropy_ditsum(pi: Partition, probs: ProbGroundSet) -> Fraction:
     """Same quantity summed pair by pair over the dit-set: the product
     measure p x p of the set of distinctions."""
-    _require_probs(probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     return sum(
         (probs.p[i] * probs.p[k] for (i, k) in ditset(pi).pairs),
         Fraction(0),
@@ -77,7 +77,8 @@ def compound_logical(
     mutual information is the p x p mass of the common dits.  With S the
     squared-mass sum of a partition, each entropy is (D^2 - S) / D^2, so
     all four are integer differences over D^2."""
-    _require_probs(probs, pi, sigma)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, sigma)
     w = probs.weights
     s_pi = _square_mass(pi.rgs, w)
     s_sigma = _square_mass(sigma.rgs, w)
@@ -93,7 +94,7 @@ def compound_logical(
 
 def shannon_entropy(pi: Partition, probs: ProbGroundSet) -> float:
     """Block entropy in bits, (W/D) * log2(D/W) summed over block weights W."""
-    _require_probs(probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     w, d = probs.weights, probs.denominator
     masses = (sum(map(w.__getitem__, blk)) for blk in pi.blocks)
     return sum(m / d * math.log2(d / m) for m in masses)

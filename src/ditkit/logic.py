@@ -631,7 +631,8 @@ def check_validity(
     The witness is still the least one, and the budget still charges
     Bell(n) ** k assignments for k variables for every n up to max_n, in
     the same order, so a search stopped at n = 3 reports, and runs out of
-    budget, exactly as the full sweep does."""
+    budget, exactly as the full sweep does; with no variable, each n past
+    3 costs 1, so the first n over budget is found by a sum."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
@@ -642,6 +643,12 @@ def check_validity(
     last = max_n if polarity.count(0) > 1 else 3
     spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
     for n in range(2, max_n + 1):
+        if n > last and not names:
+            # every n from here costs 1: jump to the first one over budget
+            n += budget - spent
+            if n > max_n:
+                break
+            spent = budget
         if names:  # Bell(n) ** 0 is 1 whatever the row holds
             row = list(accumulate(row, initial=row[-1]))
         cost = row[-1] ** len(names)

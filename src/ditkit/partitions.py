@@ -16,6 +16,8 @@ of the wrong type, `None` or another ditkit value, raises InvalidValue
 its one reader of a collection a caller passes: a non-iterable, at any
 depth, raises InvalidValue with the caller's message.  `_check_index` is
 its one check of an index a caller passes, raising UnknownLabel.
+`_require_on` is its one gate for a value and a partition on its ground
+set: the value's type, then the partition's, then the shared ground set.
 """
 
 from __future__ import annotations
@@ -339,14 +341,13 @@ def _require_same_ground(a, b) -> None:
     raise GroundMismatch(f"ground sets differ: {a.ground.labels} vs {b.ground.labels}")
 
 
-def _require_probs(probs, *partitions) -> None:
-    """Raise InvalidValue unless `probs` is a ProbGroundSet and each of
-    `partitions` a Partition, then require the partitions to share its
-    ground set."""
-    _require(ProbGroundSet, "probs must be a ProbGroundSet", probs)
-    for pi in partitions:
-        _require(Partition, "expected a Partition", pi)
-        _require_same_ground(pi, probs)
+def _require_on(kind, what: str, value, pi) -> None:
+    """The one gate for a value and a partition on its ground set: refuse
+    a `value` that is not a `kind`, then a `pi` that is not a Partition,
+    then a pair on two ground sets, naming `value`'s first."""
+    _require(kind, what, value)
+    _require(Partition, "expected a Partition", pi)
+    _require_same_ground(value, pi)
 
 
 def make_partition(
@@ -396,27 +397,21 @@ def refines(sigma: Partition, pi: Partition) -> bool:
     """Distinction order: True when every dit of sigma is a dit of pi,
     equivalently when every block of pi sits inside a block of sigma, that
     is when the join of the two is pi."""
-    _require(Partition, "expected a Partition", sigma)
-    _require(Partition, "expected a Partition", pi)
-    _require_same_ground(sigma, pi)
+    _require_on(Partition, "expected a Partition", sigma, pi)
     return _join_rgs(sigma.rgs, pi.rgs) == pi.rgs
 
 
 def join(pi: Partition, sigma: Partition) -> Partition:
     """Least upper bound: blocks are the non-empty pairwise block
     intersections, so the joined dit-set is the union of the two."""
-    _require(Partition, "expected a Partition", pi)
-    _require(Partition, "expected a Partition", sigma)
-    _require_same_ground(pi, sigma)
+    _require_on(Partition, "expected a Partition", pi, sigma)
     return _from_rgs(pi.ground, _join_rgs(pi.rgs, sigma.rgs))
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
     """Greatest lower bound: connected components of the graph whose
     edges are the indits of either partition."""
-    _require(Partition, "expected a Partition", pi)
-    _require(Partition, "expected a Partition", sigma)
-    _require_same_ground(pi, sigma)
+    _require_on(Partition, "expected a Partition", pi, sigma)
     return _from_rgs(pi.ground, _meet_rgs(pi.rgs, sigma.rgs))
 
 
@@ -424,9 +419,7 @@ def implication(sigma: Partition, pi: Partition) -> Partition:
     """Partition conditional sigma => pi: each block of pi contained in
     some block of sigma is discretized into singletons; the rest stay
     whole.  Evaluates to the top exactly when sigma <= pi."""
-    _require(Partition, "expected a Partition", sigma)
-    _require(Partition, "expected a Partition", pi)
-    _require_same_ground(sigma, pi)
+    _require_on(Partition, "expected a Partition", sigma, pi)
     return _from_rgs(pi.ground, _implies_rgs(sigma.rgs, pi.rgs))
 
 

@@ -30,7 +30,6 @@ from .partitions import (
     _is_int,
     _require,
     _require_exact,
-    _require_probs,
     _require_same_ground,
     _require_size,
 )
@@ -333,7 +332,7 @@ def _compile(initial: SubsetVector, steps: Iterable[Step], p: Optional[ProbGroun
     if p is None:
         p = ProbGroundSet.uniform(ground)
     else:
-        _require_probs(p)
+        _require(ProbGroundSet, "probs must be a ProbGroundSet", p)
         _require_same_ground(initial, p)
     plan: list[Union[GF2Map, tuple[int, ...]]] = []
     for step in _as_tuple(steps, "pipeline steps must be an iterable"):
@@ -533,7 +532,7 @@ def choice_reduce(
     anything else raises InvalidValue, for a singleton block too.  Each
     member must be an index into the ground set, as in `SubsetVector`.
     """
-    _require_probs(probs)
+    _require(ProbGroundSet, "probs must be a ProbGroundSet", probs)
     start = SubsetVector(
         probs.ground, _as_tuple(block, "block must be an iterable of indices")
     )

@@ -17,6 +17,9 @@ the library compares block-intersection counts; the shape representatives
 are found by scanning every RGS, where the library generates them.  The
 formula parser descends recursively, one method per precedence level,
 where the library runs one loop on an operand and an operator stack.  The
+assignment budget is a running sum of Bell numbers from their binomial
+recurrence, where the library walks the Bell triangle and charges a
+formula with no variable for every n at once.  The
 Boolean oracle evaluates over {False, True}, where the library searches
 the two-element partition lattice.  Hasse diagrams build a checked
 `Partition` per node and filter the covers by block containment, where
@@ -480,6 +483,24 @@ def unreduced_validity(f, max_n: int) -> ValidityReport:
             )
             return ValidityReport("counterexample", n, witness)
     return ValidityReport("valid-up-to-bound", max_n)
+
+
+@functools.cache
+def bell(n: int) -> int:
+    """Bell(n) by the binomial recurrence Bell(n) = sum over k < n of
+    C(n - 1, k) * Bell(k)."""
+    return 1 if n == 0 else sum(math.comb(n - 1, k) * bell(k) for k in range(n))
+
+
+def budget_stop(k: int, max_n: int, budget: int):
+    """The first n in 2..max_n at which the running sum of Bell(n) ** k
+    exceeds `budget`, or None if no n does."""
+    spent = 0
+    for n in range(2, max_n + 1):
+        spent += bell(n) ** k
+        if spent > budget:
+            return n
+    return None
 
 
 def random_probs(n: int, rng: random.Random) -> list[Fraction]:

@@ -381,6 +381,49 @@ def test_variable_free_formulas_build_no_bell_row(monkeypatch):
     assert exc.value.bound_reached == 11
 
 
+BUDGET_FORMULAS = (
+    "1", "0", "1 => 1", "1 => 0", "0 => 1", "p", "p => p", "p \\/ (p => 0)",
+    "p => (p \\/ q)", "(p /\\ q) => p", "p \\/ q",
+)
+
+
+@pytest.mark.parametrize("text", BUDGET_FORMULAS)
+def test_budget_runs_out_where_the_oracle_sum_first_exceeds_it(text):
+    # the search stops at the witness, so the budget counts up to it
+    f = parse(text)
+    k = len(variables(f))
+    for max_n in range(2, 41 if k == 0 else 6):
+        free = oracles.unreduced_validity(f, max_n)
+        last = free.witness.n if free.witness else max_n
+        sums = list(itertools.accumulate(
+            oracles.bell(n) ** k for n in range(2, last + 1)
+        ))
+        budgets = {*range(-2, 46), 10**6, *(s + d for s in sums for d in (-1, 0, 1))}
+        for budget in sorted(budgets):
+            stop = oracles.budget_stop(k, last, budget)
+            if stop is None:
+                assert check_validity(f, max_n, budget=budget) == free
+                continue
+            with pytest.raises(BudgetExceeded) as exc:
+                check_validity(f, max_n, budget=budget)
+            assert str(exc.value) == (
+                f"assignment budget {budget} exhausted before n={stop}"
+            )
+            assert exc.value.bound_reached == stop - 1
+
+
+def test_a_formula_with_no_variable_is_charged_without_a_walk():
+    # 1 per n is a sum, so max_n = 10**8 costs no more than max_n = 4
+    start = time.perf_counter()
+    report = check_validity(parse("1 => 1"), 10**8, budget=10**12)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_validity(parse("1 => 1"), 10**8, budget=10**6)
+    assert time.perf_counter() - start < 2.0
+    assert report == ValidityReport("valid-up-to-bound", 10**8)
+    assert str(exc.value) == "assignment budget 1000000 exhausted before n=1000002"
+    assert exc.value.bound_reached == 1000001
+
+
 # --- table-driven search against the brute-force oracle ---
 
 

@@ -274,6 +274,7 @@ _PROBS_CALLS = {
         lambda wrong: ditkit.verify_block_eigenvectors(_PI, wrong),
     "run_pipeline": lambda wrong: run_pipeline(_BOTH, [Detect()], wrong),
     "sample_pipeline": lambda wrong: sample_pipeline(_BOTH, [Detect()], 4, 0, wrong),
+    "choice_reduce": lambda wrong: choice_reduce([0], wrong, 0),
 }
 
 
@@ -356,6 +357,43 @@ def test_a_value_of_the_wrong_type_raises_invalid_value(name, at, wrong):
     other = _P if type(args[at]) is ditkit.Partition else _PI
     with pytest.raises(InvalidValue, match=", got "):
         call(*_swapped(args, at, None if wrong == "None" else other))
+
+
+# Each entry point gated by `partitions._require_on`: (a call of (value,
+# pi), a valid value), the value being the one it gates first and pi a
+# partition on its ground set.
+_GATED_ON = {
+    "refines": (ditkit.refines, _PI),
+    "join": (ditkit.join, _PI),
+    "meet": (ditkit.meet, _PI),
+    "implication": (ditkit.implication, _PI),
+    "luders_mixture": (luders_mixture, _MAT),
+    "luders_outcomes": (ditkit.luders_outcomes, _MAT),
+    "state_reduction_audit": (ditkit.state_reduction_audit, _MAT),
+    "rho": (lambda probs, pi: rho(pi, probs), _P),
+    "block_probs": (lambda probs, pi: ditkit.block_probs(pi, probs), _P),
+    "logical_entropy": (lambda probs, pi: logical_entropy(pi, probs), _P),
+    "logical_entropy_ditsum":
+        (lambda probs, pi: ditkit.logical_entropy_ditsum(pi, probs), _P),
+    "shannon_entropy": (lambda probs, pi: ditkit.shannon_entropy(pi, probs), _P),
+    "compound_logical":
+        (lambda probs, pi: ditkit.compound_logical(_PI, pi, probs), _P),
+}
+
+
+@pytest.mark.parametrize("name", list(_GATED_ON))
+def test_the_gate_checks_the_value_then_the_partition_then_the_ground(name):
+    """With both gated arguments wrong, the InvalidValue names the value;
+    with a partition on another ground set, the GroundMismatch names the
+    value's labels first."""
+    call, value = _GATED_ON[name]
+    call(value, _PI)
+    with pytest.raises(InvalidValue, match=r", got 'value'$"):
+        call("value", "pi")
+    other = discrete_partition(GroundSet(("a", "c")))
+    with pytest.raises(GroundMismatch) as exc:
+        call(value, other)
+    assert str(exc.value) == "ground sets differ: ('a', 'b') vs ('a', 'c')"
 
 
 # --- one generated sweep over the public surface ---
@@ -631,6 +669,45 @@ def test_partitions_require_is_the_only_type_gate():
     except the one in `partitions._require`."""
     gates = _library_sites(lambda n: isinstance(n, ast.If) and _refuses_a_type(n))
     assert gates == {("partitions", "_require")}
+
+
+def test_partitions_require_gates_take_fixed_positional_parameters():
+    """Every `partitions._require*` gate has a fixed list of positional
+    parameters: a `*values` signature makes each call about twice as slow
+    on CPython 3.11, and a gate runs on every public call."""
+    def gates(found) -> set[str]:
+        return {
+            where for module, where in _library_sites(
+                lambda n: isinstance(n, ast.arguments) and found(n)
+            )
+            if module == "partitions" and where.startswith("_require")
+        }
+
+    assert gates(lambda n: n.vararg or n.kwarg or n.kwonlyargs) == set()
+    assert gates(lambda n: True) == {
+        "_require", "_require_exact", "_require_on", "_require_same_ground",
+        "_require_size",
+    }
+
+
+def _calls_same_ground(node: ast.AST) -> bool:
+    """A call of `_require_same_ground` by name."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_require_same_ground")
+
+
+def test_require_on_is_the_gate_for_a_value_and_a_partition():
+    """A value and a partition on its ground set are checked by one gate,
+    `partitions._require_on`; the other ground checks are `luders_rule`'s,
+    whose outcome is a SubsetVector, and those of z2dyn's own values."""
+    assert _library_sites(_calls_same_ground) == {
+        ("partitions", "_require_on"),
+        ("density", "luders_rule"),
+        ("z2dyn", "__add__"),
+        ("z2dyn", "__post_init__"),
+        ("z2dyn", "probability"),
+        ("z2dyn", "_compile"),
+    }
 
 
 def test_as_tuple_is_the_only_collection_reader():
