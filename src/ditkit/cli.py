@@ -179,17 +179,14 @@ def cmd_entropy(args) -> int:
 
 def cmd_measure(args) -> int:
     if args.golden:
-        ground_text, p_text = GOLDEN_GROUND, GOLDEN_P
-        state_text, by_text = GOLDEN_STATE, GOLDEN_BY
-    else:
-        if args.state is None or args.by is None:
-            raise DitkitError("--state and --by are required without --golden")
-        ground_text, p_text = args.ground, args.p
-        state_text, by_text = args.state, args.by
-    ground = _parse_ground(ground_text)
-    probs = _parse_probs(ground, p_text)
-    pi = parse_partition(ground, state_text)
-    sigma = parse_partition(ground, by_text)
+        args.ground, args.p = GOLDEN_GROUND, GOLDEN_P
+        args.state, args.by = GOLDEN_STATE, GOLDEN_BY
+    elif args.state is None or args.by is None:
+        raise DitkitError("--state and --by are required without --golden")
+    ground = _parse_ground(args.ground)
+    probs = _parse_probs(ground, args.p)
+    pi = parse_partition(ground, args.state)
+    sigma = parse_partition(ground, args.by)
 
     mat = density.rho(pi, probs)
     hat = density.luders_mixture(mat, sigma)
@@ -380,7 +377,7 @@ def cmd_lattice(args) -> int:
             raise DitkitError(
                 f"--n must be between 1 and {lattice.LATTICE_BOUND}"
             )
-        ground = _parse_ground("abcdef"[: args.n])
+        ground = logic._ground_for(args.n)
     elif args.ground is not None:
         ground = _parse_ground(args.ground)
     else:

@@ -80,31 +80,25 @@ class SqrtRational:
 
     def __str__(self) -> str:
         num, den = self.radicand.numerator, self.radicand.denominator
-        root = _rational_sqrt(self.radicand)
-        if root is not None:
-            return str(root)
         # sqrt(num/den) = sqrt(num*den)/den; pull the square part out
         square, rest = _split_square(num * den)
         coeff = Fraction(square, den)
+        if rest == 1:
+            return str(coeff)
         head = "" if coeff.numerator == 1 else str(coeff.numerator)
         tail = "" if coeff.denominator == 1 else f"/{coeff.denominator}"
         return f"{head}√{rest}{tail}"
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None."""
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _split_square(n: int) -> tuple[int, int]:
-    """n = square**2 * rest (n >= 1).  Trial division stops below 2**16,
-    and the cofactor left then moves into `square` only if it is a perfect
-    square, so `rest` is squarefree whenever that cofactor has at most two
-    prime factors, as it has for every n < 2**48."""
+    """n = square**2 * rest (n >= 0), and rest is 1 exactly when n is a
+    perfect square, found before any trial division.  Trial division
+    stops below 2**16; the cofactor left moves into `square` only if it
+    is a perfect square, so `rest` is squarefree whenever that cofactor
+    has at most two prime factors, as it has for every n < 2**48."""
+    root = math.isqrt(n)
+    if root * root == n:
+        return root, 1
     square, rest = 1, 1
     d = 2
     while d < 1 << 16 and d * d <= n:

@@ -211,8 +211,9 @@ def parse(text: str) -> Formula:
             )
 
 
-# precedence levels for printing: atoms bind tightest
+# precedence levels and symbols for printing: atoms bind tightest
 _LEVEL = {node: level for level, node in _BINARY.values()}
+_SYMBOL = {Implies: "=>", Join: "\\/", Meet: "/\\"}
 
 
 def pretty_print(f: Formula) -> str:
@@ -226,12 +227,9 @@ def pretty_print(f: Formula) -> str:
         if isinstance(node, Bottom):
             return "0"
         own = _LEVEL[type(node)]
-        if isinstance(node, Implies):
-            text = f"{render(node.left, own + 1)} => {render(node.right, own)}"
-        elif isinstance(node, Join):
-            text = f"{render(node.left, own)} \\/ {render(node.right, own + 1)}"
-        else:
-            text = f"{render(node.left, own)} /\\ {render(node.right, own + 1)}"
+        right = isinstance(node, Implies)  # `=>` groups to the right
+        left = render(node.left, own + right)
+        text = f"{left} {_SYMBOL[type(node)]} {render(node.right, own + 1 - right)}"
         if own < level:
             return f"({text})"
         return text

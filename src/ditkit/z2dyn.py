@@ -557,14 +557,12 @@ def double_slit_setup() -> tuple[GroundSet, GF2Map, SubsetVector]:
 
 
 def double_slit_steps(case: int) -> list[Step]:
-    if not _is_int(case):
+    if not _is_int(case) or case not in (1, 2):
         raise InvalidValue("case must be 1 or 2")
     _, dynamics, _ = double_slit_setup()
     if case == 1:
         return [Detect(), Evolve(dynamics), Detect()]
-    if case == 2:
-        return [Evolve(dynamics), Detect()]
-    raise InvalidValue("case must be 1 or 2")
+    return [Evolve(dynamics), Detect()]
 
 
 def double_slit(case: int) -> dict[str, Fraction]:

@@ -1,0 +1,172 @@
+"""Replayable mutations: each entry changes one exact text in one source
+file and names the tests that must fail once it is applied.
+
+    python tests/mutants.py [NAME ...]
+
+runs every mutant, or the named ones.  It first runs all their tests on
+an unmutated copy of `src/` and `tests/` in a temporary directory, which
+must pass; then, one mutant at a time, it applies the mutant to a fresh
+copy, runs only that mutant's tests and calls the mutant killed when
+every one of them fails.  It prints one line per mutant, lists the
+survivors and exits 1 if there are any.  Nothing in the working tree is
+written.  `tests/test_mutants.py` checks the registry's form in Tier-1;
+the full run is opt-in.  A change that deletes a mutated line deletes its
+entry rather than weaken a test that kills it.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in `path`
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "split-square-exit-on-any-n",
+        "src/ditkit/density.py",
+        "    if root * root == n:\n        return root, 1\n",
+        "    if root * root <= n:\n        return root, 1\n",
+        ("tests/test_density.py::test_sqrt_rational_rendering",
+         "tests/test_cli.py::test_measure_prints_large_radicands"),
+    ),
+    Mutant(
+        "printer-groups-implies-left",
+        "src/ditkit/logic.py",
+        "right = isinstance(node, Implies)",
+        "right = False",
+        ("tests/test_logic.py::test_pretty_print_golden",
+         "tests/test_logic.py::test_pretty_print_parse_round_trip"),
+    ),
+    Mutant(
+        "lattice-letters-drift",
+        "src/ditkit/cli.py",
+        "logic._ground_for(args.n)",
+        '_parse_ground("bcdefg"[: args.n])',
+        ("tests/test_cli.py::test_lattice_n_names_the_ground_a_b_and_on",
+         "tests/test_cli.py::test_lattice_dot_default"),
+    ),
+    Mutant(
+        "golden-measure-keeps-uniform-p",
+        "src/ditkit/cli.py",
+        "args.ground, args.p = GOLDEN_GROUND, GOLDEN_P",
+        "args.ground = GOLDEN_GROUND",
+        ("tests/test_cli.py::test_measure_golden_report",
+         "tests/test_cli.py::test_measure_json"),
+    ),
+    Mutant(
+        "double-slit-case-unbounded",
+        "src/ditkit/z2dyn.py",
+        "if not _is_int(case) or case not in (1, 2):",
+        "if not _is_int(case):",
+        ("tests/test_z2dyn.py::test_bad_maps_raise_invalid_value",),
+    ),
+    Mutant(
+        "join-pieces-second-dsd-only",
+        "src/ditkit/observables.py",
+        "for d in dsds[1:]:",
+        "for d in dsds[1:2]:",
+        ("tests/test_observables.py::test_se_and_csco_match_the_oracle_on_general_dsds",),
+    ),
+    Mutant(
+        "one-mixed-rule-stops-at-2",
+        "src/ditkit/logic.py",
+        "polarity.count(0) > 1 else 3",
+        "polarity.count(0) > 1 else 2",
+        ("tests/test_logic.py::test_excluded_middle_fails_first_at_three",
+         "tests/test_logic.py::test_one_mixed_variable_search_matches_unreduced"),
+    ),
+    Mutant(
+        "two-mixed-variables-counted-as-one",
+        "src/ditkit/logic.py",
+        "polarity.count(0) > 1 else 3",
+        "polarity.count(0) > 2 else 3",
+        ("tests/test_logic.py::test_two_mixed_variables_search_past_three",
+         "tests/test_logic.py::test_check_validity_matches_brute_force"),
+    ),
+    Mutant(
+        "no-variable-budget-jump-off-by-one",
+        "src/ditkit/logic.py",
+        "n += budget - spent\n",
+        "n += budget - spent + 1\n",
+        ("tests/test_logic.py::test_a_formula_with_no_variable_is_charged_without_a_walk",
+         "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it"),
+    ),
+    Mutant(
+        "require-on-checks-the-partition-first",
+        "src/ditkit/partitions.py",
+        '    _require(kind, what, value)\n'
+        '    _require(Partition, "expected a Partition", pi)\n',
+        '    _require(Partition, "expected a Partition", pi)\n'
+        '    _require(kind, what, value)\n',
+        ("tests/test_public_api.py::test_the_gate_checks_the_value_then_the_partition_then_the_ground",),
+    ),
+)
+
+
+def _copy(into: pathlib.Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", into)
+
+
+def _failed(copy: pathlib.Path, tests) -> set[str]:
+    """The node ids among `tests` with at least one failing case."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         *tests],
+        cwd=copy, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(copy / "src")},
+    )
+    hit = {line.split()[1] for line in run.stdout.splitlines()
+           if line.startswith("FAILED ")}
+    return {t for t in tests if any(re.match(re.escape(t) + r"(\[|$)", h) for h in hit)}
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp, "base")
+        _copy(base)
+        broken = _failed(base, sorted({t for m in chosen for t in m.tests}))
+        if broken:
+            print(f"fail without a mutant: {', '.join(sorted(broken))}")
+            return 2
+        survivors = []
+        for m in chosen:
+            copy = pathlib.Path(tmp, m.name)
+            _copy(copy)
+            source = copy / m.path
+            source.write_text(source.read_text().replace(m.old, m.new, 1))
+            passed = [t for t in m.tests if t not in _failed(copy, m.tests)]
+            verdict = f"SURVIVED, {', '.join(passed)}" if passed else "killed"
+            print(f"{m.name}: {verdict}")
+            if passed:
+                survivors.append(m.name)
+            shutil.rmtree(copy)
+    print(f"survivors: {', '.join(survivors) or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -33,7 +33,8 @@ float(Pr(B)) * log2(1/Pr(B)) on `Fraction` block probabilities, where the
 library divides integer block weights by the denominator and back.  The
 square part of a radicand is found by trial division up to its square
 root, where the library stops below 2**16 and tests the rest with
-`isqrt`.
+`isqrt`, and an exact root is read from the numerator and denominator
+separately, where the library reads the one split of their product.
 A conditional draw scales the `Fraction` point probabilities by the lcm
 of their denominators and walks the counts, where the library bisects the
 integer table of `z2dyn._draw_counts`.  The GF(2) sampler draws every
@@ -573,11 +574,21 @@ def split_square(n: int) -> tuple[int, int]:
     return square, rest * n
 
 
+def exact_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of a rational q >= 0, or None when it is
+    irrational: numerator and denominator are both perfect squares."""
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def rational_sqrt(q: Fraction) -> Fraction:
     """The square root of a rational square q >= 0, such as a diagonal
     radicand p_i * p_i; any other q fails the check."""
-    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-    assert root * root == q, f"sqrt({q}) is irrational"
+    root = exact_sqrt(q)
+    assert root is not None, f"sqrt({q}) is irrational"
     return root
 
 

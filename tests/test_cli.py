@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ditkit.cli import GOLDEN_P, _parser, main
+from ditkit.lattice import LATTICE_BOUND
 from ditkit.logic import MAX_DEPTH
 
 
@@ -470,6 +471,13 @@ def test_lattice_json(capsys):
     data = json.loads(out)
     assert len(data["nodes"]) == 5
     assert len(data["edges"]) == 6
+
+
+@pytest.mark.parametrize("n", range(1, LATTICE_BOUND + 1))
+def test_lattice_n_names_the_ground_a_b_and_on(capsys, n):
+    code, out, _ = run(capsys, "lattice", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ground"] == [chr(ord("a") + i) for i in range(n)]
 
 
 def test_lattice_dot_default(capsys):

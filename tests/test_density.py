@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ditkit import density
 from ditkit.density import (
@@ -46,6 +48,7 @@ from oracles import (
     block_entropy,
     conditioned_entries,
     entries_entropy,
+    exact_sqrt,
     masked_entries,
     random_probs,
     rational_sqrt,
@@ -130,6 +133,25 @@ def test_sqrt_rational_rendering_matches_full_trial_division(monkeypatch):
     fast = [str(x) for x in radicands]
     monkeypatch.setattr(density, "_split_square", split_square)
     assert [str(x) for x in radicands] == fast
+
+
+# integers past 2**48, some with one or two prime factors past 2**16
+_PRIME = st.sampled_from((1, 65537, 65539, 1_000_003, 2**31 - 1, 2**61 - 1))
+_WIDE = st.builds(
+    lambda a, p, r: a * p * r, st.integers(1 << 48, 1 << 64), _PRIME, _PRIME
+)
+_RATIONALS = st.builds(Fraction, st.just(0) | _WIDE, _WIDE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIONALS | _RATIONALS.map(lambda q: q * q))
+@example(Fraction(65537**2, 9973**2))
+@example(Fraction(0))
+def test_rendering_an_exact_root_matches_the_oracle(q):
+    assert str(SqrtRational(q * q)) == str(q)
+    root = exact_sqrt(q)
+    if root is not None:
+        assert str(SqrtRational(q)) == str(root)
 
 
 # --- construction ---------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -552,6 +553,27 @@ def test_the_sweep_builds_a_valid_call_for_every_public_name():
     calls, missing = _public_calls()
     assert missing == set()
     assert {"rho", "GF2Map.apply_bits", "ProjectionMask.__contains__"} <= set(calls)
+
+
+# The public dataclasses whose `__init__` takes the input form, not the
+# stored fields, so `dataclasses.replace` raises TypeError (README says so).
+_NO_REPLACE = {
+    "Partition", "SubsetVector", "ProjectionMask", "DensityMatrix", "Operator",
+}
+
+
+def test_every_public_dataclass_round_trips_through_replace_or_is_named():
+    refused = set()
+    public = [(name, obj) for name, obj in vars(ditkit).items() if name[0] != "_"]
+    for name, obj in public:
+        if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+            continue
+        value = obj(*_valid_arguments(name, obj))
+        try:
+            assert dataclasses.replace(value) == value, name
+        except TypeError:
+            refused.add(name)
+    assert refused == _NO_REPLACE
 
 
 def test_no_bad_argument_leaks_a_raw_exception():

@@ -360,9 +360,12 @@ def test_bad_steps_raise(pipeline):
         (lambda: double_slit(1.0), "case must be 1 or 2"),
         (lambda: double_slit(True), "case must be 1 or 2"),
         (lambda: double_slit(F(2)), "case must be 1 or 2"),
+        (lambda: double_slit(0), "case must be 1 or 2"),
+        (lambda: double_slit(3), "case must be 1 or 2"),
+        (lambda: double_slit_steps(-1), "case must be 1 or 2"),
     ],
     ids=["float-column", "bool-column", "missing-image", "float-case", "bool-case",
-         "fraction-case"],
+         "fraction-case", "case-0", "case-3", "steps-case-minus-1"],
 )
 def test_bad_maps_raise_invalid_value(make, message):
     with pytest.raises(InvalidValue, match=message):
