@@ -179,11 +179,13 @@ def cmd_entropy(args) -> int:
 
 def cmd_measure(args) -> int:
     if args.golden:
+        if (args.ground, args.p, args.state, args.by) != (None,) * 4:
+            raise DitkitError("--golden takes no --ground, --p, --state or --by")
         args.ground, args.p = GOLDEN_GROUND, GOLDEN_P
         args.state, args.by = GOLDEN_STATE, GOLDEN_BY
     elif args.state is None or args.by is None:
         raise DitkitError("--state and --by are required without --golden")
-    ground = _parse_ground(args.ground)
+    ground = _parse_ground(GOLDEN_GROUND if args.ground is None else args.ground)
     probs = _parse_probs(ground, args.p)
     pi = parse_partition(ground, args.state)
     sigma = parse_partition(ground, args.by)
@@ -373,6 +375,8 @@ def cmd_double_slit(args) -> int:
 
 def cmd_lattice(args) -> int:
     if args.n is not None:
+        if args.ground is not None:
+            raise DitkitError("give --n or --ground, not both")
         if not 1 <= args.n <= lattice.LATTICE_BOUND:
             raise DitkitError(
                 f"--n must be between 1 and {lattice.LATTICE_BOUND}"
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="density-matrix measurement report")
     p.add_argument("--golden", action="store_true",
                    help="run the built-in three-element worked example")
-    p.add_argument("--ground", default=GOLDEN_GROUND)
+    p.add_argument("--ground", help="default a,b,c")
     p.add_argument("--p")
     p.add_argument("--state", help="partition being measured")
     p.add_argument("--by", help="measurement partition")

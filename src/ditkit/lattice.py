@@ -6,9 +6,15 @@ splits one block in two, so covers are generated by merging each pair of
 blocks of each partition, which maps its restricted growth string
 straight to the canonical one of the partition below.
 
-The diagram of Pi(n) depends on n alone, so it is built once per n, as
-block tuples and rank pairs (`_hasse`, at most `LATTICE_BOUND` entries),
-and each request only names its nodes over the ground's labels.
+The diagram of Pi(n) depends on n alone, so it is built once per n
+(`_hasse`, at most `LATTICE_BOUND` entries): block tuples, rank pairs,
+and every node's notation over the placeholder chr(i) for label i, the
+labels of a block joined by "," and the blocks by "|", the nodes by
+"||".  A request names its nodes with one `str.translate` of that
+template into the ground's labels (dropping "," when every label is one
+character) and one split on "||".  This is exact: labels hold neither
+"|" nor ",", blocks are non-empty so no notation holds "||", and
+`translate` makes one pass, so label text is never substituted again.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .partitions import (
     _canon,
     _from_rgs,
     _iter_rgs,
-    _notations,
     _require,
 )
 from .z2dyn import SubsetVector, double_slit_setup, evolve
@@ -59,8 +64,8 @@ def covering_pairs(ground: GroundSet) -> list[tuple[Partition, Partition]]:
 @functools.cache
 def _hasse(n: int):
     """The Hasse diagram of Pi(n): each node's blocks in enumeration
-    order, and the covering relation as sorted (lower rank, upper rank)
-    pairs."""
+    order, the covering relation as sorted (lower rank, upper rank)
+    pairs, and the label template of the nodes' names (see `_names`)."""
     rgss = tuple(_iter_rgs(n))
     rank = {rgs: r for r, rgs in enumerate(rgss)}
     nodes = []
@@ -79,12 +84,24 @@ def _hasse(n: int):
                 relabel[k] = j
                 pairs.append((rank[tuple(map(relabel.__getitem__, rgs))], up))
     pairs.sort()
-    return tuple(nodes), tuple(pairs)
+    template = "||".join(
+        "|".join(",".join(map(chr, blk)) for blk in blocks) for blocks in nodes
+    )
+    return tuple(nodes), tuple(pairs), template
+
+
+def _names(ground: GroundSet, template: str) -> list[str]:
+    """The notation of each node of Pi(n), in enumeration order, over the
+    labels of a checked ground of size n."""
+    table: dict[int, str | None] = dict(enumerate(ground.labels))
+    if max(map(len, ground.labels)) == 1:
+        table[ord(",")] = None
+    return template.translate(table).split("||")
 
 
 def hasse_json(ground: GroundSet) -> dict:
-    nodes, covers = _hasse(_checked(ground))
-    name = _notations(ground.labels, nodes)
+    _, covers, template = _hasse(_checked(ground))
+    name = _names(ground, template)
     return {
         "ground": list(ground.labels),
         "nodes": name,
@@ -100,8 +117,8 @@ def _cluster_lines(
     """DOT statements for one lattice; node ids namespaced by prefix,
     ranks grouped by block count so the diagram reads bottom-up.  The
     nodes whose blocks are in `highlight` are filled."""
-    nodes, covers = _hasse(_checked(ground))
-    name = _notations(ground.labels, nodes)
+    nodes, covers, template = _hasse(_checked(ground))
+    name = _names(ground, template)
     ident = [f'"{prefix}{text}"' for text in name]
     lines = []
     for r, blocks in enumerate(nodes):

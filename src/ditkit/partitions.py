@@ -549,17 +549,9 @@ def bell_number(n: int) -> int:
 
 def notation(pi: Partition) -> str:
     _require(Partition, "expected a Partition", pi)
-    return _notations(pi.ground.labels, (pi.blocks,))[0]
-
-
-def _notations(labels: tuple[str, ...], nodes) -> list[str]:
-    """The `notation` of each canonical block tuple in `nodes`, over the
-    ground set with these labels."""
+    labels = pi.ground.labels
     sep = "," if max(map(len, labels)) > 1 else ""
-    return [
-        "|".join([sep.join([labels[i] for i in blk]) for blk in blocks])
-        for blocks in nodes
-    ]
+    return "|".join([sep.join([labels[i] for i in blk]) for blk in pi.blocks])
 
 
 def parse_partition(ground: GroundSet, text: str) -> Partition:

@@ -62,6 +62,24 @@ MUTANTS = (
          "tests/test_cli.py::test_lattice_dot_default"),
     ),
     Mutant(
+        "one-letter-labels-keep-commas",
+        "src/ditkit/lattice.py",
+        '    if max(map(len, ground.labels)) == 1:\n        table[ord(",")] = None\n',
+        "",
+        ("tests/test_lattice.py::test_label_template_matches_the_oracle_on_odd_labels",
+         "tests/test_lattice.py::test_hasse_json_and_dot_match_per_partition_oracle",
+         "tests/test_cli.py::test_lattice_dot_default"),
+    ),
+    Mutant(
+        "template-split-on-one-bar",
+        "src/ditkit/lattice.py",
+        'template.translate(table).split("||")',
+        'template.translate(table).split("|")',
+        ("tests/test_lattice.py::test_label_template_matches_the_oracle_on_odd_labels",
+         "tests/test_lattice.py::test_hasse_json_and_dot_match_per_partition_oracle",
+         "tests/test_cli.py::test_large_outputs_are_byte_exact"),
+    ),
+    Mutant(
         "golden-measure-keeps-uniform-p",
         "src/ditkit/cli.py",
         "args.ground, args.p = GOLDEN_GROUND, GOLDEN_P",

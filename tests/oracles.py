@@ -558,8 +558,10 @@ Grid = tuple[tuple[SqrtRational, ...], ...]
 
 
 def split_square(n: int) -> tuple[int, int]:
-    """n = square**2 * rest with rest squarefree (n >= 1), by trial
-    division up to the square root of what is left."""
+    """n = square**2 * rest with rest squarefree (n >= 0), by trial
+    division up to the square root of what is left; 0 is 0**2 * 1."""
+    if n == 0:
+        return 0, 1
     square, rest = 1, 1
     d = 2
     while d * d <= n:

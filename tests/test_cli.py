@@ -231,6 +231,22 @@ def test_measure_requires_state_and_by(capsys):
     assert "--state" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ground", "a,b,c"), ("--p", GOLDEN_P), ("--state", "a|bc"), ("--by", "ab|c")],
+)
+def test_measure_golden_refuses_the_flags_it_would_ignore(capsys, flag, value):
+    code, out, err = run(capsys, "measure", "--golden", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "error: --golden takes no --ground, --p, --state or --by\n"
+
+
+def test_measure_without_ground_reads_a_b_c(capsys):
+    code, out, _ = run(capsys, "measure", "--state", "a|bc", "--by", "ab|c", "--json")
+    assert code == 0
+    assert json.loads(out)["rho"]["ground"] == ["a", "b", "c"]
+
+
 # --- logic ---
 
 
@@ -492,6 +508,12 @@ def test_lattice_ground_option(capsys):
         capsys, "lattice", "--ground", "x,y", "--format", "json"
     )
     assert json.loads(out)["nodes"] == ["xy", "x|y"]
+
+
+def test_lattice_refuses_n_with_ground(capsys):
+    code, out, err = run(capsys, "lattice", "--n", "2", "--ground", "xyz")
+    assert (code, out) == (2, "")
+    assert err == "error: give --n or --ground, not both\n"
 
 
 def test_lattice_bound_and_missing_args(capsys):

@@ -128,7 +128,7 @@ def test_sqrt_rational_rendering_matches_full_trial_division(monkeypatch):
     rng = random.Random(41)
     values = [Fraction(rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16))
               for _ in range(400)]
-    values += [F(65521**2 * 3), F(65521 * 65519), F(2**32 - 1), 1 / F(2**31 - 1)]
+    values += [F(0), F(65521**2 * 3), F(65521 * 65519), F(2**32 - 1), 1 / F(2**31 - 1)]
     radicands = [SqrtRational(q) for q in values]
     fast = [str(x) for x in radicands]
     monkeypatch.setattr(density, "_split_square", split_square)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ditkit import (
     BoundExceeded,
@@ -23,6 +27,7 @@ from ditkit import (
     superposition_partition,
 )
 from ditkit import lattice
+from ditkit.cli import main
 
 import oracles
 from oracles import covers_by_filter, hasse_name
@@ -120,6 +125,37 @@ def test_hasse_dot_ignores_highlights_on_other_grounds(n):
         dot = hasse_dot(ground, iter(highlight))
         assert dot == oracles.hasse_dot(ground, highlight)
         assert dot.count("fillcolor") == 1
+
+
+# one-character labels, among them the template's placeholders chr(0) to
+# chr(5), quotes, backslashes, non-ASCII and astral characters
+_CHARS = st.sampled_from(
+    [*map(chr, range(6)), '"', "\\", "a", "b", "é", "ß", "\U0001F600", "\U00010348"]
+)
+
+
+@st.composite
+def _odd_grounds(draw):
+    n = draw(st.integers(1, 6))
+    label = _CHARS
+    if draw(st.booleans()):
+        label = st.lists(_CHARS, min_size=1, max_size=3).map("".join)
+    return GroundSet(tuple(draw(st.lists(label, min_size=n, max_size=n, unique=True))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_odd_grounds())
+def test_label_template_matches_the_oracle_on_odd_labels(ground):
+    expected = oracles.hasse_json(ground)
+    assert hasse_json(ground) == expected
+    assert hasse_dot(ground) == oracles.hasse_dot(ground)
+    labels = ground.labels
+    if len(labels) == 1 and len(labels[0]) > 1:
+        return  # one multi-character label has no --ground spelling
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lattice", "--ground", ",".join(labels), "--format", "json"])
+    assert (code, out.getvalue()) == (0, json.dumps(expected) + "\n")
 
 
 def test_cached_diagrams_are_not_shared_with_callers():
