@@ -117,6 +117,8 @@ def cmd_entropy(args) -> int:
     ground = _parse_ground(args.ground)
     probs = _parse_probs(ground, args.p)
     if args.table:
+        if (args.partition, args.with_) != (None, None):
+            raise DitkitError("--table takes no partition or --with")
         rows = [
             {
                 "partition": notation(pi),
@@ -271,6 +273,8 @@ def cmd_logic(args) -> int:
 
 def cmd_observable(args) -> int:
     if args.se_demo:
+        if args.ground is not None or args.attr:
+            raise DitkitError("--se-demo takes no --ground or --attr")
         dsd_f = observables.DSD.standard(2)
         dsd_g = observables.DSD.from_vectors(2, [[(1, 1)], [(1, -1)]])
         ev = (Fraction(1), Fraction(-1))
@@ -333,8 +337,10 @@ def cmd_observable(args) -> int:
 
 def cmd_double_slit(args) -> int:
     if args.format == "dot":
-        if args.json:
-            raise DitkitError("--json does not apply to --format dot")
+        if args.json or args.case != 2 or args.trials or args.seed:
+            raise DitkitError(
+                "--format dot takes no --json, --case 1, --trials or --seed"
+            )
         sys.stdout.write(lattice.double_slit_dot())
         return 0
     if args.trials < 0:

@@ -209,12 +209,11 @@ class DensityMatrix:
         return tuple(Fraction(self._root(i), self._den) for i in range(self.ground.n))
 
     def to_json(self) -> dict:
+        n, den = self.ground.n, self._den
+        cells = [{"radicand": str(Fraction(x, den))} for x in self._num]
         return {
             "ground": list(self.ground.labels),
-            "entries": [
-                [{"radicand": str(e.radicand)} for e in row]
-                for row in self.entries
-            ],
+            "entries": [cells[i * n : i * n + n] for i in range(n)],
         }
 
     @classmethod

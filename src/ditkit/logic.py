@@ -602,6 +602,22 @@ def _search(program, polarity, lattice):
     return (values[:depth], values[root]) if found else None
 
 
+def _budget_stop(k: int, max_n: int, budget: int) -> int:
+    """The least n >= 2 at which Bell(2) ** k + ... + Bell(n) ** k exceeds
+    `budget`, or max_n + 1 if no n up to max_n does.  With no variable
+    each n costs 1, so the sum at n is n - 1 and the stop is read off
+    without a walk."""
+    if k == 0:
+        return min(max(budget + 2, 2), max_n + 1)
+    spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
+    for n in range(2, max_n + 1):
+        row = list(accumulate(row, initial=row[-1]))
+        spent += row[-1] ** k
+        if spent > budget:
+            return n
+    return max_n + 1
+
+
 def check_validity(
     f: Formula, max_n: int, budget: int = DEFAULT_BUDGET
 ) -> ValidityReport:
@@ -626,38 +642,24 @@ def check_validity(
     bottom or top leaves a formula in one variable p whose value is 0, 1
     or p, by the same case for every p other than 0 and 1, so n <= 3
     decides every n (module docstring) and larger n are not searched.
-    The witness is still the least one, and the budget still charges
-    Bell(n) ** k assignments for k variables for every n up to max_n, in
-    the same order, so a search stopped at n = 3 reports, and runs out of
-    budget, exactly as the full sweep does; with no variable, each n past
-    3 costs 1, so the first n over budget is found by a sum."""
+
+    The budget charges Bell(n) ** k assignments for k variables at every
+    n from 2 up, searched or not.  The first n at which the charges
+    exceed it, `stop` (`_budget_stop`), is found before any search; the
+    search then runs n = 2..`last`, the lesser of stop - 1 and the size
+    the rules leave, and BudgetExceeded is raised at stop if no witness
+    came first.  So a search cut short at n = 3 reports, and runs out of
+    budget, exactly as the full sweep does."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")
     names, polarity, program = _compile(f)
+    stop = _budget_stop(len(names), max_n, budget)
     # with at most one mixed variable, n = 3 decides every larger n
-    last = max_n if polarity.count(0) > 1 else 3
-    spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
-    for n in range(2, max_n + 1):
-        if n > last and not names:
-            # every n from here costs 1: jump to the first one over budget
-            n += budget - spent
-            if n > max_n:
-                break
-            spent = budget
-        if names:  # Bell(n) ** 0 is 1 whatever the row holds
-            row = list(accumulate(row, initial=row[-1]))
-        cost = row[-1] ** len(names)
-        if spent + cost > budget:
-            raise BudgetExceeded(
-                f"assignment budget {budget} exhausted before n={n}",
-                bound_reached=n - 1,
-            )
-        spent += cost
-        if n > last:
-            continue
+    last = min(stop - 1, max_n if polarity.count(0) > 1 else 3)
+    for n in range(2, last + 1):
         lattice = _lattice(n)
         hit = _search(program, polarity, lattice)
         if hit is not None:
@@ -668,6 +670,11 @@ def check_validity(
                 lattice.partition(value),
             )
             return ValidityReport("counterexample", n, witness)
+    if stop <= max_n:
+        raise BudgetExceeded(
+            f"assignment budget {budget} exhausted before n={stop}",
+            bound_reached=stop - 1,
+        )
     return ValidityReport("valid-up-to-bound", max_n)
 
 

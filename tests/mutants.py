@@ -9,7 +9,9 @@ must pass; then, one mutant at a time, it applies the mutant to a fresh
 copy, runs only that mutant's tests and calls the mutant killed when
 every one of them fails.  It prints one line per mutant, lists the
 survivors and exits 1 if there are any.  Nothing in the working tree is
-written.  `tests/test_mutants.py` checks the registry's form in Tier-1;
+written.  `tests/test_mutants.py` checks the registry's form in Tier-1,
+including that every mutated file still compiles, since a mutant that
+does not parse fails at collection and would be reported as a survivor;
 the full run is opt-in.  A change that deletes a mutated line deletes its
 entry rather than weaken a test that kills it.
 """
@@ -120,10 +122,55 @@ MUTANTS = (
     Mutant(
         "no-variable-budget-jump-off-by-one",
         "src/ditkit/logic.py",
-        "n += budget - spent\n",
-        "n += budget - spent + 1\n",
+        "min(max(budget + 2, 2), max_n + 1)",
+        "min(max(budget + 3, 2), max_n + 1)",
         ("tests/test_logic.py::test_a_formula_with_no_variable_is_charged_without_a_walk",
+         "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
+         "tests/test_logic.py::test_budget_stop_matches_the_oracle_sum"),
+    ),
+    Mutant(
+        "budget-stop-at-an-equal-sum",
+        "src/ditkit/logic.py",
+        "if spent > budget:",
+        "if spent >= budget:",
+        ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
+         "tests/test_logic.py::test_budget_stop_matches_the_oracle_sum"),
+    ),
+    Mutant(
+        "search-runs-at-the-budget-stop",
+        "src/ditkit/logic.py",
+        "min(stop - 1,",
+        "min(stop,",
+        ("tests/test_logic.py::test_budget_refuses_before_building_tables",
          "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it"),
+    ),
+    Mutant(
+        "density-json-unreduced-radicands",
+        "src/ditkit/density.py",
+        '{"radicand": str(Fraction(x, den))}',
+        '{"radicand": f"{x}/{den}"}',
+        ("tests/test_density.py::test_to_json_matches_the_entries_oracle",),
+    ),
+    Mutant(
+        "dot-ignores-case-trials-seed",
+        "src/ditkit/cli.py",
+        "if args.json or args.case != 2 or args.trials or args.seed:",
+        "if args.json:",
+        ("tests/test_cli.py::test_double_slit_dot_refuses_the_flags_it_would_ignore",),
+    ),
+    Mutant(
+        "table-ignores-partition-and-with",
+        "src/ditkit/cli.py",
+        "if (args.partition, args.with_) != (None, None):",
+        "if False:",
+        ("tests/test_cli.py::test_entropy_table_refuses_the_flags_it_would_ignore",),
+    ),
+    Mutant(
+        "se-demo-ignores-ground-and-attr",
+        "src/ditkit/cli.py",
+        "if args.ground is not None or args.attr:",
+        "if False:",
+        ("tests/test_cli.py::test_se_demo_refuses_the_flags_it_would_ignore",),
     ),
     Mutant(
         "require-on-checks-the-partition-first",

@@ -28,13 +28,16 @@ The density and entropy oracles compute entry by entry and block by block
 in `Fraction` arithmetic on the radicands of `SqrtRational` entries, with
 their own rational square root, and the compound entropies from the
 blocks of a set join, where the library works on an integer grid and
-sums block weights from restricted growth strings.  Shannon entropy takes
-float(Pr(B)) * log2(1/Pr(B)) on `Fraction` block probabilities, where the
-library divides integer block weights by the denominator and back.  The
-square part of a radicand is found by trial division up to its square
-root, where the library stops below 2**16 and tests the rest with
-`isqrt`, and an exact root is read from the numerator and denominator
-separately, where the library reads the one split of their product.
+sums block weights from restricted growth strings.  A density matrix's
+JSON is read through its checked `SqrtRational` entries, where the
+library prints each numerator over the grid's one denominator.  Shannon
+entropy takes float(Pr(B)) * log2(1/Pr(B)) on `Fraction` block
+probabilities, where the library divides integer block weights by the
+denominator and back.  The square part of a radicand is found by trial
+division up to its square root, where the library stops below 2**16
+and tests the rest with `isqrt`, and an exact root is read from the
+numerator and denominator separately, where the library reads the one
+split of their product.
 A conditional draw scales the `Fraction` point probabilities by the lcm
 of their denominators and walks the counts, where the library bisects the
 integer table of `z2dyn._draw_counts`.  The GF(2) sampler draws every
@@ -641,6 +644,17 @@ def conditioned_entries(entries: Grid, members) -> tuple[Grid, Fraction]:
         for i in range(n)
     )
     return post, prob
+
+
+def density_json(mat) -> dict:
+    """A density matrix's JSON read through its `entries`, one checked
+    `SqrtRational` per cell."""
+    return {
+        "ground": list(mat.ground.labels),
+        "entries": [
+            [{"radicand": str(e.radicand)} for e in row] for row in mat.entries
+        ],
+    }
 
 
 def entries_entropy(entries: Grid) -> Fraction:

@@ -149,6 +149,13 @@ def test_entropy_table_decimal(capsys):
     assert out.splitlines()[3] == "ac|b\t2\t0.444444444444\t0.918295834054"
 
 
+@pytest.mark.parametrize("extra", [["a|bc"], ["--with", "a|bc"]])
+def test_entropy_table_refuses_the_flags_it_would_ignore(capsys, extra):
+    code, out, err = run(capsys, "entropy", "--ground", "abc", "--table", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: --table takes no partition or --with\n"
+
+
 def test_entropy_table_beyond_bound_prints_nothing(capsys):
     code, out, err = run(capsys, "entropy", "--ground", "abcdefghijk", "--table")
     assert (code, out) == (2, "")
@@ -394,6 +401,13 @@ def test_observable_se_demo_json(capsys):
     assert data["se_equals_kernel"] is True
 
 
+@pytest.mark.parametrize("flag, value", [("--ground", "ab"), ("--attr", "1,2")])
+def test_se_demo_refuses_the_flags_it_would_ignore(capsys, flag, value):
+    code, out, err = run(capsys, "observable", "--se-demo", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "error: --se-demo takes no --ground or --attr\n"
+
+
 def test_observable_needs_input(capsys):
     code, _, err = run(capsys, "observable")
     assert code == 2
@@ -477,6 +491,15 @@ def test_double_slit_dot_refuses_json(capsys):
     code, out, err = run(capsys, "double-slit", "--format", "dot", "--json")
     assert (code, out) == (2, "")
     assert "--json" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--case", "1"), ("--trials", "5"), ("--seed", "7")]
+)
+def test_double_slit_dot_refuses_the_flags_it_would_ignore(capsys, flag, value):
+    code, out, err = run(capsys, "double-slit", "--format", "dot", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "error: --format dot takes no --json, --case 1, --trials or --seed\n"
 
 
 # --- lattice ---

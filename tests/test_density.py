@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -47,6 +48,7 @@ from oracles import (
     all_pairs,
     block_entropy,
     conditioned_entries,
+    density_json,
     entries_entropy,
     exact_sqrt,
     masked_entries,
@@ -272,6 +274,26 @@ def test_density_json_round_trip_non_square_denominator():
         assert back.entries == entries
         assert back.trace() == 1
         assert quantum_logical_entropy(back) == 1 - sum(radicands)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_to_json_matches_the_entries_oracle(data):
+    # rho, its Luders mixture and each Luders post-state print the same
+    # JSON text as the SqrtRational-per-cell rendering
+    n = data.draw(st.integers(1, 5), label="n")
+    weights = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    total = sum(weights)
+    probs = ProbGroundSet(ground(n), tuple(Fraction(w, total) for w in weights))
+    parts = st.sampled_from(list(enumerate_partitions(probs.ground)))
+    pi, sigma = data.draw(parts, label="pi"), data.draw(parts, label="sigma")
+    mat = rho(pi, probs)
+    mats = [mat, luders_mixture(mat, sigma)] + [
+        luders_rule(mat, ProjectionMask(probs.ground, frozenset(blk)))[0]
+        for blk in sigma.blocks
+    ]
+    for m in mats:
+        assert json.dumps(m.to_json()) == json.dumps(density_json(m))
 
 
 def test_density_from_json_missing_field():

@@ -424,6 +424,26 @@ def test_a_formula_with_no_variable_is_charged_without_a_walk():
     assert exc.value.bound_reached == 1000001
 
 
+def test_budget_stop_matches_the_oracle_sum():
+    # no search runs: only the stop, against the oracle's running sum
+    for k in range(4):
+        sums = list(itertools.accumulate(oracles.bell(n) ** k for n in range(2, 61)))
+        for max_n in range(2, 61):
+            budgets = {*range(-2, 51), 10**6, 10**12,
+                       *(s + d for s in sums[: max_n - 1] for d in (-1, 0, 1))}
+            for budget in budgets:
+                stop = oracles.budget_stop(k, max_n, budget)
+                want = max_n + 1 if stop is None else stop
+                assert logic._budget_stop(k, max_n, budget) == want, (k, max_n, budget)
+    # with no variable the sum at n is n - 1, too long a walk for the oracle
+    for budget in range(-2, 51):
+        assert logic._budget_stop(0, 10**8, budget) == oracles.budget_stop(
+            0, 10**8, budget
+        )
+    assert logic._budget_stop(0, 10**8, 10**6) == 10**6 + 2
+    assert logic._budget_stop(0, 10**8, 10**12) == 10**8 + 1
+
+
 # --- table-driven search against the brute-force oracle ---
 
 

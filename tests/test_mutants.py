@@ -11,8 +11,12 @@ from mutants import MUTANTS, ROOT
 def test_every_mutant_changes_one_exact_text():
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
     for m in MUTANTS:
-        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        source = (ROOT / m.path).read_text()
+        assert source.count(m.old) == 1, m.name
         assert m.new != m.old, m.name
+        # a mutant that does not parse fails at collection, which the runner
+        # does not count as a failed test
+        compile(source.replace(m.old, m.new, 1), m.path, "exec")
 
 
 def test_every_named_test_function_exists():
