@@ -80,14 +80,13 @@ def _print_matrix(mat: density.DensityMatrix) -> None:
 # partition
 # ---------------------------------------------------------------------------
 
-# the first flag with a non-empty value wins, in this order
 _OPS = {"join": join, "meet": meet, "implies": implication, "refines": refines}
 
 
 def cmd_partition(args) -> int:
     ground = _parse_ground(args.ground)
     pi = parse_partition(ground, args.partition)
-    op = next((name for name in _OPS if getattr(args, name)), None)
+    op = next((name for name in _OPS if getattr(args, name) is not None), None)
     if op is None:
         if not _emit(args, partition_to_json(pi)):
             print(f"partition: {notation(pi)}")
@@ -345,6 +344,8 @@ def cmd_double_slit(args) -> int:
         return 0
     if args.trials < 0:
         raise DitkitError(f"--trials must be non-negative, got {args.trials}")
+    if not args.trials and args.seed:
+        raise DitkitError("--seed takes a nonzero --trials")
     dist = z2dyn.double_slit(args.case)
     if not args.trials:
         if not _emit(args, {"case": args.case, "wall": dist}):
@@ -415,10 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition algebra on a ground set")
     p.add_argument("--ground", required=True, help="labels, e.g. abc or x,y,z")
     p.add_argument("partition", help='partition text, e.g. "a|bc"')
-    p.add_argument("--join", metavar="SIGMA")
-    p.add_argument("--meet", metavar="SIGMA")
-    p.add_argument("--implies", metavar="SIGMA")
-    p.add_argument("--refines", metavar="SIGMA")
+    ops = p.add_mutually_exclusive_group()
+    for name in _OPS:
+        ops.add_argument(f"--{name}", metavar="SIGMA")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)
 

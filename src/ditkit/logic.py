@@ -380,9 +380,9 @@ def _ground_for(n: int) -> GroundSet:
 
 class _Ranked:
     """The partitions of an n-set named by their rank in RGS order: bottom
-    is 0, top is B - 1.  Each operation is a flat B x B table of result
-    ranks, read inline by `_search` and filled on first use from the RGS
-    kernels (-1 marks a gap); each partition's orbit minima are kept."""
+    is 0, top is B - 1.  `_tables` maps each RGS kernel to a flat B x B
+    table of result ranks that `_search` allocates, reads and fills;
+    each partition's orbit minima are kept."""
 
     def __init__(self, n: int):
         self.n, self.ground = n, _ground_for(n)
@@ -396,19 +396,6 @@ class _Ranked:
 
     def partition(self, x: int) -> Partition:
         return _from_rgs(self.ground, self._rgs[x])
-
-    def table(self, kernel) -> array:
-        """The table of `kernel`: entry a * size + b is the rank of
-        kernel(a, b), or -1 until `fill` writes it."""
-        if kernel not in self._tables:
-            self._tables[kernel] = array("h", [-1]) * (self.size * self.size)
-        return self._tables[kernel]
-
-    def fill(self, kernel, a: int, b: int) -> int:
-        """Write and return the entry of `kernel`'s table for (a, b)."""
-        r = self._rank[kernel(self._rgs[a], self._rgs[b])]
-        self._tables[kernel][a * self.size + b] = r
-        return r
 
     def minima(self, c: int) -> array:
         """The ranks of `_minima` of partition c, kept per c."""
@@ -551,7 +538,9 @@ def _search(program, polarity, lattice):
     Slot width + d holds c at depth d, and the level of each variable but
     the innermost ends by joining its value into the next c, so one
     variable builds no join table.  The steps that use no variable run
-    once, as the level of a variable -1 with a scratch slot at the end."""
+    once, as the level of a variable -1 with a scratch slot at the end.
+    On ranks it alone allocates, reads and fills `lattice._tables`: entry
+    a * B + b of a kernel's table is the rank of its result, -1 a gap."""
     consts, levels, root, width = program
     depth = len(levels) - 1
     values: list = [None] * width + [lattice.bottom] * (depth + 1)
@@ -564,9 +553,13 @@ def _search(program, polarity, lattice):
     # tuples run the kernel itself
     ranked = isinstance(lattice, _Ranked)
     if ranked:
-        size, fill = lattice.size, lattice.fill
+        size, tables = lattice.size, lattice._tables
+        for level in levels:
+            for _, kernel, _, _ in level:
+                if kernel not in tables:
+                    tables[kernel] = array("h", [-1]) * (size * size)
         levels = [
-            [(slot, lattice.table(kernel), kernel, left, right)
+            [(slot, tables[kernel], kernel, left, right)
              for slot, kernel, left, right in level]
             for level in levels
         ]
@@ -580,7 +573,10 @@ def _search(program, polarity, lattice):
                 for slot, table, kernel, left, right in level:
                     a, b = values[left], values[right]
                     r = table[a * size + b]
-                    values[slot] = r if r >= 0 else fill(kernel, a, b)
+                    if r < 0:
+                        r = lattice._rank[kernel(lattice._rgs[a], lattice._rgs[b])]
+                        table[a * size + b] = r
+                    values[slot] = r
             else:
                 for slot, kernel, left, right in level:
                     values[slot] = kernel(values[left], values[right])

@@ -181,6 +181,30 @@ MUTANTS = (
         '    _require(kind, what, value)\n',
         ("tests/test_public_api.py::test_the_gate_checks_the_value_then_the_partition_then_the_ground",),
     ),
+    Mutant(
+        "search-fills-the-gap-transposed",
+        "src/ditkit/logic.py",
+        "table[a * size + b] = r",
+        "table[b * size + a] = r",
+        ("tests/test_logic.py::test_check_validity_matches_brute_force",
+         "tests/test_logic.py::test_reduced_search_matches_unreduced_and_brute_force"),
+    ),
+    Mutant(
+        "partition-ops-outside-the-group",
+        "src/ditkit/cli.py",
+        'ops.add_argument(f"--{name}", metavar="SIGMA")',
+        'p.add_argument(f"--{name}", metavar="SIGMA")',
+        ("tests/test_cli.py::test_partition_refuses_a_second_operation",
+         "tests/test_cli.py::test_partition_refuses_an_empty_operation"),
+    ),
+    Mutant(
+        "double-slit-ignores-a-lone-seed",
+        "src/ditkit/cli.py",
+        '    if not args.trials and args.seed:\n'
+        '        raise DitkitError("--seed takes a nonzero --trials")\n',
+        "",
+        ("tests/test_cli.py::test_double_slit_seed_takes_a_nonzero_trials",),
+    ),
 )
 
 

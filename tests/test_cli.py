@@ -71,11 +71,23 @@ def test_partition_empty_label_exits_2(capsys):
     assert "label ''" in err
 
 
-def test_partition_empty_flag_falls_through_to_the_next(capsys):
-    code, out, _ = run(
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_partition_refuses_an_empty_operation(capsys):
+    """An empty value counts as given: alone it is an empty block, and
+    beside a second operation the pair is refused."""
+    code, out, err = run(capsys, "partition", "--ground", "abc", "a|bc", "--join", "")
+    assert (code, out, err) == (2, "", "error: empty block in partition\n")
+    code, out, err = usage_error(
         capsys, "partition", "--ground", "abc", "a|bc", "--join", "", "--meet", "ab|c"
     )
-    assert (code, out) == (0, "meet(a|bc, ab|c) = abc\n")
+    assert (code, out) == (2, "")
+    assert "argument --meet: not allowed with argument --join" in err
 
 
 @pytest.mark.parametrize(
@@ -83,13 +95,13 @@ def test_partition_empty_flag_falls_through_to_the_next(capsys):
     [("join", "meet"), ("join", "implies"), ("join", "refines"),
      ("meet", "implies"), ("meet", "refines"), ("implies", "refines")],
 )
-def test_partition_first_flag_wins(capsys, first, second):
-    code, out, _ = run(
+def test_partition_refuses_a_second_operation(capsys, first, second):
+    code, out, err = usage_error(
         capsys, "partition", "--ground", "abc", "a|bc",
         f"--{second}", "ab|c", f"--{first}", "a|b|c",
     )
-    assert code == 0
-    assert out.startswith(f"{first}(a|bc, a|b|c) = ")
+    assert (code, out) == (2, "")
+    assert f"argument --{first}: not allowed with argument --{second}" in err
 
 
 # --- entropy ---
@@ -500,6 +512,13 @@ def test_double_slit_dot_refuses_the_flags_it_would_ignore(capsys, flag, value):
     code, out, err = run(capsys, "double-slit", "--format", "dot", flag, value)
     assert (code, out) == (2, "")
     assert err == "error: --format dot takes no --json, --case 1, --trials or --seed\n"
+
+
+@pytest.mark.parametrize("argv", [("--seed", "7"), ("--trials", "0", "--seed", "7")])
+def test_double_slit_seed_takes_a_nonzero_trials(capsys, argv):
+    code, out, err = run(capsys, "double-slit", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --seed takes a nonzero --trials\n"
 
 
 # --- lattice ---

@@ -803,19 +803,21 @@ def test_the_sampler_is_the_one_draw_site():
     }
 
 
-def _reads_a_table(node: ast.AST) -> bool:
-    """A use of the attribute `table` or `fill`, other than the CLI's
-    `--table` flag `args.table`."""
-    return (isinstance(node, ast.Attribute) and node.attr in ("table", "fill")
+def _loads_a_table(node: ast.AST) -> bool:
+    """A load of the attribute `_tables`, `table` or `fill`, other than
+    the CLI's `--table` flag `args.table`."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in ("_tables", "table", "fill")
             and not (isinstance(node.value, ast.Name) and node.value.id == "args"))
 
 
 def test_search_is_the_one_table_reader():
-    """An operation table of the validity search is read and filled in one
-    place, the inline loop of `logic._search`, which runs the constant
-    steps, the subformula steps and the join of c alike; no library class
-    defines an `op` that reads a table beside it."""
-    assert _library_sites(_reads_a_table) == {("logic", "_search")}
+    """An operation table of the validity search is allocated, read and
+    filled in one place, `logic._search`, whose inline loop runs the
+    constant steps, the subformula steps and the join of c alike: no other
+    library function loads `_tables`, `table` or `fill`, and no library
+    class defines an `op`, `table` or `fill` method beside it."""
+    assert _library_sites(_loads_a_table) == {("logic", "_search")}
     src = pathlib.Path(ditkit.__file__).parent
     ops = {
         (path.stem, cls.name)
@@ -823,7 +825,7 @@ def test_search_is_the_one_table_reader():
         for cls in ast.walk(ast.parse(path.read_text()))
         if isinstance(cls, ast.ClassDef)
         for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "op"
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("op", "table", "fill")
     }
     assert ops == set()
 
