@@ -476,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.set_defaults(func=cmd_lattice)
 
+    parser._commands = sub.choices  # each subcommand's name -> its parser
     return parser
 
 
@@ -486,7 +487,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line and return its exit code.
+
+    Each call is parsed once, by its subcommand's parser; help and usage
+    errors print as before.  The full parser runs only when the first
+    argument is not a subcommand or arguments are left over, and then it
+    prints its help or usage error and exits.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    sub = parser._commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+    if sub is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DitkitError as exc:

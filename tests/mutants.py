@@ -205,6 +205,23 @@ MUTANTS = (
         "",
         ("tests/test_cli.py::test_double_slit_seed_takes_a_nonzero_trials",),
     ),
+    Mutant(
+        "main-runs-despite-leftover-arguments",
+        "src/ditkit/cli.py",
+        "    if sub is None or extra:\n",
+        "    if sub is None:\n",
+        ("tests/test_cli.py::test_main_matches_the_full_parser_on_edge_cases",
+         "tests/test_cli.py::test_the_module_runs_as_a_program"),
+    ),
+    Mutant(
+        "subcommand-parses-its-own-name",
+        "src/ditkit/cli.py",
+        "argv[1:], argparse.Namespace(command=argv[0])",
+        "argv, argparse.Namespace(command=argv[0])",
+        ("tests/test_cli.py::test_main_matches_the_full_parser_on_edge_cases",
+         "tests/test_cli.py::test_main_matches_the_full_parser_on_random_and_benchmark_argvs",
+         "tests/test_cli.py::test_entropy_table_has_bell_rows"),
+    ),
 )
 
 

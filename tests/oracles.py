@@ -54,7 +54,10 @@ on their transposed rows, where the library reduces their columns, and
 level-set partitions go through the checking `Partition` constructor,
 where the library builds them from a restricted growth string, and a
 family of attributes is complete when its value tuples are distinct,
-where the library joins their level-set partitions.
+where the library joins their level-set partitions.  A command line is
+parsed by the one full parser, which sorts the arguments before it hands
+them to the subcommand's parser, where the library hands them straight to
+the subcommand's parser.
 """
 
 from __future__ import annotations
@@ -63,13 +66,16 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Iterator
 
+from ditkit import cli
 from ditkit.density import SqrtRational
 from ditkit.errors import (
     DegenerateDSD,
     DimensionMismatch,
+    DitkitError,
     DuplicateEigenvalue,
     EmptyState,
     FormulaSyntaxError,
@@ -1077,3 +1083,14 @@ def csco_complete(dsds) -> bool:
             if (cut := intersect_rowspaces(piece, s))
         ]
     return all(len(piece) == 1 for piece in pieces) and len(pieces) == n
+
+
+def cli_main(argv) -> int:
+    """`ditkit.cli.main` as one full parse: the top-level parser sorts
+    every argument, then its subcommand's parser sorts them again."""
+    args = cli._parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except DitkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from ditkit.cli import GOLDEN_P, _parser, main
+import oracles
+from ditkit import cli
+from ditkit.cli import GOLDEN_P, _parser, build_parser, main
 from ditkit.lattice import LATTICE_BOUND
 from ditkit.logic import MAX_DEPTH
 
@@ -790,3 +795,121 @@ def test_every_formula_and_lattice_size_keeps_the_exit_contract(capsys):
         out = capsys.readouterr().out
         assert code in (0, 1, 2), argv
         assert code != 2 or out == "", argv
+
+
+# --- one parse per call, against the full parser ---
+
+# one argv per request shape of the benchmark's cli_queries workload
+BENCH_SHAPES = [
+    ["partition", "--ground", "abcd", "a|bcd", "--implies", "ab|cd", "--json"],
+    ["entropy", "--ground", "abcde", "--p", "1/9,2/9,1/3,1/9,2/9", "ab|cde", "--json"],
+    ["entropy", "--ground", "abc", "--p", GOLDEN_P, "a|bc", "--with", "ab|c", "--json"],
+    ["entropy", "--ground", "abcd", "--p", "1/8,3/8,1/4,1/4", "--table"],
+    ["measure", "--golden", "--json"],
+    ["measure", "--ground", "abcd", "--p", "1/8,3/8,1/4,1/4", "--state", "a|bcd",
+     "--by", "ab|cd", "--json"],
+    ["logic", "((p => q) => p) => p", "--max-n", "4", "--json"],
+    ["observable", "--se-demo", "--json"],
+    ["observable", "--ground", "abc", "--attr", "0,3,3", "--attr", "1,1,2", "--json"],
+    ["double-slit", "--case", "1", "--trials", "100", "--seed", "123", "--json"],
+    ["double-slit", "--case", "2", "--json"],
+    ["double-slit", "--format", "dot"],
+    ["lattice", "--n", "6", "--format", "json"],
+    ["lattice", "--n", "4"],
+]
+
+EDGE_ARGVS = {
+    "no-arguments": [],
+    "help": ["-h"],
+    "long-help": ["--help"],
+    "abbreviated-help": ["--he"],
+    "unknown-command": ["bogus"],
+    "abbreviated-command": ["entr", "--ground", "abc", "a|bc"],
+    "option-before-command": ["--json", "entropy", "--ground", "abc", "a|bc"],
+    "dashes-before-command": ["--", "entropy", "--ground", "abc", "a|bc"],
+    "command-help": ["entropy", "-h"],
+    "abbreviated-command-help": ["entropy", "--hel"],
+    "trailing-unknown-flag": ["entropy", "--ground", "abc", "a|bc", "--bogus"],
+    "unknown-flag-first": ["entropy", "--bogus", "--ground", "abc", "a|bc"],
+    "equals-value": ["entropy", "--ground=abc", "a|bc"],
+    "abbreviated-flag": ["entropy", "--grou", "abc", "a|bc"],
+    "no-positional": ["entropy", "--ground", "abc", "--table"],
+    "dashes-before-formula": ["logic", "--max-n", "3", "--", "p => p"],
+    "negative-looking-value": ["observable", "--ground", "ab", "--attr", "-1,2"],
+    "extra-positional": ["partition", "--ground", "abc", "a|bc", "ab|c"],
+    "missing-positional": ["logic", "--json"],
+    "two-operations": ["partition", "--ground", "abc", "a|bc", "--join", "ab|c",
+                       "--meet", "a|b|c"],
+    "bad-choice": ["double-slit", "--case", "3"],
+    "bad-int": ["lattice", "--n", "x"],
+    "library-error": ["partition", "--ground", "abc", "a|b"],
+}
+
+
+@pytest.fixture
+def namespaces(monkeypatch):
+    """Run main on a fresh full parser whose commands record the namespace
+    each gets; returns the list they record into."""
+    seen = []
+    parser = build_parser()
+    for sub in parser._commands.values():
+        func = sub.get_default("func")
+
+        def record(args, func=func):
+            seen.append(dict(vars(args)))  # before a command changes args
+            return func(args)
+
+        sub.set_defaults(func=record)
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    return seen
+
+
+def outcomes(capsys, seen, argv):
+    """(exit code, stdout, stderr, namespaces) of main and of the one-parser
+    reference on argv."""
+    results = []
+    for call in (main, oracles.cli_main):
+        seen.clear()
+        try:
+            code = call(list(argv))
+        except SystemExit as exc:  # help and usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err, list(seen)))
+    return results
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS.values(), ids=list(EDGE_ARGVS))
+def test_main_matches_the_full_parser_on_edge_cases(capsys, namespaces, argv):
+    ours, reference = outcomes(capsys, namespaces, argv)
+    assert ours == reference
+
+
+def test_main_matches_the_full_parser_on_random_and_benchmark_argvs(
+    capsys, namespaces
+):
+    rng = random.Random(1)
+    for argv in [_random_argv(rng) for _ in range(1000)] + BENCH_SHAPES:
+        ours, reference = outcomes(capsys, namespaces, argv)
+        assert ours == reference, argv
+
+
+def test_the_module_runs_as_a_program(capsys):
+    """`python -m ditkit.cli` reads its arguments from sys.argv."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def program(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ditkit.cli", *argv],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    proc = program("measure", "--golden", "--json")
+    _, out, _ = run(capsys, "measure", "--golden", "--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+    proc = program("entropy", "--ground", "abc", "a|bc", "--bogus")
+    lines = proc.stderr.decode().splitlines()
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert lines[0].startswith("usage: ditkit [-h]")  # not a subcommand's usage
+    assert lines[-1] == "ditkit: error: unrecognized arguments: --bogus"
