@@ -122,6 +122,9 @@ class Implies(_Binary):
 
 
 Formula = Union[Var, Top, Bottom, Join, Meet, Implies]
+# the same classes as a tuple, which `isinstance` tests in a fraction of
+# the time it takes on the Union
+_NODES = (Var, Top, Bottom, Join, Meet, Implies)
 
 _KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
 
@@ -129,7 +132,7 @@ _KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
 def _require_formula(f) -> None:
     """Refuse anything but a formula node.  The nodes check their own
     operands, so each entry point checks only its root."""
-    _require(Formula, "expected a formula node (see parse)", f)
+    _require(_NODES, "expected a formula node (see parse)", f)
 
 
 _TOKEN_RE = re.compile(
@@ -317,6 +320,18 @@ class Counterexample:
                     f"partition {notation(pi)!r} is not on {self.n} elements"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, n: int, assignment: dict[str, Partition], value: Partition
+    ) -> "Counterexample":
+        """The trusted constructor: n must be an int of at least 2,
+        `assignment` a dict of its own from names to partitions on n
+        elements, and `value` a partition on n elements; none of it is
+        checked or copied."""
+        witness = object.__new__(cls)
+        witness.__dict__.update(n=n, assignment=assignment, value=value)
+        return witness
+
 
 _STATUSES = ("valid-up-to-bound", "counterexample")
 
@@ -348,6 +363,16 @@ class ValidityReport:
             raise InvalidValue(
                 f"witness on {self.witness.n} elements for bound {self.bound}"
             )
+
+    @classmethod
+    def _trusted(
+        cls, status: str, bound: int, witness: Optional[Counterexample] = None
+    ) -> "ValidityReport":
+        """The trusted constructor: the fields must already be what the
+        checking one accepts; none of it is checked."""
+        report = object.__new__(cls)
+        report.__dict__.update(status=status, bound=bound, witness=witness)
+        return report
 
     @property
     def is_valid_up_to_bound(self) -> bool:
@@ -435,48 +460,73 @@ def _lattice(n: int):
 
 def _compile(f: Formula):
     """The variables of `f`, their polarities and the slot program, from
-    one walk.  Slot i < k holds variable names[i]; every other distinct
-    subformula gets one slot, keyed by is_top for a constant and by
-    (kernel, left slot, right slot) for a binary node, so equal subformulas
-    share a slot and no formula is hashed.  A polarity is 1 if every
-    occurrence of the variable is positive, -1 if every one is negative, 0
-    if both; the sign flips on the left of `=>`, the one argument in which
-    an operation is antitone.  The program is the constants as (slot,
-    is_top), the binary steps as (slot, kernel, left, right) grouped by
-    level, the root slot and the slot count.  Level 0 holds the steps that
-    use no variable; level d + 1 those whose last variable is names[d],
-    which therefore run once per value of names[d]."""
-    names = variables(f)
-    slots: dict = {name: i for i, name in enumerate(names)}
-    level_of = list(range(1, len(names) + 1))
-    signs: list[set[int]] = [set() for _ in names]
-    consts: list[tuple[int, bool]] = []
-    levels: list[list] = [[] for _ in range(len(names) + 1)]
+    one walk of the tree and one pass over its distinct subformulas.  Slot
+    i < k holds variable names[i]; every other distinct subformula gets
+    one slot, keyed by is_top for a constant and by (kernel, left slot,
+    right slot) for a binary node, so equal subformulas share a slot and
+    no formula is hashed.  A polarity is 1 if every occurrence of the
+    variable is positive, -1 if every one is negative, 0 if both; the sign
+    flips on the left of `=>`, the one argument in which an operation is
+    antitone.  The program is the constants as (slot, is_top), the binary
+    steps as (slot, kernel, left, right) grouped by level, the root slot
+    and the slot count.  Level 0 holds the steps that use no variable;
+    level d + 1 those whose last variable is names[d], which therefore run
+    once per value of names[d].
+
+    The walk cannot know a variable's place in sorted order until it has
+    met them all, so it numbers them -1, -2, ... as first met and the
+    other subformulas 0, 1, ... as first finished, the post-order that
+    the slots follow; the pass then renumbers the steps into slots and
+    sorts them into levels."""
+    _require_formula(f)
+    found: dict[str, int] = {}  # each variable's number
+    signs: dict[str, set[int]] = {}
+    keys: dict = {}
+    steps: list = []  # each other subformula's key, at its number
 
     def visit(node: Formula, sign: int) -> int:
-        # every occurrence is visited, for its sign; a repeat finds its slot
-        if isinstance(node, Var):
-            slot = slots[node.name]
-            signs[slot].add(sign)
-            return slot
-        if isinstance(node, (Top, Bottom)):
-            key, level = isinstance(node, Top), 0
+        # every occurrence is visited, for its sign; a repeat finds its number
+        kind = type(node)
+        if kind is Var:
+            name = node.name
+            if name not in found:
+                found[name], signs[name] = -1 - len(found), set()
+            signs[name].add(sign)
+            return found[name]
+        if kind is Top or kind is Bottom:
+            key = kind is Top
         else:
-            kernel = _KERNELS[type(node)]
-            left = visit(node.left, -sign if isinstance(node, Implies) else sign)
-            right = visit(node.right, sign)
-            key, level = (kernel, left, right), max(level_of[left], level_of[right])
-        if key not in slots:
-            slot = slots[key] = len(level_of)
-            level_of.append(level)
-            if isinstance(key, tuple):
-                levels[level].append((slot, *key))
-            else:
-                consts.append((slot, key))
-        return slots[key]
+            left = visit(node.left, -sign if kind is Implies else sign)
+            key = (_KERNELS[kind], left, visit(node.right, sign))
+        if key not in keys:
+            keys[key] = len(steps)
+            steps.append(key)
+        return keys[key]
 
     root = visit(f, 1)
-    return names, tuple(map(sum, signs)), (consts, levels, root, len(level_of))
+    names = tuple(sorted(found))
+    k = len(names)
+    # the slot of each number: k + number, or for a variable, whose
+    # negative number reads from the end of the list, its place in names
+    slot_of = list(range(k, 2 * k + len(steps)))
+    level_of = list(range(1, k + 1))
+    consts: list[tuple[int, bool]] = []
+    levels: list[list] = [[]]
+    for i, name in enumerate(names):
+        slot_of[found[name]] = i
+        levels.append([])
+    for slot, key in enumerate(steps, k):
+        if type(key) is tuple:
+            kernel, left, right = key
+            left, right = slot_of[left], slot_of[right]
+            level = max(level_of[left], level_of[right])
+            levels[level].append((slot, kernel, left, right))
+        else:
+            level = 0
+            consts.append((slot, key))
+        level_of.append(level)
+    polarity = tuple([sum(signs[name]) for name in names])
+    return names, polarity, (consts, levels, slot_of[root], len(slot_of))
 
 
 def _minima(c: tuple[int, ...]):
@@ -546,24 +596,24 @@ def _search(program, polarity, lattice):
     values: list = [None] * width + [lattice.bottom] * (depth + 1)
     for slot, is_top in consts:
         values[slot] = lattice.top if is_top else lattice.bottom
-    levels = list(levels)
-    for d in range(1, depth):
-        levels[d] = levels[d] + [(width + d, _join_rgs, width + d - 1, d - 1)]
     # ranks read their tables inline and fill a gap from the kernel; RGS
     # tuples run the kernel itself
     ranked = isinstance(lattice, _Ranked)
     if ranked:
         size, tables = lattice.size, lattice._tables
-        for level in levels:
-            for _, kernel, _, _ in level:
+    bound = []
+    for d, level in enumerate(levels):
+        if 0 < d < depth:
+            level = [*level, (width + d, _join_rgs, width + d - 1, d - 1)]
+        if ranked:
+            steps = []
+            for slot, kernel, left, right in level:
                 if kernel not in tables:
                     tables[kernel] = array("h", [-1]) * (size * size)
-        levels = [
-            [(slot, tables[kernel], kernel, left, right)
-             for slot, kernel, left, right in level]
-            for level in levels
-        ]
-    top = lattice.top
+                steps.append((slot, tables[kernel], kernel, left, right))
+            level = steps
+        bound.append(level)
+    levels, top = bound, lattice.top
 
     def nested(d: int, xs) -> bool:
         level, innermost = levels[d + 1], d + 1 == depth
@@ -621,8 +671,8 @@ def check_validity(
     evaluation below the top.  Deterministic: smallest n first, then
     enumeration order per variable.  A pass is only a bounded claim.
 
-    One walk of `f` (`_compile`) finds its variables, their polarities
-    and a slot program.  The search runs on RGS ranks through operation
+    One walk of `f` and one pass over its distinct subformulas
+    (`_compile`) find its variables, their polarities and a slot program.  The search runs on RGS ranks through operation
     tables filled on demand and kept between calls for n <= TABLE_MAX_N;
     larger n run the RGS kernels directly.  Each subformula is evaluated
     once per value of the last variable it uses, and one that uses none
@@ -660,18 +710,18 @@ def check_validity(
         hit = _search(program, polarity, lattice)
         if hit is not None:
             assignment, value = hit
-            witness = Counterexample(
+            witness = Counterexample._trusted(
                 n,
                 {name: lattice.partition(x) for name, x in zip(names, assignment)},
                 lattice.partition(value),
             )
-            return ValidityReport("counterexample", n, witness)
+            return ValidityReport._trusted("counterexample", n, witness)
     if stop <= max_n:
         raise BudgetExceeded(
             f"assignment budget {budget} exhausted before n={stop}",
             bound_reached=stop - 1,
         )
-    return ValidityReport("valid-up-to-bound", max_n)
+    return ValidityReport._trusted("valid-up-to-bound", max_n)
 
 
 def boolean_tautology(f: Formula) -> bool:

@@ -190,6 +190,22 @@ MUTANTS = (
          "tests/test_logic.py::test_reduced_search_matches_unreduced_and_brute_force"),
     ),
     Mutant(
+        "compile-keeps-the-sign-left-of-implies",
+        "src/ditkit/logic.py",
+        "-sign if kind is Implies else sign",
+        "sign",
+        ("tests/test_logic.py::test_compile_matches_subformula_hashing",
+         "tests/test_logic.py::test_polarity_flips_left_of_implication"),
+    ),
+    Mutant(
+        "trusted-witness-off-its-bound",
+        "src/ditkit/logic.py",
+        'ValidityReport._trusted("counterexample", n, witness)',
+        'ValidityReport._trusted("counterexample", n + 1, witness)',
+        ("tests/test_logic.py::test_trusted_reports_rebuild_through_the_checking_constructors",
+         "tests/test_logic.py::test_trusted_reports_rebuild_on_random_formulas"),
+    ),
+    Mutant(
         "partition-ops-outside-the-group",
         "src/ditkit/cli.py",
         'ops.add_argument(f"--{name}", metavar="SIGMA")',

@@ -607,6 +607,36 @@ def test_validity_search_hashes_no_formula(monkeypatch):
     assert (check_validity(f, 4), boolean_tautology(g)) == expected
 
 
+# --- trusted reports against the checking constructors ---
+
+
+def _assert_rebuilds(report):
+    # `check_validity` builds its reports unchecked; the checking
+    # constructors must accept every field and give an equal report
+    w = report.witness
+    if w is not None:
+        w = Counterexample(w.n, w.assignment, w.value)
+    rebuilt = ValidityReport(report.status, report.bound, w)
+    assert rebuilt == report and hash(rebuilt) == hash(report)
+    if w is not None:
+        assert type(report.witness.assignment) is dict
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_FORMULAS)
+def test_trusted_reports_rebuild_through_the_checking_constructors(text):
+    f = parse(text)
+    for max_n in (2, 3, 4):
+        _assert_rebuilds(check_validity(f, max_n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_FORMULAS, max_n=st.integers(2, 4))
+@example(f=parse("p \\/ (p => 0)"), max_n=3)
+@example(f=parse("(p => q) \\/ (q => p)"), max_n=4)
+def test_trusted_reports_rebuild_on_random_formulas(f, max_n):
+    _assert_rebuilds(check_validity(f, max_n))
+
+
 @pytest.mark.parametrize(
     "table_max_n", [logic.TABLE_MAX_N, 1], ids=["ranked", "unranked"]
 )

@@ -759,16 +759,21 @@ def test_no_library_code_calls_a_gated_accessor():
 
 
 def _calls_a_checking_constructor(node: ast.AST) -> bool:
-    """A call of `Operator(...)` or `DensityMatrix(...)` by name."""
+    """A call of `Operator(...)`, `DensityMatrix(...)`, `Counterexample(...)`
+    or `ValidityReport(...)` by name."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("Operator", "DensityMatrix"))
+            and node.func.id in ("Operator", "DensityMatrix", "Counterexample",
+                                 "ValidityReport"))
 
 
 def test_no_library_code_calls_a_checking_constructor():
     """`Operator` and `DensityMatrix` check every entry of the grid they
     are given, for callers outside the library.  Inside it, a grid is
     valid by construction and goes through the trusted `_grid`; only
-    `from_json` reads a caller's data, and it calls `cls(...)`."""
+    `from_json` reads a caller's data, and it calls `cls(...)`.  Likewise
+    `check_validity` builds its witness and report from values its own
+    search produced, through `Counterexample._trusted` and
+    `ValidityReport._trusted`."""
     assert _library_sites(_calls_a_checking_constructor) == set()
 
 
