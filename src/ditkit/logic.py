@@ -34,7 +34,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .errors import (
     BudgetExceeded,
@@ -122,17 +122,16 @@ class Implies(_Binary):
 
 
 Formula = Union[Var, Top, Bottom, Join, Meet, Implies]
-# the same classes as a tuple, which `isinstance` tests in a fraction of
-# the time it takes on the Union
-_NODES = (Var, Top, Bottom, Join, Meet, Implies)
+_NODES = get_args(Formula)
 
 _KERNELS = {Join: _join_rgs, Meet: _meet_rgs, Implies: _implies_rgs}
 
 
 def _require_formula(f) -> None:
-    """Refuse anything but a formula node.  The nodes check their own
-    operands, so each entry point checks only its root."""
-    _require(_NODES, "expected a formula node (see parse)", f)
+    """Refuse a value whose exact class is not one of `Formula`'s.  Nodes
+    check their own operands, so each entry point checks only its root."""
+    if type(f) not in _NODES:
+        raise InvalidValue(f"expected a formula node (see parse), got {f!r}")
 
 
 _TOKEN_RE = re.compile(
@@ -216,7 +215,7 @@ def parse(text: str) -> Formula:
 
 # precedence levels and symbols for printing: atoms bind tightest
 _LEVEL = {node: level for level, node in _BINARY.values()}
-_SYMBOL = {Implies: "=>", Join: "\\/", Meet: "/\\"}
+_SYMBOL = {Implies: "=>", Join: "\\/", Meet: "/\\", Top: "1", Bottom: "0"}
 
 
 def pretty_print(f: Formula) -> str:
@@ -225,10 +224,8 @@ def pretty_print(f: Formula) -> str:
     def render(node: Formula, level: int) -> str:
         if isinstance(node, Var):
             return node.name
-        if isinstance(node, Top):
-            return "1"
-        if isinstance(node, Bottom):
-            return "0"
+        if type(node) not in _LEVEL:  # a constant
+            return _SYMBOL[type(node)]
         own = _LEVEL[type(node)]
         right = isinstance(node, Implies)  # `=>` groups to the right
         left = render(node.left, own + right)
@@ -242,18 +239,7 @@ def pretty_print(f: Formula) -> str:
 
 def variables(f: Formula) -> tuple[str, ...]:
     """Variable names in sorted order."""
-    _require_formula(f)
-    seen: set[str] = set()
-
-    def walk(node: Formula):
-        if isinstance(node, Var):
-            seen.add(node.name)
-        elif isinstance(node, _Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
-    return tuple(sorted(seen))
+    return _compile(f)[0]
 
 
 def evaluate(
@@ -648,17 +634,24 @@ def _search(program, polarity, lattice):
     return (values[:depth], values[root]) if found else None
 
 
-def _budget_stop(k: int, max_n: int, budget: int) -> int:
+def _charges(k: int):
+    """The sums Bell(2) ** k + ... + Bell(n) ** k for n = 2, 3, ...."""
+    spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
+    while True:
+        row = list(accumulate(row, initial=row[-1]))
+        spent += row[-1] ** k
+        yield spent
+
+
+def _budget_stop(k: int, max_n: int, budget: int, sums=None, first=2) -> int:
     """The least n >= 2 at which Bell(2) ** k + ... + Bell(n) ** k exceeds
-    `budget`, or max_n + 1 if no n up to max_n does.  With no variable
+    `budget`, or max_n + 1 if no n up to max_n does, resuming `sums`, a
+    `_charges(k)` walk that stopped before n = `first`.  With no variable
     each n costs 1, so the sum at n is n - 1 and the stop is read off
     without a walk."""
     if k == 0:
         return min(max(budget + 2, 2), max_n + 1)
-    spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
-    for n in range(2, max_n + 1):
-        row = list(accumulate(row, initial=row[-1]))
-        spent += row[-1] ** k
+    for n, spent in zip(range(first, max_n + 1), sums or _charges(k)):
         if spent > budget:
             return n
     return max_n + 1
@@ -672,9 +665,10 @@ def check_validity(
     enumeration order per variable.  A pass is only a bounded claim.
 
     One walk of `f` and one pass over its distinct subformulas
-    (`_compile`) find its variables, their polarities and a slot program.  The search runs on RGS ranks through operation
-    tables filled on demand and kept between calls for n <= TABLE_MAX_N;
-    larger n run the RGS kernels directly.  Each subformula is evaluated
+    (`_compile`) find its variables, their polarities and a slot program.
+    The search runs on RGS ranks through operation tables filled on
+    demand and kept between calls for n <= TABLE_MAX_N; larger n run the
+    RGS kernels directly.  Each subformula is evaluated
     once per value of the last variable it uses, and one that uses none
     once, as the level of a variable -1; the join of the earlier values
     is one more step of each level.  Three rules skip
@@ -690,22 +684,24 @@ def check_validity(
     decides every n (module docstring) and larger n are not searched.
 
     The budget charges Bell(n) ** k assignments for k variables at every
-    n from 2 up, searched or not.  The first n at which the charges
-    exceed it, `stop` (`_budget_stop`), is found before any search; the
-    search then runs n = 2..`last`, the lesser of stop - 1 and the size
-    the rules leave, and BudgetExceeded is raised at stop if no witness
-    came first.  So a search cut short at n = 3 reports, and runs out of
-    budget, exactly as the full sweep does."""
+    n from 2 up, searched or not.  Their sum is taken up to `last`, the
+    largest n the rules leave, before the search runs n = 2..`stop` - 1
+    (`_budget_stop`); only if no witness came is the same sum resumed to
+    max_n, and BudgetExceeded raised at its stop.  So a search cut short
+    at n = 3 reports, and runs out of budget, exactly as the full sweep
+    does, and a witness at n = 2 is found without summing to max_n."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
     if max_n < 2:
         raise InvalidValue("max_n must be at least 2")
     names, polarity, program = _compile(f)
-    stop = _budget_stop(len(names), max_n, budget)
+    k = len(names)
+    sums = _charges(k)
     # with at most one mixed variable, n = 3 decides every larger n
-    last = min(stop - 1, max_n if polarity.count(0) > 1 else 3)
-    for n in range(2, last + 1):
+    last = max_n if polarity.count(0) > 1 else min(max_n, 3)
+    stop = _budget_stop(k, last, budget, sums)
+    for n in range(2, stop):
         lattice = _lattice(n)
         hit = _search(program, polarity, lattice)
         if hit is not None:
@@ -716,6 +712,8 @@ def check_validity(
                 lattice.partition(value),
             )
             return ValidityReport._trusted("counterexample", n, witness)
+    if stop > last:
+        stop = _budget_stop(k, max_n, budget, sums, last + 1)
     if stop <= max_n:
         raise BudgetExceeded(
             f"assignment budget {budget} exhausted before n={stop}",
@@ -729,4 +727,5 @@ def boolean_tautology(f: Formula) -> bool:
     partition lattice of a two-element ground set; partition validity
     implies this, so a failure here is a cheap classical counterexample
     certificate."""
-    return check_validity(f, 2, budget=2 ** len(variables(f))).is_valid_up_to_bound
+    _, polarity, program = _compile(f)
+    return _search(program, polarity, _lattice(2)) is None

@@ -106,16 +106,16 @@ MUTANTS = (
     Mutant(
         "one-mixed-rule-stops-at-2",
         "src/ditkit/logic.py",
-        "polarity.count(0) > 1 else 3",
-        "polarity.count(0) > 1 else 2",
+        "polarity.count(0) > 1 else min(max_n, 3)",
+        "polarity.count(0) > 1 else min(max_n, 2)",
         ("tests/test_logic.py::test_excluded_middle_fails_first_at_three",
          "tests/test_logic.py::test_one_mixed_variable_search_matches_unreduced"),
     ),
     Mutant(
         "two-mixed-variables-counted-as-one",
         "src/ditkit/logic.py",
-        "polarity.count(0) > 1 else 3",
-        "polarity.count(0) > 2 else 3",
+        "polarity.count(0) > 1 else min(max_n, 3)",
+        "polarity.count(0) > 2 else min(max_n, 3)",
         ("tests/test_logic.py::test_two_mixed_variables_search_past_three",
          "tests/test_logic.py::test_check_validity_matches_brute_force"),
     ),
@@ -139,10 +139,32 @@ MUTANTS = (
     Mutant(
         "search-runs-at-the-budget-stop",
         "src/ditkit/logic.py",
-        "min(stop - 1,",
-        "min(stop,",
+        "for n in range(2, stop):",
+        "for n in range(2, stop + 1):",
         ("tests/test_logic.py::test_budget_refuses_before_building_tables",
          "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it"),
+    ),
+    Mutant(
+        "budget-sum-walked-to-max-n-before-the-search",
+        "src/ditkit/logic.py",
+        "stop = _budget_stop(k, last, budget, sums)",
+        "stop = _budget_stop(k, max_n, budget, sums)",
+        ("tests/test_logic.py::test_a_witness_below_the_rule_stops_the_budget_sum",),
+    ),
+    Mutant(
+        "budget-sum-restarts-after-the-search",
+        "src/ditkit/logic.py",
+        "_budget_stop(k, max_n, budget, sums, last + 1)",
+        "_budget_stop(k, max_n, budget, None, last + 1)",
+        ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
+         "tests/test_logic.py::test_a_witness_below_the_rule_stops_the_budget_sum"),
+    ),
+    Mutant(
+        "formula-gate-admits-subclasses",
+        "src/ditkit/logic.py",
+        "if type(f) not in _NODES:",
+        "if not isinstance(f, _NODES):",
+        ("tests/test_logic.py::test_bad_formula_input_raises_invalid_value",),
     ),
     Mutant(
         "density-json-unreduced-radicands",

@@ -21,7 +21,9 @@ assignment budget is a running sum of Bell numbers from their binomial
 recurrence, where the library walks the Bell triangle and charges a
 formula with no variable for every n at once.  The
 Boolean oracle evaluates over {False, True}, where the library searches
-the two-element partition lattice.  Hasse diagrams build a checked
+the two-element partition lattice.  The oracles read a formula's
+variable names by a walk of their own, where the library takes them from
+its compile.  Hasse diagrams build a checked
 `Partition` per node and filter the covers by block containment, where
 the library names block tuples it builds once per n and merges blocks.
 The density and entropy oracles compute entry by entry and block by block
@@ -95,7 +97,6 @@ from ditkit.logic import (
     _lattice,
     _Ranked,
     _tokenize,
-    variables,
 )
 from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import (
@@ -303,6 +304,15 @@ class DescentParser:
             "unexpected end of formula" if kind == "eof"
             else f"unexpected {text!r}", pos
         )
+
+
+def variables(f) -> tuple[str, ...]:
+    """The variable names of `f` in sorted order, by a walk of its own."""
+    if isinstance(f, Var):
+        return (f.name,)
+    if isinstance(f, (Top, Bottom)):
+        return ()
+    return tuple(sorted({*variables(f.left), *variables(f.right)}))
 
 
 def brute_validity(f, max_n: int):

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,27 @@ def test_syntax_error_positions():
 
 _PI3 = make_partition(U3, [["a"], ["b", "c"]])
 
+
+# subclasses of nodes: a node's exact class must be one of Formula's
+@dataclass(frozen=True)
+class _SubJoin(Join):
+    pass
+
+
+@dataclass(frozen=True)
+class _SubVar(Var):
+    pass
+
+
+@dataclass(frozen=True)
+class _SubTop(Top):
+    pass
+
+
+def _sub_join():
+    return _SubJoin(Var("p"), Var("p"))
+
+
 # every entry point checks its root and each node its operands, so a
 # formula that is not built from nodes is refused before any walk
 BAD_FORMULA_INPUT = {
@@ -142,6 +164,13 @@ BAD_FORMULA_INPUT = {
     "assignment as pairs": lambda: evaluate(parse("p"), [("p", _PI3)], U3),
     "assignment of text": lambda: evaluate(parse("p"), {"p": "x"}, U3),
     "ground as text": lambda: evaluate(parse("1"), {}, "abc"),
+    "check_validity of a join subclass": lambda: check_validity(_sub_join(), 3),
+    "evaluate of a join subclass": lambda: evaluate(_sub_join(), {"p": _PI3}, U3),
+    "pretty_print of a join subclass": lambda: pretty_print(_sub_join()),
+    "variables of a join subclass": lambda: variables(_sub_join()),
+    "boolean_tautology of a join subclass": lambda: boolean_tautology(_sub_join()),
+    "join of a var subclass": lambda: Join(_SubVar("p"), Var("q")),
+    "meet of a top subclass": lambda: Meet(Var("p"), _SubTop()),
 }
 
 
@@ -412,6 +441,31 @@ def test_budget_runs_out_where_the_oracle_sum_first_exceeds_it(text):
             assert exc.value.bound_reached == stop - 1
 
 
+def test_a_witness_below_the_rule_stops_the_budget_sum(monkeypatch):
+    # the sum runs to n = 3 before the search, and on to the budget stop,
+    # n = 1456 for 10**3000 and one variable, only when no witness came
+    calls, accumulate = [], logic.accumulate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "accumulate", counting)
+    budget = 10**3000
+    report = check_validity(parse("p => 0"), 10**6, budget=budget)
+    assert report.to_json() == {
+        "status": "counterexample",
+        "bound": 2,
+        "witness": {"n": 2, "assignment": {"p": "a|b"}, "value": "ab"},
+    }
+    assert len(calls) == 2  # one row per n = 2, 3
+    with pytest.raises(BudgetExceeded) as exc:
+        check_validity(parse("p => p"), 10**6, budget=budget)
+    assert str(exc.value) == f"assignment budget {budget} exhausted before n=1456"
+    assert exc.value.bound_reached == 1455
+    assert len(calls) == 2 + 1455  # one row per n = 2..1456
+
+
 def test_a_formula_with_no_variable_is_charged_without_a_walk():
     # 1 per n is a sum, so max_n = 10**8 costs no more than max_n = 4
     start = time.perf_counter()
@@ -586,9 +640,9 @@ _SHARING = st.recursive(
 @example(f=parse("((1 => p) => (q \\/ 0)) => ((1 => p) /\\ (q \\/ 0) /\\ 1)"))
 @example(f=parse("((p => q) => r) => (((p => q) => r) \\/ (p => q))"))
 def test_compile_matches_subformula_hashing(f):
-    # one walk keyed by child slots gives the program of the walk that
-    # hashes subformulas, slot for slot, and the signs of a separate walk
-    names = variables(f)
+    # one walk keyed by child slots gives the names and signs of separate
+    # walks and the program of the walk that hashes subformulas, slot for slot
+    names = oracles.variables(f)
     assert logic._compile(f) == (
         names, oracles.polarity(f, names), oracles.subformula_program(f, names)
     )
