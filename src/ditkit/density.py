@@ -8,6 +8,9 @@ masking, conditioning and the entropy 1 - tr(rho^2) are integer work.
 `to_json` and the public constructor, the only one that checks a matrix;
 `rho` and the Lüders maps build theirs on the unchecked trusted path, and
 the diagonal and trace are read as integer square roots of the radicands.
+`rho`, `luders_mixture` and `state_reduction_audit` are each a gate and
+a private kernel (`_rho`, `_luders`, `_audit`); the theorem checks gate
+their arguments once and then call only the kernels.
 A `ProjectionMask`, the outcome `luders_outcomes` conditions on, is a
 `SubsetVector` bitmask, since at the set level a projection is the
 subset it keeps; `luders_rule` takes any `SubsetVector`.
@@ -32,13 +35,14 @@ from .partitions import (
     _block_masks,
     _check_index,
     _fraction,
+    _from_rgs,
     _is_int,
+    _join_rgs,
     _json_number,
     _require,
     _require_exact,
     _require_on,
     _require_same_ground,
-    join,
 )
 from .z2dyn import SubsetVector
 
@@ -171,17 +175,19 @@ class DensityMatrix:
             trace += root
         if trace != den:
             raise InvalidValue(f"trace is {Fraction(trace, den)}, not 1")
+        # in lowest terms: den is the lcm of the reduced denominators, so
+        # each prime p dividing den divides some radicand's denominator c
+        # as often as den, and that radicand's numerator, times den / c,
+        # is prime to p
         self.__dict__.update(self._grid(ground, tuple(num), den).__dict__)
 
     @classmethod
     def _grid(
         cls, ground: GroundSet, num: tuple[int, ...], den: int
     ) -> "DensityMatrix":
-        """The trusted constructor: radicands `num` over `den`, unchecked."""
-        common = math.gcd(den, *num)
-        if common > 1:
-            den //= common
-            num = tuple(x // common for x in num)
+        """The trusted constructor: radicands `num` over `den`, which must
+        already be in lowest terms (no integer above 1 divides `den` and
+        every numerator), unchecked."""
         mat = object.__new__(cls)
         mat.__dict__.update(ground=ground, _num=num, _den=den)
         return mat
@@ -227,12 +233,31 @@ class DensityMatrix:
         return cls(ground, entries)
 
 
+def _lowest(ground: GroundSet, num: list[int], den: int) -> DensityMatrix:
+    """`_grid` of radicands `num` over `den` once they are divided by
+    their common factor.  Every common factor divides the diagonal, so a
+    grid whose diagonal is prime to `den` is taken as it is."""
+    common = math.gcd(den, *num[:: ground.n + 1])
+    if common > 1:
+        common = math.gcd(common, *num)
+        den //= common
+        num = [x // common for x in num]
+    return DensityMatrix._grid(ground, tuple(num), den)
+
+
 def rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
     """Density matrix of a partition state: entry (i,k) is
     sqrt(p_i * p_k) when i and k share a block, else 0, so the non-zero
     entries are exactly the indistinctions.  On the grid of `probs` its
     radicand is w_i * w_k / D^2."""
     _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
+    return _rho(pi, probs)
+
+
+def _rho(pi: Partition, probs: ProbGroundSet) -> DensityMatrix:
+    """`rho`, ungated.  Its grid is in lowest terms: D is the lcm of the
+    reduced denominators of the p_i, so gcd(D, w_1, ..., w_n) = 1, hence
+    gcd(D^2, w_1^2, ..., w_n^2) = 1, and the w_i^2 are its diagonal."""
     n = pi.ground.n
     w, d = probs.weights, probs.denominator
     num = [0] * (n * n)
@@ -284,6 +309,12 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
     sigma keeps an entry exactly when its pair lies inside one sigma
     block and zeroes the rest, so the diagonal is kept whole."""
     _require_on(DensityMatrix, "expected a DensityMatrix", mat, sigma)
+    return _luders(mat, sigma)
+
+
+def _luders(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
+    """`luders_mixture`, ungated.  The zeroed coherences can leave a
+    common factor, so the kept grid goes through `_lowest`."""
     n = mat.ground.n
     kept = mat._num
     num = [0] * (n * n)
@@ -292,7 +323,7 @@ def luders_mixture(mat: DensityMatrix, sigma: Partition) -> DensityMatrix:
             row = i * n
             for k in blk:
                 num[row + k] = kept[row + k]
-    return DensityMatrix._grid(mat.ground, tuple(num), mat._den)
+    return _lowest(mat.ground, num, mat._den)
 
 
 def luders_rule(
@@ -318,7 +349,7 @@ def luders_rule(
         row = i * n
         for k in members:
             num[row + k] = mat._num[row + k] * mat._den
-    post = DensityMatrix._grid(mat.ground, tuple(num), mass * mass)
+    post = _lowest(mat.ground, num, mass * mass)
     return post, Fraction(mass, mat._den)
 
 
@@ -348,6 +379,11 @@ def state_reduction_audit(
     """The off-diagonal non-zero entries whose pair is split by sigma:
     exactly the coherences that measuring by sigma decoheres."""
     _require_on(DensityMatrix, "expected a DensityMatrix", mat, sigma)
+    return _audit(mat, sigma)
+
+
+def _audit(mat: DensityMatrix, sigma: Partition) -> list[tuple[int, int]]:
+    """`state_reduction_audit`, ungated."""
     n, num, label = mat.ground.n, mat._num, sigma.rgs
     return [
         (i, k)
@@ -360,7 +396,10 @@ def state_reduction_audit(
 def theorem_join(pi: Partition, sigma: Partition, probs: ProbGroundSet) -> bool:
     """Measuring the state of pi by sigma lands exactly on the state of
     the join."""
-    return luders_mixture(rho(pi, probs), sigma) == rho(join(pi, sigma), probs)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, sigma)
+    joined = _from_rgs(pi.ground, _join_rgs(pi.rgs, sigma.rgs))
+    return _luders(_rho(pi, probs), sigma) == _rho(joined, probs)
 
 
 def theorem_entropy_increase(
@@ -370,10 +409,12 @@ def theorem_entropy_increase(
     the zeroed coherences, exactly.  With S the radicand sum of a state,
     1 - tr(rho^2) is 1 - S / den, so the gain is S / den - S_hat / den_hat
     and the check cross-multiplies it against the zeroed mass Z / den."""
-    mat = rho(pi, probs)
-    hat = luders_mixture(mat, sigma)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, sigma)
+    mat = _rho(pi, probs)
+    hat = _luders(mat, sigma)
     n, num = mat.ground.n, mat._num
-    zeroed = sum(num[i * n + k] for (i, k) in state_reduction_audit(mat, sigma))
+    zeroed = sum(num[i * n + k] for (i, k) in _audit(mat, sigma))
     return (sum(num) - zeroed) * hat._den == sum(hat._num) * mat._den
 
 
@@ -381,7 +422,8 @@ def consistency_h(pi: Partition, probs: ProbGroundSet) -> bool:
     """The matrix entropy 1 - tr(rho^2) agrees exactly with the
     partition's logical entropy: (den - S) / den against
     (D^2 - sum of W_B^2) / D^2, cross-multiplied."""
-    mat = rho(pi, probs)
+    _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
+    mat = _rho(pi, probs)
     square = probs.denominator**2
     blocks = _entropy._square_mass(pi.rgs, probs.weights)
     return (mat._den - sum(mat._num)) * square == (square - blocks) * mat._den

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .partitions import (
     Partition,
     ProbGroundSet,
-    _join_rgs,
     _require_on,
     ditset,
     join,
@@ -36,11 +36,12 @@ def block_probs(
 
 def _square_mass(rgs: tuple[int, ...], weights: tuple[int, ...]) -> int:
     """Sum of W_B^2 over the blocks B of the partition with RGS `rgs`,
-    where W_B sums `weights` over B."""
-    mass = [0] * (max(rgs) + 1)
+    where W_B sums `weights` over B.  A label is below len(rgs), and an
+    unused one adds 0."""
+    mass = [0] * len(rgs)
     for b, w in zip(rgs, weights):
         mass[b] += w
-    return sum(m * m for m in mass)
+    return sum(map(mul, mass, mass))
 
 
 def logical_entropy(pi: Partition, probs: ProbGroundSet) -> Fraction:
@@ -76,13 +77,20 @@ def compound_logical(
     Venn relations exactly: the joint is the entropy of the join, and the
     mutual information is the p x p mass of the common dits.  With S the
     squared-mass sum of a partition, each entropy is (D^2 - S) / D^2, so
-    all four are integer differences over D^2."""
+    all four are integer differences over D^2.  One pass sums the block
+    masses of pi, of sigma and of their join, whose blocks are the
+    classes of equal label pairs (a, b), kept at a * n + b."""
     _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, sigma)
-    w = probs.weights
-    s_pi = _square_mass(pi.rgs, w)
-    s_sigma = _square_mass(sigma.rgs, w)
-    s_join = _square_mass(_join_rgs(pi.rgs, sigma.rgs), w)
+    n = len(pi.rgs)
+    m_pi, m_sigma, m_join = [0] * n, [0] * n, [0] * (n * n)
+    for a, b, x in zip(pi.rgs, sigma.rgs, probs.weights):
+        m_pi[a] += x
+        m_sigma[b] += x
+        m_join[a * n + b] += x
+    s_pi = sum(map(mul, m_pi, m_pi))
+    s_sigma = sum(map(mul, m_sigma, m_sigma))
+    s_join = sum(map(mul, m_join, m_join))
     square = probs.denominator**2
     return CompoundLogical(
         joint=Fraction(square - s_join, square),

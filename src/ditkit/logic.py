@@ -635,10 +635,12 @@ def _search(program, polarity, lattice):
 
 
 def _charges(k: int):
-    """The sums Bell(2) ** k + ... + Bell(n) ** k for n = 2, 3, ...."""
+    """The sums Bell(2) ** k + ... + Bell(n) ** k for n = 2, 3, ....
+    With no variable each n costs 1, and no row is built."""
     spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
     while True:
-        row = list(accumulate(row, initial=row[-1]))
+        if k:
+            row = list(accumulate(row, initial=row[-1]))
         spent += row[-1] ** k
         yield spent
 
@@ -684,12 +686,12 @@ def check_validity(
     decides every n (module docstring) and larger n are not searched.
 
     The budget charges Bell(n) ** k assignments for k variables at every
-    n from 2 up, searched or not.  Their sum is taken up to `last`, the
-    largest n the rules leave, before the search runs n = 2..`stop` - 1
-    (`_budget_stop`); only if no witness came is the same sum resumed to
-    max_n, and BudgetExceeded raised at its stop.  So a search cut short
-    at n = 3 reports, and runs out of budget, exactly as the full sweep
-    does, and a witness at n = 2 is found without summing to max_n."""
+    n from 2 up, searched or not.  Each n up to `last`, the largest n the
+    rules leave, is charged just before it is searched; only if no
+    witness came is the same sum resumed to max_n (`_budget_stop`), and
+    BudgetExceeded raised at its stop.  So a search cut short at n = 3
+    reports, and runs out of budget, exactly as the full sweep does, and
+    the sum stops at the witness."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
@@ -700,8 +702,10 @@ def check_validity(
     sums = _charges(k)
     # with at most one mixed variable, n = 3 decides every larger n
     last = max_n if polarity.count(0) > 1 else min(max_n, 3)
-    stop = _budget_stop(k, last, budget, sums)
-    for n in range(2, stop):
+    for n, spent in zip(range(2, last + 1), sums):
+        if spent > budget:
+            stop = n
+            break
         lattice = _lattice(n)
         hit = _search(program, polarity, lattice)
         if hit is not None:
@@ -712,7 +716,7 @@ def check_validity(
                 lattice.partition(value),
             )
             return ValidityReport._trusted("counterexample", n, witness)
-    if stop > last:
+    else:
         stop = _budget_stop(k, max_n, budget, sums, last + 1)
     if stop <= max_n:
         raise BudgetExceeded(

@@ -131,25 +131,18 @@ MUTANTS = (
     Mutant(
         "budget-stop-at-an-equal-sum",
         "src/ditkit/logic.py",
-        "if spent > budget:",
-        "if spent >= budget:",
+        "if spent > budget:\n            return n",
+        "if spent >= budget:\n            return n",
         ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
          "tests/test_logic.py::test_budget_stop_matches_the_oracle_sum"),
     ),
     Mutant(
         "search-runs-at-the-budget-stop",
         "src/ditkit/logic.py",
-        "for n in range(2, stop):",
-        "for n in range(2, stop + 1):",
+        "            stop = n\n            break\n",
+        "            stop = n\n",
         ("tests/test_logic.py::test_budget_refuses_before_building_tables",
          "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it"),
-    ),
-    Mutant(
-        "budget-sum-walked-to-max-n-before-the-search",
-        "src/ditkit/logic.py",
-        "stop = _budget_stop(k, last, budget, sums)",
-        "stop = _budget_stop(k, max_n, budget, sums)",
-        ("tests/test_logic.py::test_a_witness_below_the_rule_stops_the_budget_sum",),
     ),
     Mutant(
         "budget-sum-restarts-after-the-search",
@@ -259,6 +252,28 @@ MUTANTS = (
         ("tests/test_cli.py::test_main_matches_the_full_parser_on_edge_cases",
          "tests/test_cli.py::test_main_matches_the_full_parser_on_random_and_benchmark_argvs",
          "tests/test_cli.py::test_entropy_table_has_bell_rows"),
+    ),
+    Mutant(
+        "join-masses-keyed-by-the-pi-label",
+        "src/ditkit/entropy.py",
+        "m_join[a * n + b] += x",
+        "m_join[a] += x",
+        ("tests/test_entropy.py::test_integer_kernel_matches_block_oracles",),
+    ),
+    Mutant(
+        "theorem-join-skips-the-sigma-gate",
+        "src/ditkit/density.py",
+        "probs, sigma)\n    joined = ",
+        "probs, pi)\n    joined = ",
+        ("tests/test_public_api.py::test_a_value_of_the_wrong_type_raises_invalid_value",
+         "tests/test_public_api.py::test_the_gate_checks_the_value_then_the_partition_then_the_ground"),
+    ),
+    Mutant(
+        "luders-mixture-keeps-a-common-factor",
+        "src/ditkit/density.py",
+        "    return _lowest(mat.ground, num, mat._den)\n",
+        "    return DensityMatrix._grid(mat.ground, tuple(num), mat._den)\n",
+        ("tests/test_density.py::test_masking_and_conditioning_reduce_a_common_factor",),
     ),
 )
 

@@ -30,7 +30,10 @@ The density and entropy oracles compute entry by entry and block by block
 in `Fraction` arithmetic on the radicands of `SqrtRational` entries, with
 their own rational square root, and the compound entropies from the
 blocks of a set join, where the library works on an integer grid and
-sums block weights from restricted growth strings.  A density matrix's
+sums block weights from restricted growth strings.  The integer
+compound entropies take one pass over a restricted growth string per
+partition, the join's built by `_join_rgs`, where the library sums the
+masses of pi, sigma and their join in one pass.  A density matrix's
 JSON is read through its checked `SqrtRational` entries, where the
 library prints each numerator over the grid's one denominator.  Shannon
 entropy takes float(Pr(B)) * log2(1/Pr(B)) on `Fraction` block
@@ -103,6 +106,7 @@ from ditkit.partitions import (
     Partition,
     ProbGroundSet,
     _iter_rgs,
+    _join_rgs,
     _require_same_ground,
     discrete_partition,
 )
@@ -696,6 +700,37 @@ def compound_logical(pi, sigma, probs) -> tuple[Fraction, ...]:
     h_sigma = block_entropy(sigma.blocks, probs)
     h_join = block_entropy(set_join(pi.blocks, sigma.blocks), probs)
     return (h_join, h_join - h_sigma, h_join - h_pi, h_pi + h_sigma - h_join)
+
+
+def square_mass(rgs: tuple[int, ...], weights: tuple[int, ...]) -> int:
+    """Sum of W_B**2 over the blocks of the partition with RGS `rgs`, one
+    mass per label up to the largest."""
+    mass = [0] * (max(rgs) + 1)
+    for b, w in zip(rgs, weights):
+        mass[b] += w
+    return sum(m * m for m in mass)
+
+
+def grid_logical_entropy(pi, probs) -> Fraction:
+    """(D**2 - sum of W_B**2) / D**2 on the grid of `probs`."""
+    square = probs.denominator**2
+    return Fraction(square - square_mass(pi.rgs, probs.weights), square)
+
+
+def grid_compound_logical(pi, sigma, probs) -> tuple[Fraction, ...]:
+    """(joint, h(pi | sigma), h(sigma | pi), mutual) as integer
+    differences over D**2 of the squared masses of pi, sigma and their
+    join, one pass each."""
+    w, square = probs.weights, probs.denominator**2
+    s_pi = square_mass(pi.rgs, w)
+    s_sigma = square_mass(sigma.rgs, w)
+    s_join = square_mass(_join_rgs(pi.rgs, sigma.rgs), w)
+    return (
+        Fraction(square - s_join, square),
+        Fraction(s_sigma - s_join, square),
+        Fraction(s_pi - s_join, square),
+        Fraction(square - s_pi - s_sigma + s_join, square),
+    )
 
 
 def shannon_entropy(blocks: Blocks, probs) -> float:

@@ -362,6 +362,32 @@ def test_luders_mixture_idempotent():
     assert luders_mixture(once, SIGMA) == once
 
 
+def test_masking_and_conditioning_reduce_a_common_factor():
+    # radicands 1/4 on the diagonal and 1/16 off it sit on the grid
+    # (4, 1, 1, 4) / 16; zeroing the coherence leaves (4, 0, 0, 4) / 16,
+    # whose factor 4 the trusted path must divide out, and conditioning
+    # on {a} leaves (64, 0, 0, 0) / 64
+    ab = GroundSet(("a", "b"))
+    diag, coherence = SqrtRational(Fraction(1, 4)), SqrtRational(Fraction(1, 16))
+    want = ((diag, coherence), (coherence, diag))
+    mat = DensityMatrix(ab, want)
+    assert (mat._num, mat._den) == ((4, 1, 1, 4), 16)
+    flat = luders_mixture(mat, discrete_partition(ab))
+    want_flat = masked_entries(want, discrete_partition(ab))
+    assert flat == DensityMatrix(ab, want_flat)
+    assert (flat._num, flat._den) == ((1, 0, 0, 1), 4)
+    assert hash(flat) == hash(DensityMatrix(ab, want_flat))
+    assert flat.to_json() == density_json(flat)
+    assert luders_mixture(mat, indiscrete_partition(ab)) == mat
+    post, prob = luders_rule(mat, ProjectionMask(ab, [0]))
+    want_post, want_prob = conditioned_entries(want, [0])
+    assert prob == want_prob == Fraction(1, 2)
+    assert post == DensityMatrix(ab, want_post)
+    assert (post._num, post._den) == ((1, 0, 0, 0), 1)
+    for blk, prob, state in luders_outcomes(mat, discrete_partition(ab)):
+        assert state == DensityMatrix(ab, conditioned_entries(want, blk)[0])
+
+
 def test_theorem_join_golden_and_exhaustive():
     assert theorem_join(PI, SIGMA, GOLDEN_P)
     assert join(PI, SIGMA) == discrete_partition(ABC)

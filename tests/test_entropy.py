@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditkit.density import DensityMatrix, rho
 from ditkit.entropy import (
     block_probs,
     compound_logical,
@@ -168,12 +169,24 @@ def triples(draw):
 @settings(max_examples=200, deadline=None)
 @given(triples())
 def test_integer_kernel_matches_block_oracles(triple):
+    """Against the block-by-block `Fraction` oracles and the integer ones
+    that take a pass per partition; and rho's grid, taken as it is built,
+    against the checking constructor's grid of the entry-by-entry oracle."""
     pi, sigma, probs = triple
     h = logical_entropy(pi, probs)
     assert type(h) is Fraction and h == oracles.block_entropy(pi.blocks, probs)
     comp = compound_logical(pi, sigma, probs)
     assert all(type(x) is Fraction for x in comp)
     assert comp == oracles.compound_logical(pi, sigma, probs)
+    assert comp == oracles.grid_compound_logical(pi, sigma, probs)
+    for partition in (pi, sigma):
+        assert logical_entropy(partition, probs) == oracles.grid_logical_entropy(
+            partition, probs
+        )
+        mat = rho(partition, probs)
+        want = DensityMatrix(probs.ground, oracles.rho_entries(partition, probs))
+        assert mat == want and hash(mat) == hash(want)
+        assert mat.to_json() == want.to_json()
 
 
 def test_shannon_golden_values():

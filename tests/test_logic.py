@@ -442,8 +442,9 @@ def test_budget_runs_out_where_the_oracle_sum_first_exceeds_it(text):
 
 
 def test_a_witness_below_the_rule_stops_the_budget_sum(monkeypatch):
-    # the sum runs to n = 3 before the search, and on to the budget stop,
-    # n = 1456 for 10**3000 and one variable, only when no witness came
+    # each n is charged just before it is searched, so the sum stops at the
+    # witness, and runs on to the budget stop, n = 1456 for 10**3000 and
+    # one variable, only when no witness came
     calls, accumulate = [], logic.accumulate
 
     def counting(*args, **kwargs):
@@ -458,12 +459,16 @@ def test_a_witness_below_the_rule_stops_the_budget_sum(monkeypatch):
         "bound": 2,
         "witness": {"n": 2, "assignment": {"p": "a|b"}, "value": "ab"},
     }
-    assert len(calls) == 2  # one row per n = 2, 3
+    assert len(calls) == 1  # one row for n = 2
+    # two mixed variables: no rule bounds n, and the witness is at n = 4
+    report = check_validity(parse(r"(p => q) \/ (q => p)"), 10**6, budget=budget)
+    assert report.status == "counterexample" and report.bound == 4
+    assert len(calls) == 1 + 3  # one row per n = 2, 3, 4
     with pytest.raises(BudgetExceeded) as exc:
         check_validity(parse("p => p"), 10**6, budget=budget)
     assert str(exc.value) == f"assignment budget {budget} exhausted before n=1456"
     assert exc.value.bound_reached == 1455
-    assert len(calls) == 2 + 1455  # one row per n = 2..1456
+    assert len(calls) == 1 + 3 + 1455  # one row per n = 2..1456
 
 
 def test_a_formula_with_no_variable_is_charged_without_a_walk():

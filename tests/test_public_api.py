@@ -306,6 +306,9 @@ _TYPED_CALLS = {
     "compound_shannon": (ditkit.compound_shannon, (_PI, _PI, _P), (0, 1)),
     "rho": (rho, (_PI, _P), (0,)),
     "theorem_join": (ditkit.theorem_join, (_PI, _PI, _P), (0, 1)),
+    "theorem_entropy_increase":
+        (ditkit.theorem_entropy_increase, (_PI, _PI, _P), (0, 1)),
+    "consistency_h": (ditkit.consistency_h, (_PI, _P), (0,)),
     "luders_mixture": (luders_mixture, (_MAT, _PI), (0, 1)),
     "luders_rule": (
         ditkit.luders_rule, (_MAT, ditkit.ProjectionMask(_AB, [0])), (0, 1)
@@ -379,6 +382,16 @@ _GATED_ON = {
     "shannon_entropy": (lambda probs, pi: ditkit.shannon_entropy(pi, probs), _P),
     "compound_logical":
         (lambda probs, pi: ditkit.compound_logical(_PI, pi, probs), _P),
+    # the theorem checks gate (probs, pi), then (probs, sigma)
+    "theorem_join pi":
+        (lambda probs, pi: ditkit.theorem_join(pi, _PI, probs), _P),
+    "theorem_join sigma":
+        (lambda probs, sigma: ditkit.theorem_join(_PI, sigma, probs), _P),
+    "theorem_entropy_increase pi":
+        (lambda probs, pi: ditkit.theorem_entropy_increase(pi, _PI, probs), _P),
+    "theorem_entropy_increase sigma":
+        (lambda probs, sigma: ditkit.theorem_entropy_increase(_PI, sigma, probs), _P),
+    "consistency_h": (lambda probs, pi: ditkit.consistency_h(pi, probs), _P),
 }
 
 
