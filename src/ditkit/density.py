@@ -235,11 +235,9 @@ class DensityMatrix:
 
 def _lowest(ground: GroundSet, num: list[int], den: int) -> DensityMatrix:
     """`_grid` of radicands `num` over `den` once they are divided by
-    their common factor.  Every common factor divides the diagonal, so a
-    grid whose diagonal is prime to `den` is taken as it is."""
-    common = math.gcd(den, *num[:: ground.n + 1])
+    their common factor."""
+    common = math.gcd(den, *num)
     if common > 1:
-        common = math.gcd(common, *num)
         den //= common
         num = [x // common for x in num]
     return DensityMatrix._grid(ground, tuple(num), den)

@@ -79,18 +79,21 @@ def compound_logical(
     squared-mass sum of a partition, each entropy is (D^2 - S) / D^2, so
     all four are integer differences over D^2.  One pass sums the block
     masses of pi, of sigma and of their join, whose blocks are the
-    classes of equal label pairs (a, b), kept at a * n + b."""
+    classes of equal label pairs (a, b), keyed by a * n + b in a dict
+    that holds only the pairs that occur, at most n."""
     _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, sigma)
     n = len(pi.rgs)
-    m_pi, m_sigma, m_join = [0] * n, [0] * n, [0] * (n * n)
+    m_pi, m_sigma, m_join = [0] * n, [0] * n, {}
     for a, b, x in zip(pi.rgs, sigma.rgs, probs.weights):
         m_pi[a] += x
         m_sigma[b] += x
-        m_join[a * n + b] += x
+        key = a * n + b
+        m_join[key] = m_join.get(key, 0) + x
     s_pi = sum(map(mul, m_pi, m_pi))
     s_sigma = sum(map(mul, m_sigma, m_sigma))
-    s_join = sum(map(mul, m_join, m_join))
+    masses = m_join.values()
+    s_join = sum(map(mul, masses, masses))
     square = probs.denominator**2
     return CompoundLogical(
         joint=Fraction(square - s_join, square),

@@ -137,6 +137,13 @@ MUTANTS = (
          "tests/test_logic.py::test_budget_stop_matches_the_oracle_sum"),
     ),
     Mutant(
+        "search-charge-stops-at-an-equal-sum",
+        "src/ditkit/logic.py",
+        "if spent > budget:\n            stop = n",
+        "if spent >= budget:\n            stop = n",
+        ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",),
+    ),
+    Mutant(
         "search-runs-at-the-budget-stop",
         "src/ditkit/logic.py",
         "            stop = n\n            break\n",
@@ -256,8 +263,8 @@ MUTANTS = (
     Mutant(
         "join-masses-keyed-by-the-pi-label",
         "src/ditkit/entropy.py",
-        "m_join[a * n + b] += x",
-        "m_join[a] += x",
+        "key = a * n + b\n",
+        "key = a\n",
         ("tests/test_entropy.py::test_integer_kernel_matches_block_oracles",),
     ),
     Mutant(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,27 @@ def test_integer_kernel_matches_block_oracles(triple):
         want = DensityMatrix(probs.ground, oracles.rho_entries(partition, probs))
         assert mat == want and hash(mat) == hash(want)
         assert mat.to_json() == want.to_json()
+
+
+def test_compound_logical_stays_linear_in_the_ground_size():
+    # n = 3000 with both partitions discrete gives n join blocks; a mass
+    # slot for every label pair would be 9e6 entries, about 72 MB
+    n = 3000
+    g = GroundSet(tuple(f"x{i}" for i in range(n)))
+    total = n * (n + 1) // 2
+    probs = ProbGroundSet(g, tuple(Fraction(i + 1, total) for i in range(n)))
+    discrete = discrete_partition(g)
+    halves = Partition(g, [range(0, n, 2), range(1, n, 2)])
+    pairs = [(discrete, discrete), (discrete, halves), (halves, discrete)]
+    tracemalloc.start()
+    try:
+        got = [compound_logical(pi, sigma, probs) for pi, sigma in pairs]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    for comp, (pi, sigma) in zip(got, pairs):
+        assert comp == oracles.grid_compound_logical(pi, sigma, probs)
 
 
 def test_shannon_golden_values():
