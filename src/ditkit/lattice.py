@@ -109,6 +109,11 @@ def hasse_json(ground: GroundSet) -> dict:
     }
 
 
+def _quoted(text: str) -> str:
+    """`text` as a DOT quoted string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cluster_lines(
     ground: GroundSet,
     highlight: set[tuple[tuple[int, ...], ...]],
@@ -119,11 +124,11 @@ def _cluster_lines(
     nodes whose blocks are in `highlight` are filled."""
     nodes, covers, template = _hasse(_checked(ground))
     name = _names(ground, template)
-    ident = [f'"{prefix}{text}"' for text in name]
+    ident = [_quoted(prefix + text) for text in name]
     lines = []
     for r, blocks in enumerate(nodes):
         style = ' style=filled fillcolor="gold"' if blocks in highlight else ""
-        lines.append(f'{ident[r]} [label="{name[r]}"{style}];')
+        lines.append(f"{ident[r]} [label={_quoted(name[r])}{style}];")
     for count in range(1, ground.n + 1):
         rank = [ident[r] for r, blocks in enumerate(nodes) if len(blocks) == count]
         if len(rank) > 1:
@@ -135,7 +140,8 @@ def _cluster_lines(
 
 def hasse_dot(ground: GroundSet, highlight=()) -> str:
     """Hasse diagram as a DOT digraph, bottom partition at the bottom.
-    The partitions of `highlight` that live on `ground` are filled."""
+    The partitions of `highlight` that live on `ground` are filled.  Node
+    ids and labels are DOT quoted strings, so any label text is kept."""
     _checked(ground)
     highlight = _as_tuple(highlight, "highlight must be an iterable of Partitions")
     for pi in highlight:
@@ -178,8 +184,9 @@ def double_slit_dot() -> str:
             "    " + line for line in _cluster_lines(g, {pi.blocks}, prefix=prefix)
         )
         lines.append("  }")
+    tail, head = _quoted(f"U:{notation(before)}"), _quoted(f"U1:{notation(after)}")
     lines.append(
-        f'  "U:{notation(before)}" -> "U1:{notation(after)}"'
+        f"  {tail} -> {head}"
         f' [style=dashed constraint=false'
         f' label="evolve: {start} -> {evolved_subset}"];'
     )

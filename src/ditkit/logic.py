@@ -396,12 +396,11 @@ class _Ranked:
     each partition's orbit minima are kept."""
 
     def __init__(self, n: int):
-        self.n, self.ground = n, _ground_for(n)
+        self.ground = _ground_for(n)
         self._rgs = list(_iter_rgs(n))
         self.size = len(self._rgs)
         self.bottom, self.top = 0, self.size - 1
         self._rank = {code: r for r, code in enumerate(self._rgs)}
-        self.element = self._rank.__getitem__  # the rank of an RGS
         self._tables: dict = {}
         self._minima: dict[int, array] = {}
 
@@ -411,7 +410,8 @@ class _Ranked:
     def minima(self, c: int) -> array:
         """The ranks of `_minima` of partition c, kept per c."""
         if c not in self._minima:
-            self._minima[c] = array("h", map(self.element, _minima(self._rgs[c])))
+            ranks = map(self._rank.__getitem__, _minima(self._rgs[c]))
+            self._minima[c] = array("h", ranks)
         return self._minima[c]
 
 
@@ -422,7 +422,6 @@ class _Unranked:
     and nothing is kept between passes."""
 
     def __init__(self, n: int):
-        self.n = n
         self.ground = _ground_for(n)
         self.bottom, self.top = (0,) * n, tuple(range(n))
 
@@ -635,28 +634,12 @@ def _search(program, polarity, lattice):
 
 
 def _charges(k: int):
-    """The sums Bell(2) ** k + ... + Bell(n) ** k for n = 2, 3, ....
-    With no variable each n costs 1, and no row is built."""
+    """The sums Bell(2) ** k + ... + Bell(n) ** k for n = 2, 3, ...."""
     spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
     while True:
-        if k:
-            row = list(accumulate(row, initial=row[-1]))
+        row = list(accumulate(row, initial=row[-1]))
         spent += row[-1] ** k
         yield spent
-
-
-def _budget_stop(k: int, max_n: int, budget: int, sums=None, first=2) -> int:
-    """The least n >= 2 at which Bell(2) ** k + ... + Bell(n) ** k exceeds
-    `budget`, or max_n + 1 if no n up to max_n does, resuming `sums`, a
-    `_charges(k)` walk that stopped before n = `first`.  With no variable
-    each n costs 1, so the sum at n is n - 1 and the stop is read off
-    without a walk."""
-    if k == 0:
-        return min(max(budget + 2, 2), max_n + 1)
-    for n, spent in zip(range(first, max_n + 1), sums or _charges(k)):
-        if spent > budget:
-            return n
-    return max_n + 1
 
 
 def check_validity(
@@ -686,12 +669,14 @@ def check_validity(
     decides every n (module docstring) and larger n are not searched.
 
     The budget charges Bell(n) ** k assignments for k variables at every
-    n from 2 up, searched or not.  Each n up to `last`, the largest n the
-    rules leave, is charged just before it is searched; only if no
-    witness came is the same sum resumed to max_n (`_budget_stop`), and
-    BudgetExceeded raised at its stop.  So a search cut short at n = 3
-    reports, and runs out of budget, exactly as the full sweep does, and
-    the sum stops at the witness."""
+    n from 2 up, searched or not, in one walk: each n is charged, searched
+    if n <= `last` (the largest n the rules leave) and otherwise only
+    charged, and BudgetExceeded is raised at the first n whose sum exceeds
+    the budget.  So a search cut short at n = 3 reports, and runs out of
+    budget, exactly as the full sweep does, and the sum stops at the
+    witness.  With no variable each n costs 1, so the sum at n is n - 1:
+    the walk ends at `last`, and if the budget lasts that far its stop is
+    read off there as budget + 2."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
@@ -699,13 +684,13 @@ def check_validity(
         raise InvalidValue("max_n must be at least 2")
     names, polarity, program = _compile(f)
     k = len(names)
-    sums = _charges(k)
     # with at most one mixed variable, n = 3 decides every larger n
     last = max_n if polarity.count(0) > 1 else min(max_n, 3)
-    for n, spent in zip(range(2, last + 1), sums):
+    for n, spent in zip(range(2, (max_n if k else last) + 1), _charges(k)):
         if spent > budget:
-            stop = n
             break
+        if n > last:
+            continue
         lattice = _lattice(n)
         hit = _search(program, polarity, lattice)
         if hit is not None:
@@ -717,11 +702,11 @@ def check_validity(
             )
             return ValidityReport._trusted("counterexample", n, witness)
     else:
-        stop = _budget_stop(k, max_n, budget, sums, last + 1)
-    if stop <= max_n:
+        n = max_n + 1 if k else budget + 2
+    if n <= max_n:
         raise BudgetExceeded(
-            f"assignment budget {budget} exhausted before n={stop}",
-            bound_reached=stop - 1,
+            f"assignment budget {budget} exhausted before n={n}",
+            bound_reached=n - 1,
         )
     return ValidityReport._trusted("valid-up-to-bound", max_n)
 

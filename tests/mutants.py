@@ -82,6 +82,14 @@ MUTANTS = (
          "tests/test_cli.py::test_large_outputs_are_byte_exact"),
     ),
     Mutant(
+        "dot-labels-unescaped",
+        "src/ditkit/lattice.py",
+        r"""text.replace("\\", "\\\\").replace('"', '\\"')""",
+        "text",
+        ("tests/test_lattice.py::test_dot_quotes_every_label",
+         "tests/test_lattice.py::test_label_template_matches_the_oracle_on_odd_labels"),
+    ),
+    Mutant(
         "golden-measure-keeps-uniform-p",
         "src/ditkit/cli.py",
         "args.ground, args.p = GOLDEN_GROUND, GOLDEN_P",
@@ -122,41 +130,34 @@ MUTANTS = (
     Mutant(
         "no-variable-budget-jump-off-by-one",
         "src/ditkit/logic.py",
-        "min(max(budget + 2, 2), max_n + 1)",
-        "min(max(budget + 3, 2), max_n + 1)",
+        "else budget + 2",
+        "else budget + 3",
         ("tests/test_logic.py::test_a_formula_with_no_variable_is_charged_without_a_walk",
          "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
-         "tests/test_logic.py::test_budget_stop_matches_the_oracle_sum"),
+         "tests/test_logic.py::test_valid_formulas_run_out_of_budget_where_the_oracle_sum_does"),
     ),
     Mutant(
-        "budget-stop-at-an-equal-sum",
+        "budget-stops-at-an-equal-sum",
         "src/ditkit/logic.py",
-        "if spent > budget:\n            return n",
-        "if spent >= budget:\n            return n",
+        "if spent > budget:",
+        "if spent >= budget:",
         ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
-         "tests/test_logic.py::test_budget_stop_matches_the_oracle_sum"),
-    ),
-    Mutant(
-        "search-charge-stops-at-an-equal-sum",
-        "src/ditkit/logic.py",
-        "if spent > budget:\n            stop = n",
-        "if spent >= budget:\n            stop = n",
-        ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",),
+         "tests/test_logic.py::test_valid_formulas_run_out_of_budget_where_the_oracle_sum_does"),
     ),
     Mutant(
         "search-runs-at-the-budget-stop",
         "src/ditkit/logic.py",
-        "            stop = n\n            break\n",
-        "            stop = n\n",
+        "if spent > budget:\n            break\n",
+        "if spent > budget:\n            pass\n",
         ("tests/test_logic.py::test_budget_refuses_before_building_tables",
          "tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it"),
     ),
     Mutant(
-        "budget-sum-restarts-after-the-search",
+        "charge-walk-stops-at-last",
         "src/ditkit/logic.py",
-        "_budget_stop(k, max_n, budget, sums, last + 1)",
-        "_budget_stop(k, max_n, budget, None, last + 1)",
-        ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
+        "(max_n if k else last)",
+        "(last)",
+        ("tests/test_logic.py::test_valid_formulas_run_out_of_budget_where_the_oracle_sum_does",
          "tests/test_logic.py::test_a_witness_below_the_rule_stops_the_budget_sum"),
     ),
     Mutant(

@@ -71,6 +71,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -221,16 +222,23 @@ def hasse_json(ground) -> dict:
     }
 
 
+def dot_string(text: str) -> str:
+    """`text` as a DOT quoted string, each backslash or double quote
+    preceded by a backslash."""
+    return '"' + re.sub(r'([\\"])', r"\\\1", text) + '"'
+
+
 def cluster_lines(ground, highlight: frozenset, prefix: str) -> list[str]:
     """DOT statements for one lattice, highlighting the nodes that are
     equal to a partition in `highlight`."""
     nodes = [Partition(ground, blocks) for blocks in rgs_order(ground.n)]
     name = {pi.blocks: hasse_name(pi.blocks, ground.labels) for pi in nodes}
-    ident = {blocks: f'"{prefix}{text}"' for blocks, text in name.items()}
+    ident = {blocks: dot_string(prefix + text) for blocks, text in name.items()}
     lines = []
     for pi in nodes:
         style = ' style=filled fillcolor="gold"' if pi in highlight else ""
-        lines.append(f'{ident[pi.blocks]} [label="{name[pi.blocks]}"{style}];')
+        label = dot_string(name[pi.blocks])
+        lines.append(f"{ident[pi.blocks]} [label={label}{style}];")
     for count in range(1, ground.n + 1):
         rank = [ident[pi.blocks] for pi in nodes if pi.num_blocks == count]
         if len(rank) > 1:
@@ -451,7 +459,7 @@ def _on_ranks(n: int, kernel, a: int, b: int) -> int:
     their RGS and kept in a memo of its own, so that the unreduced search
     reads no table of the library."""
     lattice = _lattice(n)
-    return lattice.element(kernel(lattice.partition(a).rgs, lattice.partition(b).rgs))
+    return lattice._rank[kernel(lattice.partition(a).rgs, lattice.partition(b).rgs)]
 
 
 def unreduced_search(program, lattice):
@@ -463,7 +471,7 @@ def unreduced_search(program, lattice):
     values: list = [None] * width
     for slot, is_top in consts:
         values[slot] = lattice.top if is_top else lattice.bottom
-    top, n = lattice.top, lattice.n
+    top, n = lattice.top, lattice.ground.n
     # a ranked lattice names its elements by rank, an unranked one by RGS
     ranked = isinstance(lattice, _Ranked)
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,43 @@ def test_label_template_matches_the_oracle_on_odd_labels(ground):
     with contextlib.redirect_stdout(out):
         code = main(["lattice", "--ground", ",".join(labels), "--format", "json"])
     assert (code, out.getvalue()) == (0, json.dumps(expected) + "\n")
+
+
+# a DOT quoted string, an arrow, a keyword, one punctuation mark or a space
+_DOT_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|->|[A-Za-z]+|[{}\[\];=]| ')
+
+
+def _dot_tokens(line: str) -> list[str]:
+    """The tokens of one DOT line, spaces dropped; fails on a character
+    that starts no token."""
+    tokens, at = [], 0
+    while at < len(line):
+        token = _DOT_TOKEN.match(line, at)
+        assert token, (line, at)
+        tokens.append(token.group())
+        at = token.end()
+    return [t for t in tokens if t != " "]
+
+
+def _unquoted(token: str) -> str:
+    assert token[0] == token[-1] == '"', token
+    return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_odd_grounds())
+def test_dot_quotes_every_label(ground):
+    # labels may hold '"' and '\', which must not end or escape a string
+    nodes, edges = [], []
+    for line in hasse_dot(ground).splitlines():
+        match _dot_tokens(line):
+            case [ident, "[", "label", "=", label, "]", ";"]:
+                assert _unquoted(ident) == _unquoted(label)
+                nodes.append(_unquoted(label))
+            case [lo, "->", up, "[", "dir", "=", "none", "]", ";"]:
+                edges.append([_unquoted(lo), _unquoted(up)])
+    expected = hasse_json(ground)
+    assert (nodes, edges) == (expected["nodes"], expected["edges"])
 
 
 def test_cached_diagrams_are_not_shared_with_callers():

@@ -390,9 +390,9 @@ def test_variable_free_formulas():
     assert report.witness.assignment == {}
 
 
-def test_variable_free_formulas_build_no_bell_row(monkeypatch):
-    # Bell(n) ** 0 is 1, so a formula with no variable charges 1 per n
-    # and builds no row of the Bell triangle
+def test_variable_free_formulas_stop_the_walk_at_three(monkeypatch):
+    # Bell(n) ** 0 is 1, so a formula with no variable charges 1 per n:
+    # the walk ends where the search does, at n = 3, after two Bell rows
     calls, accumulate = [], logic.accumulate
 
     def counting(*args, **kwargs):
@@ -401,13 +401,14 @@ def test_variable_free_formulas_build_no_bell_row(monkeypatch):
 
     monkeypatch.setattr(logic, "accumulate", counting)
     assert check_validity(parse("1 => 1"), 5_000).is_valid_up_to_bound
-    assert calls == []
+    assert len(calls) == 2  # one row per n = 2, 3
     assert check_validity(parse("(p /\\ q) => p"), 6).is_valid_up_to_bound
-    assert len(calls) == 5  # one row per n = 2..6
+    assert len(calls) == 2 + 5  # one row per n = 2..6
     with pytest.raises(BudgetExceeded) as exc:
         check_validity(parse("1 => 1"), 50, budget=10)
     assert str(exc.value) == "assignment budget 10 exhausted before n=12"
     assert exc.value.bound_reached == 11
+    assert len(calls) == 2 + 5 + 2
 
 
 BUDGET_FORMULAS = (
@@ -483,24 +484,29 @@ def test_a_formula_with_no_variable_is_charged_without_a_walk():
     assert exc.value.bound_reached == 1000001
 
 
-def test_budget_stop_matches_the_oracle_sum():
-    # no search runs: only the stop, against the oracle's running sum
-    for k in range(4):
+def test_valid_formulas_run_out_of_budget_where_the_oracle_sum_does():
+    # one valid formula for each k = 0..3, with at most one mixed variable,
+    # so the search ends at n = 3 and only the charge walks on to max_n
+    texts = ("1", "p => p", "(p /\\ q) => p", "(p /\\ q /\\ r) => p")
+    for k, f in enumerate(map(parse, texts)):
         sums = list(itertools.accumulate(oracles.bell(n) ** k for n in range(2, 61)))
         for max_n in range(2, 61):
             budgets = {*range(-2, 51), 10**6, 10**12,
                        *(s + d for s in sums[: max_n - 1] for d in (-1, 0, 1))}
             for budget in budgets:
                 stop = oracles.budget_stop(k, max_n, budget)
-                want = max_n + 1 if stop is None else stop
-                assert logic._budget_stop(k, max_n, budget) == want, (k, max_n, budget)
+                if stop is None:
+                    report = check_validity(f, max_n, budget=budget)
+                    assert report == ValidityReport("valid-up-to-bound", max_n)
+                    continue
+                with pytest.raises(BudgetExceeded) as exc:
+                    check_validity(f, max_n, budget=budget)
+                assert exc.value.bound_reached == stop - 1, (k, max_n, budget)
     # with no variable the sum at n is n - 1, too long a walk for the oracle
     for budget in range(-2, 51):
-        assert logic._budget_stop(0, 10**8, budget) == oracles.budget_stop(
-            0, 10**8, budget
-        )
-    assert logic._budget_stop(0, 10**8, 10**6) == 10**6 + 2
-    assert logic._budget_stop(0, 10**8, 10**12) == 10**8 + 1
+        with pytest.raises(BudgetExceeded) as exc:
+            check_validity(parse("1"), 10**8, budget=budget)
+        assert exc.value.bound_reached == oracles.budget_stop(0, 10**8, budget) - 1
 
 
 # --- table-driven search against the brute-force oracle ---
