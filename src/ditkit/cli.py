@@ -30,6 +30,7 @@ from .partitions import (
     parse_partition,
     partition_to_json,
     refines,
+    _ground_for,
 )
 
 GOLDEN_GROUND = "a,b,c"
@@ -388,7 +389,7 @@ def cmd_lattice(args) -> int:
             raise DitkitError(
                 f"--n must be between 1 and {lattice.LATTICE_BOUND}"
             )
-        ground = logic._ground_for(args.n)
+        ground = _ground_for(args.n)
     elif args.ground is not None:
         ground = _parse_ground(args.ground)
     else:

@@ -104,11 +104,21 @@ def compound_logical(
 
 
 def shannon_entropy(pi: Partition, probs: ProbGroundSet) -> float:
-    """Block entropy in bits, (W/D) * log2(D/W) summed over block weights W."""
+    """Block entropy in bits, (W/D) * log2(D/W) summed over block weights W.
+    When some D/W is too large for a float, every term is taken instead
+    from W/D in lowest terms, num/den, as num/den * (log2(den) - log2(num)):
+    `math.log2` reads ints of any size."""
     _require_on(ProbGroundSet, "probs must be a ProbGroundSet", probs, pi)
     w, d = probs.weights, probs.denominator
-    masses = (sum(map(w.__getitem__, blk)) for blk in pi.blocks)
-    return sum(m / d * math.log2(d / m) for m in masses)
+    masses = [sum(map(w.__getitem__, blk)) for blk in pi.blocks]
+    try:
+        return sum(m / d * math.log2(d / m) for m in masses)
+    except OverflowError:
+        gcds = [math.gcd(m, d) for m in masses]
+        return sum(
+            m / d * (math.log2(d // g) - math.log2(m // g))
+            for m, g in zip(masses, gcds)
+        )
 
 
 class CompoundShannon(NamedTuple):
@@ -141,13 +151,19 @@ def dit_to_bit_check(pi: Partition, probs: ProbGroundSet) -> bool:
     does: sum Pr(B) * (1 - Pr(B)) is the logical entropy, exactly, and
     the transformed float sum adds the terms of `shannon_entropy` in its
     order: float(Pr(B)) and log2(1/Pr(B)) round W/D and D/W correctly,
-    as its int divisions do.  The check is a worked statement of the
+    as its int divisions do.  When 1/Pr(B) is too large for a float, both
+    take log2 of the numerator and denominator of Pr(B), which `Fraction`
+    keeps in lowest terms.  The check is a worked statement of the
     transform, not a test that can fail."""
     terms = [(pr, 1 - pr) for _, pr in block_probs(pi, probs)]
     if sum((pr * dit_factor for pr, dit_factor in terms), Fraction(0)) \
             != logical_entropy(pi, probs):
         return False
-    transformed = sum(
-        float(pr) * math.log2(1 / pr) for pr, _ in terms
-    )
+    try:
+        transformed = sum(float(pr) * math.log2(1 / pr) for pr, _ in terms)
+    except OverflowError:
+        transformed = sum(
+            float(pr) * (math.log2(pr.denominator) - math.log2(pr.numerator))
+            for pr, _ in terms
+        )
     return transformed == shannon_entropy(pi, probs)

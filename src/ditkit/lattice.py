@@ -3,8 +3,8 @@ export, and the two-lattice picture for the double-slit evolution.
 
 In the distinction order a partition covers another exactly when it
 splits one block in two, so covers are generated by merging each pair of
-blocks of each partition, which maps its restricted growth string
-straight to the canonical one of the partition below.
+canonical blocks of each partition: the merged block takes the place of
+the earlier one, which gives the canonical blocks of the partition below.
 
 The diagram of Pi(n) depends on n alone, so it is built once per n
 (`_hasse`, at most `LATTICE_BOUND` entries): block tuples, rank pairs,
@@ -30,7 +30,7 @@ from .partitions import (
     _as_tuple,
     _canon,
     _from_rgs,
-    _iter_rgs,
+    _ground_for,
     _require,
 )
 from .z2dyn import SubsetVector, double_slit_setup, evolve
@@ -66,28 +66,20 @@ def _hasse(n: int):
     """The Hasse diagram of Pi(n): each node's blocks in enumeration
     order, the covering relation as sorted (lower rank, upper rank)
     pairs, and the label template of the nodes' names (see `_names`)."""
-    rgss = tuple(_iter_rgs(n))
-    rank = {rgs: r for r, rgs in enumerate(rgss)}
-    nodes = []
-    pairs = []
-    for up, rgs in enumerate(rgss):
-        m = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(m)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(i)
-        nodes.append(tuple(map(tuple, blocks)))
-        for k in range(1, m):
-            # merging block k into block j < k: label k becomes j and every
-            # label above k drops by one, which keeps the RGS canonical
-            relabel = [*range(k), 0, *range(k, m - 1)]
-            for j in range(k):
-                relabel[k] = j
-                pairs.append((rank[tuple(map(relabel.__getitem__, rgs))], up))
-    pairs.sort()
+    nodes = tuple(pi.blocks for pi in enumerate_partitions(_ground_for(n)))
+    rank = {blocks: r for r, blocks in enumerate(nodes)}
+    # merging block k into block j < k: the merged block starts where block
+    # j did, so in block j's place it leaves the blocks canonical
+    pairs = sorted(
+        (rank[(*b[:j], tuple(sorted(b[j] + b[k])), *b[j + 1:k], *b[k + 1:])], up)
+        for up, b in enumerate(nodes)
+        for k in range(1, len(b))
+        for j in range(k)
+    )
     template = "||".join(
         "|".join(",".join(map(chr, blk)) for blk in blocks) for blocks in nodes
     )
-    return tuple(nodes), tuple(pairs), template
+    return nodes, tuple(pairs), template
 
 
 def _names(ground: GroundSet, template: str) -> list[str]:

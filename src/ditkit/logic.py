@@ -29,7 +29,6 @@ other walks recurse, so a node more than `MAX_DEPTH` deep is refused.
 from __future__ import annotations
 
 import re
-import string
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from .partitions import (
     Partition,
     notation,
     _from_rgs,
+    _ground_for,
     _implies_rgs,
     _is_int,
     _iter_rgs,
@@ -142,24 +142,19 @@ _TOKEN_RE = re.compile(
     r"|(?P<meet>/\\|∧)"
     r"|(?P<implies>=>|⇒)"
     r"|(?P<lparen>\()"
-    r"|(?P<rparen>\)))"
+    r"|(?P<rparen>\))"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        at = m.start(kind)
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
+        tokens.append((kind, m.group(kind), at))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -383,10 +378,6 @@ DEFAULT_BUDGET = 1_000_000
 # Ground sizes whose lattice and tables are kept between calls.  At n = 7,
 # B = 877 and each operation table holds B**2 int16 entries, about 1.5 MB.
 TABLE_MAX_N = 7
-
-
-def _ground_for(n: int) -> GroundSet:
-    return GroundSet(tuple(string.ascii_lowercase[:n]))
 
 
 class _Ranked:

@@ -22,6 +22,7 @@ set: the value's type, then the partition's, then the shared ground set.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -515,6 +516,11 @@ def _iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
         for k in range(i + 1, n):
             rgs[k] = 0
             maxes[k] = maxes[i]
+
+
+def _ground_for(n: int) -> GroundSet:
+    """The stock ground a, b, c, ... of size n."""
+    return GroundSet(tuple(string.ascii_lowercase[:n]))
 
 
 def enumerate_partitions(

@@ -214,7 +214,10 @@ def evolve(s: SubsetVector, m: GF2Map) -> SubsetVector:
 
 @dataclass(frozen=True)
 class StateMixture:
-    """Finitely supported exact distribution over subset vectors."""
+    """Finitely supported exact distribution over subset vectors.  Its
+    components are distinct as subsets: a `ProjectionMask` and a
+    `SubsetVector` with the same members are one component, and
+    `probability` matches by members, whichever class it is given."""
 
     ground: GroundSet
     terms: tuple[tuple[SubsetVector, Fraction], ...]
@@ -232,7 +235,7 @@ class StateMixture:
         vecs = [v for v, _ in self.terms]
         for v in vecs:
             _require(SubsetVector, f"mixture component {v!r} is not a SubsetVector", v)
-        if len(set(vecs)) != len(vecs):
+        if len({v.mask for v in vecs}) != len(vecs):
             raise InvalidValue("mixture components must be distinct")
         _require_exact((q for _, q in self.terms), "mixture probabilities")
         if any(q <= 0 for _, q in self.terms):
@@ -263,7 +266,7 @@ class StateMixture:
         _require(SubsetVector, "expected a SubsetVector", s)
         _require_same_ground(s, self)
         for vec, q in self.terms:
-            if vec == s:
+            if vec.mask == s.mask:
                 return q
         return Fraction(0)
 

@@ -58,7 +58,7 @@ MUTANTS = (
     Mutant(
         "lattice-letters-drift",
         "src/ditkit/cli.py",
-        "logic._ground_for(args.n)",
+        "_ground_for(args.n)",
         '_parse_ground("bcdefg"[: args.n])',
         ("tests/test_cli.py::test_lattice_n_names_the_ground_a_b_and_on",
          "tests/test_cli.py::test_lattice_dot_default"),
@@ -88,6 +88,20 @@ MUTANTS = (
         "text",
         ("tests/test_lattice.py::test_dot_quotes_every_label",
          "tests/test_lattice.py::test_label_template_matches_the_oracle_on_odd_labels"),
+    ),
+    Mutant(
+        "hasse-skips-the-adjacent-merge",
+        "src/ditkit/lattice.py",
+        "for j in range(k)",
+        "for j in range(k - 1)",
+        ("tests/test_lattice.py::test_covering_counts",),
+    ),
+    Mutant(
+        "tokenizer-bad-matches-whitespace",
+        "src/ditkit/logic.py",
+        r'r"|(?P<bad>\S))"',
+        r'r"|(?P<bad>.))"',
+        ("tests/test_logic.py::test_tokenize_matches_the_position_loop",),
     ),
     Mutant(
         "golden-measure-keeps-uniform-p",
@@ -260,6 +274,20 @@ MUTANTS = (
         ("tests/test_cli.py::test_main_matches_the_full_parser_on_edge_cases",
          "tests/test_cli.py::test_main_matches_the_full_parser_on_random_and_benchmark_argvs",
          "tests/test_cli.py::test_entropy_table_has_bell_rows"),
+    ),
+    Mutant(
+        "shannon-fallback-unreduced",
+        "src/ditkit/entropy.py",
+        "gcds = [math.gcd(m, d) for m in masses]",
+        "gcds = [1] * len(masses)",
+        ("tests/test_entropy.py::test_shannon_reduces_a_block_probability_past_the_float_range",),
+    ),
+    Mutant(
+        "mixture-distinct-by-class",
+        "src/ditkit/z2dyn.py",
+        "len({v.mask for v in vecs})",
+        "len(set(vecs))",
+        ("tests/test_z2dyn.py::test_mixture_components_are_distinct_by_members",),
     ),
     Mutant(
         "join-masses-keyed-by-the-pi-label",

@@ -16,7 +16,10 @@ permutation that keeps each block of the earlier variables' join, where
 the library compares block-intersection counts; the shape representatives
 are found by scanning every RGS, where the library generates them.  The
 formula parser descends recursively, one method per precedence level,
-where the library runs one loop on an operand and an operator stack.  The
+where the library runs one loop on an operand and an operator stack; its
+tokens come from anchored matches retried position by position, with
+`lstrip` finding an unexpected character, where the library takes every
+match of one pattern whose last alternative is that character.  The
 assignment budget is a running sum of Bell numbers from their binomial
 recurrence, where the library walks the Bell triangle and charges a
 formula with no variable for every n at once.  The
@@ -100,7 +103,6 @@ from ditkit.logic import (
     Var,
     _lattice,
     _Ranked,
-    _tokenize,
 )
 from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import (
@@ -254,12 +256,44 @@ def hasse_dot(ground, highlight=()) -> str:
     return f'digraph "partition lattice" {{\n  rankdir=BT;\n{inner}\n}}\n'
 
 
+_TOKEN = re.compile(
+    r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
+    r"|(?P<top>1)"
+    r"|(?P<bottom>0)"
+    r"|(?P<join>\\/|∨)"
+    r"|(?P<meet>/\\|∧)"
+    r"|(?P<implies>=>|⇒)"
+    r"|(?P<lparen>\()"
+    r"|(?P<rparen>\)))"
+)
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("eof", "", len(text)), or
+    FormulaSyntaxError at the first character no token starts with."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
 class DescentParser:
-    """Recursive descent over `logic._tokenize`, one method per precedence
+    """Recursive descent over `tokenize`, one method per precedence
     level: meet > join > implies, implies right-associative."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.at = 0
 
     def peek(self) -> tuple[str, str, int]:

@@ -123,6 +123,15 @@ def test_entropy_golden(capsys):
     assert "shannon entropy H = 0.918295834054 bits" in out
 
 
+def test_entropy_of_a_probability_below_the_float_range(capsys):
+    d = 10**400
+    code, out, _ = run(
+        capsys, "entropy", "--ground", "ab", "--p", f"1/{d},{d - 1}/{d}", "a|b"
+    )
+    assert code == 0
+    assert "shannon entropy H = 0 bits" in out
+
+
 def test_entropy_compound(capsys):
     code, out, _ = run(
         capsys,

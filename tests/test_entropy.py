@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import tracemalloc
@@ -256,3 +257,41 @@ def test_dit_to_bit_transform():
         probs = ProbGroundSet(g, tuple(random_probs(n, rng)))
         for pi in enumerate_partitions(g):
             assert dit_to_bit_check(pi, probs)
+
+
+# denominators D for which some D/W is too large for a float
+_HUGE = (10**400, 3 * 10**400, 7 * 2**1030, 2**1024, 3 * 2**1023)
+
+
+def test_shannon_is_total_on_block_probabilities_below_the_float_range():
+    d = 10**400
+    probs = ProbGroundSet(ground(2), (Fraction(1, d), 1 - Fraction(1, d)))
+    pi = discrete_partition(probs.ground)
+    # 1/D * log2(D) underflows to 0, and log2(D) - log2(D - 1) rounds to 0
+    assert shannon_entropy(pi, probs) == 0.0
+    assert compound_shannon(pi, pi, probs) == (0.0, 0.0, 0.0, 0.0)
+    assert dit_to_bit_check(pi, probs)
+    for d in _HUGE:
+        for n in (2, 3):
+            points = [Fraction(w, d) for w in (1, 5)[: n - 1]]
+            probs = ProbGroundSet(ground(n), (*points, 1 - sum(points)))
+            for pi in enumerate_partitions(probs.ground):
+                assert dit_to_bit_check(pi, probs), (d, pi)
+
+
+def test_shannon_reduces_a_block_probability_past_the_float_range():
+    # D/1 is too large for a float; Pr(b) = 6/D is 2**-1022 in lowest terms
+    d = 3 * 2**1023
+    p = (Fraction(1, d), Fraction(6, d), 1 - Fraction(7, d))
+    probs = ProbGroundSet(ground(3), p)
+    pi = discrete_partition(probs.ground)
+    assert dit_to_bit_check(pi, probs)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        bits = decimal.Decimal(2).ln()
+        exact = sum(
+            decimal.Decimal(q.numerator) / q.denominator
+            * (decimal.Decimal(q.denominator).ln() - decimal.Decimal(q.numerator).ln())
+            / bits
+            for q in p
+        )
+    assert math.isclose(shannon_entropy(pi, probs), exact, rel_tol=1e-12)

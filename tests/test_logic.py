@@ -1001,6 +1001,31 @@ def test_parse_matches_recursive_descent_on_random_token_strings():
     assert trees > 500
 
 
+def _tokens(tokenize, text):
+    """The token list, or the syntax error's message and position."""
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+# partial operators and whitespace that `\s` and `str.lstrip` both read,
+# trailing whitespace included
+_TOKEN_TEXT = st.text(
+    alphabet=list("pqx1_0\\/=>∨∧⇒() \t\n\x1c\xa0$"), max_size=12
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_TOKEN_TEXT)
+@example(text="\xa0 ")
+@example(text="p \t")
+@example(text=" \x1c$")
+@example(text="=/\\\n=")
+def test_tokenize_matches_the_position_loop(text):
+    assert _tokens(logic._tokenize, text) == _tokens(oracles.tokenize, text)
+
+
 _SPELLED = {Join: "\\/", Meet: "/\\", Implies: "=>"}
 
 

@@ -228,6 +228,16 @@ def test_mixture_validation():
         )
 
 
+def test_mixture_components_are_distinct_by_members():
+    # a ProjectionMask never equals the SubsetVector with its members
+    with pytest.raises(InvalidValue, match="^mixture components must be distinct$"):
+        StateMixture(U3, ((vec("a"), F(1, 2)), (ProjectionMask(U3, [0]), F(1, 2))))
+    m = StateMixture(U3, ((ProjectionMask(U3, [0]), F(1, 3)), (vec("b"), F(2, 3))))
+    assert m.probability(vec("a")) == F(1, 3)
+    assert m.probability(ProjectionMask(U3, [1])) == F(2, 3)
+    assert m.singleton_distribution() == {"a": F(1, 3), "b": F(2, 3), "c": 0}
+
+
 @pytest.mark.parametrize(
     "component, shown",
     [([0], r"\[0\]"), ((0,), r"\(0,\)"), ("a", "'a'")],
