@@ -32,7 +32,6 @@ import re
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Optional, Union, get_args
 
 from .errors import (
@@ -46,6 +45,7 @@ from .partitions import (
     GroundSet,
     Partition,
     notation,
+    _bell,
     _from_rgs,
     _ground_for,
     _implies_rgs,
@@ -384,7 +384,8 @@ class _Ranked:
     """The partitions of an n-set named by their rank in RGS order: bottom
     is 0, top is B - 1.  `_tables` maps each RGS kernel to a flat B x B
     table of result ranks that `_search` allocates, reads and fills;
-    each partition's orbit minima are kept."""
+    each partition's orbit minima and each witness `Partition` are built
+    once and kept."""
 
     def __init__(self, n: int):
         self.ground = _ground_for(n)
@@ -394,9 +395,13 @@ class _Ranked:
         self._rank = {code: r for r, code in enumerate(self._rgs)}
         self._tables: dict = {}
         self._minima: dict[int, array] = {}
+        self._partitions: dict[int, Partition] = {}
 
     def partition(self, x: int) -> Partition:
-        return _from_rgs(self.ground, self._rgs[x])
+        """The partition of rank x, kept per x."""
+        if x not in self._partitions:
+            self._partitions[x] = _from_rgs(self.ground, self._rgs[x])
+        return self._partitions[x]
 
     def minima(self, c: int) -> array:
         """The ranks of `_minima` of partition c, kept per c."""
@@ -624,15 +629,6 @@ def _search(program, polarity, lattice):
     return (values[:depth], values[root]) if found else None
 
 
-def _charges(k: int):
-    """The sums Bell(2) ** k + ... + Bell(n) ** k for n = 2, 3, ...."""
-    spent, row = 0, [1]  # a row of the Bell triangle, ending in Bell(n - 1)
-    while True:
-        row = list(accumulate(row, initial=row[-1]))
-        spent += row[-1] ** k
-        yield spent
-
-
 def check_validity(
     f: Formula, max_n: int, budget: int = DEFAULT_BUDGET
 ) -> ValidityReport:
@@ -643,8 +639,9 @@ def check_validity(
     One walk of `f` and one pass over its distinct subformulas
     (`_compile`) find its variables, their polarities and a slot program.
     The search runs on RGS ranks through operation tables filled on
-    demand and kept between calls for n <= TABLE_MAX_N; larger n run the
-    RGS kernels directly.  Each subformula is evaluated
+    demand and kept between calls for n <= TABLE_MAX_N, as are the
+    witness partitions of each rank; larger n run the RGS kernels
+    directly.  Each subformula is evaluated
     once per value of the last variable it uses, and one that uses none
     once, as the level of a variable -1; the join of the earlier values
     is one more step of each level.  Three rules skip
@@ -667,7 +664,10 @@ def check_validity(
     budget, exactly as the full sweep does, and the sum stops at the
     witness.  With no variable each n costs 1, so the sum at n is n - 1:
     the walk ends at `last`, and if the budget lasts that far its stop is
-    read off there as budget + 2."""
+    read off there as budget + 2.  The walk reads Bell(n) from the
+    library's one Bell triangle, the one `bell_number` reads, which is
+    kept between calls and grows a row only when a walk reaches an n
+    that no call has reached before."""
     for name, value in (("max_n", max_n), ("budget", budget)):
         if not _is_int(value):
             raise InvalidValue(f"{name} must be an integer, got {value!r}")
@@ -677,7 +677,9 @@ def check_validity(
     k = len(names)
     # with at most one mixed variable, n = 3 decides every larger n
     last = max_n if polarity.count(0) > 1 else min(max_n, 3)
-    for n, spent in zip(range(2, (max_n if k else last) + 1), _charges(k)):
+    spent = 0
+    for n in range(2, (max_n if k else last) + 1):
+        spent += _bell(n) ** k
         if spent > budget:
             break
         if n > last:

@@ -23,6 +23,7 @@ set: the value's type, then the partition's, then the shared ground set.
 from __future__ import annotations
 
 import string
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -536,13 +537,35 @@ def enumerate_partitions(
     return (_from_rgs(ground, rgs) for rgs in _iter_rgs(n))
 
 
+# Bell(0), Bell(1), ... as far as any call has needed, and the row of the
+# Bell triangle that ends in the last of them.  Both only grow, a row at a
+# time under the lock, so reading a Bell number that is there takes no lock
+# and two threads that need the same new row build it once between them.
+_BELLS = [1, 1]
+_BELL_ROW = [1]
+_BELL_LOCK = threading.Lock()
+
+
+def _bell(n: int) -> int:
+    """Bell(n) for an int n >= 0, from the library's one Bell triangle,
+    grown only as far as n."""
+    global _BELL_ROW
+    bells = _BELLS
+    if n < len(bells):
+        return bells[n]
+    with _BELL_LOCK:
+        while len(bells) <= n:
+            _BELL_ROW = list(accumulate(_BELL_ROW, initial=_BELL_ROW[-1]))
+            bells.append(_BELL_ROW[-1])
+    return bells[n]
+
+
 def bell_number(n: int) -> int:
-    """Number of partitions of an n-set, by the Bell triangle."""
+    """Number of partitions of an n-set, by the Bell triangle.  The rows
+    are kept for the life of the process and shared with the validity
+    search's budget, so each is built once."""
     _require_size("n must be a non-negative int", n)
-    row = [1]
-    for _ in range(n - 1):
-        row = list(accumulate(row, initial=row[-1]))
-    return row[-1]
+    return _bell(n)
 
 
 # ---------------------------------------------------------------------------

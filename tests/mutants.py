@@ -7,13 +7,17 @@ runs every mutant, or the named ones.  It first runs all their tests on
 an unmutated copy of `src/` and `tests/` in a temporary directory, which
 must pass; then, one mutant at a time, it applies the mutant to a fresh
 copy, runs only that mutant's tests and calls the mutant killed when
-every one of them fails.  It prints one line per mutant, lists the
-survivors and exits 1 if there are any.  Nothing in the working tree is
-written.  `tests/test_mutants.py` checks the registry's form in Tier-1,
-including that every mutated file still compiles, since a mutant that
-does not parse fails at collection and would be reported as a survivor;
-the full run is opt-in.  A change that deletes a mutated line deletes its
-entry rather than weaken a test that kills it.
+every one of them fails.  Each run loads the Hypothesis profile
+"no-shrink" of `tests/conftest.py`, so a failing property test stops at
+its first failing example instead of shrinking it, and runs plain
+asserts, which raise without diffing their two sides.  It prints one
+line per mutant, lists the survivors and exits 1 if there are any.
+Nothing in the working tree is written.  `tests/test_mutants.py` checks
+the registry's form in Tier-1, including that every mutated file still
+compiles, since a mutant that does not parse fails at collection and
+would be reported as a survivor; the full run is opt-in.  A change that
+deletes a mutated line deletes its entry rather than weaken a test that
+kills it.
 """
 
 from __future__ import annotations
@@ -175,6 +179,31 @@ MUTANTS = (
          "tests/test_logic.py::test_a_witness_below_the_rule_stops_the_budget_sum"),
     ),
     Mutant(
+        "bell-memo-reads-one-place-back",
+        "src/ditkit/partitions.py",
+        "    if n < len(bells):\n        return bells[n]\n",
+        "    if n < len(bells):\n        return bells[n - 1]\n",
+        ("tests/test_logic.py::test_budget_runs_out_where_the_oracle_sum_first_exceeds_it",
+         "tests/test_logic.py::test_valid_formulas_run_out_of_budget_where_the_oracle_sum_does",
+         "tests/test_logic.py::test_the_bell_walk_matches_the_oracle_from_an_empty_and_a_full_memo"),
+    ),
+    Mutant(
+        "bell-memo-grown-without-the-lock",
+        "src/ditkit/partitions.py",
+        "    with _BELL_LOCK:\n",
+        "    if True:\n",
+        ("tests/test_logic.py::test_threads_growing_the_bell_memo_at_once_agree_with_the_oracle",),
+    ),
+    Mutant(
+        "rank-memo-keeps-a-neighbour",
+        "src/ditkit/logic.py",
+        "_from_rgs(self.ground, self._rgs[x])",
+        "_from_rgs(self.ground, self._rgs[x - 1])",
+        ("tests/test_logic.py::test_check_validity_matches_brute_force",
+         "tests/test_logic.py::test_ranked_and_unranked_shapes_agree",
+         "tests/test_logic.py::test_witness_partitions_are_kept_per_rank_and_built_as_fresh"),
+    ),
+    Mutant(
         "formula-gate-admits-subclasses",
         "src/ditkit/logic.py",
         "if type(f) not in _NODES:",
@@ -322,10 +351,14 @@ def _copy(into: pathlib.Path) -> None:
 
 
 def _failed(copy: pathlib.Path, tests) -> set[str]:
-    """The node ids among `tests` with at least one failing case."""
+    """The node ids among `tests` with at least one failing case.  A
+    verdict needs the first failure, not the smallest or an explained one,
+    so the run loads the Hypothesis profile "no-shrink"
+    (`tests/conftest.py`) and plain asserts: a rewritten assert diffs both
+    sides of every failure, which on a long DOT text takes minutes."""
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         *tests],
+         "--assert=plain", "--hypothesis-profile", "no-shrink", *tests],
         cwd=copy, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(copy / "src")},
     )

@@ -166,9 +166,12 @@ def set_join(a: Blocks, b: Blocks) -> Blocks:
     return canonical(m for m in meets if m)
 
 
+@functools.cache
 def set_meet(a: Blocks, b: Blocks) -> Blocks:
     """Classes of the transitive closure of the union of the two indit
-    relations (pairs of elements sharing a block)."""
+    relations (pairs of elements sharing a block).  Kept per pair: the
+    closure is slow, and `brute_validity` asks for the same few pairs of
+    Π(4) thousands of times."""
     related = {(i, k) for blocks in (a, b) for blk in blocks for i in blk for k in blk}
     elements = sorted({i for i, _ in related})
     for via in elements:

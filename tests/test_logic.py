@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ditkit import logic
+from ditkit import logic, partitions
 from ditkit import (
     Bottom,
     BudgetExceeded,
@@ -40,7 +42,7 @@ from ditkit import (
     refines,
     variables,
 )
-from ditkit.partitions import _iter_rgs
+from ditkit.partitions import _from_rgs, _ground_for, _iter_rgs
 
 import oracles
 from oracles import brute_validity, unreduced_validity
@@ -390,25 +392,35 @@ def test_variable_free_formulas():
     assert report.witness.assignment == {}
 
 
-def test_variable_free_formulas_stop_the_walk_at_three(monkeypatch):
-    # Bell(n) ** 0 is 1, so a formula with no variable charges 1 per n:
-    # the walk ends where the search does, at n = 3, after two Bell rows
-    calls, accumulate = [], logic.accumulate
+@pytest.fixture
+def bell_rows(monkeypatch):
+    """An emptied Bell memo, and the Bell-triangle rows built since."""
+    monkeypatch.setattr(partitions, "_BELLS", [1, 1])
+    monkeypatch.setattr(partitions, "_BELL_ROW", [1])
+    rows, accumulate = [], partitions.accumulate
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        rows.append(args)
         return accumulate(*args, **kwargs)
 
-    monkeypatch.setattr(logic, "accumulate", counting)
+    monkeypatch.setattr(partitions, "accumulate", counting)
+    return rows
+
+
+def test_variable_free_formulas_stop_the_walk_at_three(bell_rows):
+    # Bell(n) ** 0 is 1, so a formula with no variable charges 1 per n:
+    # the walk ends where the search does, at n = 3, after two Bell rows
     assert check_validity(parse("1 => 1"), 5_000).is_valid_up_to_bound
-    assert len(calls) == 2  # one row per n = 2, 3
+    assert len(bell_rows) == 2  # one row per n = 2, 3
     assert check_validity(parse("(p /\\ q) => p"), 6).is_valid_up_to_bound
-    assert len(calls) == 2 + 5  # one row per n = 2..6
+    assert len(bell_rows) == 2 + 3  # the rows it reached past n = 3
     with pytest.raises(BudgetExceeded) as exc:
         check_validity(parse("1 => 1"), 50, budget=10)
     assert str(exc.value) == "assignment budget 10 exhausted before n=12"
     assert exc.value.bound_reached == 11
-    assert len(calls) == 2 + 5 + 2
+    assert check_validity(parse("(p /\\ q) => p"), 6).is_valid_up_to_bound
+    assert len(bell_rows) == 2 + 3  # a warm memo builds none
+    assert partitions._BELLS == [oracles.bell(n) for n in range(7)]
 
 
 BUDGET_FORMULAS = (
@@ -442,34 +454,31 @@ def test_budget_runs_out_where_the_oracle_sum_first_exceeds_it(text):
             assert exc.value.bound_reached == stop - 1
 
 
-def test_a_witness_below_the_rule_stops_the_budget_sum(monkeypatch):
+def test_a_witness_below_the_rule_stops_the_budget_sum(bell_rows):
     # each n is charged just before it is searched, so the sum stops at the
     # witness, and runs on to the budget stop, n = 1456 for 10**3000 and
-    # one variable, only when no witness came
-    calls, accumulate = [], logic.accumulate
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return accumulate(*args, **kwargs)
-
-    monkeypatch.setattr(logic, "accumulate", counting)
+    # one variable, only when no witness came; run again, the walk reads
+    # the memo and builds no row
     budget = 10**3000
-    report = check_validity(parse("p => 0"), 10**6, budget=budget)
-    assert report.to_json() == {
-        "status": "counterexample",
-        "bound": 2,
-        "witness": {"n": 2, "assignment": {"p": "a|b"}, "value": "ab"},
-    }
-    assert len(calls) == 1  # one row for n = 2
-    # two mixed variables: no rule bounds n, and the witness is at n = 4
-    report = check_validity(parse(r"(p => q) \/ (q => p)"), 10**6, budget=budget)
-    assert report.status == "counterexample" and report.bound == 4
-    assert len(calls) == 1 + 3  # one row per n = 2, 3, 4
-    with pytest.raises(BudgetExceeded) as exc:
-        check_validity(parse("p => p"), 10**6, budget=budget)
-    assert str(exc.value) == f"assignment budget {budget} exhausted before n=1456"
-    assert exc.value.bound_reached == 1455
-    assert len(calls) == 1 + 3 + 1455  # one row per n = 2..1456
+    for warm in (False, True):
+        report = check_validity(parse("p => 0"), 10**6, budget=budget)
+        assert report.to_json() == {
+            "status": "counterexample",
+            "bound": 2,
+            "witness": {"n": 2, "assignment": {"p": "a|b"}, "value": "ab"},
+        }
+        assert len(bell_rows) == (1455 if warm else 1)  # one row, for n = 2
+        # two mixed variables: no rule bounds n, and the witness is at n = 4
+        report = check_validity(parse(r"(p => q) \/ (q => p)"), 10**6, budget=budget)
+        assert report.status == "counterexample" and report.bound == 4
+        assert len(bell_rows) == (1455 if warm else 1 + 2)  # n = 3, 4
+        if not warm:
+            assert len(partitions._BELLS) == 4 + 1  # no row past the witness
+        with pytest.raises(BudgetExceeded) as exc:
+            check_validity(parse("p => p"), 10**6, budget=budget)
+        assert str(exc.value) == f"assignment budget {budget} exhausted before n=1456"
+        assert exc.value.bound_reached == 1455
+        assert len(bell_rows) == 1 + 2 + 1452  # the rows n = 5..1456
 
 
 def test_a_formula_with_no_variable_is_charged_without_a_walk():
@@ -507,6 +516,96 @@ def test_valid_formulas_run_out_of_budget_where_the_oracle_sum_does():
         with pytest.raises(BudgetExceeded) as exc:
             check_validity(parse("1"), 10**8, budget=budget)
         assert exc.value.bound_reached == oracles.budget_stop(0, 10**8, budget) - 1
+
+
+# one valid formula for each k = 0..4 with at most one mixed variable: the
+# search ends at n = 3 and the Bell walk alone decides where the budget stops
+WALK_FORMULAS = (
+    "1", "p => p", "(p /\\ q) => p", "(p /\\ q /\\ r) => p",
+    "(p /\\ q /\\ r /\\ s) => p",
+)
+
+
+def _walk_cases():
+    """(formula, k, max_n, budget) for max_n 2..12 and every budget at a
+    cumulative sum of Bell(n) ** k, minus 1, at it and plus 1."""
+    for k, f in enumerate(map(parse, WALK_FORMULAS)):
+        for max_n in range(2, 13):
+            sums = itertools.accumulate(oracles.bell(n) ** k for n in range(2, max_n + 1))
+            for budget in sorted({s + d for s in sums for d in (-1, 0, 1)}):
+                yield f, k, max_n, budget
+
+
+def _walk_outcome(f, max_n, budget):
+    try:
+        return check_validity(f, max_n, budget=budget)
+    except BudgetExceeded as exc:
+        return str(exc), exc.bound_reached
+
+
+def _oracle_outcome(k, max_n, budget):
+    stop = oracles.budget_stop(k, max_n, budget)
+    if stop is None:
+        return ValidityReport("valid-up-to-bound", max_n)
+    return f"assignment budget {budget} exhausted before n={stop}", stop - 1
+
+
+def test_the_bell_walk_matches_the_oracle_from_an_empty_and_a_full_memo(
+    monkeypatch,
+):
+    monkeypatch.setattr(partitions, "_BELLS", [1, 1])
+    for f, k, max_n, budget in _walk_cases():
+        del partitions._BELLS[2:]
+        monkeypatch.setattr(partitions, "_BELL_ROW", [1])
+        expected = _oracle_outcome(k, max_n, budget)
+        assert _walk_outcome(f, max_n, budget) == expected, (k, max_n, budget)
+    bell_number(40)
+    for f, k, max_n, budget in _walk_cases():
+        expected = _oracle_outcome(k, max_n, budget)
+        assert _walk_outcome(f, max_n, budget) == expected, (k, max_n, budget)
+    assert partitions._BELLS == [oracles.bell(n) for n in range(41)]
+
+
+def test_threads_growing_the_bell_memo_at_once_agree_with_the_oracle(
+    monkeypatch,
+):
+    # four threads grow an emptied memo at once, switching every microsecond;
+    # a row built twice would shift every later Bell number by one place
+    expected = [oracles.bell(n) for n in range(120)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            monkeypatch.setattr(partitions, "_BELLS", [1, 1])
+            monkeypatch.setattr(partitions, "_BELL_ROW", [1])
+            start, got = threading.Barrier(4), {}
+
+            def grow(i):
+                start.wait(timeout=10)
+                got[i] = [bell_number(n) for n in range(i, 120, 4)]
+
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            for i in range(4):
+                assert got[i] == expected[i::4]
+            assert partitions._BELLS == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_witness_partitions_are_kept_per_rank_and_built_as_fresh():
+    for n in range(2, 6):
+        lattice = logic._lattice(n)
+        for x, rgs in enumerate(_iter_rgs(n)):
+            pi = lattice.partition(x)
+            assert lattice.partition(x) is pi
+            fresh = _from_rgs(_ground_for(n), rgs)
+            assert (pi, pi.rgs, pi.blocks) == (fresh, fresh.rgs, fresh.blocks)
+            assert pi.ground is lattice.ground
 
 
 # --- table-driven search against the brute-force oracle ---
