@@ -22,6 +22,15 @@ partitions", Rev. Symb. Logic 3, 2010).  So the verdict at every n is
 that of p = 0 and p = 1, found at n = 2, and of one other p, first met
 at n = 3.
 
+At every n the search tries, for each variable, one value per orbit of
+the permutations that fix the earlier variables' values, since such a
+permutation maps a counterexample to one with the same earlier values.
+The permutations inside each block of their join c are one such group;
+on the tabulated lattices, swaps of *twin* blocks of c (one size, and
+each earlier value holds both in one block or has each as a whole
+block) join it, which halves the innermost values tried for the
+benchmark's valid three-variable formulas at n = 4.
+
 `parse` reads text in one loop, so parentheses nest to any depth; the
 other walks recurse, so a node more than `MAX_DEPTH` deep is refused.
 """
@@ -29,6 +38,7 @@ other walks recurse, so a node more than `MAX_DEPTH` deep is refused.
 from __future__ import annotations
 
 import re
+import threading
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -384,8 +394,8 @@ class _Ranked:
     """The partitions of an n-set named by their rank in RGS order: bottom
     is 0, top is B - 1.  `_tables` maps each RGS kernel to a flat B x B
     table of result ranks that `_search` allocates, reads and fills;
-    each partition's orbit minima and each witness `Partition` are built
-    once and kept."""
+    each witness `Partition`, and the orbit minima of each search node
+    key, (c, twin classes), are built once and kept."""
 
     def __init__(self, n: int):
         self.ground = _ground_for(n)
@@ -394,7 +404,14 @@ class _Ranked:
         self.bottom, self.top = 0, self.size - 1
         self._rank = {code: r for r, code in enumerate(self._rgs)}
         self._tables: dict = {}
-        self._minima: dict[int, array] = {}
+        # search nodes by key, (c, twin classes or None), each key numbered
+        # in `_ids`, with its list of values to try built when first asked
+        self._ids: dict[tuple, int] = {}
+        self._keys: list[tuple] = []
+        self._lists: list[Optional[array]] = []
+        self._steps: dict[int, int] = {}  # key * B + x -> the key below
+        self._numbering = threading.Lock()
+        self.root = self._id((self.bottom, None))
         self._partitions: dict[int, Partition] = {}
 
     def partition(self, x: int) -> Partition:
@@ -405,10 +422,39 @@ class _Ranked:
 
     def minima(self, c: int) -> array:
         """The ranks of `_minima` of partition c, kept per c."""
-        if c not in self._minima:
-            ranks = map(self._rank.__getitem__, _minima(self._rgs[c]))
-            self._minima[c] = array("h", ranks)
-        return self._minima[c]
+        return self.orbit(self._id((c, None)))
+
+    def orbit(self, key: int) -> array:
+        """The ranks of the values tried at a search node whose key has
+        the number `key`: `_minima` of its c given its twin classes, kept
+        per key."""
+        if self._lists[key] is None:
+            c, classes = self._keys[key]
+            kept = _minima(self._rgs[c], classes)
+            self._lists[key] = array("h", map(self._rank.__getitem__, kept))
+        return self._lists[key]
+
+    def step(self, key: int, x: int, joined: int) -> int:
+        """The number of the key of the search node that value x leads
+        to from a node whose key has the number `key`, where `joined` is
+        the join of its c and x: (joined, `_twin_classes`), kept in
+        `_steps`."""
+        c, classes = self._keys[key]
+        code = self._rgs[joined]
+        below = self._id((joined, _twin_classes(self._rgs[c], classes, self._rgs[x], code)))
+        self._steps[key * self.size + x] = below
+        return below
+
+    def _id(self, key: tuple) -> int:
+        """The number of `key`.  Two threads that number two new keys at
+        once would otherwise give both the same number."""
+        if key not in self._ids:
+            with self._numbering:
+                if key not in self._ids:
+                    self._keys.append(key)
+                    self._lists.append(None)
+                    self._ids[key] = len(self._keys) - 1
+        return self._ids[key]
 
 
 class _Unranked:
@@ -510,7 +556,7 @@ def _compile(f: Formula):
     return names, polarity, (consts, levels, slot_of[root], len(slot_of))
 
 
-def _minima(c: tuple[int, ...]):
+def _minima(c: tuple[int, ...], classes=None):
     """The least RGS of each orbit of the permutations that keep every
     block of partition c, in RGS order.  A permutation that keeps every
     block C_a of c maps a partition's blocks X_j to blocks with the same
@@ -520,30 +566,98 @@ def _minima(c: tuple[int, ...]):
     C_a in non-decreasing order, since swapping two that are not gives a
     smaller RGS.  Only those RGS are scanned, and the first of each key is
     yielded.  At c = bottom the keys are the shapes (multisets of block
-    sizes), found among the 2**(n-1) non-decreasing RGS."""
+    sizes), found among the 2**(n-1) non-decreasing RGS.
+
+    Given the `_twin_classes` of c's blocks, the orbits are those of the
+    twin swaps too, a union of the orbits above.  Swapping twins C_a and
+    C_b swaps entries a and b of every count vector, so each key found
+    marks as seen the keys its swaps reach.  One-element twins are
+    counted as one entry, that of their class's first: a permutation of
+    those elements maps any two partitions whose keys then agree onto
+    each other."""
     n = len(c)
-    weights = [(n + 1) ** a for a in c]  # a count vector as one integer
+    base = n + 1  # a count vector as one integer, entry a at base ** a
+    entry = list(range(max(c) + 1))
+    swaps = []
+    for a, b in enumerate(classes or ()):
+        if b != a:
+            if c.count(a) == 1:
+                entry[a] = b
+            else:
+                swaps.append((base ** b, base ** a))
+    weights = [base ** entry[a] for a in c]
     before, last = [], {}  # the previous element in the same block of c
     for i, a in enumerate(c):
         before.append(last.get(a))
         last[a] = i
     labels, codes, seen = [0] * n, [0] * n, set()
+    used = [0] * (n + 1)  # the labels used before each element
+    tries = [0] * n  # the next label each element tries
+    i = 0
+    while i >= 0:
+        b = tries[i]
+        if b > used[i]:  # element i has tried every label: back up
+            i -= 1
+            if i >= 0:
+                codes[labels[i]] -= weights[i]
+            continue
+        labels[i], tries[i] = b, b + 1
+        codes[b] += weights[i]
+        used[i + 1] = max(used[i], b + 1)
+        if i + 1 < n:
+            i += 1
+            tries[i] = 0 if before[i] is None else labels[before[i]]
+            continue
+        key = tuple(sorted(codes[:used[n]]))
+        codes[b] -= weights[i]
+        if key not in seen:
+            seen.add(key)
+            reached = [key]
+            while reached:
+                rows = reached.pop()
+                for wa, wb in swaps:
+                    # entries wa and wb exchanged in every count vector
+                    image = tuple(sorted([
+                        r + (r // wb % base - r // wa % base) * (wa - wb) for r in rows
+                    ]))
+                    if image not in seen:
+                        seen.add(image)
+                        reached.append(image)
+            yield tuple(labels)
 
-    def grow(i: int, used: int):
-        if i == n:
-            key = tuple(sorted(codes[:used]))
-            if key not in seen:
-                seen.add(key)
-                yield tuple(labels)
-            return
-        low = 0 if before[i] is None else labels[before[i]]
-        for b in range(low, used + 1):
-            labels[i] = b
-            codes[b] += weights[i]
-            yield from grow(i + 1, max(used, b + 1))
-            codes[b] -= weights[i]
 
-    return grow(0, 0)
+def _twin_classes(c, classes, x, joined):
+    """The twin classes of the atoms of `joined`, the join of c and the
+    next value x, given those of c (None when c has no twins): each
+    atom's class as the label of its first member, or None when every
+    class has one atom.  The atoms of a join are its blocks, and two
+    atoms of one size are twins when every value joined so far either
+    holds both in one block or has each as a whole block, so that
+    swapping them element by element fixes every such value.
+
+    Two atoms of c are told apart by a value joined before x, which then
+    has each as a whole block.  So a new atom that x splits off an old
+    one can only be a twin of another piece of that old atom, when both
+    are whole blocks of x, and a new atom that x leaves whole is a twin
+    of another such one exactly when their old atoms were twins and x
+    holds both in one block or has each as a whole block.  Each new atom
+    is therefore named by its old twin class (or, split off, by its old
+    atom), its size and x's label of it, or -1 for a whole block of x, and
+    twins are the atoms of one name."""
+    sizes = [joined.count(a) for a in range(max(joined) + 1)]
+    if len(set(sizes)) == len(sizes):  # only atoms of one size are twins
+        return None
+    first_of: dict = {}
+    twins = []
+    for a, size in enumerate(sizes):
+        i = joined.index(a)
+        old = c[i]
+        if c.count(old) != size:
+            old = -1 - old
+        elif classes is not None:
+            old = classes[old]
+        twins.append(first_of.setdefault((old, size, -1 if x.count(x[i]) == size else x[i]), a))
+    return tuple(twins) if len(first_of) < len(twins) else None
 
 
 def _search(program, polarity, lattice):
@@ -554,11 +668,17 @@ def _search(program, polarity, lattice):
     Two kinds of assignment are skipped, neither of which can hold the
     first hit.  Orbits: let c be the join of the values already chosen,
     bottom for the first variable.  A permutation of the ground set that
-    keeps every block of c fixes those values and the constants and
-    commutes with every operation, so it maps a hit to a hit with the
-    same earlier values.  The first hit therefore takes, at every depth,
-    the least value of its orbit, and only `lattice.minima(c)` are tried.
-    Polarity: the root is monotone in a variable of polarity 1, so if its
+    fixes those values fixes the constants and commutes with every
+    operation, so it maps a hit to a hit with the same earlier values.
+    The first hit therefore takes, at every depth, the least value of its
+    orbit under any group of such permutations.  Those that keep every
+    block of c are one such group, and RGS tuples try `lattice.minima(c)`,
+    a value per orbit.  Ranks also swap twins: blocks of c of one size
+    that every earlier value holds in one block or has each as a whole
+    block.  A node's key numbers c with its `_twin_classes`, which follow
+    from its parent's and the last value, so `lattice._steps` keeps each
+    key per (parent's key, value), and `lattice.orbit(key)` holds the
+    values tried there.  Polarity: the root is monotone in a variable of polarity 1, so if its
     least value, the bottom, leaves the rest clean, every value does.  It
     is antitone in one of polarity -1, so if the top leaves the rest
     clean, every value does; only if it does not are the minima tried.
@@ -566,14 +686,19 @@ def _search(program, polarity, lattice):
     verdict at n = 3 holds at every larger n (module docstring), so
     `check_validity` runs this search only for n <= 3.
 
-    Slot width + d holds c at depth d, and the level of each variable but
-    the innermost ends by joining its value into the next c, so one
-    variable builds no join table.  The steps that use no variable run
+    Slot width + d holds c at depth d, and the level of each variable
+    above the last one that tries more than the bottom ends by joining
+    its value into the next c, so one variable builds no join table.  The steps that use no variable run
     once, as the level of a variable -1 with a scratch slot at the end.
     On ranks it alone allocates, reads and fills `lattice._tables`: entry
     a * B + b of a kernel's table is the rank of its result, -1 a gap."""
     consts, levels, root, width = program
     depth = len(levels) - 1
+    # the last variable that may try more than its bottom: below it no
+    # node needs c or its twin classes
+    last = depth - 1
+    while last >= 0 and polarity[last] > 0:
+        last -= 1
     values: list = [None] * width + [lattice.bottom] * (depth + 1)
     for slot, is_top in consts:
         values[slot] = lattice.top if is_top else lattice.bottom
@@ -582,9 +707,11 @@ def _search(program, polarity, lattice):
     ranked = isinstance(lattice, _Ranked)
     if ranked:
         size, tables = lattice.size, lattice._tables
+        lists, below = lattice._lists, lattice._steps
+        keys = [lattice.root] * (last + 1)  # each node's, by depth
     bound = []
     for d, level in enumerate(levels):
-        if 0 < d < depth:
+        if 0 < d <= last:
             level = [*level, (width + d, _join_rgs, width + d - 1, d - 1)]
         if ranked:
             steps = []
@@ -619,11 +746,19 @@ def _search(program, polarity, lattice):
         return False
 
     def search(d: int) -> bool:
+        if ranked and 0 < d <= last:
+            key = below.get(keys[d - 1] * size + values[d - 1])
+            if key is None:
+                key = lattice.step(keys[d - 1], values[d - 1], values[width + d])
+            keys[d] = key
         if polarity[d] > 0:
             return nested(d, (lattice.bottom,))
         if polarity[d] < 0 and not nested(d, (top,)):
             return False
-        return nested(d, lattice.minima(values[width + d]))
+        if not ranked:
+            return nested(d, lattice.minima(values[width + d]))
+        xs = lists[keys[d]]
+        return nested(d, lattice.orbit(keys[d]) if xs is None else xs)
 
     found = nested(-1, (None,))
     return (values[:depth], values[root]) if found else None
@@ -644,17 +779,23 @@ def check_validity(
     directly.  Each subformula is evaluated
     once per value of the last variable it uses, and one that uses none
     once, as the level of a variable -1; the join of the earlier values
-    is one more step of each level.  Three rules skip
+    is one more step of each level that a later variable with more than
+    one value to try needs.  Three rules skip
     assignments that cannot hold the first counterexample.  Orbits: each
     variable takes only the least value of each orbit of the
     permutations that keep every block of the join of the earlier
     variables' values (for the first variable, the first value of each
-    block-size shape).  Polarity: a variable of one polarity is settled by
-    the bottom (positive) or first probed at the top (negative).  Ground
-    size: with at most one mixed variable, setting the others to the
-    bottom or top leaves a formula in one variable p whose value is 0, 1
-    or p, by the same case for every p other than 0 and 1, so n <= 3
-    decides every n (module docstring) and larger n are not searched.
+    block-size shape); for n <= TABLE_MAX_N, of the group that may also
+    swap two twin blocks of that join, blocks of one size that every
+    earlier value holds in one block or has each as a whole block, so
+    that the swap fixes every earlier value.  Those lists are kept per
+    (join, twin classes).  Polarity: a variable of one polarity is
+    settled by the bottom (positive) or first probed at the top
+    (negative).  Ground size: with at most one mixed variable, setting
+    the others to the bottom or top leaves a formula in one variable p
+    whose value is 0, 1 or p, by the same case for every p other than 0
+    and 1, so n <= 3 decides every n (module docstring) and larger n are
+    not searched.
 
     The budget charges Bell(n) ** k assignments for k variables at every
     n from 2 up, searched or not, in one walk: each n is charged, searched

@@ -334,6 +334,22 @@ MUTANTS = (
          "tests/test_public_api.py::test_the_gate_checks_the_value_then_the_partition_then_the_ground"),
     ),
     Mutant(
+        "twins-by-size-alone",
+        "src/ditkit/logic.py",
+        "(old, size, -1 if x.count(x[i]) == size else x[i])",
+        "(size,)",
+        ("tests/test_logic.py::test_twin_lists_match_every_twin_permutation",
+         "tests/test_logic.py::test_twin_search_matches_the_young_rule"),
+    ),
+    Mutant(
+        "twin-whole-block-dropped",
+        "src/ditkit/logic.py",
+        "-1 if x.count(x[i]) == size else x[i]",
+        "x[i]",
+        ("tests/test_logic.py::test_twin_swaps_halve_the_innermost_values",
+         "tests/test_logic.py::test_twin_lists_match_every_twin_permutation"),
+    ),
+    Mutant(
         "luders-mixture-keeps-a-common-factor",
         "src/ditkit/density.py",
         "    return _lowest(mat.ground, num, mat._den)\n",

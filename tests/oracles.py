@@ -14,7 +14,14 @@ orbit that fixes the earlier variables, and skips the values a monotone
 variable cannot need.  Those orbit minima are found by applying every
 permutation that keeps each block of the earlier variables' join, where
 the library compares block-intersection counts; the shape representatives
-are found by scanning every RGS, where the library generates them.  The
+are found by scanning every RGS, where the library generates them.
+The orbit minima under twin swaps are found by applying every
+permutation that maps each block of the earlier values' join onto a
+twin, told by a pairwise test, and those of the whole stabiliser by
+applying every permutation that fixes each earlier value, where the
+library closes block-intersection keys under twin swaps told by a
+signature; the candidate rule without twin swaps runs the library's
+search on a lattice of its own whose nodes swap no twins.  The
 formula parser descends recursively, one method per precedence level,
 where the library runs one loop on an operand and an operator stack; its
 tokens come from anchored matches retried position by position, with
@@ -52,7 +59,8 @@ integer table of `z2dyn._draw_counts`.  The GF(2) sampler draws every
 measurement that way and evolves `SubsetVector`s step by step, where the
 library compiles the same tables, and the exact GF(2) pipeline splits
 `frozenset` members with `Fraction` weights, where the library sums the
-steps' draw tables over bitmasks.  The linear algebra eliminates on
+steps' draw tables over bitmasks.  Path counts add the members' images
+over the integers, where the library adds them mod 2.  The linear algebra eliminates on
 `Fraction` rows, where the library works on integer rows, and builds
 operators as sums of eigenvalue times projection, where the library
 solves one integer system per operator.  Two subspaces are intersected
@@ -103,6 +111,7 @@ from ditkit.logic import (
     Var,
     _lattice,
     _Ranked,
+    _search,
 )
 from ditkit.observables import DSD, Compatibility
 from ditkit.partitions import (
@@ -429,18 +438,97 @@ def first_of_each_shape(n: int) -> list[tuple[int, ...]]:
     return firsts
 
 
-def orbit_minima(n: int, c: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The least RGS of each orbit of the permutations of {0..n-1} that
-    keep every block of the partition with RGS c, in RGS order: every
-    such permutation is applied to the blocks of every partition."""
-    keeping = [
-        g for g in itertools.permutations(range(n))
-        if all(c[g[i]] == c[i] for i in range(n))
-    ]
+def _least_of_orbits(n: int, group) -> list[tuple[int, ...]]:
+    """The least RGS of each orbit of the permutations `group` of
+    {0..n-1}, in RGS order: every one is applied to the blocks of every
+    partition."""
+    group = list(group)
     return sorted({
-        min(rgs_of(canonical([g[i] for i in blk] for blk in blocks)) for g in keeping)
+        min(rgs_of(canonical([g[i] for i in blk] for blk in blocks)) for g in group)
         for blocks in insert_enumerate(n)
     })
+
+
+def orbit_minima(n: int, c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The least RGS of each orbit of the permutations of {0..n-1} that
+    keep every block of the partition with RGS c, in RGS order."""
+    return _least_of_orbits(n, (
+        g for g in itertools.permutations(range(n))
+        if all(c[g[i]] == c[i] for i in range(n))
+    ))
+
+
+def blocks_of(rgs: tuple[int, ...]) -> Blocks:
+    """The canonical blocks of the partition with RGS `rgs`."""
+    return canonical([i for i, a in enumerate(rgs) if a == b] for b in set(rgs))
+
+
+def twin_orbit_minima(n: int, earlier) -> list[tuple[int, ...]]:
+    """The least RGS of each orbit of the permutations of {0..n-1} that
+    map every atom, a block of the join of the RGS `earlier`, onto an
+    atom of its own twin class, in RGS order.  Atoms A and B are twins
+    when they have one size and each earlier value holds both in one of
+    its blocks or has both A and B among its blocks."""
+    values = [blocks_of(v) for v in earlier]
+    atoms = functools.reduce(set_join, values, (tuple(range(n)),))
+
+    def twins(a, b) -> bool:
+        return len(a) == len(b) and all(
+            any(set(a + b) <= set(blk) for blk in v) or (a in v and b in v)
+            for v in values
+        )
+
+    def onto_twins(g) -> bool:
+        images = (tuple(sorted(g[i] for i in atom)) for atom in atoms)
+        return all(im in atoms and twins(atom, im) for atom, im in zip(atoms, images))
+
+    return _least_of_orbits(n, filter(onto_twins, itertools.permutations(range(n))))
+
+
+def stabiliser_minima(n: int, earlier) -> list[tuple[int, ...]]:
+    """The least RGS of each orbit of the permutations of {0..n-1} that
+    fix every partition of the RGS `earlier`, in RGS order."""
+    values = [blocks_of(v) for v in earlier]
+    return _least_of_orbits(n, (
+        g for g in itertools.permutations(range(n))
+        if all(canonical([g[i] for i in blk] for blk in v) == v for v in values)
+    ))
+
+
+class YoungOnly(_Ranked):
+    """A ranked lattice whose search tries at every node the least value
+    of each orbit of the permutations that keep every block of c, the
+    join of the earlier values, and swaps no twins: the candidate rule
+    that twin swaps refine."""
+
+    def step(self, key, x, joined):
+        return self._id((joined, None))
+
+
+@functools.cache
+def _young_only(n: int) -> YoungOnly:
+    return YoungOnly(n)
+
+
+def young_validity(f, max_n: int) -> ValidityReport:
+    """The `check_validity` report, without a budget, from the library's
+    `_search` on `YoungOnly` lattices of its own, with the slot program of
+    `subformula_program` and the signs of `polarity`.  It searches every n
+    up to `max_n`, with no stop at n = 3."""
+    names = variables(f)
+    program, signs = subformula_program(f, names), polarity(f, names)
+    for n in range(2, max_n + 1):
+        lattice = _young_only(n)
+        hit = _search(program, signs, lattice)
+        if hit is not None:
+            assignment, value = hit
+            witness = Counterexample(
+                n,
+                {name: lattice.partition(x) for name, x in zip(names, assignment)},
+                lattice.partition(value),
+            )
+            return ValidityReport("counterexample", n, witness)
+    return ValidityReport("valid-up-to-bound", max_n)
 
 
 def subformula_program(f, names: tuple[str, ...]):
@@ -950,6 +1038,17 @@ def gf2_inverse(cols: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(
         sum(((rows[i] >> (n + j) & 1) << i) for i in range(n)) for j in range(n)
     )
+
+
+def path_counts(state: SubsetVector, m) -> list[int]:
+    """Each point's number of paths from the members of `state` under the
+    GF(2) map `m`: the members' images added over the integers, where the
+    library adds them mod 2."""
+    counts = [0] * m.n
+    for j in state.members:
+        for i in range(m.n):
+            counts[i] += m.cols[j] >> i & 1
+    return counts
 
 
 # --- partitions by level sets ----------------------------------------------

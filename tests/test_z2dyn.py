@@ -37,7 +37,7 @@ from ditkit import (
 )
 from ditkit.density import ProjectionMask
 
-from oracles import gf2_inverse, gf2_nonsingular
+from oracles import gf2_inverse, gf2_nonsingular, path_counts
 from oracles import reduce as oracle_reduce
 from oracles import run_pipeline as oracle_run_pipeline
 from oracles import sample_pipeline as oracle_sample_pipeline
@@ -457,6 +457,70 @@ def test_double_slit_dynamics_certified_nonsingular():
     assert dynamics.inverse().cols is not None
 
 
+# --- set-level interference: the path count of each point ---
+
+
+def support(mixture: StateMixture) -> set[int]:
+    """The points that carry mass in a mixture of singletons."""
+    return {i for v, _ in mixture.terms for i in v.members}
+
+
+def test_double_slit_path_counts_cancel_b():
+    _, dynamics, start = double_slit_setup()
+    assert path_counts(start, dynamics) == [1, 2, 1]
+    assert support(run_pipeline(start, double_slit_steps(2))) == {0, 2}
+    assert support(run_pipeline(start, double_slit_steps(1))) == {0, 1, 2}
+
+
+@st.composite
+def interference_setups(draw):
+    n = draw(st.integers(2, 6))
+    ground = GroundSet(tuple("abcdef"[:n]))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    p = ProbGroundSet(ground, tuple(F(w, sum(weights)) for w in weights))
+    start = SubsetVector.from_bits(ground, draw(st.integers(1, (1 << n) - 1)))
+    return start, draw(nonsingular_maps(n)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(interference_setups())
+@example((vec("ac"), double_slit_setup()[1], None))
+def test_undetected_evolution_reaches_the_points_of_odd_path_count(setup):
+    # over GF(2) the image of a subset is the sum of its members' images,
+    # so a point reached by an even number of paths cancels; detecting
+    # first reaches every point that any path reaches
+    start, m, p = setup
+    counts = path_counts(start, m)
+    odd = {i for i, k in enumerate(counts) if k % 2}
+    reached = {i for i, k in enumerate(counts) if k > 0}
+    assert support(run_pipeline(start, [Evolve(m), Detect()], p)) == odd
+    assert support(run_pipeline(start, [Detect(), Evolve(m), Detect()], p)) == reached
+
+
+def test_set_level_no_signalling_fails_on_a_pinned_witness():
+    # ground U x V with label ij at index 2i + j; A measures U's value;
+    # B's map alone moves A's outcome distribution, which no local
+    # unitary does at the Hilbert level
+    ground = GroundSet(("00", "01", "10", "11"))
+    start = SubsetVector.from_labels(ground, ["01", "10"])
+    by_a = Measure(make_partition(ground, [["00", "01"], ["10", "11"]]))
+    m_inv = GF2Map((0b01, 0b11)).inverse()
+    # I (x) M^-1: column (i, j) is e_i (x) M^-1 e_j
+    local = GF2Map(tuple(
+        sum(1 << (2 * i + k) for k in range(2) if m_inv.cols[j] >> k & 1)
+        for i in range(2) for j in range(2)
+    ))
+    assert local == GF2Map((1, 3, 4, 12))
+
+    def outcomes(m):
+        mixture = run_pipeline(start, [Evolve(m), by_a])
+        return [sum((q for v, q in mixture.terms if v.mask & half), F(0))
+                for half in (0b0011, 0b1100)]
+
+    assert outcomes(GF2Map.identity(4)) == [F(1, 2), F(1, 2)]
+    assert outcomes(local) == [F(2, 3), F(1, 3)]
+
+
 # --- sampling ---
 
 
@@ -547,18 +611,24 @@ def sampled(pipeline, start, steps, trials, seed, p, generator=RecordingRandom):
 
 
 @st.composite
-def gf2_maps(draw, n):
-    """A random column list, or a nonsingular map built from a permutation
-    by random column additions."""
-    if draw(st.booleans()):
-        return GF2Map(tuple(draw(st.lists(
-            st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+def nonsingular_maps(draw, n):
+    """A nonsingular map built from a permutation by random column
+    additions."""
     cols = [1 << i for i in draw(st.permutations(range(n)))]
     if n > 1:
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         for i, j in draw(st.lists(pairs.filter(lambda t: t[0] != t[1]), max_size=8)):
             cols[i] ^= cols[j]
     return GF2Map(tuple(cols))
+
+
+@st.composite
+def gf2_maps(draw, n):
+    """A random column list, or a nonsingular map."""
+    if draw(st.booleans()):
+        return GF2Map(tuple(draw(st.lists(
+            st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+    return draw(nonsingular_maps(n))
 
 
 @st.composite
