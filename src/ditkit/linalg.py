@@ -28,9 +28,8 @@ _ZERO = Fraction(0)
 
 
 def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == k else 0) for k in range(n)) for i in range(n)
-    )
+    one = Fraction(1)
+    return tuple(tuple(one if i == k else _ZERO for k in range(n)) for i in range(n))
 
 
 def _clear(values: Sequence) -> tuple[list[int], int]:

@@ -12,7 +12,9 @@ A DSD keeps the integer form its constructor checks: each subspace's
 rows A cleared of denominators (`linalg._clear`), an integer basis N_A
 of the vectors orthogonal to it, its orthogonal projection
 P = A^T (A A^T)^-1 A as integer rows P d over one denominator d, and
-whether the subspaces are pairwise orthogonal.  Operators, projections,
+whether the subspaces are pairwise orthogonal.  For the unit vectors of
+a partition's blocks, the trusted `DSD._coordinate` behind `DSD.standard`
+and `dsd_from_attribute` reads all of these off.  Operators, projections,
 orthogonality, the simultaneous eigenspace and complete families read
 these and never eliminate a subspace again.  An operator is the integer
 sum of its eigenvalues times the stored projections, F = sum of lambda P,
@@ -132,7 +134,8 @@ class DSD:
     (P d, d) of integer rows and their least common denominator
     (`int_projections`), and whether the subspaces are pairwise
     orthogonal (`orthogonal`).  All are derived, so they take no part in
-    equality, hashing or the repr."""
+    equality, hashing or the repr.  `_coordinate` is the trusted path,
+    for the coordinate DSD of a partition's index blocks."""
 
     dim: int
     subspaces: tuple[Matrix, ...]
@@ -189,10 +192,35 @@ class DSD:
         )
 
     @classmethod
+    def _coordinate(cls, n: int, blocks) -> "DSD":
+        """The trusted constructor: the coordinate DSD of index blocks that
+        partition range(n), unchecked.  Block B spans the unit rows e_i,
+        i in B; its annihilator is the other unit rows, ascending as
+        `_kernel` returns them; its projection is B's 0/1 diagonal, d = 1."""
+        eye = linalg.identity(n)
+        units = tuple(map(tuple, linalg._int_rows(eye)))
+        zero = (0,) * n
+        dsd = object.__new__(cls)
+        dsd.__dict__.update(
+            dim=n,
+            subspaces=tuple(tuple(eye[i] for i in blk) for blk in blocks),
+            int_bases=tuple(tuple(units[i] for i in blk) for blk in blocks),
+            annihilators=tuple(
+                tuple(u for i, u in enumerate(units) if i not in blk)
+                for blk in blocks
+            ),
+            int_projections=tuple(
+                (tuple(u if i in blk else zero for i, u in enumerate(units)), 1)
+                for blk in blocks
+            ),
+            orthogonal=True,
+        )
+        return dsd
+
+    @classmethod
     def standard(cls, n: int) -> "DSD":
         _require_size("dimension must be a non-negative int", n)
-        eye = linalg.identity(n)
-        return cls(n, tuple((row,) for row in eye))
+        return cls._coordinate(n, [(i,) for i in range(n)])
 
     @classmethod
     def from_vectors(cls, n: int, groups) -> "DSD":
@@ -371,10 +399,8 @@ def dsd_from_attribute(f: Attribute) -> tuple[tuple[Fraction, ...], DSD]:
     level sets, so operator_from_dsd(*dsd_from_attribute(f)) is the
     diagonal operator of f."""
     pi = inverse_image_partition(f)
-    eye = linalg.identity(f.ground.n)
     values = tuple(f.values[blk[0]] for blk in pi.blocks)
-    subspaces = tuple(tuple(eye[i] for i in blk) for blk in pi.blocks)
-    return values, DSD(f.ground.n, subspaces)
+    return values, DSD._coordinate(f.ground.n, pi.blocks)
 
 
 def _commutator(f: linalg.IntRows, g: linalg.IntRows) -> linalg.IntRows:

@@ -130,6 +130,22 @@ MUTANTS = (
         ("tests/test_observables.py::test_se_and_csco_match_the_oracle_on_general_dsds",),
     ),
     Mutant(
+        "coordinate-dsd-not-orthogonal",
+        "src/ditkit/observables.py",
+        "orthogonal=True,",
+        "orthogonal=False,",
+        ("tests/test_observables.py::test_attribute_operator_matches_dsd_route",
+         "tests/test_observables.py::test_coordinate_dsds_match_the_checked_constructor"),
+    ),
+    Mutant(
+        "coordinate-annihilator-inside-the-block",
+        "src/ditkit/observables.py",
+        "if i not in blk",
+        "if i in blk",
+        ("tests/test_observables.py::test_coordinate_dsds_match_the_checked_constructor",
+         "tests/test_observables.py::test_dsd_standard_and_orthogonality"),
+    ),
+    Mutant(
         "one-mixed-rule-stops-at-2",
         "src/ditkit/logic.py",
         "polarity.count(0) > 1 else min(max_n, 3)",

@@ -28,6 +28,7 @@ from ditkit import (
     csca_complete,
     csco_complete,
     dsd_from_attribute,
+    enumerate_partitions,
     inverse_image_partition,
     kernel,
     make_partition,
@@ -250,6 +251,36 @@ def test_dsd_standard_and_orthogonality():
     assert d.orthogonal
     skew = DSD.from_vectors(2, [[[1, 0]], [[1, 1]]])
     assert not skew.orthogonal
+    for n in range(7):
+        _assert_checked_coordinate(DSD.standard(n), [(i,) for i in range(n)])
+
+
+def _assert_checked_coordinate(dsd, blocks):
+    """`dsd` equals, field by field, the coordinate DSD of `blocks` that
+    the checking constructor builds from identity rows."""
+    eye = identity(dsd.dim)
+    checked = DSD(dsd.dim, tuple(tuple(eye[i] for i in blk) for blk in blocks))
+    for name in ("dim", "subspaces", "int_bases", "annihilators",
+                 "int_projections", "orthogonal"):
+        assert getattr(dsd, name) == getattr(checked, name), name
+    assert dsd.projections() == checked.projections()
+    assert repr(dsd) == repr(checked) and hash(dsd) == hash(checked)
+    assert dsd.to_json() == checked.to_json()
+
+
+def test_coordinate_dsds_match_the_checked_constructor():
+    # every partition with n <= 5, as the level sets of its own block numbers
+    count = 0
+    for n in range(1, 6):
+        ground = GroundSet(tuple("abcde"[:n]))
+        for pi in enumerate_partitions(ground):
+            f = Attribute.from_values(ground, pi.rgs)
+            assert inverse_image_partition(f) == pi
+            values, dsd = dsd_from_attribute(f)
+            assert values == tuple(map(F, range(pi.num_blocks)))
+            _assert_checked_coordinate(dsd, pi.blocks)
+            count += 1
+    assert count == 75
 
 
 def test_dsd_projections_resolve_identity():

@@ -772,11 +772,11 @@ def test_no_library_code_calls_a_gated_accessor():
 
 
 def _calls_a_checking_constructor(node: ast.AST) -> bool:
-    """A call of `Operator(...)`, `DensityMatrix(...)`, `Counterexample(...)`
-    or `ValidityReport(...)` by name."""
+    """A call of `DSD(...)`, `Operator(...)`, `DensityMatrix(...)`,
+    `Counterexample(...)` or `ValidityReport(...)` by name."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("Operator", "DensityMatrix", "Counterexample",
-                                 "ValidityReport"))
+            and node.func.id in ("DSD", "Operator", "DensityMatrix",
+                                 "Counterexample", "ValidityReport"))
 
 
 def test_no_library_code_calls_a_checking_constructor():
@@ -786,7 +786,10 @@ def test_no_library_code_calls_a_checking_constructor():
     `from_json` reads a caller's data, and it calls `cls(...)`.  Likewise
     `check_validity` builds its witness and report from values its own
     search produced, through `Counterexample._trusted` and
-    `ValidityReport._trusted`."""
+    `ValidityReport._trusted`, and `DSD.standard` and `dsd_from_attribute`
+    build coordinate DSDs, a direct sum by construction, through
+    `DSD._coordinate`; `DSD.from_vectors` and `DSD.from_json` read a
+    caller's vectors and call `cls(...)`."""
     assert _library_sites(_calls_a_checking_constructor) == set()
 
 

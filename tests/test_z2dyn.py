@@ -521,6 +521,98 @@ def test_set_level_no_signalling_fails_on_a_pinned_witness():
     assert outcomes(local) == [F(2, 3), F(1, 3)]
 
 
+def _detected(start, a: GF2Map, b: GF2Map, k: int):
+    """(index, probability) of each point detected after
+    Evolve((M_A (x) M_B)^-1) on the ground U x V with label ij at index
+    i k + j: column (i, j) of M_A (x) M_B is a e_i (x) b e_j."""
+    product = GF2Map(tuple(
+        sum(1 << (r * k + s)
+            for r in range(k) if a.cols[i] >> r & 1
+            for s in range(k) if b.cols[j] >> s & 1)
+        for i in range(k) for j in range(k)
+    ))
+    mixture = run_pipeline(start, [Evolve(product.inverse()), Detect()])
+    return [(v.mask.bit_length() - 1, q) for v, q in mixture.terms]
+
+
+def _correlation(points, a_signs, b_signs, k: int) -> Fraction:
+    """E = sum of Pr(ij) a_i b_j over the detected points ij."""
+    return sum((q * a_signs[i // k] * b_signs[i % k] for i, q in points), F(0))
+
+
+def _product_ground(k: int) -> GroundSet:
+    return GroundSet(tuple(f"{i}{j}" for i in range(k) for j in range(k)))
+
+
+def _chsh_correlations(start, a, a2, b, b2, k: int) -> list[Fraction]:
+    """E(A,B), E(A,B'), E(A',B) and E(A',B') for settings (basis columns
+    as bitmasks, a sign per basis vector)."""
+    return [
+        _correlation(_detected(start, GF2Map(x), GF2Map(y), k), xs, ys, k)
+        for (x, xs), (y, ys) in ((a, b), (a, b2), (a2, b), (a2, b2))
+    ]
+
+
+def test_set_level_chsh_passes_tsirelson_on_a_pinned_witness():
+    # each setting is a basis of GF(2)^3, columns as bitmasks, and a sign
+    # per basis vector; CHSH = E(A,B) + E(A,B') + E(A',B) - E(A',B')
+    ground = _product_ground(3)
+    start = SubsetVector.from_labels(ground, ["00", "01", "10", "11", "12", "22"])
+    a, a2 = ((6, 4, 3), (1, -1, 1)), ((5, 7, 1), (-1, 1, 1))
+    b, b2 = ((5, 3, 4), (1, -1, -1)), ((5, 6, 7), (-1, -1, 1))
+    e = _chsh_correlations(start, a, a2, b, b2, 3)
+    assert e == [-1, F(-3, 5), F(-3, 5), 1]
+    chsh = e[0] + e[1] + e[2] - e[3]
+    assert chsh == F(-16, 5)
+    # past Tsirelson's 2 sqrt 2, exactly: (16/5)^2 > 8
+    assert chsh * chsh > 8
+
+
+def test_set_level_chsh_maxima_at_k_2():
+    # the 12 observables of GF(2)^2 are its 3 bases, each with 4 sign
+    # patterns; 6 of them are not constant
+    ground = _product_ground(2)
+    bases = ((1, 2), (1, 3), (2, 3))
+    signs = tuple(itertools.product((1, -1), repeat=2))
+    observables = [(basis, sign) for basis in bases for sign in signs]
+    varying = [(basis, sign) for basis, sign in observables if sign[0] != sign[1]]
+
+    def max_chsh(e, pool):
+        # CHSH = (E(A,B) + E(A',B)) + (E(A,B') - E(A',B')): B and B' apart
+        best = 0
+        for x, x2 in itertools.product(pool, repeat=2):
+            plus = [e[x, y] + e[x2, y] for y in pool]
+            minus = [e[x, y] - e[x2, y] for y in pool]
+            best = max(best, max(plus) + max(minus), -min(plus) - min(minus))
+        return best
+
+    maxima = [0, 0]
+    for mask in range(1, 16):
+        start = SubsetVector.from_labels(
+            ground, [lab for i, lab in enumerate(ground.labels) if mask >> i & 1]
+        )
+        # one detected distribution per pair of bases
+        points = {
+            (x, y): _detected(start, GF2Map(x), GF2Map(y), 2)
+            for x in bases for y in bases
+        }
+        e = {
+            ((x, xs), (y, ys)): _correlation(points[x, y], xs, ys, 2)
+            for x, xs in observables for y, ys in observables
+        }
+        maxima = [max(maxima[0], max_chsh(e, observables)),
+                  max(maxima[1], max_chsh(e, varying))]
+    assert maxima == [F(8, 3), 2]
+    # the witness of 8/3: A and A' share the standard basis, and B and B'
+    # are constant, so only the basis B chooses moves A's outcomes
+    start = SubsetVector.from_labels(ground, ["01", "10"])
+    a, a2 = ((1, 2), (1, 1)), ((1, 2), (1, -1))
+    b, b2 = ((1, 3), (1, 1)), ((2, 3), (1, 1))
+    e = _chsh_correlations(start, a, a2, b, b2, 2)
+    assert e == [1, 1, F(1, 3), F(-1, 3)]
+    assert e[0] + e[1] + e[2] - e[3] == F(8, 3)
+
+
 # --- sampling ---
 
 
